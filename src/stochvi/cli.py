@@ -98,9 +98,8 @@ def cmd_generate(args) -> int:
 def cmd_constants(args) -> int:
     game = _load_game(args.game)
     scheme = _scheme(args, game.n)
-    gc = consts.game_constants(game)
-    ec = consts.ec_constants(gc, scheme, game)
-    gc = consts.fill_kappa(gc, ec)
+    prof = exps.profile(game, scheme, with_hamiltonian=False)
+    gc, ec = prof.game_constants, prof.ec
     pairs = {
         "n": gc.n,
         "mu": gc.mu,
@@ -110,7 +109,7 @@ def cmd_constants(args) -> int:
         "scheme": scheme.label(),
         "ell_xi": ec.ell_xi,
         "sigma_sq": ec.sigma_sq,
-        "kappa_g": gc.kappa_g,
+        "kappa_g": prof.kappa_g,
     }
     for i, ell_i in enumerate(gc.ell_i):
         pairs[f"ell_{i}"] = ell_i
@@ -129,39 +128,28 @@ def cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _parse_schedule(args, method: str, prof) -> object:
+def cmd_run(args) -> int:
     if args.schedule == "constant":
         if args.alpha is None and args.gamma is None:
             raise ConfigError("constant schedule needs --alpha and/or --gamma")
-        return ConstantSchedule(alpha=args.alpha or 0.0, gamma=args.gamma or 0.0)
-    if args.schedule == "theory":
-        return exps.theory_schedule(method, prof)
-    if args.schedule == "switching":
-        return exps.switching_schedule(method, prof)
-    raise ConfigError(f"unknown schedule {args.schedule!r}")
-
-
-def cmd_run(args) -> int:
+        schedule = ConstantSchedule(alpha=args.alpha or 0.0, gamma=args.gamma or 0.0)
+    else:
+        schedule = args.schedule
     game = _load_game(args.game)
     scheme = _scheme(args, game.n)
     methods = tuple(args.method.split(","))
-    schedules = {}
-    if args.schedule == "constant":
-        for m in methods:
-            schedules[m] = ConstantSchedule(alpha=args.alpha or 0.0, gamma=args.gamma or 0.0)
-    else:
-        for m in methods:
-            schedules[m] = args.schedule
     cfg = exps.ExperimentConfig(
         game=game,
         methods=methods,
         scheme=scheme,
-        schedules=schedules,
+        schedules={m: schedule for m in methods},
         iterations=args.iters,
         seeds=args.seeds,
         base_seed=args.seed,
     )
-    table, prof, _ = exps.run_experiment(cfg, threads=args.threads)
+    table, _, traces = exps.run_experiment(
+        cfg, threads=args.threads, record_traces=args.dump_iterates is not None
+    )
     out = _resolve(args, args.out)
     exps.emit_csv(table, out)
     print(f"wrote {out}")
@@ -173,26 +161,7 @@ def cmd_run(args) -> int:
         # One CSV of iterate coordinates for the first seed of each method.
         lines = ["method,iteration," + ",".join(f"x{i}" for i in range(game.dim))]
         for method in methods:
-            run_scheme = scheme
-            prof_m = prof
-            if method in ("gda", "co"):
-                run_scheme = SamplingScheme.full_batch(game.n)
-                if not scheme.is_deterministic:
-                    prof_m = exps.profile(game, run_scheme)
-            trace = run(
-                RunConfig(
-                    method=method,
-                    operator=game,
-                    scheme=run_scheme,
-                    schedule=exps._resolve_schedule(
-                        method, cfg.schedules.get(method, "theory"), prof_m
-                    ),
-                    iterations=args.iters,
-                    seed=args.seed,
-                ),
-                record_iterates=True,
-            )
-            for k, xk in enumerate(trace.iterates):
+            for k, xk in enumerate(traces[method][0].iterates):
                 lines.append(f"{method},{k}," + ",".join(repr(float(v)) for v in xk))
         dump = _resolve(args, args.dump_iterates)
         with open(dump, "w", encoding="utf-8", newline="\n") as fh:
@@ -205,8 +174,8 @@ def cmd_verify(args) -> int:
     game = _load_game(args.game)
     scheme = _scheme(args, game.n)
     rng = numerics.make_rng(args.seed)
-    gc = consts.game_constants(game)
-    ec = consts.ec_constants(gc, scheme, game)
+    prof = exps.profile(game, scheme, with_hamiltonian=False)
+    gc, ec = prof.game_constants, prof.ec
     checks = args.checks.split(",")
     reports = []
     for name in checks:
@@ -227,7 +196,7 @@ def cmd_verify(args) -> int:
                 verify.check_unbiasedness(game, scheme, min(args.points, 50), args.radius, rng)
             )
         elif name == "envelope":
-            schedule = ConstantSchedule(alpha=1.0 / (2.0 * ec.ell_xi))
+            schedule = exps.theory_schedule("sgda", prof)
             traces = [
                 run(
                     RunConfig(
@@ -295,7 +264,7 @@ def cmd_sweep(args) -> int:
     multipliers = tuple(float(m) for m in args.multipliers.split(","))
     table = exps.sweep_step_sizes(
         game, scheme, methods, multipliers, args.iters, args.seeds,
-        base_seed=args.seed, threads=args.threads,
+        base_seed=args.seed,
     )
     out = _resolve(args, args.out)
     exps.emit_csv(table, out)

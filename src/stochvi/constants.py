@@ -21,7 +21,7 @@ Co-coercivity of a matrix M (the operator x -> Mx) means
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -39,6 +39,7 @@ from .errors import (
 )
 from .operators import QuadraticGame
 from .sampling import SamplingScheme, enumerate_support, scheme_stats
+from .solvers import ScoSwitchingSchedule, SgdaSwitchingSchedule
 
 # Eigenvalues below this fraction of the spectral scale count as zero.
 _ZERO_RTOL = 1e-12
@@ -172,8 +173,7 @@ class GameConstants:
     symmetric part of the mean Jacobian, positive by requirement); ell_i are
     per-component co-coercivity constants, ell the constant of the mean
     operator; sigma1_sq is the mean squared component norm at the
-    equilibrium.  kappa_g = ell_xi / mu is filled in once a sampling scheme
-    is chosen.
+    equilibrium.
     """
 
     n: int
@@ -182,7 +182,6 @@ class GameConstants:
     ell: float
     ell_max: float
     sigma1_sq: float
-    kappa_g: float | None = None
 
 
 @dataclass(frozen=True)
@@ -285,11 +284,6 @@ def ec_constants(
         est = vec.dense(gc.n) @ vals / gc.n
         sigma_sq += prob * float(est @ est)
     return ECConstants(ell_xi=ell_xi, sigma_sq=sigma_sq)
-
-
-def fill_kappa(gc: GameConstants, ec: ECConstants) -> GameConstants:
-    """Return a copy of gc with kappa_g = ell_xi / mu for the chosen scheme."""
-    return replace(gc, kappa_g=ec.ell_xi / gc.mu)
 
 
 def hamiltonian_constants(
@@ -397,21 +391,6 @@ BOUND_IDS = (
 )
 
 
-def sgda_switch_point(ell_xi: float, mu: float) -> int:
-    """Iteration 4 * ceil(ell_xi / mu) at which the descent-ascent schedule
-    switches from constant to decreasing."""
-    if mu <= 0.0:
-        raise ConfigError("switching schedule needs mu > 0")
-    return 4 * math.ceil(ell_xi / mu)
-
-
-def sco_switch_point(ell_xi: float, cal_l_h: float, mu: float, mu_h: float) -> float:
-    """Real-valued switch point 8 psi / (mu_h + mu), psi = max(ell_xi, cal_l_h)."""
-    if mu_h + mu <= 0.0:
-        raise ConfigError("switching schedule needs mu_h + mu > 0")
-    return 8.0 * max(ell_xi, cal_l_h) / (mu_h + mu)
-
-
 def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
     """Closed-form distance bound at iteration k for the given rate statement.
 
@@ -427,7 +406,7 @@ def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
 
     Raises StepSizeOutOfRangeError when a step size violates the statement's
     range and SwitchNotReachedError when k lies before a switching rule's
-    switch point.
+    switch point, which the matching schedule class defines.
     """
     if k < 0:
         raise ConfigError("iteration index must be >= 0")
@@ -454,11 +433,11 @@ def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
 
     if bound == SGDA_SWITCHING:
         mu, ell_xi, sigma_sq = p["mu"], p["ell_xi"], p["sigma_sq"]
-        switch = sgda_switch_point(ell_xi, mu)
+        switch = SgdaSwitchingSchedule(ell_xi=ell_xi, mu=mu).switch_point
         if k < switch:
             raise SwitchNotReachedError(f"bound valid from iteration {switch}, got {k}")
-        ceil_k = math.ceil(ell_xi / mu)
-        return 8.0 * sigma_sq / (mu**2 * k) + 16.0 * ceil_k**2 * r0_sq / (math.e**2 * k**2)
+        # The statement's 16 ceil(ell_xi / mu)^2 is the switch point squared.
+        return 8.0 * sigma_sq / (mu**2 * k) + switch**2 * r0_sq / (math.e**2 * k**2)
 
     if bound == SCO_CONSTANT:
         alpha, gamma = p["alpha"], p["gamma"]
@@ -486,14 +465,12 @@ def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
     if bound == SCO_SWITCHING:
         mu, mu_h = p["mu"], p["mu_h"]
         sigma_sq, sigma_h_sq = p["sigma_sq"], p["sigma_h_sq"]
-        if mu < 0.0 or mu_h <= 0.0:
-            raise ConfigError("this rate needs mu >= 0 and mu_h > 0")
-        k_star = sco_switch_point(p["ell_xi"], p["cal_l_h"], mu, mu_h)
-        if k < math.ceil(k_star):
+        sched = ScoSwitchingSchedule(ell_xi=p["ell_xi"], cal_l_h=p["cal_l_h"], mu=mu, mu_h=mu_h)
+        if k < sched.switch_point:
             raise SwitchNotReachedError(
-                f"bound valid from iteration {math.ceil(k_star)}, got {k}"
+                f"bound valid from iteration {sched.switch_point}, got {k}"
             )
         first = 16.0 * (sigma_h_sq + sigma_sq) / ((mu + mu_h) ** 2 * k)
-        return first + k_star**2 * r0_sq / (math.e**2 * k**2)
+        return first + sched.k_star**2 * r0_sq / (math.e**2 * k**2)
 
     raise ConfigError(f"unknown bound id {bound!r}; known: {BOUND_IDS}")

@@ -33,10 +33,6 @@ class IndexOutOfRangeError(StochviError, IndexError):
     """Component index outside [0, n)."""
 
 
-class NotDifferentiableError(StochviError, ValueError):
-    """Operator has no Jacobian at the requested point."""
-
-
 class UnsupportedError(StochviError, ValueError):
     """Requested capability is not available for this operator."""
 

@@ -25,7 +25,9 @@ from .operators import QuadraticGame
 from .sampling import SamplingScheme
 from .solvers import (
     CO,
+    DETERMINISTIC_METHODS,
     GDA,
+    HAMILTONIAN_METHODS,
     METHODS,
     SCO,
     SGDA,
@@ -151,12 +153,21 @@ def write_game(path, game: QuadraticGame, gen: GameGenConfig | None = None) -> N
 
 
 def read_game(path):
-    """Load a game file; returns (game, generator config or None)."""
+    """Load a game file; returns (game, generator config or None).
+
+    Invalid JSON and missing keys raise ConfigError.
+    """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"game file {path} is not valid JSON: {exc}") from None
     version = doc.get("format_version")
     if version != GAME_FORMAT_VERSION:
         raise ConfigError(f"unsupported game file version {version!r}")
+    missing = [key for key in ("n", "d1", "d2", "A", "B", "C", "a", "c") if key not in doc]
+    if missing:
+        raise ConfigError(f"game file {path} lacks {', '.join(missing)}")
     n, d1, d2 = doc["n"], doc["d1"], doc["d2"]
     game = QuadraticGame(
         np.array(doc["A"], dtype=float).reshape(n, d1, d1),
@@ -214,6 +225,30 @@ def theory_schedule(method: str, prof: GameProfile) -> ConstantSchedule:
             alpha=1.0 / (4.0 * ell_xi), gamma=1.0 / (4.0 * ham.cal_l_h)
         )
     raise ConfigError(f"unknown method {method!r}")
+
+
+def method_plan(game: QuadraticGame, scheme: SamplingScheme, methods):
+    """Sampling scheme and constants each method runs with.
+
+    gda and co run on the full batch and take their steps from the
+    full-batch constants; every other method runs on ``scheme``.  Hamiltonian
+    constants are computed only for a scheme that a method needing them runs
+    on, and each profile at most once.  Returns (profile of ``scheme``,
+    {method: (run scheme, profile)}).
+    """
+    full = SamplingScheme.full_batch(game.n)
+    on_full = [m for m in methods if m in DETERMINISTIC_METHODS]
+    on_scheme = [m for m in methods if m not in DETERMINISTIC_METHODS]
+
+    def needs_ham(ms):
+        return any(m in HAMILTONIAN_METHODS for m in ms)
+
+    if scheme.is_deterministic:
+        prof = prof_full = profile(game, scheme, needs_ham(methods))
+    else:
+        prof = profile(game, scheme, needs_ham(on_scheme))
+        prof_full = profile(game, full, needs_ham(on_full)) if on_full else None
+    return prof, {m: (full, prof_full) if m in on_full else (scheme, prof) for m in methods}
 
 
 def switching_schedule(method: str, prof: GameProfile):
@@ -311,29 +346,17 @@ def run_experiment(
 ):
     """Run every (method, seed) pair and aggregate.
 
-    Returns (AggregateTable, profile, traces) where traces maps method ->
-    list of RunTrace (empty mapping unless ``record_traces``).  Runs are
-    independent and may execute on a thread pool; aggregation order is fixed
-    by (method, seed) regardless of completion order.
+    Returns (AggregateTable, profile of cfg.scheme, traces) where traces
+    maps method -> list of RunTrace, iterates included (empty mapping unless
+    ``record_traces``).  Runs are independent and may execute on a thread
+    pool; aggregation order is fixed by (method, seed) regardless of
+    completion order.
     """
-    needs_ham = any(m in (SHGD, SCO, CO) for m in cfg.methods)
-    prof = profile(cfg.game, cfg.scheme, with_hamiltonian=needs_ham)
-    # Deterministic methods run on the full batch, so their theory steps are
-    # taken from the full-batch constants, not from cfg.scheme's.
-    prof_full = prof
-    if any(m in (GDA, CO) for m in cfg.methods) and not cfg.scheme.is_deterministic:
-        prof_full = profile(
-            cfg.game, SamplingScheme.full_batch(cfg.game.n), with_hamiltonian=needs_ham
-        )
+    prof, plan = method_plan(cfg.game, cfg.scheme, cfg.methods)
     configs = {}
     for method in cfg.methods:
-        deterministic = method in (GDA, CO)
-        schedule = _resolve_schedule(
-            method,
-            cfg.schedules.get(method, "theory"),
-            prof_full if deterministic else prof,
-        )
-        scheme = SamplingScheme.full_batch(cfg.game.n) if deterministic else cfg.scheme
+        scheme, method_prof = plan[method]
+        schedule = _resolve_schedule(method, cfg.schedules.get(method, "theory"), method_prof)
         for s in range(cfg.seeds):
             configs[(method, s)] = RunConfig(
                 method=method,
@@ -346,9 +369,9 @@ def run_experiment(
     keys = sorted(configs)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(zip(keys, pool.map(lambda k: run(configs[k]), keys)))
+            results = dict(zip(keys, pool.map(lambda k: run(configs[k], record_traces), keys)))
     else:
-        results = {k: run(configs[k]) for k in keys}
+        results = {k: run(configs[k], record_traces) for k in keys}
     rows = []
     traces: dict[str, list[RunTrace]] = {}
     for method in cfg.methods:
@@ -411,12 +434,6 @@ def read_csv(path) -> AggregateTable:
         )
         length = max(length, len(entries))
     return AggregateTable(iterations=length - 1, rows=rows)
-
-
-def emit_outputs(table: AggregateTable, csv_path, svg_path) -> None:
-    """Write both artifacts for an aggregate table."""
-    emit_csv(table, csv_path)
-    emit_svg(table, svg_path)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -526,7 +543,6 @@ def sweep_step_sizes(
     iterations: int,
     seeds: int,
     base_seed: int = 0,
-    threads: int = 1,
 ) -> AggregateTable:
     """Constant-step study: every method at multiplier x its theory step.
 
@@ -534,13 +550,13 @@ def sweep_step_sizes(
     still aggregated (their traces are truncated); callers can spot them by
     the trailing values.
     """
-    prof = profile(game, scheme)
+    _, plan = method_plan(game, scheme, methods)
     rows = []
     for method in methods:
+        run_scheme, prof = plan[method]
         base = theory_schedule(method, prof)
         for mult in multipliers:
             schedule = ConstantSchedule(alpha=base.alpha * mult, gamma=base.gamma * mult)
-            run_scheme = SamplingScheme.full_batch(game.n) if method in (GDA, CO) else scheme
             traces = [
                 run(
                     RunConfig(
@@ -588,9 +604,7 @@ def find_generator_for_kappa(
         )
         game = generate_game(cfg)
         scheme = _scheme_by_name(scheme_name, n, b)
-        gc = consts.game_constants(game)
-        ec = consts.ec_constants(gc, scheme, game)
-        return ec.ell_xi / gc.mu, cfg
+        return profile(game, scheme, with_hamiltonian=False).kappa_g, cfg
 
     lo, hi = 1.0, 2.0
     kappa, cfg = kappa_of(hi)

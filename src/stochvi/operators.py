@@ -1,10 +1,12 @@
 """Finite-sum operators: the abstraction plus two concrete instances.
 
 An operator is any object exposing ``n``, ``dim``, ``component_value``,
-``component_jacobian`` and (optionally) ``equilibrium``; nothing downstream
-assumes affinity except where documented.  Operators are immutable after
-construction and all evaluation is pure, so instances can be shared freely
-across threads and replayed exactly.
+``component_jacobian`` and (optionally) ``equilibrium``.  Downstream code
+reads all component values through ``component_values`` and the mean value
+through ``full_value``; subclasses may override either with a faster route.
+Nothing downstream assumes affinity except where documented.  Operators are
+immutable after construction and all evaluation is pure, so instances can be
+shared freely across threads and replayed exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .errors import (
     AsymmetryError,
     DimensionMismatchError,
     IndexOutOfRangeError,
-    SingularMatrixError,
     UnsupportedError,
 )
 
@@ -49,17 +50,14 @@ class FiniteSumOperator(ABC):
     def component_jacobian(self, i: int, x: np.ndarray) -> np.ndarray:
         """Jacobian of the i-th component at x, shape (dim, dim)."""
 
+    def component_values(self, x: np.ndarray) -> np.ndarray:
+        """All component values at x, shape (n, dim)."""
+        x = self._check_point(x)
+        return np.stack([self.component_value(i, x) for i in range(self.n)])
+
     def full_value(self, x: np.ndarray) -> np.ndarray:
         """Uniform mean of all component values at x."""
-        x = self._check_point(x)
-        vals = np.stack([self.component_value(i, x) for i in range(self.n)])
-        return vals.mean(axis=0)
-
-    def full_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Uniform mean of all component Jacobians at x."""
-        x = self._check_point(x)
-        jacs = np.stack([self.component_jacobian(i, x) for i in range(self.n)])
-        return jacs.mean(axis=0)
+        return self.component_values(x).mean(axis=0)
 
     @property
     def has_equilibrium(self) -> bool:
@@ -137,7 +135,18 @@ class QuadraticGame(FiniteSumOperator):
         return self._jacs @ x + self._offsets
 
     def full_value(self, x: np.ndarray) -> np.ndarray:
-        return self.component_values(x).mean(axis=0)
+        """Mean operator value J x + r via the cached mean Jacobian and offset.
+
+        Agrees with the mean of component_values up to rounding, at the cost
+        of one matrix-vector product instead of n.  Solvers call it once per
+        iteration, so x is not copied or checked; a vector of the wrong
+        length fails in the product.
+        """
+        return self._j_mean @ x + self._r_mean
+
+    # Same function under its older name: perfbench/tracer.py wraps each
+    # QuadraticGame method it finds in the class body, this name included.
+    mean_value = full_value
 
     @property
     def component_jacobians(self) -> np.ndarray:
@@ -152,24 +161,13 @@ class QuadraticGame(FiniteSumOperator):
         """Mean affine offset (a_mean; c_mean)."""
         return self._r_mean
 
-    def mean_value(self, x: np.ndarray) -> np.ndarray:
-        """Mean operator value via the cached mean Jacobian.
-
-        Agrees with full_value up to rounding; used on hot paths where the
-        literal n-term mean would dominate the step cost.
-        """
-        return self._j_mean @ x + self._r_mean
-
     @property
     def has_equilibrium(self) -> bool:
         return True
 
     def equilibrium(self) -> np.ndarray:
         """Unique solution of J x = -r; raises SingularMatrixError if J is singular."""
-        try:
-            return numerics.solve_linear(self.mean_jacobian(), -self.mean_offset())
-        except SingularMatrixError:
-            raise
+        return numerics.solve_linear(self.mean_jacobian(), -self.mean_offset())
 
 
 class CosineOperator(FiniteSumOperator):
@@ -212,9 +210,6 @@ class CosineOperator(FiniteSumOperator):
             # d/dx [s(|x|) x] = s I + s'(r)/r * x x^T, with s'(r) = -((L-mu)/2) sin r.
             jac += (-0.5 * (self.big_l - self.mu) * np.sin(r) / r) * np.outer(x, x)
         return jac
-
-    def full_value(self, x: np.ndarray) -> np.ndarray:
-        return self.component_value(0, x)
 
     @property
     def has_equilibrium(self) -> bool:

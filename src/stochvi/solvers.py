@@ -51,8 +51,11 @@ class ConstantSchedule:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0.0 or self.gamma < 0.0:
-            raise ConfigError("step sizes must be nonnegative")
+        if not all(math.isfinite(step) and step >= 0.0 for step in (self.alpha, self.gamma)):
+            raise ConfigError(
+                f"step sizes must be finite and nonnegative, got "
+                f"alpha={self.alpha!r}, gamma={self.gamma!r}"
+            )
 
     @property
     def switch_point(self) -> int | None:
@@ -113,8 +116,13 @@ class ScoSwitchingSchedule:
         return max(self.ell_xi, self.cal_l_h)
 
     @property
+    def k_star(self) -> float:
+        """Real-valued switch point 8 psi / (mu_h + mu), as the bound uses it."""
+        return 8.0 * self.psi / (self.mu_h + self.mu)
+
+    @property
     def switch_point(self) -> int:
-        return math.ceil(8.0 * self.psi / (self.mu_h + self.mu))
+        return math.ceil(self.k_star)
 
     def at(self, k: int) -> tuple[float, float]:
         if k <= self.switch_point:
@@ -136,32 +144,30 @@ def step_sizes(schedule, k: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def sampled_value(op: FiniteSumOperator, x: np.ndarray, vec: SamplingVector) -> np.ndarray:
-    """Estimator value (1/n) * sum_{i in S} w_i * component_value(i, x)."""
+def _weighted_sum(component, x: np.ndarray, vec: SamplingVector, n: int, shape) -> np.ndarray:
+    """(1/n) * sum_{i in S} w_i * component(i, x), accumulated in index order.
+
+    A unit scale skips the multiplication, so a single-element or full-batch
+    estimate is bitwise the plain component term or sum of terms.
+    """
     acc = None
     for i, w in zip(vec.indices, vec.weights):
-        term = op.component_value(i, x)
-        scale = w / op.n
+        term = component(i, x)
+        scale = w / n
         if scale != 1.0:
             term = term * scale
         acc = term if acc is None else acc + term
-    if acc is None:
-        return np.zeros(op.dim)
-    return acc
+    return np.zeros(shape) if acc is None else acc
+
+
+def sampled_value(op: FiniteSumOperator, x: np.ndarray, vec: SamplingVector) -> np.ndarray:
+    """Estimator value (1/n) * sum_{i in S} w_i * component_value(i, x)."""
+    return _weighted_sum(op.component_value, x, vec, op.n, op.dim)
 
 
 def sampled_jacobian(op: FiniteSumOperator, x: np.ndarray, vec: SamplingVector) -> np.ndarray:
     """Estimator Jacobian (1/n) * sum_{i in S} w_i * component_jacobian(i, x)."""
-    acc = None
-    for i, w in zip(vec.indices, vec.weights):
-        term = op.component_jacobian(i, x)
-        scale = w / op.n
-        if scale != 1.0:
-            term = term * scale
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return np.zeros((op.dim, op.dim))
-    return acc
+    return _weighted_sum(op.component_jacobian, x, vec, op.n, (op.dim, op.dim))
 
 
 def stochastic_hamiltonian_gradient(
@@ -302,9 +308,6 @@ def run(config: RunConfig, record_iterates: bool = False) -> RunTrace:
     x = _initial_point(config, rng, x_star)
     k_max = config.iterations
 
-    # Mean value without the n-term sum when the operator offers it.
-    fast_value = getattr(op, "mean_value", op.full_value)
-
     dist = None if x_star is None else np.empty(k_max + 1)
     opn = np.empty(k_max + 1)
     alphas = np.empty(k_max)
@@ -314,7 +317,7 @@ def run(config: RunConfig, record_iterates: bool = False) -> RunTrace:
     def record(k, xk):
         if iterates is not None:
             iterates[k] = xk
-        val = fast_value(xk)
+        val = op.full_value(xk)
         opn[k] = val @ val
         if dist is not None:
             diff = xk - x_star

@@ -17,7 +17,7 @@ from . import constants as consts
 from .errors import NoEquilibriumError, TooFewSeedsError
 from .operators import FiniteSumOperator
 from .sampling import SamplingScheme, enumerate_support
-from .solvers import RunTrace
+from .solvers import RunTrace, ScoSwitchingSchedule, SgdaSwitchingSchedule
 
 DEFAULT_RADIUS = 10.0
 
@@ -99,13 +99,6 @@ def _support_weights(scheme: SamplingScheme):
     return probs, w
 
 
-def _component_values(op: FiniteSumOperator, x: np.ndarray) -> np.ndarray:
-    fast = getattr(op, "component_values", None)
-    if fast is not None:
-        return fast(x)
-    return np.stack([op.component_value(i, x) for i in range(op.n)])
-
-
 def check_ec(
     op: FiniteSumOperator,
     scheme: SamplingScheme,
@@ -128,7 +121,7 @@ def check_ec(
         rng = np.random.default_rng(0)
     x_star = _equilibrium(op)
     probs, w = _support_weights(scheme)
-    vals_star = _component_values(op, x_star)
+    vals_star = op.component_values(x_star)
     est_star = w @ vals_star
     sigma_sq = float(probs @ np.einsum("kj,kj->k", est_star, est_star))
 
@@ -137,7 +130,7 @@ def check_ec(
     witnesses = []
     for idx in range(points):
         x = pts[idx]
-        vals = _component_values(op, x)
+        vals = op.component_values(x)
         inner = float(vals.mean(axis=0) @ (x - x_star))
         est_diff = w @ (vals - vals_star)
         second_diff = float(probs @ np.einsum("kj,kj->k", est_diff, est_diff))
@@ -254,7 +247,7 @@ def check_unbiasedness(
     witnesses = []
     for idx in range(points):
         x = pts[idx]
-        vals = _component_values(op, x)
+        vals = op.component_values(x)
         target = (w_uniform @ vals)[0]
         mean_est = probs @ (w @ vals)
         res_val = float(np.linalg.norm(mean_est - target))
@@ -314,15 +307,12 @@ def check_bound_envelope(
 
     k_lo, k_hi = 0, length - 1
     if bound == consts.SGDA_SWITCHING:
-        k_lo = consts.sgda_switch_point(params["ell_xi"], params["mu"])
+        k_lo = SgdaSwitchingSchedule(ell_xi=params["ell_xi"], mu=params["mu"]).switch_point
     elif bound == consts.SCO_SWITCHING:
-        k_lo = int(
-            np.ceil(
-                consts.sco_switch_point(
-                    params["ell_xi"], params["cal_l_h"], params["mu"], params["mu_h"]
-                )
-            )
-        )
+        k_lo = ScoSwitchingSchedule(
+            ell_xi=params["ell_xi"], cal_l_h=params["cal_l_h"],
+            mu=params["mu"], mu_h=params["mu_h"],
+        ).switch_point
     if k_range is not None:
         k_lo = max(k_lo, k_range[0])
         k_hi = min(k_hi, k_range[1])

@@ -125,6 +125,31 @@ def test_exit_code_missing_file():
     assert main(["constants", "does-not-exist.json"]) == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    ['{"format_version": 1, "n": 1, "d1": 1, "d2": 1}', '{"format_version": 1, "n": '],
+    ids=["missing_key", "invalid_json"],
+)
+def test_malformed_game_file_is_config_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    assert main(["constants", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_run_constant_schedule_needs_a_step(game_file, tmp_path, capsys):
+    out = tmp_path / "agg.csv"
+    code = main([
+        "run", "--game", str(game_file), "--method", "sgda", "--scheme", "single",
+        "--schedule", "constant", "--iters", "10", "--seeds", "1", "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 def test_sweep_multipliers(game_file, tmp_path):
     out = tmp_path / "sweep.csv"
     code = main([

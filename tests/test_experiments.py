@@ -4,6 +4,7 @@ import pytest
 from stochvi import constants as C
 from stochvi import experiments as E
 from stochvi import numerics
+from stochvi.cli import main
 from stochvi.errors import ConfigError, InvalidRangeError
 from stochvi.sampling import SamplingScheme
 from stochvi.solvers import RunConfig, run
@@ -179,6 +180,36 @@ def test_deterministic_methods_use_full_batch_constants():
         1.0 / (2.0 * prof.ec.ell_xi), rel=1e-12
     )
     assert prof.ec.ell_xi != pytest.approx(gc.ell, rel=1e-6)
+
+
+def test_sweep_deterministic_methods_match_run_experiment_theory_rows():
+    # gda@1 and co@1 are the theory steps from the full-batch constants
+    game = E.generate_game(small_cfg(seed=17))
+    scheme = SamplingScheme.single_element(game.n)
+    methods = ("gda", "co")
+    cfg = E.ExperimentConfig(
+        game=game, methods=methods, scheme=scheme,
+        schedules={}, iterations=20, seeds=2, base_seed=0,
+    )
+    table, _, _ = E.run_experiment(cfg)
+    swept = E.sweep_step_sizes(game, scheme, methods, (1.0,), iterations=20, seeds=2)
+    assert [row.method for row in swept.rows] == ["gda@1", "co@1"]
+    for got, want in zip(swept.rows, table.rows):
+        for field in ("mean", "ci_low", "ci_high"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+def test_sweep_cli_with_minibatch_scheme(tmp_path):
+    # sgda needs no Hamiltonian constants, which minibatch sampling lacks
+    path = tmp_path / "game.json"
+    E.write_game(path, E.generate_game(small_cfg(seed=18, n=6)))
+    out = tmp_path / "sweep.csv"
+    assert main([
+        "sweep", "--game", str(path), "--methods", "sgda", "--scheme", "minibatch",
+        "--b", "4", "--multipliers", "0.5,1", "--iters", "20", "--seeds", "2",
+        "--out", str(out),
+    ]) == 0
+    assert [row.method for row in E.read_csv(out).rows] == ["sgda@0.5", "sgda@1"]
 
 
 def test_threaded_runs_match_sequential():

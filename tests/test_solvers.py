@@ -78,6 +78,13 @@ def test_constant_schedule_validation():
         ConstantSchedule(alpha=-0.1)
 
 
+@pytest.mark.parametrize("field", ["alpha", "gamma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_constant_schedule_rejects_non_finite_steps(field, value):
+    with pytest.raises(ConfigError):
+        ConstantSchedule(**{"alpha": 0.1, "gamma": 0.1, field: value})
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian-gradient estimator
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedSchemeError,
 )
 from .sampling import SamplingScheme
-from .solvers import METHODS, ConstantSchedule, RunConfig, run
+from .solvers import METHODS, ConstantSchedule
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -147,9 +147,7 @@ def cmd_run(args) -> int:
         seeds=args.seeds,
         base_seed=args.seed,
     )
-    table, _, traces = exps.run_experiment(
-        cfg, threads=args.threads, record_traces=args.dump_iterates is not None
-    )
+    table, _, traces = exps.run_experiment(cfg, record_traces=args.dump_iterates is not None)
     out = _resolve(args, args.out)
     exps.emit_csv(table, out)
     print(f"wrote {out}")
@@ -197,19 +195,10 @@ def cmd_verify(args) -> int:
             )
         elif name == "envelope":
             schedule = exps.theory_schedule("sgda", prof)
-            traces = [
-                run(
-                    RunConfig(
-                        method="sgda",
-                        operator=game,
-                        scheme=scheme,
-                        schedule=schedule,
-                        iterations=args.envelope_iters,
-                        seed=args.seed + s,
-                    )
-                )
-                for s in range(args.envelope_seeds)
-            ]
+            traces = exps.run_seeds(
+                "sgda", game, scheme, schedule, args.envelope_iters, args.envelope_seeds,
+                args.seed,
+            )
             params = dict(
                 alpha=schedule.alpha, mu=gc.mu, ell_xi=ec.ell_xi, sigma_sq=ec.sigma_sq
             )
@@ -296,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     parser.add_argument("--out-dir", default=None, help="directory for output files")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a random quadratic game file")

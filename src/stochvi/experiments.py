@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -339,43 +338,34 @@ def _resolve_schedule(method: str, spec, prof: GameProfile):
     return spec
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    threads: int = 1,
-    record_traces: bool = False,
-):
+def run_seeds(method, game, scheme, schedule, iterations, seeds, base_seed=0,
+              record_iterates=False) -> list[RunTrace]:
+    """One run of ``method`` per seed base_seed, ..., base_seed + seeds - 1,
+    in seed order."""
+    return [
+        run(RunConfig(method=method, operator=game, scheme=scheme, schedule=schedule,
+                      iterations=iterations, seed=base_seed + s), record_iterates)
+        for s in range(seeds)
+    ]
+
+
+def run_experiment(cfg: ExperimentConfig, record_traces: bool = False):
     """Run every (method, seed) pair and aggregate.
 
     Returns (AggregateTable, profile of cfg.scheme, traces) where traces
     maps method -> list of RunTrace, iterates included (empty mapping unless
-    ``record_traces``).  Runs are independent and may execute on a thread
-    pool; aggregation order is fixed by (method, seed) regardless of
-    completion order.
+    ``record_traces``).
     """
     prof, plan = method_plan(cfg.game, cfg.scheme, cfg.methods)
-    configs = {}
-    for method in cfg.methods:
-        scheme, method_prof = plan[method]
-        schedule = _resolve_schedule(method, cfg.schedules.get(method, "theory"), method_prof)
-        for s in range(cfg.seeds):
-            configs[(method, s)] = RunConfig(
-                method=method,
-                operator=cfg.game,
-                scheme=scheme,
-                schedule=schedule,
-                iterations=cfg.iterations,
-                seed=cfg.base_seed + s,
-            )
-    keys = sorted(configs)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(zip(keys, pool.map(lambda k: run(configs[k], record_traces), keys)))
-    else:
-        results = {k: run(configs[k], record_traces) for k in keys}
     rows = []
     traces: dict[str, list[RunTrace]] = {}
     for method in cfg.methods:
-        method_traces = [results[(method, s)] for s in range(cfg.seeds)]
+        scheme, method_prof = plan[method]
+        schedule = _resolve_schedule(method, cfg.schedules.get(method, "theory"), method_prof)
+        method_traces = run_seeds(
+            method, cfg.game, scheme, schedule, cfg.iterations, cfg.seeds,
+            cfg.base_seed, record_traces,
+        )
         rows.append(aggregate_traces(method, method_traces))
         if record_traces:
             traces[method] = method_traces
@@ -557,21 +547,8 @@ def sweep_step_sizes(
         base = theory_schedule(method, prof)
         for mult in multipliers:
             schedule = ConstantSchedule(alpha=base.alpha * mult, gamma=base.gamma * mult)
-            traces = [
-                run(
-                    RunConfig(
-                        method=method,
-                        operator=game,
-                        scheme=run_scheme,
-                        schedule=schedule,
-                        iterations=iterations,
-                        seed=base_seed + s,
-                    )
-                )
-                for s in range(seeds)
-            ]
-            agg = aggregate_traces(f"{method}@{mult:g}", traces)
-            rows.append(agg)
+            traces = run_seeds(method, game, run_scheme, schedule, iterations, seeds, base_seed)
+            rows.append(aggregate_traces(f"{method}@{mult:g}", traces))
     return AggregateTable(iterations=iterations, rows=rows)
 
 

@@ -6,7 +6,7 @@ reads all component values through ``component_values`` and the mean value
 through ``full_value``; subclasses may override either with a faster route.
 Nothing downstream assumes affinity except where documented.  Operators are
 immutable after construction and all evaluation is pure, so instances can be
-shared freely across threads and replayed exactly.
+shared freely and replayed exactly.
 """
 
 from __future__ import annotations

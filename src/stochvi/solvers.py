@@ -29,8 +29,12 @@ GDA = "gda"
 CO = "co"
 METHODS = (SGDA, SHGD, SCO, GDA, CO)
 
+# The terms each method's update applies: (descent-ascent, Hamiltonian).
+TERMS = {SGDA: (True, False), SHGD: (False, True), SCO: (True, True),
+         GDA: (True, False), CO: (True, True)}
+
 # Methods whose update includes the Hamiltonian-gradient term.
-HAMILTONIAN_METHODS = (SHGD, SCO, CO)
+HAMILTONIAN_METHODS = tuple(m for m in METHODS if TERMS[m][1])
 
 # Methods that run on the full batch by definition.
 DETERMINISTIC_METHODS = (GDA, CO)
@@ -175,6 +179,7 @@ def stochastic_hamiltonian_gradient(
     x: np.ndarray,
     u: SamplingVector,
     v: SamplingVector,
+    val_u: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unbiased Hamiltonian-gradient estimator from two independent draws:
 
@@ -182,12 +187,21 @@ def stochastic_hamiltonian_gradient(
 
     Symmetric under swapping u and v, and its expectation over independent
     (u, v) equals J(x)^T value(x), the gradient of |value(x)|^2 / 2.
+    ``val_u``, when given, is value_u(x) already evaluated by the caller.
     """
     j_u = sampled_jacobian(op, x, u)
     j_v = sampled_jacobian(op, x, v)
-    val_u = sampled_value(op, x, u)
+    if val_u is None:
+        val_u = sampled_value(op, x, u)
     val_v = sampled_value(op, x, v)
     return 0.5 * (j_u.T @ val_v + j_v.T @ val_u)
+
+
+def _applied_steps(method: str, alpha: float, gamma: float) -> tuple[float, float]:
+    """(alpha, gamma) with the step of each term ``method`` does not apply
+    set to zero."""
+    uses_descent_ascent, uses_hamiltonian = TERMS[method]
+    return (alpha if uses_descent_ascent else 0.0), (gamma if uses_hamiltonian else 0.0)
 
 
 def solver_step(
@@ -202,20 +216,24 @@ def solver_step(
     """One update of the chosen method from x.
 
     Descent-ascent: x - alpha * value_v(x).  Hamiltonian descent:
-    x - gamma * hamiltonian_gradient_{v,u}(x).  Consensus: both terms.
-    Zero step sizes skip the corresponding term entirely so degenerate
-    configurations are bitwise identical to the specialized method.
+    x - gamma * hamiltonian_gradient_{v,u}(x).  Consensus: both terms, with
+    value_v(x) evaluated once for the two.  Zero step sizes skip the
+    corresponding term entirely so degenerate configurations are bitwise
+    identical to the specialized method.
     """
-    if method not in METHODS:
+    if method not in TERMS:
         raise ConfigError(f"unknown method {method!r}; known: {METHODS}")
-    uses_hamiltonian = method in HAMILTONIAN_METHODS
-    if uses_hamiltonian and gamma != 0.0 and u is None:
+    alpha, gamma = _applied_steps(method, alpha, gamma)
+    if gamma != 0.0 and u is None:
         raise MissingSecondDrawError(f"{method} needs a second sampling vector")
+    if alpha == 0.0 and gamma == 0.0:
+        return x
+    val_v = sampled_value(op, x, v)
     out = x
-    if method not in (SHGD,) and alpha != 0.0:
-        out = out - alpha * sampled_value(op, x, v)
-    if uses_hamiltonian and gamma != 0.0:
-        out = out - gamma * stochastic_hamiltonian_gradient(op, x, v, u)
+    if alpha != 0.0:
+        out = out - alpha * val_v
+    if gamma != 0.0:
+        out = out - gamma * stochastic_hamiltonian_gradient(op, x, v, u, val_v)
     return out
 
 
@@ -286,15 +304,6 @@ def _initial_point(config: RunConfig, rng: np.random.Generator, x_star) -> np.nd
     return g if x_star is None else x_star + g
 
 
-def _effective_steps(method: str, schedule, k: int) -> tuple[float, float]:
-    alpha, gamma = schedule.at(k)
-    if method in (SGDA, GDA):
-        gamma = 0.0
-    elif method == SHGD:
-        alpha = 0.0
-    return alpha, gamma
-
-
 def run(config: RunConfig, record_iterates: bool = False) -> RunTrace:
     """Execute the configured run; deterministic given the seed.
 
@@ -325,13 +334,12 @@ def run(config: RunConfig, record_iterates: bool = False) -> RunTrace:
 
     record(0, x)
     dist0 = dist[0] if dist is not None else None
-    uses_hamiltonian = config.method in HAMILTONIAN_METHODS
     steps_done = 0
     diverged = False
     for k in range(k_max):
-        alpha, gamma = _effective_steps(config.method, config.schedule, k)
+        alpha, gamma = _applied_steps(config.method, *config.schedule.at(k))
         v = draw(config.scheme, rng)
-        u = draw(config.scheme, rng) if uses_hamiltonian and gamma != 0.0 else None
+        u = draw(config.scheme, rng) if gamma != 0.0 else None
         x = solver_step(config.method, op, x, v, u, alpha, gamma)
         alphas[k] = alpha
         gammas[k] = gamma

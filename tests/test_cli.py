@@ -201,13 +201,3 @@ def test_out_dir_flag(game_file, tmp_path):
     assert code == 0
     assert (out_dir / "agg.csv").exists()
 
-
-def test_threads_flag_matches_sequential(game_file, tmp_path):
-    seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
-    base = [
-        "run", "--game", str(game_file), "--method", "sgda,shgd",
-        "--scheme", "single", "--iters", "40", "--seeds", "4",
-    ]
-    assert main(base + ["--out", str(seq)]) == 0
-    assert main(["--threads", "4"] + base + ["--out", str(par)]) == 0
-    assert seq.read_bytes() == par.read_bytes()

@@ -212,19 +212,6 @@ def test_sweep_cli_with_minibatch_scheme(tmp_path):
     assert [row.method for row in E.read_csv(out).rows] == ["sgda@0.5", "sgda@1"]
 
 
-def test_threaded_runs_match_sequential():
-    game = E.generate_game(small_cfg(seed=14))
-    cfg = E.ExperimentConfig(
-        game=game, methods=("sgda", "sco"), scheme=SamplingScheme.single_element(game.n),
-        schedules={}, iterations=60, seeds=6, base_seed=1,
-    )
-    t1, _, _ = E.run_experiment(cfg, threads=1)
-    t4, _, _ = E.run_experiment(cfg, threads=4)
-    for r1, r4 in zip(t1.rows, t4.rows):
-        assert r1.mean.tobytes() == r4.mean.tobytes()
-        assert r1.ci_low.tobytes() == r4.ci_low.tobytes()
-
-
 def test_constant_step_plateau_near_theory():
     # final mean within 1.5x of the predicted plateau 2 alpha sigma^2 / mu
     cfg_gen, kappa = E.find_generator_for_kappa(5.0, n=8, d1=4, d2=4, seed=21)

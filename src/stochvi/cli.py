@@ -77,6 +77,14 @@ def _load_game(path: str) -> exps.QuadraticGame:
     return game
 
 
+def _report_divergence(table: exps.AggregateTable) -> None:
+    """One stderr line per row whose runs the divergence guard cut short."""
+    for row in table.rows:
+        if row.diverged:
+            stops = ", ".join(f"seed {seed} at iteration {k}" for seed, k in row.diverged)
+            print(f"warning: {row.method} diverged: {stops}", file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -155,6 +163,7 @@ def cmd_run(args) -> int:
         svg = _resolve(args, args.svg)
         exps.emit_svg(table, svg)
         print(f"wrote {svg}")
+    _report_divergence(table)
     if args.dump_iterates is not None:
         # One CSV of iterate coordinates for the first seed of each method.
         lines = ["method,iteration," + ",".join(f"x{i}" for i in range(game.dim))]
@@ -262,6 +271,7 @@ def cmd_sweep(args) -> int:
         svg = _resolve(args, args.svg)
         exps.emit_svg(table, svg)
         print(f"wrote {svg}")
+    _report_divergence(table)
     return EXIT_OK
 
 

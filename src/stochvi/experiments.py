@@ -154,13 +154,18 @@ def write_game(path, game: QuadraticGame, gen: GameGenConfig | None = None) -> N
 def read_game(path):
     """Load a game file; returns (game, generator config or None).
 
-    Invalid JSON and missing keys raise ConfigError.
+    A file that does not hold a valid game raises ConfigError: invalid JSON,
+    a non-object document, missing keys, a header that is not positive
+    integers, arrays whose sizes do not match the header, non-finite
+    entries, A_i / C_i that are not symmetric, or bad generator parameters.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"game file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"game file {path} is not a JSON object")
     version = doc.get("format_version")
     if version != GAME_FORMAT_VERSION:
         raise ConfigError(f"unsupported game file version {version!r}")
@@ -168,14 +173,21 @@ def read_game(path):
     if missing:
         raise ConfigError(f"game file {path} lacks {', '.join(missing)}")
     n, d1, d2 = doc["n"], doc["d1"], doc["d2"]
-    game = QuadraticGame(
-        np.array(doc["A"], dtype=float).reshape(n, d1, d1),
-        np.array(doc["B"], dtype=float).reshape(n, d1, d2),
-        np.array(doc["C"], dtype=float).reshape(n, d2, d2),
-        np.array(doc["a"], dtype=float).reshape(n, d1),
-        np.array(doc["c"], dtype=float).reshape(n, d2),
-    )
-    gen = GameGenConfig(**doc["generator"]) if doc.get("generator") else None
+    if not all(type(v) is int and v >= 1 for v in (n, d1, d2)):
+        raise ConfigError(f"game file {path}: n, d1, d2 must be positive integers")
+    shapes = {"A": (n, d1, d1), "B": (n, d1, d2), "C": (n, d2, d2),
+              "a": (n, d1), "c": (n, d2)}
+    arrays = []
+    for key, shape in shapes.items():
+        try:
+            arrays.append(np.array(doc[key], dtype=float).reshape(shape))
+        except (TypeError, ValueError):
+            raise ConfigError(f"game file {path}: {key} does not fit shape {shape}") from None
+    try:
+        game = QuadraticGame(*arrays)
+        gen = GameGenConfig(**doc["generator"]) if doc.get("generator") else None
+    except (TypeError, ValueError) as exc:  # asymmetric A_i / C_i, non-finite entries
+        raise ConfigError(f"game file {path}: {exc}") from None
     return game, gen
 
 
@@ -197,8 +209,13 @@ class GameProfile:
         return self.ec.ell_xi / self.game_constants.mu
 
 
-def profile(game: QuadraticGame, scheme: SamplingScheme, with_hamiltonian=True) -> GameProfile:
-    gc = consts.game_constants(game)
+def profile(
+    game: QuadraticGame, scheme: SamplingScheme, with_hamiltonian=True, gc=None
+) -> GameProfile:
+    """Constants of (game, scheme); ``gc`` passes in game constants the
+    caller already has, since they do not depend on the scheme."""
+    if gc is None:
+        gc = consts.game_constants(game)
     ec = consts.ec_constants(gc, scheme, game)
     ham = None
     if with_hamiltonian:
@@ -232,8 +249,8 @@ def method_plan(game: QuadraticGame, scheme: SamplingScheme, methods):
     gda and co run on the full batch and take their steps from the
     full-batch constants; every other method runs on ``scheme``.  Hamiltonian
     constants are computed only for a scheme that a method needing them runs
-    on, and each profile at most once.  Returns (profile of ``scheme``,
-    {method: (run scheme, profile)}).
+    on, each profile at most once and the game constants once.  Returns
+    (profile of ``scheme``, {method: (run scheme, profile)}).
     """
     full = SamplingScheme.full_batch(game.n)
     on_full = [m for m in methods if m in DETERMINISTIC_METHODS]
@@ -242,11 +259,12 @@ def method_plan(game: QuadraticGame, scheme: SamplingScheme, methods):
     def needs_ham(ms):
         return any(m in HAMILTONIAN_METHODS for m in ms)
 
+    gc = consts.game_constants(game)
     if scheme.is_deterministic:
-        prof = prof_full = profile(game, scheme, needs_ham(methods))
+        prof = prof_full = profile(game, scheme, needs_ham(methods), gc)
     else:
-        prof = profile(game, scheme, needs_ham(on_scheme))
-        prof_full = profile(game, full, needs_ham(on_full)) if on_full else None
+        prof = profile(game, scheme, needs_ham(on_scheme), gc)
+        prof_full = profile(game, full, needs_ham(on_full), gc) if on_full else None
     return prof, {m: (full, prof_full) if m in on_full else (scheme, prof) for m in methods}
 
 
@@ -297,11 +315,15 @@ class ExperimentConfig:
 
 @dataclass
 class MethodAggregate:
+    """``diverged`` lists (seed, last iteration) for each run the divergence
+    guard cut short."""
+
     method: str
     mean: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
     seeds: int
+    diverged: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass
@@ -327,6 +349,7 @@ def aggregate_traces(method: str, traces: list[RunTrace]) -> MethodAggregate:
         ci_low=mean - half,
         ci_high=mean + half,
         seeds=rel.shape[0],
+        diverged=tuple((t.seed, len(t.alphas)) for t in traces if t.diverged),
     )
 
 

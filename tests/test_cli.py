@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from stochvi import constants as C
 from stochvi import experiments as E
 from stochvi.cli import main
 
@@ -125,10 +127,27 @@ def test_exit_code_missing_file():
     assert main(["constants", "does-not-exist.json"]) == 2
 
 
+def _game_text(**changes):
+    # a valid one-component game (d1 = d2 = 1) with the given keys replaced
+    doc = {"format_version": 1, "n": 1, "d1": 1, "d2": 1, "A": [[1.0]], "B": [[0.5]],
+           "C": [[1.0]], "a": [[0.0]], "c": [[0.0]]}
+    doc.update(changes)
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "content",
-    ['{"format_version": 1, "n": 1, "d1": 1, "d2": 1}', '{"format_version": 1, "n": '],
-    ids=["missing_key", "invalid_json"],
+    [
+        '{"format_version": 1, "n": 1, "d1": 1, "d2": 1}',
+        '{"format_version": 1, "n": ',
+        "[]",
+        _game_text(n="1"),
+        _game_text(A=[[1.0, 2.0]]),
+        _game_text(A=[[float("nan")]]),
+        _game_text(d1=2, A=[[1.0, 2.0, 0.0, 1.0]], B=[[0.5, 0.5]], a=[[0.0, 0.0]]),
+    ],
+    ids=["missing_key", "invalid_json", "not_an_object", "non_integer_header",
+         "size_mismatch", "nan_entry", "asymmetric"],
 )
 def test_malformed_game_file_is_config_error(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
@@ -201,3 +220,77 @@ def test_out_dir_flag(game_file, tmp_path):
     assert code == 0
     assert (out_dir / "agg.csv").exists()
 
+
+
+def test_well_formed_game_text_is_accepted(tmp_path):
+    # the malformed cases above differ from this file in one key each
+    path = tmp_path / "good.json"
+    path.write_text(_game_text())
+    assert main(["constants", str(path)]) == 0
+
+
+def test_game_constants_computed_once_per_run(game_file, tmp_path, monkeypatch):
+    # gda runs on the full batch beside sgda on single-element sampling: two
+    # profiles, one set of scheme-free game constants
+    calls = []
+    original = C.game_constants
+
+    def counted(game):
+        calls.append(game)
+        return original(game)
+
+    monkeypatch.setattr(C, "game_constants", counted)
+    assert main([
+        "run", "--game", str(game_file), "--method", "gda,sgda", "--scheme", "single",
+        "--iters", "5", "--seeds", "1", "--out", str(tmp_path / "agg.csv"),
+    ]) == 0
+    assert len(calls) == 1
+
+
+def _divergence_reports(err):
+    """{row label: [(seed, iteration), ...]} from the stderr warnings."""
+    reports = {}
+    for line in err.strip().splitlines():
+        match = re.fullmatch(r"warning: (\S+) diverged: (.*)", line)
+        assert match, line
+        stops = re.findall(r"seed (\d+) at iteration (\d+)", match.group(2))
+        reports[match.group(1)] = [(int(seed), int(k)) for seed, k in stops]
+    return reports
+
+
+def test_run_reports_diverged_seeds(game_file, tmp_path, capsys):
+    out = tmp_path / "div.csv"
+    code = main([
+        "run", "--game", str(game_file), "--method", "sgda,sco", "--schedule", "constant",
+        "--alpha", "5", "--iters", "200", "--seeds", "3", "--out", str(out),
+    ])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {out}\n"
+    reports = _divergence_reports(captured.err)
+    assert list(reports) == ["sgda", "sco"]
+    for row in E.read_csv(out).rows:
+        stops = reports[row.method]
+        assert [seed for seed, _ in stops] == [0, 1, 2]
+        # the table keeps the iterations every seed reached
+        assert min(k for _, k in stops) == row.mean.size - 1 < 200
+
+
+def test_sweep_reports_only_diverged_rows(game_file, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = main([
+        "sweep", "--game", str(game_file), "--methods", "sgda", "--multipliers", "1,40",
+        "--iters", "100", "--seeds", "2", "--out", str(out),
+    ])
+    assert code == 0
+    reports = _divergence_reports(capsys.readouterr().err)
+    assert list(reports) == ["sgda@40"]
+    assert [seed for seed, _ in reports["sgda@40"]] == [0, 1]
+
+
+def test_converging_run_prints_no_warning(game_file, tmp_path, capsys):
+    assert main([
+        "run", "--game", str(game_file), "--method", "sgda,sco", "--iters", "50",
+        "--seeds", "2", "--out", str(tmp_path / "agg.csv"),
+    ]) == 0
+    assert capsys.readouterr().err == ""

@@ -177,6 +177,39 @@ def test_missing_second_draw():
         solver_step("sco", game, np.zeros(game.dim), vec, None, 0.1, 0.1)
 
 
+@pytest.mark.parametrize(
+    "method, batch, values, jacobians",
+    [
+        ("sgda", "single", 1, 0),
+        ("shgd", "single", 2, 2),
+        ("sco", "single", 2, 2),
+        ("gda", "full", 4, 0),
+        ("co", "full", 8, 8),
+    ],
+)
+def test_component_evaluations_per_step(method, batch, values, jacobians):
+    # sco/co evaluate value_v once for both terms: 2 value calls per draw
+    # pair, not 3 (n = 4, so the full batch costs n and 2n)
+    game = random_game(4, 2, 2, seed=10)
+    calls = {"value": 0, "jacobian": 0}
+    value, jacobian = game.component_value, game.component_jacobian
+
+    def counted_value(i, x):
+        calls["value"] += 1
+        return value(i, x)
+
+    def counted_jacobian(i, x):
+        calls["jacobian"] += 1
+        return jacobian(i, x)
+
+    game.component_value, game.component_jacobian = counted_value, counted_jacobian
+    scheme = SamplingScheme.full_batch(4) if batch == "full" else SamplingScheme.single_element(4)
+    rng = numerics.make_rng(0)
+    v, u = draw(scheme, rng), draw(scheme, rng)
+    solver_step(method, game, np.ones(game.dim), v, u, 0.1, 0.1)
+    assert (calls["value"], calls["jacobian"]) == (values, jacobians)
+
+
 # ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------

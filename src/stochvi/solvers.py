@@ -233,7 +233,7 @@ def solver_step(
     if alpha != 0.0:
         out = out - alpha * val_v
     if gamma != 0.0:
-        out = out - gamma * stochastic_hamiltonian_gradient(op, x, v, u, val_v)
+        out = out - gamma * stochastic_hamiltonian_gradient(op, x, v, u, val_u=val_v)
     return out
 
 

@@ -221,7 +221,6 @@ def test_out_dir_flag(game_file, tmp_path):
     assert (out_dir / "agg.csv").exists()
 
 
-
 def test_well_formed_game_text_is_accepted(tmp_path):
     # the malformed cases above differ from this file in one key each
     path = tmp_path / "good.json"
@@ -286,11 +285,3 @@ def test_sweep_reports_only_diverged_rows(game_file, tmp_path, capsys):
     reports = _divergence_reports(capsys.readouterr().err)
     assert list(reports) == ["sgda@40"]
     assert [seed for seed, _ in reports["sgda@40"]] == [0, 1]
-
-
-def test_converging_run_prints_no_warning(game_file, tmp_path, capsys):
-    assert main([
-        "run", "--game", str(game_file), "--method", "sgda,sco", "--iters", "50",
-        "--seeds", "2", "--out", str(tmp_path / "agg.csv"),
-    ]) == 0
-    assert capsys.readouterr().err == ""

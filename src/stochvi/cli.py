@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -53,6 +54,32 @@ _NUMERICAL_ERRORS = (
     NoConvergenceError,
     StepSizeOutOfRangeError,
 )
+
+
+def _count(low: int):
+    """argparse type: an integer >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _out_path(args, name: str) -> Path:
@@ -256,10 +283,16 @@ def cmd_sweep(args) -> int:
         exps.write_game(out, game, cfg)
         print(f"wrote {out} (kappa_g={kappa:.3f}, l_a={cfg.l_a!r})")
         return EXIT_OK
+    if args.game is None:
+        raise ConfigError("sweep needs --game or --target-kappa")
+    try:
+        multipliers = tuple(float(m) for m in args.multipliers.split(","))
+    except ValueError:
+        raise ConfigError(f"--multipliers must be comma-separated numbers, "
+                          f"got {args.multipliers!r}") from None
     game = _load_game(args.game)
     scheme = _scheme(args, game.n)
     methods = tuple(args.methods.split(","))
-    multipliers = tuple(float(m) for m in args.multipliers.split(","))
     table = exps.sweep_step_sizes(
         game, scheme, methods, multipliers, args.iters, args.seeds,
         base_seed=args.seed,
@@ -293,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stochvi",
         description="Finite-sum variational-inequality solvers and verification oracles",
     )
-    parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    parser.add_argument("--seed", type=_count(0), default=0, help="base seed (default 0)")
     parser.add_argument("--out-dir", default=None, help="directory for output files")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -301,12 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, default=20)
     g.add_argument("--d1", type=int, default=20)
     g.add_argument("--d2", type=int, default=20)
-    g.add_argument("--mu-a", type=float, default=1.0)
-    g.add_argument("--l-a", type=float, default=4.0)
-    g.add_argument("--mu-b", type=float, default=0.0)
-    g.add_argument("--l-b", type=float, default=1.0)
-    g.add_argument("--mu-c", type=float, default=1.0)
-    g.add_argument("--l-c", type=float, default=4.0)
+    g.add_argument("--mu-a", type=_finite, default=1.0)
+    g.add_argument("--l-a", type=_finite, default=4.0)
+    g.add_argument("--mu-b", type=_finite, default=0.0)
+    g.add_argument("--l-b", type=_finite, default=1.0)
+    g.add_argument("--mu-c", type=_finite, default=1.0)
+    g.add_argument("--l-c", type=_finite, default=4.0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 
@@ -314,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("game")
     c.add_argument("--scheme", default="single_element_uniform")
     c.add_argument("--b", type=int, default=None)
-    c.add_argument("--epsilon", type=float, default=None,
+    c.add_argument("--epsilon", type=_finite, default=None,
                    help="accuracy for the optimal minibatch size")
     c.set_defaults(func=cmd_constants)
 
@@ -326,10 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--b", type=int, default=None)
     r.add_argument("--schedule", default="theory",
                    choices=("theory", "constant", "switching"))
-    r.add_argument("--alpha", type=float, default=None)
-    r.add_argument("--gamma", type=float, default=None)
-    r.add_argument("--iters", type=int, required=True)
-    r.add_argument("--seeds", type=int, default=5)
+    r.add_argument("--alpha", type=_finite, default=None)
+    r.add_argument("--gamma", type=_finite, default=None)
+    r.add_argument("--iters", type=_count(0), required=True)
+    r.add_argument("--seeds", type=_count(1), default=5)
     r.add_argument("--out", required=True)
     r.add_argument("--svg", default=None)
     r.add_argument("--dump-iterates", default=None,
@@ -341,10 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--scheme", default="single_element_uniform")
     v.add_argument("--b", type=int, default=None)
     v.add_argument("--checks", default="ec,class,unbiased")
-    v.add_argument("--points", type=int, default=200)
-    v.add_argument("--radius", type=float, default=verify.DEFAULT_RADIUS)
-    v.add_argument("--envelope-seeds", type=int, default=30)
-    v.add_argument("--envelope-iters", type=int, default=500)
+    v.add_argument("--points", type=_count(1), default=200)
+    v.add_argument("--radius", type=_finite, default=verify.DEFAULT_RADIUS)
+    v.add_argument("--envelope-seeds", type=_count(1), default=30)
+    v.add_argument("--envelope-iters", type=_count(0), default=500)
     v.add_argument("--out", default=None, help="machine-readable JSON report path")
     v.set_defaults(func=cmd_verify)
 
@@ -354,11 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--multipliers", default="0.25,0.5,1,2")
     s.add_argument("--scheme", default="single_element_uniform")
     s.add_argument("--b", type=int, default=None)
-    s.add_argument("--iters", type=int, default=1000)
-    s.add_argument("--seeds", type=int, default=5)
+    s.add_argument("--iters", type=_count(0), default=1000)
+    s.add_argument("--seeds", type=_count(1), default=5)
     s.add_argument("--out", required=True)
     s.add_argument("--svg", default=None)
-    s.add_argument("--target-kappa", type=float, default=None)
+    s.add_argument("--target-kappa", type=_finite, default=None)
     s.add_argument("--n", type=int, default=20)
     s.add_argument("--d1", type=int, default=20)
     s.add_argument("--d2", type=int, default=20)
@@ -382,7 +415,7 @@ def main(argv=None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing input, output path that is a directory
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StochviError as exc:

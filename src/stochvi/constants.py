@@ -14,8 +14,9 @@ Co-coercivity of a matrix M (the operator x -> Mx) means
   (e.g. [[1,1],[-1,2]]: spectral 2, true constant 3), so it is offered for
   comparison, not used to certify.
 * ``grid_oracle``: direct maximization of the ratio over random unit vectors
-  plus local refinement, for dimensions <= 6.  An independent check of the
-  other two.
+  plus a random local search around the best one, for dimensions <= 6.  It
+  uses no eigen-decomposition or linear solve, so it is an independent check
+  of the other two.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import numerics
 from .errors import (
@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedSchemeError,
 )
 from .operators import QuadraticGame
-from .sampling import SamplingScheme, enumerate_support, scheme_stats
+from .sampling import SamplingScheme, enumerate_support, scheme_stats, support_weights
 from .solvers import ScoSwitchingSchedule, SgdaSwitchingSchedule
 
 # Eigenvalues below this fraction of the spectral scale count as zero.
@@ -46,6 +46,9 @@ _ZERO_RTOL = 1e-12
 
 # Step sizes may exceed their theoretical ceiling by this relative slop.
 _STEP_SLOP = 1e-12
+
+# Random unit directions the grid oracle samples before refining.
+_GRID_SAMPLES = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -95,56 +98,54 @@ def _cocoercivity_exact(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(mw.T @ mw).max())
 
 
-def _cocoercivity_grid(m: np.ndarray, rng: np.random.Generator, samples: int) -> float:
+def _cocoercivity_grid(m: np.ndarray, rng: np.random.Generator) -> float:
     d = m.shape[0]
     if d > 6:
         raise ConfigError("grid oracle is limited to dimensions <= 6")
     scale = max(float(np.abs(m).max(initial=0.0)), 1.0)
     if np.abs(m).max() == 0.0:
         return 0.0
-    pts = rng.standard_normal((samples, d))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    mx = pts @ m.T
-    num = np.einsum("ij,ij->i", mx, mx)
-    den = np.einsum("ij,ij->i", pts, mx)
-    bad = (den <= 0.0) & (np.sqrt(num) > 1e-9 * scale)
-    if np.any(bad):
-        raise NotCocoerciveError("grid point with <x, Mx> <= 0 and Mx != 0")
-    ok = den > 0.0
-    ratios = num[ok] / den[ok]
-    best = int(np.argmax(ratios))
 
-    def negative_ratio(x):
-        nrm = np.linalg.norm(x)
-        if nrm == 0.0:
-            return 0.0
-        y = x / nrm
-        mxv = m @ y
-        dv = float(y @ mxv)
-        if dv <= 0.0:
-            return -np.inf if np.linalg.norm(mxv) > 1e-9 * scale else 0.0
-        return -float(mxv @ mxv) / dv
+    def ratios(pts):
+        # |Mx|^2 / <x, Mx> per unit row x; rows with Mx = 0 constrain nothing.
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        mx = pts @ m.T
+        num = np.einsum("ij,ij->i", mx, mx)
+        den = np.einsum("ij,ij->i", pts, mx)
+        if np.any((den <= 0.0) & (np.sqrt(num) > 1e-9 * scale)):
+            raise NotCocoerciveError("grid point with <x, Mx> <= 0 and Mx != 0")
+        return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
-    res = scipy.optimize.minimize(
-        negative_ratio, pts[ok][best], method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 5000},
-    )
-    if not np.isfinite(res.fun):
-        raise NotCocoerciveError("refinement found <x, Mx> <= 0 and Mx != 0")
-    return float(max(ratios.max(), -res.fun))
+    pts = rng.standard_normal((_GRID_SAMPLES, d))
+    vals = ratios(pts)
+    best = int(np.argmax(vals))
+    x, ratio = pts[best], float(vals[best])
+    # Random search around the best point, 64 perturbations a round; the
+    # radius halves after every round that finds nothing better.
+    radius = 0.1
+    for _ in range(2000):
+        cand = x + radius * rng.standard_normal((64, d))
+        vals = ratios(cand)
+        best = int(np.argmax(vals))
+        if vals[best] > ratio:
+            x, ratio = cand[best], float(vals[best])
+        else:
+            radius *= 0.5
+            if radius < 1e-9:
+                break
+    return ratio
 
 
 def matrix_cocoercivity(
     m,
     method: str = "exact",
     rng: np.random.Generator | None = None,
-    samples: int = 100_000,
 ) -> float:
     """Co-coercivity constant of the linear operator x -> Mx.
 
     ``method`` is one of "exact", "spectral", "grid_oracle" (see module
-    docstring).  The grid oracle takes an optional generator and sample
-    count; it defaults to a fixed seed so results are reproducible.
+    docstring).  The grid oracle takes an optional generator; it defaults to
+    a fixed seed so results are reproducible.
     """
     a = numerics.as_matrix(m)
     if a.shape[0] != a.shape[1]:
@@ -156,7 +157,7 @@ def matrix_cocoercivity(
     if method == "grid_oracle":
         if rng is None:
             rng = numerics.make_rng(20_240_601)
-        return _cocoercivity_grid(a, rng, samples)
+        return _cocoercivity_grid(a, rng)
     raise ConfigError(f"unknown co-coercivity method {method!r}")
 
 
@@ -202,12 +203,13 @@ class HamiltonianConstants:
     sigma_h_sq: float
 
 
-def game_constants(game: QuadraticGame, method: str = "exact") -> GameConstants:
+def game_constants(game: QuadraticGame) -> GameConstants:
     """Structural constants of a quadratic game.
 
     Requires the symmetric part blkdiag(A, C) of the mean Jacobian to be
     positive definite (strong monotonicity); for affine operators this
-    modulus coincides with the quasi-strong one.
+    modulus coincides with the quasi-strong one.  Co-coercivity constants
+    come from the certified ``exact`` route.
     """
     j_mean = game.mean_jacobian()
     sym_eigs = numerics.symmetric_eigenvalues(0.5 * (j_mean + j_mean.T))
@@ -217,9 +219,9 @@ def game_constants(game: QuadraticGame, method: str = "exact") -> GameConstants:
             f"lambda_min of the symmetric mean Jacobian is {mu:.3e}"
         )
     ell_i = tuple(
-        matrix_cocoercivity(game.component_jacobians[i], method) for i in range(game.n)
+        matrix_cocoercivity(game.component_jacobians[i]) for i in range(game.n)
     )
-    ell = matrix_cocoercivity(j_mean, method)
+    ell = matrix_cocoercivity(j_mean)
     x_star = game.equilibrium()
     vals = game.component_values(x_star)
     sigma1_sq = float(np.einsum("ij,ij->i", vals, vals).mean())
@@ -277,12 +279,9 @@ def ec_constants(
     ell_xi = z * gc.ell + extra
     if game is None:
         raise NoClosedFormError("noise for a non-minibatch scheme needs the game")
-    x_star = game.equilibrium()
-    vals = game.component_values(x_star)
-    sigma_sq = 0.0
-    for prob, vec in enumerate_support(scheme):
-        est = vec.dense(gc.n) @ vals / gc.n
-        sigma_sq += prob * float(est @ est)
+    probs, w = support_weights(enumerate_support(scheme), gc.n)
+    est = w @ game.component_values(game.equilibrium())
+    sigma_sq = float(probs @ np.einsum("kj,kj->k", est, est))
     return ECConstants(ell_xi=ell_xi, sigma_sq=sigma_sq)
 
 

@@ -156,8 +156,10 @@ def read_game(path):
 
     A file that does not hold a valid game raises ConfigError: invalid JSON,
     a non-object document, missing keys, a header that is not positive
-    integers, arrays whose sizes do not match the header, non-finite
-    entries, A_i / C_i that are not symmetric, or bad generator parameters.
+    integers, array entries that are not JSON numbers (strings such as
+    "1.5" and booleans included), arrays whose sizes do not match the
+    header, non-finite entries, A_i / C_i that are not symmetric, or bad
+    generator parameters.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -179,9 +181,14 @@ def read_game(path):
               "a": (n, d1), "c": (n, d2)}
     arrays = []
     for key, shape in shapes.items():
+        entries = np.array(doc[key], dtype=object).reshape(-1)
+        if not set(map(type, entries)) <= {int, float}:
+            raise ConfigError(f"game file {path}: {key} holds entries that are not numbers")
         try:
-            arrays.append(np.array(doc[key], dtype=float).reshape(shape))
-        except (TypeError, ValueError):
+            arrays.append(entries.astype(float).reshape(shape))
+        except OverflowError:
+            raise ConfigError(f"game file {path}: {key} has an entry beyond float range") from None
+        except ValueError:
             raise ConfigError(f"game file {path}: {key} does not fit shape {shape}") from None
     try:
         game = QuadraticGame(*arrays)
@@ -364,10 +371,10 @@ def _resolve_schedule(method: str, spec, prof: GameProfile):
 def run_seeds(method, game, scheme, schedule, iterations, seeds, base_seed=0,
               record_iterates=False) -> list[RunTrace]:
     """One run of ``method`` per seed base_seed, ..., base_seed + seeds - 1,
-    in seed order."""
+    in seed order; ``record_iterates`` keeps the first seed's iterates."""
     return [
         run(RunConfig(method=method, operator=game, scheme=scheme, schedule=schedule,
-                      iterations=iterations, seed=base_seed + s), record_iterates)
+                      iterations=iterations, seed=base_seed + s), record_iterates and s == 0)
         for s in range(seeds)
     ]
 
@@ -376,8 +383,8 @@ def run_experiment(cfg: ExperimentConfig, record_traces: bool = False):
     """Run every (method, seed) pair and aggregate.
 
     Returns (AggregateTable, profile of cfg.scheme, traces) where traces
-    maps method -> list of RunTrace, iterates included (empty mapping unless
-    ``record_traces``).
+    maps method -> list of RunTrace, the first seed's with its iterates
+    (empty mapping unless ``record_traces``).
     """
     prof, plan = method_plan(cfg.game, cfg.scheme, cfg.methods)
     rows = []
@@ -563,6 +570,9 @@ def sweep_step_sizes(
     still aggregated (their traces are truncated); callers can spot them by
     the trailing values.
     """
+    for m in methods:
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r}; known: {METHODS}")
     _, plan = method_plan(game, scheme, methods)
     rows = []
     for method in methods:

@@ -167,6 +167,20 @@ def enumerate_support(scheme: SamplingScheme):
     return out
 
 
+def support_weights(support, n: int):
+    """Probabilities and dense estimator weights of an enumerated support.
+
+    Returns (probs, W): row k of W maps stacked component values straight to
+    the k-th support estimate, estimate_k = W[k] @ values (the 1/n is folded
+    into the weights).  ``support`` is what enumerate_support returns.
+    """
+    probs = np.array([p for p, _ in support])
+    w = np.zeros((len(support), n))
+    for k, (_, vec) in enumerate(support):
+        w[k] = vec.dense(n) / n
+    return probs, w
+
+
 @dataclass(frozen=True)
 class SchemeStats:
     """Inclusion probabilities and, when it exists, the pairwise constant z

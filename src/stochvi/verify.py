@@ -16,7 +16,7 @@ import numpy as np
 from . import constants as consts
 from .errors import NoEquilibriumError, TooFewSeedsError
 from .operators import FiniteSumOperator
-from .sampling import SamplingScheme, enumerate_support
+from .sampling import SamplingScheme, enumerate_support, support_weights
 from .solvers import RunTrace, ScoSwitchingSchedule, SgdaSwitchingSchedule
 
 DEFAULT_RADIUS = 10.0
@@ -87,18 +87,6 @@ def sample_points(
     return pts
 
 
-def _support_weights(scheme: SamplingScheme):
-    """Support probabilities and the dense estimator-weight matrix: row k
-    maps stacked component values straight to the k-th support estimate,
-    estimate_k = W[k] @ values (the 1/n is folded into the weights)."""
-    support = enumerate_support(scheme)
-    probs = np.array([p for p, _ in support])
-    w = np.zeros((len(support), scheme.n))
-    for k, (_, vec) in enumerate(support):
-        w[k] = vec.dense(scheme.n) / scheme.n
-    return probs, w
-
-
 def check_ec(
     op: FiniteSumOperator,
     scheme: SamplingScheme,
@@ -120,7 +108,7 @@ def check_ec(
     if rng is None:
         rng = np.random.default_rng(0)
     x_star = _equilibrium(op)
-    probs, w = _support_weights(scheme)
+    probs, w = support_weights(enumerate_support(scheme), scheme.n)
     vals_star = op.component_values(x_star)
     est_star = w @ vals_star
     sigma_sq = float(probs @ np.einsum("kj,kj->k", est_star, est_star))
@@ -237,7 +225,7 @@ def check_unbiasedness(
     if rng is None:
         rng = np.random.default_rng(0)
     center = op.equilibrium() if op.has_equilibrium else np.zeros(op.dim)
-    probs, w = _support_weights(scheme)
+    probs, w = support_weights(enumerate_support(scheme), scheme.n)
     # Targets go through the same weighted-contraction code path as the
     # support estimates (uniform weights 1/n), so the noise-free full-batch
     # scheme reproduces them exactly, not merely to rounding.
@@ -254,19 +242,10 @@ def check_unbiasedness(
         scale_val = 1.0 + float(np.linalg.norm(target))
 
         jacs = np.stack([op.component_jacobian(i, x) for i in range(op.n)])
-        # Literal enumeration over all (v, u) support pairs of the
-        # Hamiltonian-gradient estimator (J_v^T val_u + J_u^T val_v) / 2.
-        j_est = np.einsum("kn,nij->kij", w, jacs)
-        val_est = w @ vals
-        cross = np.zeros(op.dim)
-        for k in range(probs.size):
-            jt = j_est[k].T
-            for l in range(probs.size):
-                cross += (
-                    probs[k]
-                    * probs[l]
-                    * (0.5 * (jt @ val_est[l] + j_est[l].T @ val_est[k]))
-                )
+        # u and v are independent, so the mean of (J_u^T val_v + J_v^T val_u) / 2
+        # over all support pairs factors into (sum_k p_k J_k)^T (sum_l p_l val_l).
+        mean_jac = np.einsum("n,nij->ij", probs @ w, jacs)
+        cross = mean_jac.T @ mean_est
         target_h = np.einsum("kn,nij->kij", w_uniform, jacs)[0].T @ target
         res_h = float(np.linalg.norm(cross - target_h))
         scale_h = 1.0 + float(np.linalg.norm(target_h))

@@ -1,11 +1,19 @@
+import contextlib
+import io
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import stochvi
 from stochvi import constants as C
 from stochvi import experiments as E
 from stochvi.cli import main
+from stochvi.solvers import METHODS
 
 
 @pytest.fixture()
@@ -145,9 +153,11 @@ def _game_text(**changes):
         _game_text(A=[[1.0, 2.0]]),
         _game_text(A=[[float("nan")]]),
         _game_text(d1=2, A=[[1.0, 2.0, 0.0, 1.0]], B=[[0.5, 0.5]], a=[[0.0, 0.0]]),
+        _game_text(A=[["1.5"]]),
+        _game_text(A=[[True]]),
     ],
     ids=["missing_key", "invalid_json", "not_an_object", "non_integer_header",
-         "size_mismatch", "nan_entry", "asymmetric"],
+         "size_mismatch", "nan_entry", "asymmetric", "numeric_string", "boolean"],
 )
 def test_malformed_game_file_is_config_error(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
@@ -285,3 +295,157 @@ def test_sweep_reports_only_diverged_rows(game_file, tmp_path, capsys):
     reports = _divergence_reports(capsys.readouterr().err)
     assert list(reports) == ["sgda@40"]
     assert [seed for seed, _ in reports["sgda@40"]] == [0, 1]
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(stochvi.__file__).resolve().parents[1])
+    code = "import sys, stochvi.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def _config_error_exit(argv, capsys):
+    """Run argv; assert exit 2 through one ``configuration error:`` line or
+    argparse's usage error, never a traceback."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejected an option value
+        code = exc.code
+        err = capsys.readouterr().err
+        assert re.match(r"stochvi( \w+)?: error: ", err.strip().splitlines()[-1]), err
+    else:
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:"), err
+    assert code == 2
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{game}", "--points", "0"],
+        ["sweep", "--game", "{game}", "--multipliers", "", "--out", "{out}/s.csv"],
+        ["--seed", "-1", "run", "--game", "{game}", "--method", "sgda", "--iters", "5",
+         "--out", "{out}/r.csv"],
+        ["sweep", "--target-kappa", "nan", "--n", "3", "--d1", "1", "--d2", "1",
+         "--out", "{out}/k.json"],
+        ["verify", "{game}", "--radius", "nan"],
+        ["sweep", "--out", "{out}/s.csv"],
+        ["run", "--game", "{game}", "--method", "sgda", "--iters", "5", "--out", "{out}"],
+    ],
+    ids=["zero_points", "empty_multipliers", "negative_seed", "nan_kappa", "nan_radius",
+         "sweep_without_game", "output_is_directory"],
+)
+def test_bad_argv_is_config_error(game_file, tmp_path, capsys, argv):
+    out = tmp_path / "outputs"
+    out.mkdir()
+    argv = [a.replace("{game}", str(game_file)).replace("{out}", str(out)) for a in argv]
+    _config_error_exit(argv, capsys)
+    assert list(out.iterdir()) == []
+
+
+def test_unknown_sweep_method_is_named(game_file, tmp_path, capsys):
+    err = _config_error_exit(["sweep", "--game", str(game_file), "--methods", "sgda,foo",
+                              "--iters", "5", "--out", str(tmp_path / "s.csv")], capsys)
+    assert "unknown method 'foo'" in err
+
+
+# ---------------------------------------------------------------------------
+# property test: any drawn argv maps to a documented exit code
+# ---------------------------------------------------------------------------
+
+_EDGE = ("0", "-1", "nan", "inf", "")
+
+
+@st.composite
+def _or_edge(draw, valid):
+    """A value of ``valid``, or one time in eight an edge value."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(_EDGE))
+    return draw(valid)
+
+
+def _ints(lo, hi):
+    return _or_edge(st.integers(lo, hi).map(str))
+
+
+def _floats(lo, hi):
+    return _or_edge(st.floats(lo, hi).map(repr))
+
+
+def _choice(items):
+    return _or_edge(st.sampled_from(items))
+
+
+def _joined(items):
+    return _or_edge(st.lists(st.sampled_from(items), min_size=1, max_size=3).map(",".join))
+
+
+@st.composite
+def _argv(draw, files):
+    """argv for one subcommand.  Options that bound the work (sizes,
+    iterations, seeds, points) are always present; the rest may be left out.
+    Values are attached with "=" so that a negative number stays a value."""
+    game, out = _choice([files["game"]]), _choice(["out.csv"])
+    scheme = {"--scheme": _choice(["single", "full", "minibatch"]), "--b": _ints(1, 4)}
+    size = {"--n": _ints(1, 4), "--d1": _ints(1, 2), "--d2": _ints(1, 2)}
+    spec = {
+        "generate": ([], {**size, "--out": out},
+                     {f"--{k}": _floats(0.0, 4.0)
+                      for k in ("mu-a", "l-a", "mu-b", "l-b", "mu-c", "l-c")}),
+        "constants": ([game], {}, {**scheme, "--epsilon": _floats(0.0, 1.0)}),
+        "run": ([], {"--game": game, "--method": _joined(METHODS), "--iters": _ints(0, 50),
+                     "--seeds": _ints(1, 3), "--out": out},
+                {**scheme, "--schedule": _choice(["theory", "constant", "switching"]),
+                 "--alpha": _floats(0.0, 4.0), "--gamma": _floats(0.0, 4.0),
+                 "--svg": out, "--dump-iterates": out}),
+        "verify": ([game], {"--points": _ints(1, 5), "--envelope-seeds": _ints(1, 3),
+                            "--envelope-iters": _ints(0, 50)},
+                   {**scheme, "--radius": _floats(0.0, 10.0), "--out": out,
+                    "--checks": _joined(("ec", "class", "unbiased", "envelope"))}),
+        "sweep": ([], {**size, "--iters": _ints(0, 50), "--seeds": _ints(1, 3), "--out": out},
+                  {**scheme, "--game": game, "--methods": _joined(METHODS),
+                   "--multipliers": _joined(("0.5", "1", "2")),
+                   "--target-kappa": _floats(1.0, 4.0), "--svg": out}),
+        "plot": ([], {"--csv": _choice([files["csv"]]), "--svg": out}, {}),
+    }
+    command = draw(st.sampled_from(sorted(spec)))
+    positional, fixed, optional = spec[command]
+    argv = [f"--out-dir={files['out_dir']}"]
+    if draw(st.booleans()):
+        argv.append(f"--seed={draw(_ints(0, 3))}")
+    argv += [command] + [draw(p) for p in positional]
+    for flag, strategy in fixed.items():
+        argv.append(f"{flag}={draw(strategy)}")
+    for flag, strategy in optional.items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(strategy)}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("cli_property")
+    game, csv = tmp_path / "game.json", tmp_path / "agg.csv"
+    assert main(["generate", "--n", "3", "--d1", "1", "--d2", "1", "--out", str(game)]) == 0
+    assert main(["run", "--game", str(game), "--method", "sgda", "--iters", "5",
+                 "--seeds", "2", "--out", str(csv)]) == 0
+    return {"game": str(game), "csv": str(csv), "out_dir": str(tmp_path / "out")}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_argv_maps_to_a_documented_exit_code(cli_files, data):
+    argv = data.draw(_argv(cli_files))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            assert exc.code == 2, argv
+            code = 2
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()

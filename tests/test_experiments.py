@@ -152,6 +152,20 @@ def test_single_method_single_seed_equals_trace():
     assert np.array_equal(row.ci_high, row.mean)
 
 
+def test_recorded_iterates_only_for_first_seed():
+    game = E.generate_game(small_cfg(seed=12))
+    cfg = E.ExperimentConfig(
+        game=game, methods=("sgda", "gda"), scheme=SamplingScheme.single_element(game.n),
+        schedules={}, iterations=30, seeds=3, base_seed=2,
+    )
+    _, _, traces = E.run_experiment(cfg, record_traces=True)
+    for method, method_traces in traces.items():
+        first, *later = method_traces
+        assert first.seed == 2 and first.iterates.shape == (31, game.dim)
+        assert len(later) == 2
+        assert all(t.iterates is None for t in later)
+
+
 def test_iteration_zero_mean_is_one():
     game = E.generate_game(small_cfg(seed=13))
     cfg = E.ExperimentConfig(

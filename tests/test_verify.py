@@ -10,8 +10,8 @@ from stochvi.errors import (
     TooFewSeedsError,
 )
 from stochvi.operators import CosineOperator, FiniteSumOperator, QuadraticGame
-from stochvi.sampling import SamplingScheme
-from stochvi.solvers import ConstantSchedule, RunConfig, run
+from stochvi.sampling import SamplingScheme, enumerate_support, support_weights
+from stochvi.solvers import ConstantSchedule, RunConfig, run, stochastic_hamiltonian_gradient
 
 from test_operators import random_game
 
@@ -183,6 +183,33 @@ def test_unbiasedness_catches_corrupted_weights(monkeypatch):
     monkeypatch.setattr(verify_mod, "enumerate_support", corrupted)
     report = V.check_unbiasedness(game, scheme, points=20, rng=numerics.make_rng(9))
     assert not report.passed
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [SamplingScheme.single_element(3), SamplingScheme.minibatch(4, 2),
+     SamplingScheme.independent([0.5, 0.9, 0.3])],
+    ids=["single", "minibatch", "independent"],
+)
+def test_hamiltonian_pair_sum_factors(scheme):
+    # the literal mean over independent (u, v) support pairs, which the
+    # unbiasedness check replaces by (sum_k p_k J_k)^T (sum_l p_l val_l)
+    game = random_game(scheme.n, 2, 2, seed=79)
+    x = numerics.make_rng(3).standard_normal(game.dim) * 5.0
+    support = enumerate_support(scheme)
+    literal = sum(
+        pu * pv * stochastic_hamiltonian_gradient(game, x, u, v)
+        for pu, u in support
+        for pv, v in support
+    )
+    probs, w = support_weights(support, scheme.n)
+    jacs = np.stack([game.component_jacobian(i, x) for i in range(game.n)])
+    mean_jac = np.einsum("n,nij->ij", probs @ w, jacs)
+    factored = mean_jac.T @ (probs @ (w @ game.component_values(x)))
+    target = game.mean_jacobian().T @ game.full_value(x)
+    scale = np.linalg.norm(target)
+    assert np.linalg.norm(literal - factored) <= 1e-12 * scale
+    assert np.linalg.norm(literal - target) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .solvers import (
     RunTrace,
     ScoSwitchingSchedule,
     SgdaSwitchingSchedule,
-    run,
+    run_batch,
 )
 
 GAME_FORMAT_VERSION = 1
@@ -322,40 +322,56 @@ class ExperimentConfig:
 
 @dataclass
 class MethodAggregate:
-    """``diverged`` lists (seed, last iteration) for each run the divergence
-    guard cut short."""
+    """``seeds`` is the number of runs aggregated and ``running[k]`` the
+    number still running at iteration k; ``diverged`` lists (seed, last
+    iteration) for each run the divergence guard cut short."""
 
     method: str
     mean: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
     seeds: int
+    running: np.ndarray
     diverged: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass
 class AggregateTable:
     """Per (method, iteration) mean relative squared distance with a 95%
-    normal-approximation confidence band (mean +- 1.96 * sd / sqrt(seeds))."""
+    normal-approximation confidence band (mean +- 1.96 * sd / sqrt(seeds)),
+    over the seeds still running at that iteration."""
 
     iterations: int
     rows: list[MethodAggregate]
 
 
 def aggregate_traces(method: str, traces: list[RunTrace]) -> MethodAggregate:
-    length = min(len(t.dist_sq) for t in traces)
-    rel = np.stack([t.dist_sq[:length] / t.dist_sq[0] for t in traces])
-    mean = rel.mean(axis=0)
-    if rel.shape[0] > 1:
-        half = CI_QUANTILE * rel.std(axis=0, ddof=1) / math.sqrt(rel.shape[0])
-    else:
-        half = np.zeros(length)
+    """Aggregate each iteration over the seeds whose traces reach it.
+
+    A diverged seed's trace ends at its offending iterate, so later
+    iterations average only the survivors.  Between two trace ends the set
+    of seeds is fixed, and each such stretch is reduced as one block, so a
+    table without divergence is the plain all-seed reduction.
+    """
+    lengths = np.array([len(t.dist_sq) for t in traces])
+    length = int(lengths.max())
+    mean = np.empty(length)
+    half = np.zeros(length)
+    start = 0
+    for end in sorted(set(lengths.tolist())):
+        rel = np.stack([t.dist_sq[start:end] / t.dist_sq[0]
+                        for t in traces if len(t.dist_sq) >= end])
+        mean[start:end] = rel.mean(axis=0)
+        if rel.shape[0] > 1:
+            half[start:end] = CI_QUANTILE * rel.std(axis=0, ddof=1) / math.sqrt(rel.shape[0])
+        start = end
     return MethodAggregate(
         method=method,
         mean=mean,
         ci_low=mean - half,
         ci_high=mean + half,
-        seeds=rel.shape[0],
+        seeds=len(traces),
+        running=(lengths[:, None] > np.arange(length)).sum(axis=0),
         diverged=tuple((t.seed, len(t.alphas)) for t in traces if t.diverged),
     )
 
@@ -371,12 +387,11 @@ def _resolve_schedule(method: str, spec, prof: GameProfile):
 def run_seeds(method, game, scheme, schedule, iterations, seeds, base_seed=0,
               record_iterates=False) -> list[RunTrace]:
     """One run of ``method`` per seed base_seed, ..., base_seed + seeds - 1,
-    in seed order; ``record_iterates`` keeps the first seed's iterates."""
-    return [
-        run(RunConfig(method=method, operator=game, scheme=scheme, schedule=schedule,
-                      iterations=iterations, seed=base_seed + s), record_iterates and s == 0)
-        for s in range(seeds)
-    ]
+    all advanced together, in seed order; ``record_iterates`` keeps the first
+    seed's iterates.  Each trace equals the one-seed ``run`` of its seed."""
+    config = RunConfig(method=method, operator=game, scheme=scheme, schedule=schedule,
+                       iterations=iterations, seed=base_seed)
+    return run_batch(config, seeds, record_iterates)
 
 
 def run_experiment(cfg: ExperimentConfig, record_traces: bool = False):
@@ -408,7 +423,8 @@ def run_experiment(cfg: ExperimentConfig, record_traces: bool = False):
 
 
 def emit_csv(table: AggregateTable, path) -> None:
-    """CSV per the fixed schema; floats as shortest round-trip decimals."""
+    """CSV per the fixed schema; floats as shortest round-trip decimals and
+    the seeds column as the seeds still running at each iteration."""
     if not table.rows:
         raise ConfigError("refusing to emit an empty table")
     lines = [CSV_HEADER]
@@ -416,40 +432,42 @@ def emit_csv(table: AggregateTable, path) -> None:
         for k in range(row.mean.size):
             lines.append(
                 f"{row.method},{k},{float(row.mean[k])!r},{float(row.ci_low[k])!r},"
-                f"{float(row.ci_high[k])!r},{row.seeds}"
+                f"{float(row.ci_high[k])!r},{row.running[k]}"
             )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_csv(path) -> AggregateTable:
-    """Inverse of emit_csv."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError("not an aggregate CSV (bad header)")
+    """Inverse of emit_csv; a malformed row raises ConfigError."""
     data: dict[str, list] = {}
-    seeds: dict[str, int] = {}
-    order = []
-    for ln in lines[1:]:
-        method, it, mean, lo, hi, s = ln.split(",")
-        if method not in data:
-            data[method] = []
-            order.append(method)
-        data[method].append((int(it), float(mean), float(lo), float(hi)))
-        seeds[method] = int(s)
+    # Rows are parsed as the file streams in: a list of its lines would
+    # outweigh the table.
+    with open(path, encoding="utf-8") as fh:
+        lines = ((num, ln.rstrip("\n")) for num, ln in enumerate(fh, start=1))
+        lines = ((num, ln) for num, ln in lines if ln)
+        if next(lines, (0, None))[1] != CSV_HEADER:
+            raise ConfigError("not an aggregate CSV (bad header)")
+        for num, ln in lines:
+            try:
+                method, it, mean, lo, hi, s = ln.split(",")
+                entry = (int(it), float(mean), float(lo), float(hi), int(s))
+            except ValueError:
+                raise ConfigError(f"{path}: line {num} is not an aggregate row: {ln!r}") from None
+            data.setdefault(method, []).append(entry)
     rows = []
     length = 0
-    for method in order:
-        entries = sorted(data[method])
-        arr = np.array([e[1:] for e in entries])
+    for method, entries in data.items():
+        entries.sort()
+        arr = np.array(entries)
         rows.append(
             MethodAggregate(
                 method=method,
-                mean=arr[:, 0],
-                ci_low=arr[:, 1],
-                ci_high=arr[:, 2],
-                seeds=seeds[method],
+                mean=arr[:, 1],
+                ci_low=arr[:, 2],
+                ci_high=arr[:, 3],
+                seeds=int(arr[:, 4].max()),
+                running=arr[:, 4].astype(int),
             )
         )
         length = max(length, len(entries))

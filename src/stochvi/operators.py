@@ -3,7 +3,9 @@
 An operator is any object exposing ``n``, ``dim``, ``component_value``,
 ``component_jacobian`` and (optionally) ``equilibrium``.  Downstream code
 reads all component values through ``component_values`` and the mean value
-through ``full_value``; subclasses may override either with a faster route.
+through ``full_value``, and solvers read both for a batch of points through
+``batch_values``, ``batch_jacobians`` and ``batch_full_value``; subclasses
+may override any of them with a faster route.
 Nothing downstream assumes affinity except where documented.  Operators are
 immutable after construction and all evaluation is pure, so instances can be
 shared freely and replayed exactly.
@@ -58,6 +60,30 @@ class FiniteSumOperator(ABC):
     def full_value(self, x: np.ndarray) -> np.ndarray:
         """Uniform mean of all component values at x."""
         return self.component_values(x).mean(axis=0)
+
+    # Batched views for solvers that advance S points together.  Entry
+    # [s, j] is component idx[s, j] (component j when idx is None) at xs[s];
+    # every entry is bitwise the single-point evaluation.
+
+    # Whether every component is affine, so that its Jacobian does not
+    # depend on x.
+    affine = False
+
+    def _per_entry(self, component, xs, idx):
+        rows = [range(self.n)] * len(xs) if idx is None else idx
+        return np.array([[component(int(i), x) for i in row] for row, x in zip(rows, xs)])
+
+    def batch_values(self, xs: np.ndarray, idx=None) -> np.ndarray:
+        """Component values, shape (S, m, dim)."""
+        return self._per_entry(self.component_value, xs, idx)
+
+    def batch_jacobians(self, xs: np.ndarray, idx=None) -> np.ndarray:
+        """Component Jacobians, shape (S, m, dim, dim)."""
+        return self._per_entry(self.component_jacobian, xs, idx)
+
+    def batch_full_value(self, xs: np.ndarray) -> np.ndarray:
+        """full_value at each row of xs, shape (S, dim)."""
+        return np.array([self.full_value(x) for x in xs])
 
     @property
     def has_equilibrium(self) -> bool:
@@ -138,11 +164,27 @@ class QuadraticGame(FiniteSumOperator):
         """Mean operator value J x + r via the cached mean Jacobian and offset.
 
         Agrees with the mean of component_values up to rounding, at the cost
-        of one matrix-vector product instead of n.  Solvers call it once per
-        iteration, so x is not copied or checked; a vector of the wrong
-        length fails in the product.
+        of one matrix-vector product instead of n.  x is not copied or
+        checked; a vector of the wrong length fails in the product.
         """
         return self._j_mean @ x + self._r_mean
+
+    # One stacked product per batch: J[idx] @ x per entry, which numpy
+    # evaluates as the same matrix-vector product component_value does.
+    affine = True
+
+    def batch_values(self, xs: np.ndarray, idx=None) -> np.ndarray:
+        jacs, offsets = ((self._jacs, self._offsets) if idx is None
+                         else (self._jacs[idx], self._offsets[idx]))
+        return (jacs @ xs[:, None, :, None])[..., 0] + offsets
+
+    def batch_jacobians(self, xs: np.ndarray, idx=None) -> np.ndarray:
+        if idx is None:
+            return np.broadcast_to(self._jacs, (len(xs),) + self._jacs.shape)
+        return self._jacs[idx]
+
+    def batch_full_value(self, xs: np.ndarray) -> np.ndarray:
+        return (self._j_mean @ xs[:, :, None])[:, :, 0] + self._r_mean
 
     # Same function under its older name: perfbench/tracer.py wraps each
     # QuadraticGame method it finds in the class body, this name included.

@@ -136,6 +136,36 @@ def draw(scheme: SamplingScheme, rng: np.random.Generator) -> SamplingVector:
     return SamplingVector(idx, (n / b,) * b)
 
 
+def draw_many(scheme: SamplingScheme, rng: np.random.Generator, count: int):
+    """``count`` draws at once, consuming the generator exactly as ``count``
+    successive draw calls do.
+
+    Row r describes the r-th draw: its selected indices in increasing order
+    for the minibatch family, shape (count, b), or its inclusion mask for the
+    independent scheme, shape (count, n).  The full batch draws nothing and
+    returns None.
+    """
+    n = scheme.n
+    b = scheme.batch_size
+    if b == n:
+        return None
+    if scheme.kind == INDEPENDENT:
+        return rng.random((count, n)) < np.asarray(scheme.probs)
+    # The partial Fisher-Yates shuffle of draw, one row per draw.
+    swaps = rng.integers(np.tile(np.arange(b), count), n).reshape(count, b)
+    if b == 1:
+        # One swap leaves pool[0] = swaps[:, 0]; no pool is needed.
+        return swaps
+    pool = np.tile(np.arange(n), (count, 1))
+    rows = np.arange(count)
+    for i in range(b):
+        j = swaps[:, i]
+        head = pool[:, i].copy()
+        pool[:, i] = pool[rows, j]
+        pool[rows, j] = head
+    return np.sort(pool[:, :b], axis=1)
+
+
 def enumerate_support(scheme: SamplingScheme):
     """Exhaustive support as a list of (probability, SamplingVector).
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import numerics
 from .errors import ConfigError, MissingSecondDrawError
 from .operators import FiniteSumOperator
-from .sampling import SamplingScheme, SamplingVector, draw
+from .sampling import INDEPENDENT, SamplingScheme, SamplingVector, draw_many
 
 SGDA = "sgda"
 SHGD = "shgd"
@@ -219,7 +219,8 @@ def solver_step(
     x - gamma * hamiltonian_gradient_{v,u}(x).  Consensus: both terms, with
     value_v(x) evaluated once for the two.  Zero step sizes skip the
     corresponding term entirely so degenerate configurations are bitwise
-    identical to the specialized method.
+    identical to the specialized method.  run_batch applies the same update
+    to a batch of points; this one-point form is its reference.
     """
     if method not in TERMS:
         raise ConfigError(f"unknown method {method!r}; known: {METHODS}")
@@ -235,6 +236,73 @@ def solver_step(
     if gamma != 0.0:
         out = out - gamma * stochastic_hamiltonian_gradient(op, x, v, u, val_u=val_v)
     return out
+
+
+class _BatchEstimator:
+    """Estimator value_v(x) and products J_v(x)^T w for S points at once.
+
+    ``sel`` holds one row of draw_many per point (None for the full batch).
+    Terms are scaled and summed in index order with the unit-scale skip, as
+    _weighted_sum accumulates them, so row s is bitwise the one-point
+    estimate at xs[s].
+    """
+
+    def __init__(self, op: FiniteSumOperator, scheme: SamplingScheme):
+        self.op = op
+        n = op.n
+        self.independent = scheme.kind == INDEPENDENT
+        if self.independent:
+            self.scales = [(1.0 / p) / n for p in scheme.probs]
+        else:
+            self.scale = (n / scheme.batch_size) / n
+        # The full-batch Jacobian of an affine operator is one constant matrix.
+        self.full_jacobian = None
+        if scheme.is_deterministic and op.affine:
+            self.full_jacobian = self._sum(op.batch_jacobians(np.zeros((1, op.dim))))[0]
+
+    def _sum(self, terms: np.ndarray) -> np.ndarray:
+        """Scaled sum over axis 1; a cumulative sum adds in index order."""
+        if self.scale != 1.0:
+            terms = terms * self.scale
+        return terms[:, 0] if terms.shape[1] == 1 else np.cumsum(terms, axis=1)[:, -1]
+
+    def _masked_sum(self, mask: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """Independent sampling: row s sums terms[s, i] * scale_i over the i
+        with mask[s, i], in index order; no selected index gives 0."""
+        acc = np.zeros(terms.shape[:1] + terms.shape[2:])
+        started = np.zeros(mask.shape[0], dtype=bool)
+        shape = (-1,) + (1,) * (acc.ndim - 1)
+        for i in range(self.op.n):
+            hit = mask[:, i]
+            if not hit.any():
+                continue
+            term = terms[:, i]
+            if self.scales[i] != 1.0:
+                term = term * self.scales[i]
+            np.add(acc, term, out=acc, where=(hit & started).reshape(shape))
+            np.copyto(acc, term, where=(hit & ~started).reshape(shape))
+            started |= hit
+        return acc
+
+    def value(self, sel, xs: np.ndarray) -> np.ndarray:
+        if self.independent:
+            return self._masked_sum(sel, self.op.batch_values(xs))
+        return self._sum(self.op.batch_values(xs, sel))
+
+    def jac_t(self, sel, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Row s is J_{sel[s]}(xs[s])^T w[s]."""
+        if self.full_jacobian is not None:
+            jac = self.full_jacobian
+        elif self.independent:
+            jac = self._masked_sum(sel, self.op.batch_jacobians(xs))
+        else:
+            jac = self._sum(self.op.batch_jacobians(xs, sel))
+        return (w[:, None, :] @ jac)[:, 0]
+
+
+def _row_dots(a: np.ndarray) -> np.ndarray:
+    """a[s] @ a[s] for each row, bitwise the one-row dot product."""
+    return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -305,62 +373,110 @@ def _initial_point(config: RunConfig, rng: np.random.Generator, x_star) -> np.nd
 
 
 def run(config: RunConfig, record_iterates: bool = False) -> RunTrace:
-    """Execute the configured run; deterministic given the seed.
+    """Execute the configured run; deterministic given the seed.  This is
+    run_batch with one seed."""
+    return run_batch(config, 1, record_iterates)[0]
 
-    Per iteration: evaluate (alpha_k, gamma_k), draw v, draw u when a
-    nonzero Hamiltonian step will be taken, apply the step, record
-    |x - x*|^2 (when the equilibrium is known) and |value(x)|^2.
+
+def run_batch(config: RunConfig, seeds: int, record_iterates: bool = False) -> list[RunTrace]:
+    """Run ``config`` once per seed config.seed, ..., config.seed + seeds - 1,
+    advancing all seeds together on (seeds, dim) arrays; traces in seed order.
+
+    Per iteration: evaluate (alpha_k, gamma_k), take seed s's v draw and, when
+    a nonzero Hamiltonian step will be taken, its u draw, apply the step, and
+    record |x - x*|^2 (when the equilibrium is known) and |value(x)|^2.  Each
+    seed's draws come from its own generator, drawn up front in the order
+    the steps consume them, and every batched product is bitwise its
+    one-point counterpart, so a seed's trace does not depend on which seeds
+    share its batch.  A seed that trips the divergence guard leaves the
+    batch there; the others go on.  ``record_iterates`` keeps the first
+    seed's iterates.
     """
+    if seeds < 1:
+        raise ConfigError("need at least one seed")
     op = config.operator
-    rng = numerics.make_rng(config.seed)
-    x_star = op.equilibrium() if op.has_equilibrium else None
-    x = _initial_point(config, rng, x_star)
     k_max = config.iterations
+    x_star = op.equilibrium() if op.has_equilibrium else None
+    steps = [_applied_steps(config.method, *config.schedule.at(k)) for k in range(k_max)]
+    alphas = np.array([a for a, _ in steps])
+    gammas = np.array([g for _, g in steps])
+    # Draw position of each step's v; its u, when drawn, follows it.
+    counts = 1 + (gammas != 0.0)
+    v_at = np.cumsum(counts) - counts
 
-    dist = None if x_star is None else np.empty(k_max + 1)
-    opn = np.empty(k_max + 1)
-    alphas = np.empty(k_max)
-    gammas = np.empty(k_max)
+    xs, draws = [], []
+    for seed in range(config.seed, config.seed + seeds):
+        rng = numerics.make_rng(seed)
+        xs.append(_initial_point(config, rng, x_star))
+        draws.append(draw_many(config.scheme, rng, int(counts.sum())))
+    x = np.stack(xs)
+    draws = None if draws[0] is None else np.stack(draws)
+    estimator = _BatchEstimator(op, config.scheme)
+
+    dist = None if x_star is None else np.empty((seeds, k_max + 1))
+    opn = np.empty((seeds, k_max + 1))
     iterates = np.empty((k_max + 1, op.dim)) if record_iterates else None
+    steps_done = np.full(seeds, k_max)
+    diverged = np.zeros(seeds, dtype=bool)
+    final_x = np.empty((seeds, op.dim))
+    active = np.arange(seeds)
 
-    def record(k, xk):
-        if iterates is not None:
-            iterates[k] = xk
-        val = op.full_value(xk)
-        opn[k] = val @ val
+    def record(k):
+        if iterates is not None and active[0] == 0:
+            iterates[k] = x[0]
+        val = op.batch_full_value(x)
+        opn[active, k] = _row_dots(val)
         if dist is not None:
-            diff = xk - x_star
-            dist[k] = diff @ diff
+            dist[active, k] = _row_dots(x - x_star)
 
-    record(0, x)
-    dist0 = dist[0] if dist is not None else None
-    steps_done = 0
-    diverged = False
+    record(0)
     for k in range(k_max):
-        alpha, gamma = _applied_steps(config.method, *config.schedule.at(k))
-        v = draw(config.scheme, rng)
-        u = draw(config.scheme, rng) if gamma != 0.0 else None
-        x = solver_step(config.method, op, x, v, u, alpha, gamma)
-        alphas[k] = alpha
-        gammas[k] = gamma
-        steps_done = k + 1
-        record(k + 1, x)
-        bad = not np.all(np.isfinite(x))
-        if dist is not None and dist0 is not None and dist0 > 0.0:
-            bad = bad or dist[k + 1] > DIVERGENCE_FACTOR * dist0
-        if bad:
-            diverged = True
-            break
+        alpha, gamma = steps[k]
+        if alpha != 0.0 or gamma != 0.0:
+            v = None if draws is None else draws[:, v_at[k]]
+            val_v = estimator.value(v, x)
+            out = x
+            if alpha != 0.0:
+                out = out - alpha * val_v
+            if gamma != 0.0:
+                # (J_v^T value_u + J_u^T value_v) / 2, the pairing of
+                # stochastic_hamiltonian_gradient(op, x, v, u, val_u=value_v)
+                u = None if draws is None else draws[:, v_at[k] + 1]
+                val_u = estimator.value(u, x)
+                grad = 0.5 * (estimator.jac_t(v, x, val_u) + estimator.jac_t(u, x, val_v))
+                out = out - gamma * grad
+            x = out
+        record(k + 1)
+        bad = ~np.isfinite(x).all(axis=1)
+        if dist is not None:
+            dist0 = dist[active, 0]
+            bad |= (dist0 > 0.0) & (dist[active, k + 1] > DIVERGENCE_FACTOR * dist0)
+        if bad.any():
+            stopped = active[bad]
+            steps_done[stopped] = k + 1
+            diverged[stopped] = True
+            final_x[stopped] = x[bad]
+            keep = ~bad
+            active, x = active[keep], x[keep]
+            if draws is not None:
+                draws = draws[keep]
+            if active.size == 0:
+                break
+    final_x[active] = x
 
-    end = steps_done + 1
-    return RunTrace(
-        method=config.method,
-        seed=config.seed,
-        dist_sq=None if dist is None else dist[:end],
-        op_norm_sq=opn[:end],
-        final_x=x,
-        alphas=alphas[:steps_done],
-        gammas=gammas[:steps_done],
-        diverged=diverged,
-        iterates=None if iterates is None else iterates[:end],
-    )
+    traces = []
+    for s in range(seeds):
+        done = steps_done[s]
+        end = done + 1
+        traces.append(RunTrace(
+            method=config.method,
+            seed=config.seed + s,
+            dist_sq=None if dist is None else dist[s, :end],
+            op_norm_sq=opn[s, :end],
+            final_x=final_x[s],
+            alphas=alphas[:done].copy(),
+            gammas=gammas[:done].copy(),
+            diverged=bool(diverged[s]),
+            iterates=iterates[:end] if iterates is not None and s == 0 else None,
+        ))
+    return traces

@@ -84,31 +84,15 @@ def envelope_traces(desk_game):
     t0 = time.monotonic()
 
     alpha = 1.0 / (2.0 * ec.ell_xi)
-    sgda = [
-        run(RunConfig(method="sgda", operator=game, scheme=scheme,
-                      schedule=ConstantSchedule(alpha=alpha), iterations=5000, seed=s))
-        for s in range(100)
-    ]
+    sgda = E.run_seeds("sgda", game, scheme, ConstantSchedule(alpha=alpha), 5000, 100, 0)
     a2, g2 = 1.0 / (4.0 * ec.ell_xi), 1.0 / (4.0 * ham.cal_l_h)
-    sco = [
-        run(RunConfig(method="sco", operator=game, scheme=scheme,
-                      schedule=ConstantSchedule(alpha=a2, gamma=g2),
-                      iterations=5000, seed=s))
-        for s in range(100)
-    ]
+    sco = E.run_seeds("sco", game, scheme, ConstantSchedule(alpha=a2, gamma=g2),
+                      5000, 100, 0)
     sw = SgdaSwitchingSchedule(ell_xi=ec.ell_xi, mu=gc.mu)
-    sgda_sw = [
-        run(RunConfig(method="sgda", operator=game, scheme=scheme,
-                      schedule=sw, iterations=20 * sw.switch_point, seed=s))
-        for s in range(100)
-    ]
+    sgda_sw = E.run_seeds("sgda", game, scheme, sw, 20 * sw.switch_point, 100, 0)
     sw2 = ScoSwitchingSchedule(ell_xi=ec.ell_xi, cal_l_h=ham.cal_l_h,
                                mu=gc.mu, mu_h=ham.mu_h)
-    sco_sw = [
-        run(RunConfig(method="sco", operator=game, scheme=scheme,
-                      schedule=sw2, iterations=20 * sw2.switch_point, seed=s))
-        for s in range(100)
-    ]
+    sco_sw = E.run_seeds("sco", game, scheme, sw2, 20 * sw2.switch_point, 100, 0)
     elapsed = time.monotonic() - t0
     return dict(sgda=sgda, sco=sco, sgda_sw=sgda_sw, sco_sw=sco_sw,
                 sw=sw, sw2=sw2, elapsed=elapsed)

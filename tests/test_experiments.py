@@ -7,7 +7,9 @@ from stochvi import numerics
 from stochvi.cli import main
 from stochvi.errors import ConfigError, InvalidRangeError
 from stochvi.sampling import SamplingScheme
-from stochvi.solvers import RunConfig, run
+from stochvi.solvers import ConstantSchedule, RunConfig, run
+
+from test_operators import random_game
 
 
 def small_cfg(seed=5, n=4, d1=3, d2=3):
@@ -272,6 +274,37 @@ def test_csv_schema_and_roundtrip(tmp_path):
         assert src.mean.tobytes() == dst.mean.tobytes()
         assert src.ci_low.tobytes() == dst.ci_low.tobytes()
         assert src.ci_high.tobytes() == dst.ci_high.tobytes()
+
+
+def test_aggregate_over_running_seeds(tmp_path):
+    # seeds diverge at different iterations and some run to the end: each
+    # iteration averages the seeds whose traces reach it
+    game = random_game(4, 2, 2, seed=3)
+    traces = E.run_seeds("sgda", game, SamplingScheme.single_element(4),
+                         ConstantSchedule(alpha=0.75), 300, 8)
+    row = E.aggregate_traces("sgda", traces)
+    assert len({len(t.dist_sq) for t in traces}) > 2
+    assert row.mean.size == 301 and row.seeds == 8
+    for k in range(301):
+        alive = [t.dist_sq[k] / t.dist_sq[0] for t in traces if len(t.dist_sq) > k]
+        assert row.running[k] == len(alive)
+        assert row.mean[k] == pytest.approx(np.mean(alive), rel=1e-12)
+    assert row.running[0] == 8 and 0 < row.running[-1] < 8
+    path = tmp_path / "ragged.csv"
+    E.emit_csv(E.AggregateTable(iterations=300, rows=[row]), path)
+    loaded = E.read_csv(path).rows[0]
+    assert loaded.seeds == 8
+    assert np.array_equal(loaded.running, row.running)
+    assert loaded.mean.tobytes() == row.mean.tobytes()
+
+
+@pytest.mark.parametrize("line", ["sgda,x,1,1,1,1", "sgda,0,1,1,1", "sgda,0,1,1,1,2.5"])
+def test_read_csv_rejects_malformed_row(tmp_path, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(E.CSV_HEADER + "\n" + line + "\n")
+    with pytest.raises(ConfigError):
+        E.read_csv(path)
+    assert main(["plot", "--csv", str(path), "--svg", str(tmp_path / "bad.svg")]) == 2
 
 
 def test_emission_deterministic(tmp_path):

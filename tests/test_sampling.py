@@ -11,6 +11,7 @@ from stochvi.errors import ConfigError, SupportTooLargeError
 from stochvi.sampling import (
     SamplingScheme,
     draw,
+    draw_many,
     enumerate_support,
     scheme_stats,
 )
@@ -218,3 +219,25 @@ def test_draw_is_valid_subset_property(n, seed):
     assert len(set(vec.indices)) == b
     assert all(0 <= i < n for i in vec.indices)
     assert all(w == n / b for w in vec.weights)
+
+
+@pytest.mark.parametrize("b", [1, 3, 5])
+def test_draw_many_equals_successive_draws(b):
+    scheme = SamplingScheme.single_element(7) if b == 1 else SamplingScheme.minibatch(7, b)
+    one, many = numerics.make_rng(11), numerics.make_rng(11)
+    rows = draw_many(scheme, many, 200)
+    assert rows.shape == (200, b)
+    for row in rows:
+        assert tuple(row) == draw(scheme, one).indices
+    assert one.random() == many.random()
+
+
+def test_draw_many_independent_masks_and_full_batch():
+    scheme = SamplingScheme.independent([0.2, 0.5, 0.9, 1.0])
+    one, many = numerics.make_rng(12), numerics.make_rng(12)
+    for mask in draw_many(scheme, many, 100):
+        assert tuple(np.flatnonzero(mask)) == draw(scheme, one).indices
+    assert one.random() == many.random()
+    rng = numerics.make_rng(13)
+    assert draw_many(SamplingScheme.full_batch(4), rng, 10) is None
+    assert rng.random() == numerics.make_rng(13).random()

@@ -4,9 +4,12 @@ import pytest
 from stochvi import constants as C
 from stochvi import numerics
 from stochvi.errors import ConfigError, MissingSecondDrawError
-from stochvi.operators import QuadraticGame
+from stochvi.operators import FiniteSumOperator, QuadraticGame
 from stochvi.sampling import SamplingScheme, draw, enumerate_support
+from stochvi.experiments import run_seeds
 from stochvi.solvers import (
+    DIVERGENCE_FACTOR,
+    TERMS,
     ConstantSchedule,
     RunConfig,
     ScoSwitchingSchedule,
@@ -360,3 +363,139 @@ def test_trace_lengths_and_finiteness():
     assert trace.iterates.shape == (101, game.dim)
     assert np.all(np.isfinite(trace.dist_sq))
     assert np.all(np.isfinite(trace.op_norm_sq))
+
+
+# ---------------------------------------------------------------------------
+# seed batches
+# ---------------------------------------------------------------------------
+
+
+def reference_run(cfg):
+    """One seed, one point at a time, from the single-point definitions:
+    draw v (and u for a nonzero Hamiltonian step), solver_step, record."""
+    op, rng = cfg.operator, numerics.make_rng(cfg.seed)
+    x_star = op.equilibrium()
+    g = rng.standard_normal(op.dim)
+    x = x_star + g / np.linalg.norm(g)
+    xs = [x]
+    for k in range(cfg.iterations):
+        alpha, gamma = cfg.schedule.at(k)
+        uses_da, uses_ham = TERMS[cfg.method]
+        alpha, gamma = (alpha if uses_da else 0.0), (gamma if uses_ham else 0.0)
+        v = draw(cfg.scheme, rng)
+        u = draw(cfg.scheme, rng) if gamma != 0.0 else None
+        x = solver_step(cfg.method, op, x, v, u, alpha, gamma)
+        xs.append(x)
+        dist = (x - x_star) @ (x - x_star)
+        dist0 = (xs[0] - x_star) @ (xs[0] - x_star)
+        if not np.all(np.isfinite(x)) or dist > DIVERGENCE_FACTOR * dist0:
+            break
+    dist_sq = np.array([(y - x_star) @ (y - x_star) for y in xs])
+    op_norm_sq = np.array([op.full_value(y) @ op.full_value(y) for y in xs])
+    return dist_sq, op_norm_sq, x
+
+
+BATCH_CASES = {
+    "sgda-single": ("sgda", lambda n: SamplingScheme.single_element(n),
+                    ConstantSchedule(alpha=0.05)),
+    "sco-single": ("sco", lambda n: SamplingScheme.single_element(n),
+                   ConstantSchedule(alpha=0.03, gamma=0.004)),
+    "shgd-single": ("shgd", lambda n: SamplingScheme.single_element(n),
+                    ConstantSchedule(alpha=0.0, gamma=0.004)),
+    "sgda-minibatch3": ("sgda", lambda n: SamplingScheme.minibatch(n, 3),
+                        ConstantSchedule(alpha=0.05)),
+    "sgda-minibatch5": ("sgda", lambda n: SamplingScheme.minibatch(n, 5),
+                        ConstantSchedule(alpha=0.05)),
+    "sco-minibatch3": ("sco", lambda n: SamplingScheme.minibatch(n, 3),
+                       ConstantSchedule(alpha=0.03, gamma=0.004)),
+    "gda-full": ("gda", lambda n: SamplingScheme.full_batch(n),
+                 ConstantSchedule(alpha=0.05)),
+    "co-full": ("co", lambda n: SamplingScheme.full_batch(n),
+                ConstantSchedule(alpha=0.03, gamma=0.004)),
+    "sgda-independent": ("sgda", lambda n: SamplingScheme.independent(
+        [0.2 + 0.1 * i for i in range(n)]), ConstantSchedule(alpha=0.05)),
+    "sco-independent": ("sco", lambda n: SamplingScheme.independent(
+        [0.2 + 0.1 * i for i in range(n)]), ConstantSchedule(alpha=0.03, gamma=0.004)),
+    "sgda-switching": ("sgda", lambda n: SamplingScheme.single_element(n),
+                       SgdaSwitchingSchedule(ell_xi=8.0, mu=1.0)),
+    "sco-switching": ("sco", lambda n: SamplingScheme.single_element(n),
+                      ScoSwitchingSchedule(ell_xi=8.0, cal_l_h=30.0, mu=1.0, mu_h=0.5)),
+}
+
+
+def assert_same_trace(got, want):
+    assert (got.method, got.seed, got.diverged) == (want.method, want.seed, want.diverged)
+    for field in ("dist_sq", "op_norm_sq", "final_x", "alphas", "gammas"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_seed_batch_equals_separate_runs(case):
+    method, make_scheme, schedule = BATCH_CASES[case]
+    game = random_game(6, 3, 2, seed=20)
+    scheme = make_scheme(game.n)
+    batch = run_seeds(method, game, scheme, schedule, 150, 5, base_seed=7)
+    assert [t.seed for t in batch] == list(range(7, 12))
+    for trace in batch:
+        cfg = RunConfig(method=method, operator=game, scheme=scheme, schedule=schedule,
+                        iterations=150, seed=trace.seed)
+        assert_same_trace(trace, run(cfg))
+        dist_sq, op_norm_sq, final_x = reference_run(cfg)
+        assert trace.dist_sq.tobytes() == dist_sq.tobytes()
+        assert trace.op_norm_sq.tobytes() == op_norm_sq.tobytes()
+        assert trace.final_x.tobytes() == final_x.tobytes()
+
+
+def test_diverging_seeds_leave_the_batch_alone():
+    # at this step some seeds diverge, each at its own iteration, and the
+    # others run to the end
+    game = random_game(4, 2, 2, seed=3)
+    scheme = SamplingScheme.single_element(4)
+    schedule = ConstantSchedule(alpha=0.75)
+    batch = run_seeds("sgda", game, scheme, schedule, 300, 8)
+    stops = {len(t.alphas) for t in batch if t.diverged}
+    assert len(stops) >= 3 and any(not t.diverged for t in batch)
+    for trace in batch:
+        cfg = RunConfig(method="sgda", operator=game, scheme=scheme, schedule=schedule,
+                        iterations=300, seed=trace.seed)
+        assert_same_trace(trace, run(cfg))
+        dist_sq, _, final_x = reference_run(cfg)
+        assert trace.dist_sq.tobytes() == dist_sq.tobytes()
+        assert trace.final_x.tobytes() == final_x.tobytes()
+        assert len(trace.dist_sq) == len(trace.alphas) + 1
+
+
+class Delegating(FiniteSumOperator):
+    """A game seen only through the per-component protocol, so runs take the
+    operator base class's batched fallbacks."""
+
+    def __init__(self, game):
+        self.game, self.n, self.dim = game, game.n, game.dim
+
+    def component_value(self, i, x):
+        return self.game.component_value(i, x)
+
+    def component_jacobian(self, i, x):
+        return self.game.component_jacobian(i, x)
+
+    @property
+    def has_equilibrium(self):
+        return True
+
+    def equilibrium(self):
+        return self.game.equilibrium()
+
+
+@pytest.mark.parametrize("case", ["sco-single", "sco-minibatch3", "co-full", "sco-independent"])
+def test_seed_batch_of_a_generic_operator(case):
+    method, make_scheme, schedule = BATCH_CASES[case]
+    op = Delegating(random_game(6, 3, 2, seed=21))
+    scheme = make_scheme(op.n)
+    batch = run_seeds(method, op, scheme, schedule, 60, 3)
+    for trace in batch:
+        cfg = RunConfig(method=method, operator=op, scheme=scheme, schedule=schedule,
+                        iterations=60, seed=trace.seed)
+        dist_sq, op_norm_sq, final_x = reference_run(cfg)
+        assert trace.dist_sq.tobytes() == dist_sq.tobytes()
+        assert trace.op_norm_sq.tobytes() == op_norm_sq.tobytes()
+        assert trace.final_x.tobytes() == final_x.tobytes()

@@ -296,6 +296,16 @@ def hamiltonian_constants(
     single-element sampling is the largest spectral norm over the n^2 pair
     Hessians (J_i^T J_j + J_j^T J_i)/2, and the gradient noise is the exact
     expectation over the n^2 equally likely index pairs.
+
+    The largest pair-Hessian norm is attained by a diagonal pair, whose
+    Hessian is J_i^T J_i with norm |J_i|^2, since for every pair
+
+        |(J_i^T J_j + J_j^T J_i)/2| <= |J_i^T J_j| <= |J_i| |J_j|
+                                    <= max(|J_i|^2, |J_j|^2).
+
+    So cal_l_h is the largest eigenvalue over the n Gram matrices, one
+    batched eigvalsh.  The noise adds the n^2 squared pair-gradient norms
+    in (i, j) order, one row of pairs at a time.
     """
     b = scheme.batch_size
     single = b == 1
@@ -313,17 +323,18 @@ def hamiltonian_constants(
     if full:
         return HamiltonianConstants(mu_h=mu_h, l_h=l_h, cal_l_h=l_h, sigma_h_sq=0.0)
     jacs = game.component_jacobians
-    x_star = game.equilibrium()
-    vals = game.component_values(x_star)
-    cal_l_h = 0.0
-    sigma_h_sq = 0.0
+    grams = np.transpose(jacs, (0, 2, 1)) @ jacs
+    cal_l_h = float(np.abs(np.linalg.eigvalsh(grams)).max())
+    vals = game.component_values(game.equilibrium())
+    # Row i holds |(J_i^T val_j + J_j^T val_i) / 2|^2 for every j; the row
+    # products are bitwise the one-pair matrix-vector products and dots.
+    sq = np.empty((game.n, game.n))
     for i in range(game.n):
-        jti = jacs[i].T
-        for j in range(game.n):
-            hess = 0.5 * (jti @ jacs[j] + jacs[j].T @ jacs[i])
-            cal_l_h = max(cal_l_h, float(np.abs(np.linalg.eigvalsh(hess)).max()))
-            grad = 0.5 * (jti @ vals[j] + jacs[j].T @ vals[i])
-            sigma_h_sq += float(grad @ grad)
+        grad = 0.5 * ((vals[:, None, :] @ jacs[i])[:, 0, :]
+                      + (vals[i][None, None, :] @ jacs)[:, 0, :])
+        sq[i] = (grad[:, None, :] @ grad[:, :, None])[:, 0, 0]
+    # A cumulative sum adds in (i, j) order, as one running total would.
+    sigma_h_sq = float(np.cumsum(sq.reshape(-1))[-1])
     return HamiltonianConstants(
         mu_h=mu_h, l_h=l_h, cal_l_h=cal_l_h, sigma_h_sq=sigma_h_sq / game.n**2
     )

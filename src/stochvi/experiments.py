@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -155,11 +155,14 @@ def read_game(path):
     """Load a game file; returns (game, generator config or None).
 
     A file that does not hold a valid game raises ConfigError: invalid JSON,
-    a non-object document, missing keys, a header that is not positive
-    integers, array entries that are not JSON numbers (strings such as
-    "1.5" and booleans included), arrays whose sizes do not match the
-    header, non-finite entries, A_i / C_i that are not symmetric, or bad
-    generator parameters.
+    a non-object document, a format_version that is not the integer 1,
+    missing keys, a header that is not positive integers, array entries
+    that are not JSON numbers (strings such as "1.5" and booleans
+    included), arrays whose sizes do not match the header, non-finite
+    entries, A_i / C_i that are not symmetric, or a generator that is
+    neither null nor an object with exactly the GameGenConfig fields
+    (integer n, d1, d2 and seed >= 0, finite numbers in valid ranges).  The
+    top-level "seed" repeats the generator's and is not read.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -169,7 +172,7 @@ def read_game(path):
     if not isinstance(doc, dict):
         raise ConfigError(f"game file {path} is not a JSON object")
     version = doc.get("format_version")
-    if version != GAME_FORMAT_VERSION:
+    if type(version) is not int or version != GAME_FORMAT_VERSION:
         raise ConfigError(f"unsupported game file version {version!r}")
     missing = [key for key in ("n", "d1", "d2", "A", "B", "C", "a", "c") if key not in doc]
     if missing:
@@ -192,10 +195,27 @@ def read_game(path):
             raise ConfigError(f"game file {path}: {key} does not fit shape {shape}") from None
     try:
         game = QuadraticGame(*arrays)
-        gen = GameGenConfig(**doc["generator"]) if doc.get("generator") else None
+        gen = _generator_config(doc.get("generator"))
     except (TypeError, ValueError) as exc:  # asymmetric A_i / C_i, non-finite entries
         raise ConfigError(f"game file {path}: {exc}") from None
     return game, gen
+
+
+def _generator_config(spec) -> GameGenConfig | None:
+    """The game file's generator entry as a config; ValueError if invalid."""
+    if spec is None:
+        return None
+    names = [f.name for f in fields(GameGenConfig)]
+    if not isinstance(spec, dict) or sorted(spec) != sorted(names):
+        raise ValueError(f"generator must be null or an object with keys {', '.join(names)}")
+    for name, value in spec.items():
+        if name in ("n", "d1", "d2", "seed"):
+            valid = type(value) is int and value >= 0
+        else:
+            valid = type(value) in (int, float) and math.isfinite(value)
+        if not valid:
+            raise ValueError(f"generator {name} is {value!r}")
+    return GameGenConfig(**spec)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +371,15 @@ def aggregate_traces(method: str, traces: list[RunTrace]) -> MethodAggregate:
     A diverged seed's trace ends at its offending iterate, so later
     iterations average only the survivors.  Between two trace ends the set
     of seeds is fixed, and each such stretch is reduced as one block, so a
-    table without divergence is the plain all-seed reduction.
+    table without divergence is the plain all-seed reduction.  A run that
+    starts at the equilibrium has no relative distance: ConfigError.
     """
+    at_equilibrium = [t.seed for t in traces if t.dist_sq[0] == 0.0]
+    if at_equilibrium:
+        raise ConfigError(
+            f"{method}: seed {at_equilibrium[0]} starts at the equilibrium, "
+            "so its relative distance is undefined"
+        )
     lengths = np.array([len(t.dist_sq) for t in traces])
     length = int(lengths.max())
     mean = np.empty(length)

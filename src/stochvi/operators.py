@@ -4,8 +4,9 @@ An operator is any object exposing ``n``, ``dim``, ``component_value``,
 ``component_jacobian`` and (optionally) ``equilibrium``.  Downstream code
 reads all component values through ``component_values`` and the mean value
 through ``full_value``, and solvers read both for a batch of points through
-``batch_values``, ``batch_jacobians`` and ``batch_full_value``; subclasses
-may override any of them with a faster route.
+``batch_values``, ``batch_jacobians``, ``batch_values_and_jacobians`` and
+``batch_full_value``; subclasses may override any of them with a faster
+route.
 Nothing downstream assumes affinity except where documented.  Operators are
 immutable after construction and all evaluation is pure, so instances can be
 shared freely and replayed exactly.
@@ -80,6 +81,11 @@ class FiniteSumOperator(ABC):
     def batch_jacobians(self, xs: np.ndarray, idx=None) -> np.ndarray:
         """Component Jacobians, shape (S, m, dim, dim)."""
         return self._per_entry(self.component_jacobian, xs, idx)
+
+    def batch_values_and_jacobians(self, xs: np.ndarray, idx=None):
+        """(batch_values, batch_jacobians) of the same entries, so that an
+        override can read each sampled component once for both."""
+        return self.batch_values(xs, idx), self.batch_jacobians(xs, idx)
 
     def batch_full_value(self, xs: np.ndarray) -> np.ndarray:
         """full_value at each row of xs, shape (S, dim)."""
@@ -182,6 +188,14 @@ class QuadraticGame(FiniteSumOperator):
         if idx is None:
             return np.broadcast_to(self._jacs, (len(xs),) + self._jacs.shape)
         return self._jacs[idx]
+
+    def batch_values_and_jacobians(self, xs: np.ndarray, idx=None):
+        """Sampled values from the one gather of the Jacobians returned,
+        by the product batch_values takes."""
+        if idx is None:
+            return self.batch_values(xs), self.batch_jacobians(xs)
+        jacs = self._jacs[idx]
+        return (jacs @ xs[:, None, :, None])[..., 0] + self._offsets[idx], jacs
 
     def batch_full_value(self, xs: np.ndarray) -> np.ndarray:
         return (self._j_mean @ xs[:, :, None])[:, :, 0] + self._r_mean

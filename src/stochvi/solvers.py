@@ -239,7 +239,7 @@ def solver_step(
 
 
 class _BatchEstimator:
-    """Estimator value_v(x) and products J_v(x)^T w for S points at once.
+    """Estimator value_v(x) and Jacobian J_v(x) for S points at once.
 
     ``sel`` holds one row of draw_many per point (None for the full batch).
     Terms are scaled and summed in index order with the unit-scale skip, as
@@ -284,20 +284,24 @@ class _BatchEstimator:
             started |= hit
         return acc
 
-    def value(self, sel, xs: np.ndarray) -> np.ndarray:
-        if self.independent:
-            return self._masked_sum(sel, self.op.batch_values(xs))
-        return self._sum(self.op.batch_values(xs, sel))
+    def _reduce(self, sel, terms: np.ndarray) -> np.ndarray:
+        return self._masked_sum(sel, terms) if self.independent else self._sum(terms)
 
-    def jac_t(self, sel, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Row s is J_{sel[s]}(xs[s])^T w[s]."""
-        if self.full_jacobian is not None:
-            jac = self.full_jacobian
-        elif self.independent:
-            jac = self._masked_sum(sel, self.op.batch_jacobians(xs))
-        else:
-            jac = self._sum(self.op.batch_jacobians(xs, sel))
-        return (w[:, None, :] @ jac)[:, 0]
+    def evaluate(self, sel, xs: np.ndarray, jacobian: bool = False):
+        """(value_{sel[s]}(xs[s]) per row, and with ``jacobian`` the
+        estimator Jacobians J_{sel[s]}(xs[s]), else None).  Values and
+        Jacobians come from one read of the sampled components."""
+        idx = None if self.independent else sel
+        if jacobian and self.full_jacobian is None:
+            vals, jacs = self.op.batch_values_and_jacobians(xs, idx)
+            return self._reduce(sel, vals), self._reduce(sel, jacs)
+        jac = self.full_jacobian if jacobian else None
+        return self._reduce(sel, self.op.batch_values(xs, idx)), jac
+
+
+def _jac_t(jac: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row s is jac[s]^T w[s] (jac may be one matrix for every row)."""
+    return (w[:, None, :] @ jac)[:, 0]
 
 
 def _row_dots(a: np.ndarray) -> np.ndarray:
@@ -434,7 +438,7 @@ def run_batch(config: RunConfig, seeds: int, record_iterates: bool = False) -> l
         alpha, gamma = steps[k]
         if alpha != 0.0 or gamma != 0.0:
             v = None if draws is None else draws[:, v_at[k]]
-            val_v = estimator.value(v, x)
+            val_v, jac_v = estimator.evaluate(v, x, jacobian=gamma != 0.0)
             out = x
             if alpha != 0.0:
                 out = out - alpha * val_v
@@ -442,8 +446,8 @@ def run_batch(config: RunConfig, seeds: int, record_iterates: bool = False) -> l
                 # (J_v^T value_u + J_u^T value_v) / 2, the pairing of
                 # stochastic_hamiltonian_gradient(op, x, v, u, val_u=value_v)
                 u = None if draws is None else draws[:, v_at[k] + 1]
-                val_u = estimator.value(u, x)
-                grad = 0.5 * (estimator.jac_t(v, x, val_u) + estimator.jac_t(u, x, val_v))
+                val_u, jac_u = estimator.evaluate(u, x, jacobian=True)
+                grad = 0.5 * (_jac_t(jac_v, val_u) + _jac_t(jac_u, val_v))
                 out = out - gamma * grad
             x = out
         record(k + 1)

@@ -9,12 +9,13 @@ witness point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import constants as consts
-from .errors import NoEquilibriumError, TooFewSeedsError
+from .errors import ConfigError, NoEquilibriumError, TooFewSeedsError
 from .operators import FiniteSumOperator
 from .sampling import SamplingScheme, enumerate_support, support_weights
 from .solvers import RunTrace, ScoSwitchingSchedule, SgdaSwitchingSchedule
@@ -241,7 +242,7 @@ def check_unbiasedness(
         res_val = float(np.linalg.norm(mean_est - target))
         scale_val = 1.0 + float(np.linalg.norm(target))
 
-        jacs = np.stack([op.component_jacobian(i, x) for i in range(op.n)])
+        jacs = op.batch_jacobians(x[None])[0]
         # u and v are independent, so the mean of (J_u^T val_v + J_v^T val_u) / 2
         # over all support pairs factors into (sum_k p_k J_k)^T (sum_l p_l val_l).
         mean_jac = np.einsum("n,nij->ij", probs @ w, jacs)
@@ -271,6 +272,12 @@ def check_bound_envelope(
     terms zero), in which case a single deterministic trace is a valid
     degenerate set.  Switching bounds are only evaluated from their switch
     point onward.  The margin at iteration k is slack - mean_k / bound_k.
+
+    A trace the divergence guard stopped fails the check outright, once the
+    bound's step-size range has been checked: its worst margin is -inf, its
+    witness the earliest stop iteration, and details["diverged"] lists the
+    (seed, stop iteration) of each such trace.  Traces of unequal length
+    without divergence are a ConfigError.
     """
     if not traces:
         raise TooFewSeedsError("no traces supplied")
@@ -279,7 +286,16 @@ def check_bound_envelope(
         raise TooFewSeedsError(f"need >= 30 traces for noisy bounds, got {len(traces)}")
     if any(t.dist_sq is None for t in traces):
         raise NoEquilibriumError("envelope check needs distance-tracked traces")
-    length = min(len(t.dist_sq) for t in traces)
+    diverged = tuple((t.seed, len(t.alphas)) for t in traces if t.diverged)
+    lengths = sorted({len(t.dist_sq) for t in traces})
+    if not diverged and len(lengths) > 1:
+        raise ConfigError(
+            f"envelope traces have unequal lengths {lengths[0]}..{lengths[-1]} "
+            "without divergence"
+        )
+    # The common length; with divergence the shortest trace's, read only
+    # for the step-size gate.
+    length = lengths[0]
     dists = np.stack([t.dist_sq[:length] for t in traces])
     mean = dists.mean(axis=0)
     r0_sq = float(mean[0])
@@ -297,6 +313,19 @@ def check_bound_envelope(
         k_hi = min(k_hi, k_range[1])
     if k_lo < 1:
         k_lo = 1 if bound in (consts.SGDA_SWITCHING, consts.SCO_SWITCHING) else 0
+    name = f"bound_envelope[{bound}]"
+    if diverged:
+        # A step size outside the bound's range is a configuration error first.
+        consts.theoretical_bound(bound, k_lo, r0_sq, **params)
+        return CheckReport(
+            name=name,
+            passed=False,
+            worst_margin=-math.inf,
+            tolerance=0.0,
+            points=0,
+            witness=min(k for _, k in diverged),
+            details={"slack": slack, "seeds": len(traces), "diverged": diverged},
+        )
     if k_hi < k_lo:
         raise TooFewSeedsError("no iterations in the requested envelope range")
 
@@ -307,7 +336,7 @@ def check_bound_envelope(
         margins[j] = slack - mean[k] / b
     worst = int(np.argmin(margins))
     return CheckReport(
-        name=f"bound_envelope[{bound}]",
+        name=name,
         passed=bool(margins[worst] >= 0.0),
         worst_margin=float(margins[worst]),
         tolerance=0.0,

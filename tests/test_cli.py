@@ -1,15 +1,20 @@
 import contextlib
+import copy
+import dataclasses
 import io
 import json
+import math
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import stochvi
+from stochvi import numerics
 from stochvi import constants as C
 from stochvi import experiments as E
 from stochvi.cli import main
@@ -449,3 +454,152 @@ def test_any_argv_maps_to_a_documented_exit_code(cli_files, data):
             code = 2
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# property test: a mutated game file exits 2 exactly when it breaks the schema
+# ---------------------------------------------------------------------------
+
+_GAME_AXES = {"A": ("n", "d1", "d1"), "B": ("n", "d1", "d2"), "C": ("n", "d2", "d2"),
+              "a": ("n", "d1"), "c": ("n", "d2")}
+
+
+def _nest_shape(value):
+    """Shape of a rectangular nest of lists with JSON numbers at the leaves,
+    else None."""
+    if type(value) in (int, float):
+        return ()
+    if not isinstance(value, list):
+        return None
+    shapes = {_nest_shape(v) for v in value}
+    if None in shapes or len(shapes) > 1:
+        return None
+    return (len(value),) + (shapes.pop() if shapes else ())
+
+
+def _generator_ok(gen):
+    names = [f.name for f in dataclasses.fields(E.GameGenConfig)]
+    if not isinstance(gen, dict) or sorted(gen) != sorted(names):
+        return False
+    for name, value in gen.items():
+        if name in ("n", "d1", "d2", "seed"):
+            if type(value) is not int or value < 0:
+                return False
+        elif type(value) not in (int, float) or not math.isfinite(value):
+            return False
+    try:
+        E.GameGenConfig(**gen)
+    except E.InvalidRangeError:
+        return False
+    return True
+
+
+def _schema_ok(doc):
+    """Whether ``doc`` is a game document as read_game documents it."""
+    if not isinstance(doc, dict):
+        return False
+    version = doc.get("format_version")
+    if type(version) is not int or version != 1:
+        return False
+    dims = {key: doc.get(key) for key in ("n", "d1", "d2")}
+    if not all(type(v) is int and v >= 1 for v in dims.values()):
+        return False
+    for key, axes in _GAME_AXES.items():
+        shape = [dims[axis] for axis in axes]
+        nest = _nest_shape(doc.get(key))
+        if nest is None or math.prod(nest) != math.prod(shape):
+            return False
+        values = np.array(doc[key], dtype=float).reshape(shape)
+        if not np.isfinite(values).all():
+            return False
+        if key in ("A", "C") and any(
+            numerics.relative_asymmetry(m) > numerics.SYMMETRY_RTOL for m in values
+        ):
+            return False
+    return doc.get("generator") is None or _generator_ok(doc["generator"])
+
+
+def _paths(node, path=()):
+    """Every position in a JSON document, the root included."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+@st.composite
+def _mutated_game(draw, doc):
+    """``doc`` after one to three mutations: a key or entry dropped, a value
+    retyped, a list resized, or a number made non-finite."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        kind = draw(st.sampled_from(("drop", "retype", "resize", "non_finite")))
+        if kind == "drop" and len(paths) > 1:
+            path = draw(st.sampled_from(paths[1:]))
+            del _at(doc, path[:-1])[path[-1]]
+        elif kind == "resize" and any(isinstance(_at(doc, p), list) for p in paths):
+            path = draw(st.sampled_from([p for p in paths if isinstance(_at(doc, p), list)]))
+            node = _at(doc, path)
+            if node and draw(st.booleans()):
+                node.pop(draw(st.integers(0, len(node) - 1)))
+            else:
+                node.append(copy.deepcopy(node[-1]) if node else 0.5)
+        elif kind == "non_finite" and any(type(_at(doc, p)) in (int, float) for p in paths):
+            path = draw(st.sampled_from([p for p in paths if type(_at(doc, p)) in (int, float)]))
+            doc = _replace(doc, path, draw(st.sampled_from((math.nan, math.inf, -math.inf))))
+        else:
+            path = draw(st.sampled_from(paths))
+            value = _at(doc, path)
+            options = [str(value), True, None, [value], {"value": value}]
+            if type(value) is int:
+                options.append(float(value))
+            doc = _replace(doc, path, copy.deepcopy(draw(st.sampled_from(options))))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def valid_game_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("game_doc") / "game.json"
+    assert main(["generate", "--n", "2", "--d1", "1", "--d2", "2", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def test_valid_game_doc_meets_the_schema(valid_game_doc):
+    assert _schema_ok(valid_game_doc)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_game_file_exits_2_exactly_when_it_breaks_the_schema(
+    valid_game_doc, tmp_path_factory, data
+):
+    doc = data.draw(_mutated_game(valid_game_doc))
+    path = tmp_path_factory.getbasetemp() / "mutated_game.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["constants", str(path)])
+    assert "Traceback" not in err.getvalue()
+    if _schema_ok(doc):
+        assert code in (0, 3), doc
+    else:
+        assert code == 2, doc
+    if code != 0:
+        assert len(err.getvalue().strip().splitlines()) == 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stochvi import constants as C
+from stochvi import experiments as E
 from stochvi import numerics
 from stochvi.errors import (
     ConfigError,
@@ -339,6 +340,85 @@ def test_hamiltonian_es_inequality_single_element():
         lhs /= 25.0
         rhs = ham.cal_l_h * (w @ (q @ w))
         assert lhs <= rhs + 1e-9 * (1 + lhs)
+
+
+def reference_hamiltonian_constants(game, scheme):
+    """The literal definition: one eigvalsh per pair Hessian and one running
+    total of the squared pair gradients, over all n^2 pairs."""
+    svals = numerics.singular_values(game.mean_jacobian())
+    l_h, mu_h = float(svals[0] ** 2), float(svals[-1] ** 2)
+    if scheme.batch_size == scheme.n:
+        return C.HamiltonianConstants(mu_h=mu_h, l_h=l_h, cal_l_h=l_h, sigma_h_sq=0.0)
+    jacs = game.component_jacobians
+    vals = game.component_values(game.equilibrium())
+    cal_l_h = 0.0
+    sigma_h_sq = 0.0
+    for i in range(game.n):
+        jti = jacs[i].T
+        for j in range(game.n):
+            hess = 0.5 * (jti @ jacs[j] + jacs[j].T @ jacs[i])
+            cal_l_h = max(cal_l_h, float(np.abs(np.linalg.eigvalsh(hess)).max()))
+            grad = 0.5 * (jti @ vals[j] + jacs[j].T @ vals[i])
+            sigma_h_sq += float(grad @ grad)
+    return C.HamiltonianConstants(
+        mu_h=mu_h, l_h=l_h, cal_l_h=cal_l_h, sigma_h_sq=sigma_h_sq / game.n**2
+    )
+
+
+def _stacked_game(components, offsets_seed):
+    # a game whose components are the given (A, B, C) triples
+    a, b, c = (np.stack(parts) for parts in zip(*components))
+    rng = numerics.make_rng(offsets_seed)
+    n, d1, d2 = b.shape
+    return QuadraticGame(a, b, c, rng.standard_normal((n, d1)), rng.standard_normal((n, d2)))
+
+
+def _hamiltonian_reference_games():
+    base = random_game(3, 3, 2, seed=90)
+    triple = lambda i, sign=1.0: (sign * base.A[i], sign * base.B[i], sign * base.C[i])
+    games = {
+        "n1": random_game(1, 4, 3, seed=91),
+        "d1_d2_1": random_game(6, 1, 1, seed=92),
+        # every pair Hessian equals every other: all pairs tie
+        "all_equal": _stacked_game([triple(0)] * 5, 93),
+        # components 0 and 1 are negatives of each other
+        "negated": _stacked_game([triple(0), triple(0, -1.0), triple(2)], 94),
+    }
+    for n, d1, d2, seed in ((2, 2, 2, 95), (3, 1, 4, 96), (5, 3, 3, 97), (8, 5, 2, 98),
+                            (13, 4, 4, 99), (20, 20, 20, 100)):
+        games[f"n{n}_{d1}x{d2}"] = random_game(n, d1, d2, seed=seed)
+    games["generated_n30"] = E.generate_game(E.GameGenConfig(
+        n=30, d1=7, d2=9, mu_a=1.0, l_a=1.6, mu_b=1.2, l_b=2.4, mu_c=1.0, l_c=1.6, seed=0))
+    return games
+
+
+@pytest.mark.parametrize("name", sorted(_hamiltonian_reference_games()))
+def test_hamiltonian_constants_match_the_pair_loop_bitwise(name):
+    game = _hamiltonian_reference_games()[name]
+    scheme = SamplingScheme.single_element(game.n)
+    got = C.hamiltonian_constants(game, scheme)
+    want = reference_hamiltonian_constants(game, scheme)
+    assert got.cal_l_h == want.cal_l_h
+    assert got.sigma_h_sq == want.sigma_h_sq
+    assert (got.mu_h, got.l_h) == (want.mu_h, want.l_h)
+
+
+def test_hamiltonian_eigvalsh_calls_do_not_grow_with_n(monkeypatch):
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    counts = []
+    for n in (2, 16):
+        calls.clear()
+        C.hamiltonian_constants(random_game(n, 2, 2, seed=101),
+                                SamplingScheme.single_element(n))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,18 @@ def test_csv_schema_and_roundtrip(tmp_path):
         assert src.ci_high.tobytes() == dst.ci_high.tobytes()
 
 
+def test_aggregate_rejects_a_run_started_at_the_equilibrium():
+    game = random_game(3, 2, 2, seed=12)
+    scheme = SamplingScheme.single_element(3)
+    traces = [run(RunConfig(method="sgda", operator=game, scheme=scheme,
+                            schedule=ConstantSchedule(alpha=0.05), iterations=10, seed=seed,
+                            x0=game.equilibrium() if seed == 4 else None))
+              for seed in (3, 4)]
+    assert traces[1].dist_sq[0] == 0.0
+    with pytest.raises(ConfigError, match="seed 4"):
+        E.aggregate_traces("sgda", traces)
+
+
 def test_aggregate_over_running_seeds(tmp_path):
     # seeds diverge at different iterations and some run to the end: each
     # iteration averages the seeds whose traces reach it

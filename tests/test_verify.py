@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from stochvi import constants as C
 from stochvi import numerics
 from stochvi import verify as V
+from stochvi.experiments import run_seeds
 from stochvi.errors import (
+    ConfigError,
     NoEquilibriumError,
     StepSizeOutOfRangeError,
     TooFewSeedsError,
@@ -299,6 +303,38 @@ def test_envelope_switching_schedule_long_range():
     report = V.check_bound_envelope(traces, C.SGDA_SWITCHING, params, slack=1.1)
     assert report.passed
     assert report.details["k_range"][0] == sched.switch_point
+
+
+def test_envelope_fails_on_staggered_divergence():
+    # seeds diverge at different iterations and others run to the end; the
+    # check neither drops the diverged seeds nor cuts the survivors short
+    game = random_game(4, 2, 2, seed=3)
+    scheme = SamplingScheme.single_element(4)
+    traces = run_seeds("sgda", game, scheme, ConstantSchedule(alpha=0.75), 300, 40)
+    stops = [(t.seed, len(t.alphas)) for t in traces if t.diverged]
+    assert len({k for _, k in stops}) >= 3 and len(stops) < len(traces)
+    gc = C.game_constants(game)
+    ec = C.ec_constants(gc, scheme, game)
+    params = dict(alpha=1.0 / (2.0 * ec.ell_xi), mu=gc.mu, ell_xi=ec.ell_xi,
+                  sigma_sq=ec.sigma_sq)
+    report = V.check_bound_envelope(traces, C.SGDA_CONSTANT, params, slack=1.05)
+    assert not report.passed
+    assert report.passed == (report.worst_margin >= -report.tolerance)
+    assert report.witness == min(k for _, k in stops)
+    assert report.details["diverged"] == tuple(stops)
+
+
+def test_envelope_rejects_unequal_lengths_without_divergence():
+    game = random_game(3, 2, 2, seed=84)
+    scheme = SamplingScheme.single_element(3)
+    gc = C.game_constants(game)
+    ec = C.ec_constants(gc, scheme, game)
+    alpha = 1.0 / (2.0 * ec.ell_xi)
+    traces = run_seeds("sgda", game, scheme, ConstantSchedule(alpha=alpha), 40, 30)
+    traces[7] = dataclasses.replace(traces[7], dist_sq=traces[7].dist_sq[:-5])
+    params = dict(alpha=alpha, mu=gc.mu, ell_xi=ec.ell_xi, sigma_sq=ec.sigma_sq)
+    with pytest.raises(ConfigError):
+        V.check_bound_envelope(traces, C.SGDA_CONSTANT, params, slack=1.05)
 
 
 def test_reports_are_self_certifying():

@@ -132,23 +132,26 @@ def generate_game(cfg: GameGenConfig, rng: np.random.Generator | None = None) ->
 
 
 def write_game(path, game: QuadraticGame, gen: GameGenConfig | None = None) -> None:
-    """Serialize a game (and the generator config that produced it, if any)."""
-    doc = {
+    """Serialize a game (and the generator config that produced it, if any)
+    as json.dump(doc, indent=1) plus a newline would, but one component row
+    at a time: json's indenting encoder is pure Python."""
+    head = {
         "format_version": GAME_FORMAT_VERSION,
         "n": game.n,
         "d1": game.d1,
         "d2": game.d2,
         "seed": gen.seed if gen is not None else None,
         "generator": asdict(gen) if gen is not None else None,
-        "A": [game.A[i].reshape(-1).tolist() for i in range(game.n)],
-        "B": [game.B[i].reshape(-1).tolist() for i in range(game.n)],
-        "C": [game.C[i].reshape(-1).tolist() for i in range(game.n)],
-        "a": [game.a[i].tolist() for i in range(game.n)],
-        "c": [game.c[i].tolist() for i in range(game.n)],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(head, indent=1)[:-2])  # without the closing "\n}"
+        for key in ("A", "B", "C", "a", "c"):
+            sep = f',\n "{key}": [\n  [\n   '
+            for row in getattr(game, key).reshape(game.n, -1):
+                fh.write(sep + ",\n   ".join(map(float.__repr__, row.tolist())))
+                sep = "\n  ],\n  [\n   "
+            fh.write("\n  ]\n ]")
+        fh.write("\n}\n")
 
 
 def read_game(path):
@@ -162,7 +165,8 @@ def read_game(path):
     entries, A_i / C_i that are not symmetric, or a generator that is
     neither null nor an object with exactly the GameGenConfig fields
     (integer n, d1, d2 and seed >= 0, finite numbers in valid ranges).  The
-    top-level "seed" repeats the generator's and is not read.
+    top-level "seed", when present, must repeat the generator's: null
+    without a generator, else the integer generator seed.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -198,6 +202,9 @@ def read_game(path):
         gen = _generator_config(doc.get("generator"))
     except (TypeError, ValueError) as exc:  # asymmetric A_i / C_i, non-finite entries
         raise ConfigError(f"game file {path}: {exc}") from None
+    seed = None if gen is None else gen.seed
+    if "seed" in doc and (type(doc["seed"]) is not type(seed) or doc["seed"] != seed):
+        raise ConfigError(f"game file {path}: seed {doc['seed']!r} is not generator seed {seed!r}")
     return game, gen
 
 
@@ -456,11 +463,10 @@ def emit_csv(table: AggregateTable, path) -> None:
         raise ConfigError("refusing to emit an empty table")
     lines = [CSV_HEADER]
     for row in table.rows:
-        for k in range(row.mean.size):
-            lines.append(
-                f"{row.method},{k},{float(row.mean[k])!r},{float(row.ci_low[k])!r},"
-                f"{float(row.ci_high[k])!r},{row.running[k]}"
-            )
+        columns = zip(row.mean.tolist(), row.ci_low.tolist(), row.ci_high.tolist(),
+                      row.running.tolist())
+        for k, (mean, low, high, running) in enumerate(columns):
+            lines.append(f"{row.method},{k},{mean!r},{low!r},{high!r},{running}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -518,7 +524,7 @@ def _svg_coords(ks, values, k_max, log_lo, log_hi):
 
 
 def _path(xs, ys) -> str:
-    return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
 
 
 def emit_svg(table: AggregateTable, path) -> None:

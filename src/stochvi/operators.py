@@ -3,10 +3,10 @@
 An operator is any object exposing ``n``, ``dim``, ``component_value``,
 ``component_jacobian`` and (optionally) ``equilibrium``.  Downstream code
 reads all component values through ``component_values`` and the mean value
-through ``full_value``, and solvers read both for a batch of points through
-``batch_values``, ``batch_jacobians``, ``batch_values_and_jacobians`` and
-``batch_full_value``; subclasses may override any of them with a faster
-route.
+through ``full_value``, and solvers read component values and Jacobians for
+a batch of points through ``batch_values``, ``batch_jacobians`` and
+``batch_values_and_jacobians``; subclasses may override any of them with a
+faster route.
 Nothing downstream assumes affinity except where documented.  Operators are
 immutable after construction and all evaluation is pure, so instances can be
 shared freely and replayed exactly.
@@ -86,10 +86,6 @@ class FiniteSumOperator(ABC):
         """(batch_values, batch_jacobians) of the same entries, so that an
         override can read each sampled component once for both."""
         return self.batch_values(xs, idx), self.batch_jacobians(xs, idx)
-
-    def batch_full_value(self, xs: np.ndarray) -> np.ndarray:
-        """full_value at each row of xs, shape (S, dim)."""
-        return np.array([self.full_value(x) for x in xs])
 
     @property
     def has_equilibrium(self) -> bool:
@@ -196,9 +192,6 @@ class QuadraticGame(FiniteSumOperator):
             return self.batch_values(xs), self.batch_jacobians(xs)
         jacs = self._jacs[idx]
         return (jacs @ xs[:, None, :, None])[..., 0] + self._offsets[idx], jacs
-
-    def batch_full_value(self, xs: np.ndarray) -> np.ndarray:
-        return (self._j_mean @ xs[:, :, None])[:, :, 0] + self._r_mean
 
     # Same function under its older name: perfbench/tracer.py wraps each
     # QuadraticGame method it finds in the class body, this name included.

@@ -318,10 +318,10 @@ def _row_dots(a: np.ndarray) -> np.ndarray:
 class RunConfig:
     """One seeded solver run.
 
-    The default initial point is a seed-derived standard-normal direction
-    placed at distance exactly 1 from the equilibrium when it is known
-    (traces are then directly relative distances), or a unit-norm vector
-    otherwise.
+    A run is recorded as its distance to the equilibrium, so the operator
+    must have one.  The default initial point is a seed-derived
+    standard-normal direction placed at distance exactly 1 from it (traces
+    are then directly relative distances).
     """
 
     method: str
@@ -343,21 +343,22 @@ class RunConfig:
             )
         if self.method in DETERMINISTIC_METHODS and not self.scheme.is_deterministic:
             raise ConfigError(f"{self.method} requires the full-batch scheme")
+        if not self.operator.has_equilibrium:
+            raise ConfigError(f"{type(self.operator).__name__} has no equilibrium to run against")
 
 
 @dataclass
 class RunTrace:
     """Per-iteration record of one run.
 
-    dist_sq and op_norm_sq have length iterations+1 unless the divergence
-    guard truncated the run, in which case ``diverged`` is set and the
-    arrays end at the offending iterate.
+    dist_sq, the squared distance to the equilibrium, has length
+    iterations+1 unless the divergence guard truncated the run, in which
+    case ``diverged`` is set and it ends at the offending iterate.
     """
 
     method: str
     seed: int
-    dist_sq: np.ndarray | None
-    op_norm_sq: np.ndarray
+    dist_sq: np.ndarray
     final_x: np.ndarray
     alphas: np.ndarray
     gammas: np.ndarray
@@ -373,7 +374,7 @@ def _initial_point(config: RunConfig, rng: np.random.Generator, x_star) -> np.nd
         return x0.copy()
     g = rng.standard_normal(config.operator.dim)
     g /= np.linalg.norm(g)
-    return g if x_star is None else x_star + g
+    return x_star + g
 
 
 def run(config: RunConfig, record_iterates: bool = False) -> RunTrace:
@@ -388,19 +389,19 @@ def run_batch(config: RunConfig, seeds: int, record_iterates: bool = False) -> l
 
     Per iteration: evaluate (alpha_k, gamma_k), take seed s's v draw and, when
     a nonzero Hamiltonian step will be taken, its u draw, apply the step, and
-    record |x - x*|^2 (when the equilibrium is known) and |value(x)|^2.  Each
-    seed's draws come from its own generator, drawn up front in the order
-    the steps consume them, and every batched product is bitwise its
-    one-point counterpart, so a seed's trace does not depend on which seeds
-    share its batch.  A seed that trips the divergence guard leaves the
-    batch there; the others go on.  ``record_iterates`` keeps the first
-    seed's iterates.
+    record |x - x*|^2.  Each seed's draws come from its own generator, drawn
+    up front in the order the steps consume them, and every batched product
+    is bitwise its one-point counterpart, so a seed's trace does not depend
+    on which seeds share its batch.  A seed whose iterate is not finite or,
+    from a start off x*, beyond DIVERGENCE_FACTOR times its initial squared
+    distance leaves the batch there; the others go on.  ``record_iterates``
+    keeps the first seed's iterates.
     """
     if seeds < 1:
         raise ConfigError("need at least one seed")
     op = config.operator
     k_max = config.iterations
-    x_star = op.equilibrium() if op.has_equilibrium else None
+    x_star = op.equilibrium()
     steps = [_applied_steps(config.method, *config.schedule.at(k)) for k in range(k_max)]
     alphas = np.array([a for a, _ in steps])
     gammas = np.array([g for _, g in steps])
@@ -417,23 +418,19 @@ def run_batch(config: RunConfig, seeds: int, record_iterates: bool = False) -> l
     draws = None if draws[0] is None else np.stack(draws)
     estimator = _BatchEstimator(op, config.scheme)
 
-    dist = None if x_star is None else np.empty((seeds, k_max + 1))
-    opn = np.empty((seeds, k_max + 1))
+    dist = np.empty((seeds, k_max + 1))
     iterates = np.empty((k_max + 1, op.dim)) if record_iterates else None
     steps_done = np.full(seeds, k_max)
     diverged = np.zeros(seeds, dtype=bool)
     final_x = np.empty((seeds, op.dim))
     active = np.arange(seeds)
 
-    def record(k):
-        if iterates is not None and active[0] == 0:
-            iterates[k] = x[0]
-        val = op.batch_full_value(x)
-        opn[active, k] = _row_dots(val)
-        if dist is not None:
-            dist[active, k] = _row_dots(x - x_star)
-
-    record(0)
+    d0 = dist[:, 0] = _row_dots(x - x_star)
+    # A row within its limit is finite and not diverged, so one comparison
+    # clears a step; the full predicate runs only when some row is beyond it.
+    limit = np.minimum(np.where(d0 > 0.0, DIVERGENCE_FACTOR * d0, np.inf), np.finfo(float).max)
+    if iterates is not None:
+        iterates[0] = x[0]
     for k in range(k_max):
         alpha, gamma = steps[k]
         if alpha != 0.0 or gamma != 0.0:
@@ -445,23 +442,28 @@ def run_batch(config: RunConfig, seeds: int, record_iterates: bool = False) -> l
             if gamma != 0.0:
                 # (J_v^T value_u + J_u^T value_v) / 2, the pairing of
                 # stochastic_hamiltonian_gradient(op, x, v, u, val_u=value_v)
-                u = None if draws is None else draws[:, v_at[k] + 1]
-                val_u, jac_u = estimator.evaluate(u, x, jacobian=True)
-                grad = 0.5 * (_jac_t(jac_v, val_u) + _jac_t(jac_u, val_v))
+                if draws is None:  # no draws: u's estimate is v's
+                    term = _jac_t(jac_v, val_v)
+                    grad = 0.5 * (term + term)
+                else:
+                    val_u, jac_u = estimator.evaluate(draws[:, v_at[k] + 1], x, jacobian=True)
+                    grad = 0.5 * (_jac_t(jac_v, val_u) + _jac_t(jac_u, val_v))
                 out = out - gamma * grad
             x = out
-        record(k + 1)
-        bad = ~np.isfinite(x).all(axis=1)
-        if dist is not None:
-            dist0 = dist[active, 0]
-            bad |= (dist0 > 0.0) & (dist[active, k + 1] > DIVERGENCE_FACTOR * dist0)
+        if iterates is not None and active[0] == 0:
+            iterates[k + 1] = x[0]
+        d = _row_dots(x - x_star)
+        dist[active, k + 1] = d
+        if (d <= limit).all():
+            continue
+        bad = ~np.isfinite(x).all(axis=1) | (d0 > 0.0) & (d > DIVERGENCE_FACTOR * d0)
         if bad.any():
             stopped = active[bad]
             steps_done[stopped] = k + 1
             diverged[stopped] = True
             final_x[stopped] = x[bad]
             keep = ~bad
-            active, x = active[keep], x[keep]
+            active, x, d0, limit = active[keep], x[keep], d0[keep], limit[keep]
             if draws is not None:
                 draws = draws[keep]
             if active.size == 0:
@@ -475,8 +477,7 @@ def run_batch(config: RunConfig, seeds: int, record_iterates: bool = False) -> l
         traces.append(RunTrace(
             method=config.method,
             seed=config.seed + s,
-            dist_sq=None if dist is None else dist[s, :end],
-            op_norm_sq=opn[s, :end],
+            dist_sq=dist[s, :end],
             final_x=final_x[s],
             alphas=alphas[:done].copy(),
             gammas=gammas[:done].copy(),

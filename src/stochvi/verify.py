@@ -284,8 +284,6 @@ def check_bound_envelope(
     noise = params.get("sigma_sq", 0.0) + params.get("sigma_h_sq", 0.0)
     if len(traces) < 30 and noise > 0.0:
         raise TooFewSeedsError(f"need >= 30 traces for noisy bounds, got {len(traces)}")
-    if any(t.dist_sq is None for t in traces):
-        raise NoEquilibriumError("envelope check needs distance-tracked traces")
     diverged = tuple((t.seed, len(t.alphas)) for t in traces if t.diverged)
     lengths = sorted({len(t.dist_sq) for t in traces})
     if not diverged and len(lengths) > 1:

@@ -25,6 +25,8 @@ from stochvi.solvers import (
     run,
 )
 
+from test_solvers import reference_run
+
 
 @contextmanager
 def criterion(num, label):
@@ -350,9 +352,8 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
         assert c1.read_bytes() == c2.read_bytes()
         assert s1.read_bytes() == s2.read_bytes()
 
-        r1 = run(RunConfig(method="sgda", operator=g1, scheme=scheme,
-                           schedule=ConstantSchedule(alpha=0.05), iterations=50, seed=9))
-        r2 = run(RunConfig(method="sgda", operator=g1, scheme=scheme,
-                           schedule=ConstantSchedule(alpha=0.05), iterations=50, seed=9))
+        rcfg = RunConfig(method="sgda", operator=g1, scheme=scheme,
+                         schedule=ConstantSchedule(alpha=0.05), iterations=50, seed=9)
+        r1, r2 = run(rcfg, record_iterates=True), run(rcfg)
         assert r1.dist_sq.tobytes() == r2.dist_sq.tobytes()
-        assert r1.op_norm_sq.tobytes() == r2.op_norm_sq.tobytes()
+        assert r1.iterates.tobytes() == reference_run(rcfg)[1].tobytes()

@@ -148,6 +148,10 @@ def _game_text(**changes):
     return json.dumps(doc)
 
 
+_GENERATOR = {"n": 1, "d1": 1, "d2": 1, "mu_a": 1.0, "l_a": 1.0, "mu_b": 0.5, "l_b": 0.5,
+              "mu_c": 1.0, "l_c": 1.0, "seed": 4}
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -160,9 +164,12 @@ def _game_text(**changes):
         _game_text(d1=2, A=[[1.0, 2.0, 0.0, 1.0]], B=[[0.5, 0.5]], a=[[0.0, 0.0]]),
         _game_text(A=[["1.5"]]),
         _game_text(A=[[True]]),
+        _game_text(generator=_GENERATOR, seed=5),
+        _game_text(generator=_GENERATOR, seed="4"),
     ],
     ids=["missing_key", "invalid_json", "not_an_object", "non_integer_header",
-         "size_mismatch", "nan_entry", "asymmetric", "numeric_string", "boolean"],
+         "size_mismatch", "nan_entry", "asymmetric", "numeric_string", "boolean",
+         "seed_mismatch", "string_seed"],
 )
 def test_malformed_game_file_is_config_error(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
@@ -171,6 +178,15 @@ def test_malformed_game_file_is_config_error(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("changes", [{}, {"seed": None}, {"generator": _GENERATOR},
+                                     {"generator": _GENERATOR, "seed": 4}],
+                         ids=["no_seed", "null_seed", "generator", "matching_seed"])
+def test_game_file_seed_repeating_the_generator_loads(tmp_path, changes):
+    path = tmp_path / "game.json"
+    path.write_text(_game_text(**changes))
+    assert main(["constants", str(path)]) == 0
 
 
 def test_run_constant_schedule_needs_a_step(game_file, tmp_path, capsys):
@@ -516,7 +532,13 @@ def _schema_ok(doc):
             numerics.relative_asymmetry(m) > numerics.SYMMETRY_RTOL for m in values
         ):
             return False
-    return doc.get("generator") is None or _generator_ok(doc["generator"])
+    gen = doc.get("generator")
+    if gen is not None and not _generator_ok(gen):
+        return False
+    if "seed" not in doc:
+        return True
+    seed = doc["seed"]
+    return seed is None if gen is None else type(seed) is int and seed == gen["seed"]
 
 
 def _paths(node, path=()):

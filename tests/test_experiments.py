@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -119,6 +122,49 @@ def test_game_file_rewrite_identical_bytes(tmp_path):
     loaded, gen = E.read_game(p1)
     E.write_game(p2, loaded, gen)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _game_doc(game, gen):
+    """The game file document, as json.dump would be given it."""
+    return {
+        "format_version": 1, "n": game.n, "d1": game.d1, "d2": game.d2,
+        "seed": None if gen is None else gen.seed,
+        "generator": None if gen is None else dataclasses.asdict(gen),
+        "A": [m.reshape(-1).tolist() for m in game.A],
+        "B": [m.reshape(-1).tolist() for m in game.B],
+        "C": [m.reshape(-1).tolist() for m in game.C],
+        "a": game.a.tolist(),
+        "c": game.c.tolist(),
+    }
+
+
+def _one_entry_game(value, sym=1.0):
+    # n = 1, d1 = d2 = 1 with ``value`` in B, a and c
+    return E.QuadraticGame([[[sym]]], [[[value]]], [[[sym]]], [[value]], [[-value]])
+
+
+@pytest.mark.parametrize("case", ["n1_d1", "no_generator", "negative_zero", "subnormal",
+                                  "huge_and_tiny"])
+def test_write_game_bytes_are_json_dump_indent_1(tmp_path, case):
+    gen = small_cfg(seed=3)
+    game = E.generate_game(gen)
+    if case == "n1_d1":
+        gen = small_cfg(seed=4, n=1, d1=1, d2=1)
+        game = E.generate_game(gen)
+    elif case == "no_generator":
+        gen = None
+    elif case == "negative_zero":
+        game, gen = _one_entry_game(-0.0, sym=-0.0), None
+    elif case == "subnormal":
+        game = _one_entry_game(5e-324, sym=2.2e-308)
+    elif case == "huge_and_tiny":
+        game = E.QuadraticGame(
+            [[[1e300, -1e-300], [-1e-300, 1e-300]]], [[[1e300], [-1e300]]], [[[-1e-300]]],
+            [[1e-300, -1e300]], [[1e300]])
+    path = tmp_path / "game.json"
+    E.write_game(path, game, gen)
+    want = json.dumps(_game_doc(game, gen), indent=1) + "\n"
+    assert path.read_bytes() == want.encode()
 
 
 def test_game_file_version_gate(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from stochvi.solvers import (
     ScoSwitchingSchedule,
     SgdaSwitchingSchedule,
     run,
+    run_batch,
     sampled_jacobian,
     sampled_value,
     solver_step,
@@ -243,9 +246,9 @@ def test_run_is_deterministic_bitwise():
         iterations=200,
         seed=123,
     )
-    t1, t2 = run(cfg), run(cfg)
+    t1, t2 = run(cfg, record_iterates=True), run(cfg)
     assert t1.dist_sq.tobytes() == t2.dist_sq.tobytes()
-    assert t1.op_norm_sq.tobytes() == t2.op_norm_sq.tobytes()
+    assert t1.iterates.tobytes() == reference_run(cfg)[1].tobytes()
     assert t1.final_x.tobytes() == t2.final_x.tobytes()
 
 
@@ -359,10 +362,9 @@ def test_trace_lengths_and_finiteness():
     )
     trace = run(cfg, record_iterates=True)
     assert len(trace.dist_sq) == 101
-    assert len(trace.op_norm_sq) == 101
     assert trace.iterates.shape == (101, game.dim)
     assert np.all(np.isfinite(trace.dist_sq))
-    assert np.all(np.isfinite(trace.op_norm_sq))
+    assert trace.iterates.tobytes() == reference_run(cfg)[1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +374,17 @@ def test_trace_lengths_and_finiteness():
 
 def reference_run(cfg):
     """One seed, one point at a time, from the single-point definitions:
-    draw v (and u for a nonzero Hamiltonian step), solver_step, record."""
+    draw v (and u for a nonzero Hamiltonian step), solver_step, record,
+    and stop at an iterate that is not finite or, from a start away from
+    x*, more than DIVERGENCE_FACTOR times the initial squared distance away.
+    Returns (dist_sq, iterates, final x)."""
     op, rng = cfg.operator, numerics.make_rng(cfg.seed)
     x_star = op.equilibrium()
-    g = rng.standard_normal(op.dim)
-    x = x_star + g / np.linalg.norm(g)
+    if cfg.x0 is None:
+        g = rng.standard_normal(op.dim)
+        x = x_star + g / np.linalg.norm(g)
+    else:
+        x = np.array(cfg.x0, dtype=float)
     xs = [x]
     for k in range(cfg.iterations):
         alpha, gamma = cfg.schedule.at(k)
@@ -388,11 +396,10 @@ def reference_run(cfg):
         xs.append(x)
         dist = (x - x_star) @ (x - x_star)
         dist0 = (xs[0] - x_star) @ (xs[0] - x_star)
-        if not np.all(np.isfinite(x)) or dist > DIVERGENCE_FACTOR * dist0:
+        if not np.all(np.isfinite(x)) or dist0 > 0.0 and dist > DIVERGENCE_FACTOR * dist0:
             break
     dist_sq = np.array([(y - x_star) @ (y - x_star) for y in xs])
-    op_norm_sq = np.array([op.full_value(y) @ op.full_value(y) for y in xs])
-    return dist_sq, op_norm_sq, x
+    return dist_sq, np.array(xs), x
 
 
 BATCH_CASES = {
@@ -425,7 +432,7 @@ BATCH_CASES = {
 
 def assert_same_trace(got, want):
     assert (got.method, got.seed, got.diverged) == (want.method, want.seed, want.diverged)
-    for field in ("dist_sq", "op_norm_sq", "final_x", "alphas", "gammas"):
+    for field in ("dist_sq", "final_x", "alphas", "gammas"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
 
@@ -434,15 +441,19 @@ def test_seed_batch_equals_separate_runs(case):
     method, make_scheme, schedule = BATCH_CASES[case]
     game = random_game(6, 3, 2, seed=20)
     scheme = make_scheme(game.n)
-    batch = run_seeds(method, game, scheme, schedule, 150, 5, base_seed=7)
+    batch = run_seeds(method, game, scheme, schedule, 150, 5, base_seed=7,
+                      record_iterates=True)
     assert [t.seed for t in batch] == list(range(7, 12))
     for trace in batch:
         cfg = RunConfig(method=method, operator=game, scheme=scheme, schedule=schedule,
                         iterations=150, seed=trace.seed)
-        assert_same_trace(trace, run(cfg))
-        dist_sq, op_norm_sq, final_x = reference_run(cfg)
+        single = run(cfg, record_iterates=True)
+        assert_same_trace(trace, single)
+        dist_sq, xs, final_x = reference_run(cfg)
         assert trace.dist_sq.tobytes() == dist_sq.tobytes()
-        assert trace.op_norm_sq.tobytes() == op_norm_sq.tobytes()
+        assert single.iterates.tobytes() == xs.tobytes()
+        if trace.seed == 7:  # the batch keeps its first seed's iterates
+            assert trace.iterates.tobytes() == xs.tobytes()
         assert trace.final_x.tobytes() == final_x.tobytes()
 
 
@@ -458,9 +469,11 @@ def test_diverging_seeds_leave_the_batch_alone():
     for trace in batch:
         cfg = RunConfig(method="sgda", operator=game, scheme=scheme, schedule=schedule,
                         iterations=300, seed=trace.seed)
-        assert_same_trace(trace, run(cfg))
-        dist_sq, _, final_x = reference_run(cfg)
+        single = run(cfg, record_iterates=True)
+        assert_same_trace(trace, single)
+        dist_sq, xs, final_x = reference_run(cfg)
         assert trace.dist_sq.tobytes() == dist_sq.tobytes()
+        assert single.iterates.tobytes() == xs.tobytes()
         assert trace.final_x.tobytes() == final_x.tobytes()
         assert len(trace.dist_sq) == len(trace.alphas) + 1
 
@@ -495,7 +508,114 @@ def test_seed_batch_of_a_generic_operator(case):
     for trace in batch:
         cfg = RunConfig(method=method, operator=op, scheme=scheme, schedule=schedule,
                         iterations=60, seed=trace.seed)
-        dist_sq, op_norm_sq, final_x = reference_run(cfg)
+        dist_sq, xs, final_x = reference_run(cfg)
         assert trace.dist_sq.tobytes() == dist_sq.tobytes()
-        assert trace.op_norm_sq.tobytes() == op_norm_sq.tobytes()
+        assert run(cfg, record_iterates=True).iterates.tobytes() == xs.tobytes()
         assert trace.final_x.tobytes() == final_x.tobytes()
+
+
+def count_calls(obj, name, calls):
+    """Make obj.<name> add one to calls[name] per call."""
+    fn = getattr(obj, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    setattr(obj, name, counted)
+
+
+def test_full_batch_co_evaluates_the_batch_once_per_step():
+    # with no draw, u's estimate is v's: 10 co steps of 3 seeds take one
+    # batched value evaluation each, and an operator seen through its
+    # components evaluates each of its 4 components once per seed and step
+    game, op = random_game(4, 2, 2, seed=10), Delegating(random_game(4, 2, 2, seed=10))
+    calls = dict.fromkeys(("batch_values", "component_value", "component_jacobian"), 0)
+    count_calls(game, "batch_values", calls)
+    count_calls(op, "component_value", calls)
+    count_calls(op, "component_jacobian", calls)
+    schedule = ConstantSchedule(alpha=0.03, gamma=0.004)
+    for target in (game, op):
+        run_seeds("co", target, SamplingScheme.full_batch(4), schedule, 10, 3)
+    assert calls == {"batch_values": 10, "component_value": 120, "component_jacobian": 120}
+
+
+def test_run_config_needs_an_equilibrium():
+    class NoStar(FiniteSumOperator):
+        n, dim = 1, 2
+
+        def component_value(self, i, x):
+            return x
+
+        def component_jacobian(self, i, x):
+            return np.eye(2)
+
+    with pytest.raises(ConfigError):
+        RunConfig(method="gda", operator=NoStar(), scheme=SamplingScheme.full_batch(1),
+                  schedule=ConstantSchedule(alpha=0.1), iterations=5, seed=0)
+
+
+class Cliff(FiniteSumOperator):
+    """Component i is scales[i] * x, which contracts toward x* = 0, until
+    |x|^2 < 1e-4; below that its first entry is ``edge`` (nan or inf), so
+    the next iterate is not finite, at an iteration the draws decide."""
+
+    n, dim = 2, 2
+    scales = (0.4, 1.0)
+
+    def __init__(self, edge):
+        self.edge = edge
+
+    def component_value(self, i, x):
+        if x @ x < 1e-4:
+            return np.array([self.edge, 0.0])
+        return self.scales[i] * x
+
+    def component_jacobian(self, i, x):
+        return self.scales[i] * np.eye(2)
+
+    @property
+    def has_equilibrium(self):
+        return True
+
+    def equilibrium(self):
+        return np.zeros(2)
+
+
+def assert_guard_matches_reference(batch, cfg):
+    for trace in batch:
+        dist_sq, xs, final_x = reference_run(dataclasses.replace(cfg, seed=trace.seed))
+        d0, d = dist_sq[0], dist_sq[-1]
+        stopped = not np.isfinite(xs[-1]).all() or d0 > 0.0 and d > DIVERGENCE_FACTOR * d0
+        assert trace.diverged == stopped
+        assert len(trace.alphas) == len(xs) - 1
+        assert trace.dist_sq.tobytes() == dist_sq.tobytes()
+        assert trace.final_x.tobytes() == final_x.tobytes()
+
+
+@pytest.mark.parametrize("edge", [np.nan, np.inf], ids=["nan", "inf"])
+def test_guard_stops_a_seed_at_its_first_non_finite_iterate(edge):
+    op = Cliff(edge)
+    cfg = RunConfig(method="sgda", operator=op, scheme=SamplingScheme.single_element(2),
+                    schedule=ConstantSchedule(alpha=0.5), iterations=40, seed=0)
+    with np.errstate(invalid="ignore"):
+        batch = run_batch(cfg, 6)
+        assert_guard_matches_reference(batch, cfg)
+    assert all(t.diverged and not np.isfinite(t.final_x).all() for t in batch)
+    assert len({len(t.alphas) for t in batch}) >= 2
+
+
+def test_guard_from_the_equilibrium_waits_for_a_non_finite_iterate():
+    # d0 = 0, so only a non-finite iterate stops a seed: the squared
+    # distance overflows to inf first and the run goes on
+    game = random_game(4, 2, 2, seed=5)
+    cfg = RunConfig(method="sgda", operator=game, scheme=SamplingScheme.single_element(4),
+                    schedule=ConstantSchedule(alpha=60.0), iterations=400, seed=0,
+                    x0=game.equilibrium())
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = run_batch(cfg, 3)
+        assert_guard_matches_reference(batch, cfg)
+    for trace in batch:
+        assert trace.diverged and trace.dist_sq[0] == 0.0
+        assert not np.isfinite(trace.final_x).all()
+        assert np.isinf(trace.dist_sq[:-1]).any()

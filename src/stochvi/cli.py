@@ -20,7 +20,6 @@ from . import numerics, verify
 from .errors import (
     ConfigError,
     InvalidRangeError,
-    NoClosedFormError,
     NoConvergenceError,
     NotCocoerciveError,
     NotStronglyMonotoneError,
@@ -43,7 +42,6 @@ _CONFIG_ERRORS = (
     ConfigError,
     InvalidRangeError,
     UnsupportedSchemeError,
-    NoClosedFormError,
     SupportTooLargeError,
     TooFewSeedsError,
 )

@@ -1,22 +1,17 @@
 """Every constant the convergence statements consume.
 
 Co-coercivity of a matrix M (the operator x -> Mx) means
-|Mx|^2 <= ell * <x, Mx> for all x.  Three routes are implemented:
+|Mx|^2 <= ell * <x, Mx> for all x.  Two routes are implemented:
 
 * ``exact``: the smallest valid ell, computed in closed form as the largest
   generalized eigenvalue of (M^T M, sym(M)) on the positive subspace of
   sym(M).  Valid in any dimension; this is what the game-constant pipeline
   uses, since every downstream inequality (expected co-coercivity, step-size
   ranges, bound envelopes) needs a genuine certificate.
-* ``spectral``: 1 / min over nonzero eigenvalues of Re(1/lambda).  Cheap and
-  standard for spectral-radius step-size reasoning, and exact for normal
-  matrices, but it can undershoot the true constant on non-normal matrices
-  (e.g. [[1,1],[-1,2]]: spectral 2, true constant 3), so it is offered for
-  comparison, not used to certify.
 * ``grid_oracle``: direct maximization of the ratio over random unit vectors
   plus a random local search around the best one, for dimensions <= 6.  It
   uses no eigen-decomposition or linear solve, so it is an independent check
-  of the other two.
+  of the exact route.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ import numpy as np
 from . import numerics
 from .errors import (
     ConfigError,
-    NoClosedFormError,
     NonSquareError,
     NotCocoerciveError,
     NotStronglyMonotoneError,
@@ -54,22 +48,6 @@ _GRID_SAMPLES = 100_000
 # ---------------------------------------------------------------------------
 # matrix co-coercivity
 # ---------------------------------------------------------------------------
-
-
-def _cocoercivity_spectral(m: np.ndarray) -> float:
-    lam = numerics.general_spectrum(m)
-    scale = max(float(np.abs(lam).max(initial=0.0)), 1.0)
-    nonzero = lam[np.abs(lam) > _ZERO_RTOL * scale]
-    if nonzero.size == 0:
-        if np.abs(m).max() == 0.0:
-            return 0.0
-        raise NotCocoerciveError("nonzero matrix with all-zero spectrum")
-    re_inv = np.real(1.0 / nonzero)
-    if re_inv.min() <= _ZERO_RTOL:
-        raise NotCocoerciveError(
-            f"eigenvalue with Re(1/lambda) = {re_inv.min():.3e} <= 0"
-        )
-    return float(1.0 / re_inv.min())
 
 
 def _cocoercivity_exact(m: np.ndarray) -> float:
@@ -143,15 +121,13 @@ def matrix_cocoercivity(
 ) -> float:
     """Co-coercivity constant of the linear operator x -> Mx.
 
-    ``method`` is one of "exact", "spectral", "grid_oracle" (see module
-    docstring).  The grid oracle takes an optional generator; it defaults to
-    a fixed seed so results are reproducible.
+    ``method`` is "exact" or "grid_oracle" (see module docstring).  The grid
+    oracle takes an optional generator; it defaults to a fixed seed so
+    results are reproducible.
     """
     a = numerics.as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise NonSquareError(f"expected square matrix, got {a.shape}")
-    if method == "spectral":
-        return _cocoercivity_spectral(a)
     if method == "exact":
         return _cocoercivity_exact(a)
     if method == "grid_oracle":
@@ -250,15 +226,13 @@ def minibatch_sigma_sq(n: int, b: int, sigma1_sq: float) -> float:
 
 
 def ec_constants(
-    gc: GameConstants,
-    scheme: SamplingScheme,
-    game: QuadraticGame | None = None,
+    gc: GameConstants, scheme: SamplingScheme, game: QuadraticGame
 ) -> ECConstants:
     """Expected co-coercivity constant and noise for (game, scheme).
 
-    Minibatch-family schemes use the closed forms; other enumerable schemes
-    with a pairwise z constant use the general z formula, with the noise
-    computed by exact support enumeration (requires ``game``).
+    Minibatch-family schemes use the closed forms; the independent scheme
+    uses the general pairwise-z formula, with the noise computed by exact
+    support enumeration.
     """
     if gc.n != scheme.n:
         raise ConfigError(f"scheme is for n={scheme.n}, constants for n={gc.n}")
@@ -269,16 +243,12 @@ def ec_constants(
             sigma_sq=minibatch_sigma_sq(gc.n, b, gc.sigma1_sq),
         )
     stats = scheme_stats(scheme)
-    if stats.z is None:
-        raise NoClosedFormError("scheme has no pairwise z constant")
     z = stats.z
     extra = max(
         gc.ell_i[i] / (gc.n * stats.probs[i]) * (1.0 - stats.probs[i] * z)
         for i in range(gc.n)
     )
     ell_xi = z * gc.ell + extra
-    if game is None:
-        raise NoClosedFormError("noise for a non-minibatch scheme needs the game")
     probs, w = support_weights(enumerate_support(scheme), gc.n)
     est = w @ game.component_values(game.equilibrium())
     sigma_sq = float(probs @ np.einsum("kj,kj->k", est, est))

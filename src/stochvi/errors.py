@@ -49,10 +49,6 @@ class NotStronglyMonotoneError(StochviError, ArithmeticError):
     """Symmetric part of the mean Jacobian is not positive definite."""
 
 
-class NoClosedFormError(StochviError, ValueError):
-    """No closed-form or enumerable route to the requested constants."""
-
-
 class UnsupportedSchemeError(StochviError, ValueError):
     """Constant formulas are not available for this sampling scheme."""
 

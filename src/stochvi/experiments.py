@@ -164,9 +164,10 @@ def read_game(path):
     included), arrays whose sizes do not match the header, non-finite
     entries, A_i / C_i that are not symmetric, or a generator that is
     neither null nor an object with exactly the GameGenConfig fields
-    (integer n, d1, d2 and seed >= 0, finite numbers in valid ranges).  The
-    top-level "seed", when present, must repeat the generator's: null
-    without a generator, else the integer generator seed.
+    (integer n, d1, d2 and seed >= 0, finite numbers in valid ranges) whose
+    n, d1 and d2 repeat the header's.  The top-level "seed", when present,
+    must repeat the generator's: null without a generator, else the integer
+    generator seed.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -202,6 +203,8 @@ def read_game(path):
         gen = _generator_config(doc.get("generator"))
     except (TypeError, ValueError) as exc:  # asymmetric A_i / C_i, non-finite entries
         raise ConfigError(f"game file {path}: {exc}") from None
+    if gen is not None and (gen.n, gen.d1, gen.d2) != (n, d1, d2):
+        raise ConfigError(f"game file {path}: generator shape {gen.n, gen.d1, gen.d2} is not {n, d1, d2}")
     seed = None if gen is None else gen.seed
     if "seed" in doc and (type(doc["seed"]) is not type(seed) or doc["seed"] != seed):
         raise ConfigError(f"game file {path}: seed {doc['seed']!r} is not generator seed {seed!r}")
@@ -472,7 +475,8 @@ def emit_csv(table: AggregateTable, path) -> None:
 
 
 def read_csv(path) -> AggregateTable:
-    """Inverse of emit_csv; a malformed row raises ConfigError."""
+    """Inverse of emit_csv; a malformed row, or a method whose rows are not
+    iterations 0..m-1 each once, raises ConfigError."""
     data: dict[str, list] = {}
     # Rows are parsed as the file streams in: a list of its lines would
     # outweigh the table.
@@ -492,6 +496,9 @@ def read_csv(path) -> AggregateTable:
     length = 0
     for method, entries in data.items():
         entries.sort()
+        if [entry[0] for entry in entries] != list(range(len(entries))):
+            raise ConfigError(f"{path}: the {method} rows are not iterations "
+                              f"0..{len(entries) - 1}, each once")
         arr = np.array(entries)
         rows.append(
             MethodAggregate(

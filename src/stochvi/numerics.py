@@ -74,19 +74,6 @@ def symmetric_eigenvalues(m) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
-def general_spectrum(m) -> np.ndarray:
-    """All eigenvalues of a square matrix, with multiplicity, as complex.
-
-    Order is unspecified.  For real input the multiset is closed under
-    complex conjugation.
-    """
-    a = _require_square(as_matrix(m))
-    try:
-        return np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # QR iteration budget exhausted
-        raise NoConvergenceError(str(exc)) from exc
-
-
 def singular_values(m) -> np.ndarray:
     """Singular values of any matrix, descending, all nonnegative."""
     a = as_matrix(m)

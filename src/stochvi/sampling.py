@@ -213,11 +213,11 @@ def support_weights(support, n: int):
 
 @dataclass(frozen=True)
 class SchemeStats:
-    """Inclusion probabilities and, when it exists, the pairwise constant z
-    with Prob(i,j in S) = z * p_i * p_j for all i != j."""
+    """Inclusion probabilities and the pairwise constant z with
+    Prob(i,j in S) = z * p_i * p_j for all i != j."""
 
     probs: tuple[float, ...]
-    z: float | None = None
+    z: float
 
 
 def scheme_stats(scheme: SamplingScheme) -> SchemeStats:

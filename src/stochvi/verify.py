@@ -184,7 +184,7 @@ def check_monotonicity_class(
     mono_min = np.inf
     mono_witness = None
     for x, y in pairs:
-        gap = float((op.full_value(x) - op.full_value(y)) @ (x - y))
+        gap = monotonicity_gap(op, x, y)
         if gap < mono_min:
             mono_min = gap
             mono_witness = (x, y)

@@ -166,10 +166,11 @@ _GENERATOR = {"n": 1, "d1": 1, "d2": 1, "mu_a": 1.0, "l_a": 1.0, "mu_b": 0.5, "l
         _game_text(A=[[True]]),
         _game_text(generator=_GENERATOR, seed=5),
         _game_text(generator=_GENERATOR, seed="4"),
+        _game_text(generator={**_GENERATOR, "n": 5, "d1": 7, "d2": 9}),
     ],
     ids=["missing_key", "invalid_json", "not_an_object", "non_integer_header",
          "size_mismatch", "nan_entry", "asymmetric", "numeric_string", "boolean",
-         "seed_mismatch", "string_seed"],
+         "seed_mismatch", "string_seed", "generator_shape_mismatch"],
 )
 def test_malformed_game_file_is_config_error(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
@@ -533,7 +534,8 @@ def _schema_ok(doc):
         ):
             return False
     gen = doc.get("generator")
-    if gen is not None and not _generator_ok(gen):
+    if gen is not None and not (_generator_ok(gen)
+                                and all(gen[key] == dims[key] for key in dims)):
         return False
     if "seed" not in doc:
         return True

@@ -27,19 +27,19 @@ from test_operators import random_game
 
 
 def test_cocoercivity_identity_is_one():
-    for method in ("exact", "spectral", "grid_oracle"):
+    for method in ("exact", "grid_oracle"):
         assert C.matrix_cocoercivity(np.eye(2), method) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_cocoercivity_rotation_scale_is_two():
     m = [[1.0, 1.0], [-1.0, 1.0]]
-    for method in ("exact", "spectral", "grid_oracle"):
+    for method in ("exact", "grid_oracle"):
         assert C.matrix_cocoercivity(m, method) == pytest.approx(2.0, rel=1e-6)
 
 
 def test_pure_rotation_not_cocoercive():
     m = [[0.0, 1.0], [-1.0, 0.0]]
-    for method in ("exact", "spectral", "grid_oracle"):
+    for method in ("exact", "grid_oracle"):
         with pytest.raises(NotCocoerciveError):
             C.matrix_cocoercivity(m, method)
 
@@ -48,21 +48,27 @@ def test_cocoercivity_skips_null_space():
     # singular but co-coercive on its range: diag(2, 0)
     m = np.diag([2.0, 0.0])
     assert C.matrix_cocoercivity(m, "exact") == pytest.approx(2.0, rel=1e-12)
-    assert C.matrix_cocoercivity(m, "spectral") == pytest.approx(2.0, rel=1e-12)
+    assert C.matrix_cocoercivity(m, "grid_oracle") == pytest.approx(2.0, rel=1e-12)
 
 
 def test_cocoercivity_exact_certifies_nonnormal():
-    # Non-normal case where the eigenvalue formula undershoots: the true
-    # constant is the worst ratio |Mx|^2 / <x, Mx>, attained here at (1, -1).
+    # Non-normal case where 1 / min Re(1/lambda) over the eigenvalues would
+    # give 2: the true constant is the worst ratio |Mx|^2 / <x, Mx>,
+    # attained here at (1, -1), and the grid oracle finds it too.
     m = np.array([[1.0, 1.0], [-1.0, 2.0]])
     exact = C.matrix_cocoercivity(m, "exact")
     assert exact == pytest.approx(3.0, rel=1e-9)
-    assert C.matrix_cocoercivity(m, "spectral") == pytest.approx(2.0, rel=1e-9)
+    assert C.matrix_cocoercivity(m, "grid_oracle") == pytest.approx(3.0, rel=1e-9)
     rng = numerics.make_rng(0)
     for _ in range(2000):
         x = rng.standard_normal(2)
         mx = m @ x
         assert mx @ mx <= exact * (x @ mx) + 1e-9
+
+
+def test_cocoercivity_knows_only_exact_and_grid_oracle():
+    with pytest.raises(ConfigError):
+        C.matrix_cocoercivity(np.eye(2), "spectral")
 
 
 def _random_normal_cocoercive(rng, d):
@@ -86,16 +92,16 @@ def _random_normal_cocoercive(rng, d):
     return q @ m @ q.T
 
 
-def test_spectral_matches_grid_on_normal_matrices():
-    # the eigenvalue formula is exact for normal matrices; the grid oracle
-    # maximizes the ratio directly, so they must agree
+def test_exact_matches_grid_on_normal_matrices():
+    # the grid oracle maximizes the ratio directly, so it must agree with the
+    # closed form on normal matrices of every dimension it supports
     rng = numerics.make_rng(42)
     for trial in range(100):
         d = int(rng.integers(2, 7))
         m = _random_normal_cocoercive(rng, d)
-        spec = C.matrix_cocoercivity(m, "spectral")
+        exact = C.matrix_cocoercivity(m, "exact")
         grid = C.matrix_cocoercivity(m, "grid_oracle", rng=numerics.make_rng(trial))
-        assert grid == pytest.approx(spec, rel=1e-3)
+        assert grid == pytest.approx(exact, rel=1e-3)
 
 
 def test_grid_matches_exact_on_random_cocoercive_matrices():

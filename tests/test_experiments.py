@@ -356,7 +356,9 @@ def test_aggregate_over_running_seeds(tmp_path):
     assert loaded.mean.tobytes() == row.mean.tobytes()
 
 
-@pytest.mark.parametrize("line", ["sgda,x,1,1,1,1", "sgda,0,1,1,1", "sgda,0,1,1,1,2.5"])
+@pytest.mark.parametrize("line", ["sgda,x,1,1,1,1", "sgda,0,1,1,1", "sgda,0,1,1,1,2.5",
+                                  "sgda,3,1.0,1.0,1.0,2",
+                                  "sgda,0,1.0,1.0,1.0,2\nsgda,0,1.0,1.0,1.0,2"])
 def test_read_csv_rejects_malformed_row(tmp_path, line):
     path = tmp_path / "bad.csv"
     path.write_text(E.CSV_HEADER + "\n" + line + "\n")

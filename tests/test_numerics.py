@@ -33,22 +33,6 @@ def test_symmetric_eigenvalues_rejects_asymmetric():
         numerics.symmetric_eigenvalues([[0.0, 1.0], [0.5, 0.0]])
 
 
-def test_general_spectrum_rotation_scale():
-    # roots of t^2 - 2t + 2
-    spec = sorted(numerics.general_spectrum([[1.0, 1.0], [-1.0, 1.0]]), key=lambda z: z.imag)
-    assert np.allclose(spec, [1 - 1j, 1 + 1j], rtol=1e-9)
-
-
-def test_general_spectrum_identity():
-    assert np.allclose(numerics.general_spectrum(np.eye(2)), [1, 1])
-
-
-def test_general_spectrum_pure_rotation():
-    # roots of t^2 + 1
-    spec = sorted(numerics.general_spectrum([[0.0, 1.0], [-1.0, 0.0]]), key=lambda z: z.imag)
-    assert np.allclose(spec, [-1j, 1j], atol=1e-9)
-
-
 def test_singular_values_antisymmetric():
     # M^T M = 4 I
     assert np.allclose(numerics.singular_values([[0.0, 2.0], [-2.0, 0.0]]), [2, 2])
@@ -100,17 +84,6 @@ def test_trace_identity_random_symmetric():
         vals = numerics.symmetric_eigenvalues(m)
         scale = max(1.0, np.abs(vals).max())
         assert abs(vals.sum() - np.trace(m)) <= 1e-9 * scale * d
-
-
-def test_spectrum_closed_under_conjugation():
-    rng = numerics.make_rng(8)
-    for _ in range(50):
-        d = int(rng.integers(2, 20))
-        spec = numerics.general_spectrum(rng.standard_normal((d, d)))
-        conj = np.conj(spec)
-        # every conjugate appears in the multiset
-        for z in conj:
-            assert np.min(np.abs(spec - z)) <= 1e-8 * max(1.0, abs(z))
 
 
 def test_singular_values_match_gram_eigenvalues():

@@ -1,5 +1,6 @@
 """Dead-code guard: every module-level function and class of the package is
-named somewhere in src/ or tests/ outside its own definition."""
+named somewhere in src/ or tests/ outside its own definition, and every error
+type is raised or caught by some other module of the package."""
 
 import ast
 import re
@@ -24,3 +25,46 @@ def test_every_top_level_definition_is_named_elsewhere():
             if not any(word.search(t) for t in others):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, "named nowhere outside their definition: " + ", ".join(unused)
+
+
+def _name(node):
+    """The name an expression such as ``ConfigError`` or
+    ``numerics.SingularMatrixError`` ends in, else None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _raised_or_caught(tree):
+    """Names a module raises or catches; an except clause that names a
+    module-level tuple of exception types catches each of them."""
+    tuples = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
+            for target in node.targets:
+                tuples[_name(target)] = [_name(elt) for elt in node.value.elts]
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            names.add(_name(node.exc))
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for name in map(_name, types):
+                names.add(name)
+                names.update(tuples.get(name, ()))
+    return names
+
+
+def test_every_error_type_is_raised_or_caught_elsewhere():
+    package = ROOT / "src" / "stochvi"
+    errors = package / "errors.py"
+    used = set()
+    for path in sorted(package.glob("*.py")):
+        if path != errors:
+            used |= _raised_or_caught(ast.parse(path.read_text(encoding="utf-8")))
+    defined = [node.name for node in ast.parse(errors.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ClassDef)]
+    dead = [name for name in defined if name not in used]
+    assert not dead, "error types no other module raises or catches: " + ", ".join(dead)

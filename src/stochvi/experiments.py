@@ -42,6 +42,8 @@ from .solvers import (
 GAME_FORMAT_VERSION = 1
 
 CSV_HEADER = "method,iteration,mean_rel_dist,ci_low,ci_high,seeds"
+# A row's seeds count is read into an int64 array.
+_MAX_SEEDS = np.iinfo(np.int64).max
 
 # 95% two-sided normal quantile for the confidence bands.
 CI_QUANTILE = 1.96
@@ -475,8 +477,9 @@ def emit_csv(table: AggregateTable, path) -> None:
 
 
 def read_csv(path) -> AggregateTable:
-    """Inverse of emit_csv; a malformed row, or a method whose rows are not
-    iterations 0..m-1 each once, raises ConfigError."""
+    """Inverse of emit_csv; a malformed row, a seeds count below 1 or beyond
+    int64, or a method whose rows are not iterations 0..m-1 each once raises
+    ConfigError.  Non-finite statistics are read as written."""
     data: dict[str, list] = {}
     # Rows are parsed as the file streams in: a list of its lines would
     # outweigh the table.
@@ -489,6 +492,8 @@ def read_csv(path) -> AggregateTable:
             try:
                 method, it, mean, lo, hi, s = ln.split(",")
                 entry = (int(it), float(mean), float(lo), float(hi), int(s))
+                if not 1 <= entry[4] <= _MAX_SEEDS:
+                    raise ValueError
             except ValueError:
                 raise ConfigError(f"{path}: line {num} is not an aggregate row: {ln!r}") from None
             data.setdefault(method, []).append(entry)
@@ -499,15 +504,16 @@ def read_csv(path) -> AggregateTable:
         if [entry[0] for entry in entries] != list(range(len(entries))):
             raise ConfigError(f"{path}: the {method} rows are not iterations "
                               f"0..{len(entries) - 1}, each once")
-        arr = np.array(entries)
+        arr = np.array([entry[1:4] for entry in entries])
+        running = np.array([entry[4] for entry in entries])
         rows.append(
             MethodAggregate(
                 method=method,
-                mean=arr[:, 1],
-                ci_low=arr[:, 2],
-                ci_high=arr[:, 3],
-                seeds=int(arr[:, 4].max()),
-                running=arr[:, 4].astype(int),
+                mean=arr[:, 0],
+                ci_low=arr[:, 1],
+                ci_high=arr[:, 2],
+                seeds=int(running.max()),
+                running=running,
             )
         )
         length = max(length, len(entries))
@@ -522,8 +528,9 @@ _FLOOR = 1e-300
 
 
 def _svg_coords(ks, values, k_max, log_lo, log_hi):
+    """Plot coordinates; a non-finite value is drawn at the top edge."""
     xs = _MARGIN_L + (ks / max(k_max, 1)) * (_SVG_W - _MARGIN_L - _MARGIN_R)
-    clipped = np.log10(np.maximum(values, _FLOOR))
+    clipped = np.log10(np.maximum(np.where(np.isfinite(values), values, np.inf), _FLOOR))
     clipped = np.clip(clipped, log_lo, log_hi)
     span = max(log_hi - log_lo, 1e-12)
     ys = _SVG_H - _MARGIN_B - (clipped - log_lo) / span * (_SVG_H - _MARGIN_T - _MARGIN_B)
@@ -543,15 +550,19 @@ def emit_svg(table: AggregateTable, path) -> None:
     if not table.rows:
         raise ConfigError("refusing to emit an empty table")
     k_max = max(row.mean.size - 1 for row in table.rows)
-    positive = [row.mean[row.mean > 0] for row in table.rows]
+    # The axis spans the finite values only.
+    means = [row.mean[np.isfinite(row.mean)] for row in table.rows]
+    highs = [row.ci_high[np.isfinite(row.ci_high)] for row in table.rows]
+    positive = [m[m > 0] for m in means]
     lo_val = min((p.min() for p in positive if p.size), default=1e-12)
     hi_val = max(
-        max(row.ci_high.max(initial=0.0) for row in table.rows),
-        max(row.mean.max(initial=0.0) for row in table.rows),
+        max(h.max(initial=0.0) for h in highs),
+        max(m.max(initial=0.0) for m in means),
         lo_val * 10,
     )
     log_lo = math.floor(math.log10(max(lo_val, _FLOOR)))
-    log_hi = math.ceil(math.log10(max(hi_val, lo_val * 10)))
+    # 1e308 is the largest decade whose grid line 10.0**dec can be drawn.
+    log_hi = min(math.ceil(math.log10(min(hi_val, np.finfo(float).max))), 308)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',

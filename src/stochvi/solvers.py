@@ -242,9 +242,8 @@ class _BatchEstimator:
     """Estimator value_v(x) and Jacobian J_v(x) for S points at once.
 
     ``sel`` holds one row of draw_many per point (None for the full batch).
-    Terms are scaled and summed in index order with the unit-scale skip, as
-    _weighted_sum accumulates them, so row s is bitwise the one-point
-    estimate at xs[s].
+    Terms are scaled and summed in index order, as _weighted_sum accumulates
+    them, so row s is bitwise the one-point estimate at xs[s].
     """
 
     def __init__(self, op: FiniteSumOperator, scheme: SamplingScheme):
@@ -252,40 +251,40 @@ class _BatchEstimator:
         n = op.n
         self.independent = scheme.kind == INDEPENDENT
         if self.independent:
-            self.scales = [(1.0 / p) / n for p in scheme.probs]
+            self.scale = np.array([(1.0 / p) / n for p in scheme.probs])
         else:
             self.scale = (n / scheme.batch_size) / n
         # The full-batch Jacobian of an affine operator is one constant matrix.
         self.full_jacobian = None
         if scheme.is_deterministic and op.affine:
-            self.full_jacobian = self._sum(op.batch_jacobians(np.zeros((1, op.dim))))[0]
-
-    def _sum(self, terms: np.ndarray) -> np.ndarray:
-        """Scaled sum over axis 1; a cumulative sum adds in index order."""
-        if self.scale != 1.0:
-            terms = terms * self.scale
-        return terms[:, 0] if terms.shape[1] == 1 else np.cumsum(terms, axis=1)[:, -1]
-
-    def _masked_sum(self, mask: np.ndarray, terms: np.ndarray) -> np.ndarray:
-        """Independent sampling: row s sums terms[s, i] * scale_i over the i
-        with mask[s, i], in index order; no selected index gives 0."""
-        acc = np.zeros(terms.shape[:1] + terms.shape[2:])
-        started = np.zeros(mask.shape[0], dtype=bool)
-        shape = (-1,) + (1,) * (acc.ndim - 1)
-        for i in range(self.op.n):
-            hit = mask[:, i]
-            if not hit.any():
-                continue
-            term = terms[:, i]
-            if self.scales[i] != 1.0:
-                term = term * self.scales[i]
-            np.add(acc, term, out=acc, where=(hit & started).reshape(shape))
-            np.copyto(acc, term, where=(hit & ~started).reshape(shape))
-            started |= hit
-        return acc
+            self.full_jacobian = self._reduce(None, op.batch_jacobians(np.zeros((1, op.dim))))[0]
 
     def _reduce(self, sel, terms: np.ndarray) -> np.ndarray:
-        return self._masked_sum(sel, terms) if self.independent else self._sum(terms)
+        """Row s sums the scaled terms[s, i] over axis 1 in index order, for
+        independent sampling over the i with sel[s, i] (none gives +0).
+
+        Scaling by 1.0 is exact, so it stands for the unit-scale skip.  Over
+        multi-element terms add.reduce adds index by index (an undocumented
+        order the seed-batch tests hold), and initial=-0.0 keeps a sum of
+        -0.0 terms at -0.0.  It adds one-element terms pairwise, so those
+        take a cumulative sum; its -0.0 fill changes no partial sum."""
+        if not self.independent:
+            if self.scale != 1.0:
+                terms = terms * self.scale
+            if terms.shape[1] == 1:
+                return terms[:, 0]
+            where = True
+        else:
+            tail = (1,) * (terms.ndim - 2)
+            terms = terms * self.scale.reshape((-1,) + tail)
+            where = sel.reshape(sel.shape + tail)
+        if terms[0, 0].size == 1:
+            out = np.cumsum(np.where(where, terms, -0.0), axis=1)[:, -1]
+        else:
+            out = np.add.reduce(terms, axis=1, initial=-0.0, where=where)
+        if self.independent:
+            out[~sel.any(axis=1)] = 0.0
+        return out
 
     def evaluate(self, sel, xs: np.ndarray, jacobian: bool = False):
         """(value_{sel[s]}(xs[s]) per row, and with ``jacobian`` the

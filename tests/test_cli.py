@@ -242,6 +242,24 @@ def test_plot_roundtrip(game_file, tmp_path):
     assert svg1.read_bytes() == svg2.read_bytes()
 
 
+@pytest.mark.parametrize("seeds", ["1", "3"])
+def test_run_and_plot_draw_non_finite_statistics(game_file, tmp_path, seeds):
+    # the first step overflows: iteration 1 reads inf (and nan bands over
+    # several seeds), which both commands draw at the plot's top edge
+    csv, svg, replot = tmp_path / "agg.csv", tmp_path / "run.svg", tmp_path / "plot.svg"
+    with np.errstate(all="ignore"):
+        assert main(["run", "--game", str(game_file), "--method", "sgda",
+                     "--schedule", "constant", "--alpha", "1e200", "--iters", "5",
+                     "--seeds", seeds, "--out", str(csv), "--svg", str(svg)]) == 0
+    row = E.read_csv(csv).rows[0]
+    assert row.mean[1] == math.inf and not np.isfinite(row.ci_high[1])
+    assert main(["plot", "--csv", str(csv), "--svg", str(replot)]) == 0
+    assert svg.read_bytes() == replot.read_bytes()
+    polyline = re.search(r'<polyline points="([^"]*)"', svg.read_text()).group(1)
+    assert polyline.split()[1].endswith(",24.00")
+    assert "nan" not in svg.read_text() and "inf" not in svg.read_text()
+
+
 def test_out_dir_flag(game_file, tmp_path):
     out_dir = tmp_path / "results"
     code = main([

@@ -320,6 +320,11 @@ def test_csv_schema_and_roundtrip(tmp_path):
         assert src.mean.tobytes() == dst.mean.tobytes()
         assert src.ci_low.tobytes() == dst.ci_low.tobytes()
         assert src.ci_high.tobytes() == dst.ci_high.tobytes()
+    # a run whose step overflows at once writes non-finite statistics
+    text = E.CSV_HEADER + "\nsgda,0,1.0,1.0,1.0,3\nsgda,1,inf,nan,nan,3\n"
+    path.write_text(text)
+    E.emit_csv(E.read_csv(path), tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_text() == text
 
 
 def test_aggregate_rejects_a_run_started_at_the_equilibrium():
@@ -358,7 +363,9 @@ def test_aggregate_over_running_seeds(tmp_path):
 
 @pytest.mark.parametrize("line", ["sgda,x,1,1,1,1", "sgda,0,1,1,1", "sgda,0,1,1,1,2.5",
                                   "sgda,3,1.0,1.0,1.0,2",
-                                  "sgda,0,1.0,1.0,1.0,2\nsgda,0,1.0,1.0,1.0,2"])
+                                  "sgda,0,1.0,1.0,1.0,2\nsgda,0,1.0,1.0,1.0,2",
+                                  "sgda,0,1.0,1.0,1.0,100000000000000000000000000",
+                                  "sgda,0,nan,1.0,1.0,-3"])
 def test_read_csv_rejects_malformed_row(tmp_path, line):
     path = tmp_path / "bad.csv"
     path.write_text(E.CSV_HEADER + "\n" + line + "\n")

@@ -7,7 +7,7 @@ from stochvi import constants as C
 from stochvi import numerics
 from stochvi.errors import ConfigError, MissingSecondDrawError
 from stochvi.operators import FiniteSumOperator, QuadraticGame
-from stochvi.sampling import SamplingScheme, draw, enumerate_support
+from stochvi.sampling import INDEPENDENT, SamplingScheme, draw, draw_many, enumerate_support
 from stochvi.experiments import run_seeds
 from stochvi.solvers import (
     DIVERGENCE_FACTOR,
@@ -16,6 +16,7 @@ from stochvi.solvers import (
     RunConfig,
     ScoSwitchingSchedule,
     SgdaSwitchingSchedule,
+    _BatchEstimator,
     run,
     run_batch,
     sampled_jacobian,
@@ -429,6 +430,21 @@ BATCH_CASES = {
                       ScoSwitchingSchedule(ell_xi=8.0, cal_l_h=30.0, mu=1.0, mu_h=0.5)),
 }
 
+# Twelve components pass the 8 terms from which numpy sums one-element terms
+# pairwise.
+WIDE_CASES = {
+    "sgda-minibatch9": ("sgda", lambda n: SamplingScheme.minibatch(n, 9),
+                        ConstantSchedule(alpha=0.05)),
+    "sco-minibatch9": ("sco", lambda n: SamplingScheme.minibatch(n, 9),
+                       ConstantSchedule(alpha=0.03, gamma=0.004)),
+    "gda-full": BATCH_CASES["gda-full"],
+    "co-full": BATCH_CASES["co-full"],
+    "sgda-independent": ("sgda", lambda n: SamplingScheme.independent(
+        [0.2 + 0.05 * i for i in range(n)]), ConstantSchedule(alpha=0.05)),
+    "sco-independent": ("sco", lambda n: SamplingScheme.independent(
+        [0.2 + 0.05 * i for i in range(n)]), ConstantSchedule(alpha=0.03, gamma=0.004)),
+}
+
 
 def assert_same_trace(got, want):
     assert (got.method, got.seed, got.diverged) == (want.method, want.seed, want.diverged)
@@ -436,10 +452,13 @@ def assert_same_trace(got, want):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
 
-@pytest.mark.parametrize("case", sorted(BATCH_CASES))
-def test_seed_batch_equals_separate_runs(case):
-    method, make_scheme, schedule = BATCH_CASES[case]
-    game = random_game(6, 3, 2, seed=20)
+@pytest.mark.parametrize("case, n", [
+    *(pytest.param(BATCH_CASES[c], 6, id=c) for c in sorted(BATCH_CASES)),
+    *(pytest.param(WIDE_CASES[c], 12, id=f"{c}-n12") for c in sorted(WIDE_CASES)),
+])
+def test_seed_batch_equals_separate_runs(case, n):
+    method, make_scheme, schedule = case
+    game = random_game(n, 3, 2, seed=20)
     scheme = make_scheme(game.n)
     batch = run_seeds(method, game, scheme, schedule, 150, 5, base_seed=7,
                       record_iterates=True)
@@ -499,10 +518,42 @@ class Delegating(FiniteSumOperator):
         return self.game.equilibrium()
 
 
-@pytest.mark.parametrize("case", ["sco-single", "sco-minibatch3", "co-full", "sco-independent"])
-def test_seed_batch_of_a_generic_operator(case):
-    method, make_scheme, schedule = BATCH_CASES[case]
-    op = Delegating(random_game(6, 3, 2, seed=21))
+class Line(FiniteSumOperator):
+    """A one-dimensional operator: component i is scales[i] * x + shifts[i],
+    so every estimator term has one element."""
+
+    dim = 1
+    affine = True
+
+    def __init__(self, n, seed):
+        rng = numerics.make_rng(seed)
+        self.n = n
+        self.scales = rng.uniform(0.5, 3.0, n)
+        self.shifts = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+
+    def component_value(self, i, x):
+        return self.scales[i] * x + self.shifts[i]
+
+    def component_jacobian(self, i, x):
+        return np.array([[self.scales[i]]])
+
+    @property
+    def has_equilibrium(self):
+        return True
+
+    def equilibrium(self):
+        return np.array([-self.shifts.sum() / self.scales.sum()])
+
+
+@pytest.mark.parametrize("case, make_op", [
+    *(pytest.param(BATCH_CASES[c], lambda: Delegating(random_game(6, 3, 2, seed=21)), id=c)
+      for c in ["sco-single", "sco-minibatch3", "co-full", "sco-independent"]),
+    *(pytest.param(WIDE_CASES[c], lambda: Line(12, seed=21), id=f"{c}-1d")
+      for c in ["co-full", "sco-minibatch9", "sco-independent"]),
+])
+def test_seed_batch_of_a_generic_operator(case, make_op):
+    method, make_scheme, schedule = case
+    op = make_op()
     scheme = make_scheme(op.n)
     batch = run_seeds(method, op, scheme, schedule, 60, 3)
     for trace in batch:
@@ -512,6 +563,43 @@ def test_seed_batch_of_a_generic_operator(case):
         assert trace.dist_sq.tobytes() == dist_sq.tobytes()
         assert run(cfg, record_iterates=True).iterates.tobytes() == xs.tobytes()
         assert trace.final_x.tobytes() == final_x.tobytes()
+
+
+class NegativeZeros(FiniteSumOperator):
+    """Every component value and Jacobian entry is -0.0."""
+
+    n = 12
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def component_value(self, i, x):
+        return np.full(self.dim, -0.0)
+
+    def component_jacobian(self, i, x):
+        return np.full((self.dim, self.dim), -0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_batch_estimator_keeps_signed_zeros_and_empty_draws(dim):
+    # a sum of -0.0 terms is -0.0, and an independent draw that selects
+    # nothing is the +0.0 of the one-point estimate
+    op = NegativeZeros(dim)
+    xs = np.zeros((40, dim))
+    schemes = [SamplingScheme.minibatch(12, 9), SamplingScheme.full_batch(12),
+               SamplingScheme.independent([0.1] * 12)]
+    for scheme in schemes:
+        rows = draw_many(scheme, numerics.make_rng(0), len(xs))
+        rng = numerics.make_rng(0)
+        vecs = [draw(scheme, rng) for _ in xs]
+        vals, jacs = _BatchEstimator(op, scheme).evaluate(rows, xs, jacobian=True)
+        for x, vec, val, jac in zip(xs, vecs, vals, jacs):
+            assert val.tobytes() == sampled_value(op, x, vec).tobytes()
+            assert jac.tobytes() == sampled_jacobian(op, x, vec).tobytes()
+        selected = [bool(vec.indices) for vec in vecs]
+        assert np.signbit(vals).all(axis=1).tolist() == selected
+        if scheme.kind == INDEPENDENT:  # some draws select nothing, some do
+            assert 0 < sum(selected) < len(selected)
 
 
 def count_calls(obj, name, calls):

@@ -1,17 +1,11 @@
 """Every constant the convergence statements consume.
 
 Co-coercivity of a matrix M (the operator x -> Mx) means
-|Mx|^2 <= ell * <x, Mx> for all x.  Two routes are implemented:
-
-* ``exact``: the smallest valid ell, computed in closed form as the largest
-  generalized eigenvalue of (M^T M, sym(M)) on the positive subspace of
-  sym(M).  Valid in any dimension; this is what the game-constant pipeline
-  uses, since every downstream inequality (expected co-coercivity, step-size
-  ranges, bound envelopes) needs a genuine certificate.
-* ``grid_oracle``: direct maximization of the ratio over random unit vectors
-  plus a random local search around the best one, for dimensions <= 6.  It
-  uses no eigen-decomposition or linear solve, so it is an independent check
-  of the exact route.
+|Mx|^2 <= ell * <x, Mx> for all x.  The smallest valid ell is computed in
+closed form as the largest generalized eigenvalue of (M^T M, sym(M)) on the
+positive subspace of sym(M), in any dimension.  Every downstream inequality
+(expected co-coercivity, step-size ranges, bound envelopes) needs such a
+genuine certificate.
 """
 
 from __future__ import annotations
@@ -41,16 +35,18 @@ _ZERO_RTOL = 1e-12
 # Step sizes may exceed their theoretical ceiling by this relative slop.
 _STEP_SLOP = 1e-12
 
-# Random unit directions the grid oracle samples before refining.
-_GRID_SAMPLES = 100_000
-
 
 # ---------------------------------------------------------------------------
 # matrix co-coercivity
 # ---------------------------------------------------------------------------
 
 
-def _cocoercivity_exact(m: np.ndarray) -> float:
+def matrix_cocoercivity(m) -> float:
+    """Co-coercivity constant of the linear operator x -> Mx (see module
+    docstring)."""
+    m = numerics.as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise NonSquareError(f"expected square matrix, got {m.shape}")
     sym = 0.5 * (m + m.T)
     evals, evecs = np.linalg.eigh(sym)
     scale = max(float(np.abs(evals).max(initial=0.0)), float(np.abs(m).max(initial=0.0)))
@@ -74,67 +70,6 @@ def _cocoercivity_exact(m: np.ndarray) -> float:
     w = evecs[:, ~null] / np.sqrt(evals[~null])
     mw = m @ w
     return float(np.linalg.eigvalsh(mw.T @ mw).max())
-
-
-def _cocoercivity_grid(m: np.ndarray, rng: np.random.Generator) -> float:
-    d = m.shape[0]
-    if d > 6:
-        raise ConfigError("grid oracle is limited to dimensions <= 6")
-    scale = max(float(np.abs(m).max(initial=0.0)), 1.0)
-    if np.abs(m).max() == 0.0:
-        return 0.0
-
-    def ratios(pts):
-        # |Mx|^2 / <x, Mx> per unit row x; rows with Mx = 0 constrain nothing.
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        mx = pts @ m.T
-        num = np.einsum("ij,ij->i", mx, mx)
-        den = np.einsum("ij,ij->i", pts, mx)
-        if np.any((den <= 0.0) & (np.sqrt(num) > 1e-9 * scale)):
-            raise NotCocoerciveError("grid point with <x, Mx> <= 0 and Mx != 0")
-        return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-
-    pts = rng.standard_normal((_GRID_SAMPLES, d))
-    vals = ratios(pts)
-    best = int(np.argmax(vals))
-    x, ratio = pts[best], float(vals[best])
-    # Random search around the best point, 64 perturbations a round; the
-    # radius halves after every round that finds nothing better.
-    radius = 0.1
-    for _ in range(2000):
-        cand = x + radius * rng.standard_normal((64, d))
-        vals = ratios(cand)
-        best = int(np.argmax(vals))
-        if vals[best] > ratio:
-            x, ratio = cand[best], float(vals[best])
-        else:
-            radius *= 0.5
-            if radius < 1e-9:
-                break
-    return ratio
-
-
-def matrix_cocoercivity(
-    m,
-    method: str = "exact",
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Co-coercivity constant of the linear operator x -> Mx.
-
-    ``method`` is "exact" or "grid_oracle" (see module docstring).  The grid
-    oracle takes an optional generator; it defaults to a fixed seed so
-    results are reproducible.
-    """
-    a = numerics.as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise NonSquareError(f"expected square matrix, got {a.shape}")
-    if method == "exact":
-        return _cocoercivity_exact(a)
-    if method == "grid_oracle":
-        if rng is None:
-            rng = numerics.make_rng(20_240_601)
-        return _cocoercivity_grid(a, rng)
-    raise ConfigError(f"unknown co-coercivity method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +120,7 @@ def game_constants(game: QuadraticGame) -> GameConstants:
     Requires the symmetric part blkdiag(A, C) of the mean Jacobian to be
     positive definite (strong monotonicity); for affine operators this
     modulus coincides with the quasi-strong one.  Co-coercivity constants
-    come from the certified ``exact`` route.
+    come from the certified closed form of ``matrix_cocoercivity``.
     """
     j_mean = game.mean_jacobian()
     sym_eigs = numerics.symmetric_eigenvalues(0.5 * (j_mean + j_mean.T))

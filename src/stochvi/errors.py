@@ -61,10 +61,6 @@ class SwitchNotReachedError(StochviError, ValueError):
     """Switching-rule bound evaluated before the switch point."""
 
 
-class MissingSecondDrawError(StochviError, ValueError):
-    """Solver step needs a second sampling vector but none was given."""
-
-
 class TooFewSeedsError(StochviError, ValueError):
     """Envelope check needs more traces than were supplied."""
 

@@ -397,13 +397,15 @@ def aggregate_traces(method: str, traces: list[RunTrace]) -> MethodAggregate:
     mean = np.empty(length)
     half = np.zeros(length)
     start = 0
-    for end in sorted(set(lengths.tolist())):
-        rel = np.stack([t.dist_sq[start:end] / t.dist_sq[0]
-                        for t in traces if len(t.dist_sq) >= end])
-        mean[start:end] = rel.mean(axis=0)
-        if rel.shape[0] > 1:
-            half[start:end] = CI_QUANTILE * rel.std(axis=0, ddof=1) / math.sqrt(rel.shape[0])
-        start = end
+    # A diverged seed's last distance may be inf; the run already reported it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for end in sorted(set(lengths.tolist())):
+            rel = np.stack([t.dist_sq[start:end] / t.dist_sq[0]
+                            for t in traces if len(t.dist_sq) >= end])
+            mean[start:end] = rel.mean(axis=0)
+            if rel.shape[0] > 1:
+                half[start:end] = CI_QUANTILE * rel.std(axis=0, ddof=1) / math.sqrt(rel.shape[0])
+            start = end
     return MethodAggregate(
         method=method,
         mean=mean,

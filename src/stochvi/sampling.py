@@ -114,31 +114,10 @@ class SamplingScheme:
         return self.kind
 
 
-def draw(scheme: SamplingScheme, rng: np.random.Generator) -> SamplingVector:
-    """Draw one sampling vector; deterministic given the generator state.
-
-    Minibatch subsets come from a partial Fisher-Yates shuffle (exactly
-    uniform, b generator calls).  The full-batch case consumes no randomness.
-    """
-    n = scheme.n
-    b = scheme.batch_size
-    if b == n:
-        return SamplingVector(tuple(range(n)), (1.0,) * n)
-    if scheme.kind == INDEPENDENT:
-        u = rng.random(n)
-        idx = tuple(int(i) for i in np.nonzero(u < np.asarray(scheme.probs))[0])
-        return SamplingVector(idx, tuple(1.0 / scheme.probs[i] for i in idx))
-    pool = list(range(n))
-    for i in range(b):
-        j = int(rng.integers(i, n))
-        pool[i], pool[j] = pool[j], pool[i]
-    idx = tuple(sorted(pool[:b]))
-    return SamplingVector(idx, (n / b,) * b)
-
-
 def draw_many(scheme: SamplingScheme, rng: np.random.Generator, count: int):
     """``count`` draws at once, consuming the generator exactly as ``count``
-    successive draw calls do.
+    successive calls of the one-draw reference in tests/reference.py
+    (``draw``) do.
 
     Row r describes the r-th draw: its selected indices in increasing order
     for the minibatch family, shape (count, b), or its inclusion mask for the
@@ -151,7 +130,8 @@ def draw_many(scheme: SamplingScheme, rng: np.random.Generator, count: int):
         return None
     if scheme.kind == INDEPENDENT:
         return rng.random((count, n)) < np.asarray(scheme.probs)
-    # The partial Fisher-Yates shuffle of draw, one row per draw.
+    # A partial Fisher-Yates shuffle (exactly uniform, b generator calls
+    # per draw), one row per draw.
     swaps = rng.integers(np.tile(np.arange(b), count), n).reshape(count, b)
     if b == 1:
         # One swap leaves pool[0] = swaps[:, 0]; no pool is needed.

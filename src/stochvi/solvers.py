@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import ConfigError, MissingSecondDrawError
+from .errors import ConfigError
 from .operators import FiniteSumOperator
-from .sampling import INDEPENDENT, SamplingScheme, SamplingVector, draw_many
+from .sampling import INDEPENDENT, SamplingScheme, draw_many
 
 SGDA = "sgda"
 SHGD = "shgd"
@@ -136,67 +136,6 @@ class ScoSwitchingSchedule:
         return step, step
 
 
-def step_sizes(schedule, k: int) -> tuple[float, float]:
-    """(alpha_k, gamma_k) for iteration k >= 0."""
-    if k < 0:
-        raise ConfigError("iteration index must be >= 0")
-    return schedule.at(k)
-
-
-# ---------------------------------------------------------------------------
-# estimator evaluation and one solver step
-# ---------------------------------------------------------------------------
-
-
-def _weighted_sum(component, x: np.ndarray, vec: SamplingVector, n: int, shape) -> np.ndarray:
-    """(1/n) * sum_{i in S} w_i * component(i, x), accumulated in index order.
-
-    A unit scale skips the multiplication, so a single-element or full-batch
-    estimate is bitwise the plain component term or sum of terms.
-    """
-    acc = None
-    for i, w in zip(vec.indices, vec.weights):
-        term = component(i, x)
-        scale = w / n
-        if scale != 1.0:
-            term = term * scale
-        acc = term if acc is None else acc + term
-    return np.zeros(shape) if acc is None else acc
-
-
-def sampled_value(op: FiniteSumOperator, x: np.ndarray, vec: SamplingVector) -> np.ndarray:
-    """Estimator value (1/n) * sum_{i in S} w_i * component_value(i, x)."""
-    return _weighted_sum(op.component_value, x, vec, op.n, op.dim)
-
-
-def sampled_jacobian(op: FiniteSumOperator, x: np.ndarray, vec: SamplingVector) -> np.ndarray:
-    """Estimator Jacobian (1/n) * sum_{i in S} w_i * component_jacobian(i, x)."""
-    return _weighted_sum(op.component_jacobian, x, vec, op.n, (op.dim, op.dim))
-
-
-def stochastic_hamiltonian_gradient(
-    op: FiniteSumOperator,
-    x: np.ndarray,
-    u: SamplingVector,
-    v: SamplingVector,
-    val_u: np.ndarray | None = None,
-) -> np.ndarray:
-    """Unbiased Hamiltonian-gradient estimator from two independent draws:
-
-        (J_u(x)^T value_v(x) + J_v(x)^T value_u(x)) / 2.
-
-    Symmetric under swapping u and v, and its expectation over independent
-    (u, v) equals J(x)^T value(x), the gradient of |value(x)|^2 / 2.
-    ``val_u``, when given, is value_u(x) already evaluated by the caller.
-    """
-    j_u = sampled_jacobian(op, x, u)
-    j_v = sampled_jacobian(op, x, v)
-    if val_u is None:
-        val_u = sampled_value(op, x, u)
-    val_v = sampled_value(op, x, v)
-    return 0.5 * (j_u.T @ val_v + j_v.T @ val_u)
-
-
 def _applied_steps(method: str, alpha: float, gamma: float) -> tuple[float, float]:
     """(alpha, gamma) with the step of each term ``method`` does not apply
     set to zero."""
@@ -204,46 +143,18 @@ def _applied_steps(method: str, alpha: float, gamma: float) -> tuple[float, floa
     return (alpha if uses_descent_ascent else 0.0), (gamma if uses_hamiltonian else 0.0)
 
 
-def solver_step(
-    method: str,
-    op: FiniteSumOperator,
-    x: np.ndarray,
-    v: SamplingVector,
-    u: SamplingVector | None,
-    alpha: float,
-    gamma: float,
-) -> np.ndarray:
-    """One update of the chosen method from x.
-
-    Descent-ascent: x - alpha * value_v(x).  Hamiltonian descent:
-    x - gamma * hamiltonian_gradient_{v,u}(x).  Consensus: both terms, with
-    value_v(x) evaluated once for the two.  Zero step sizes skip the
-    corresponding term entirely so degenerate configurations are bitwise
-    identical to the specialized method.  run_batch applies the same update
-    to a batch of points; this one-point form is its reference.
-    """
-    if method not in TERMS:
-        raise ConfigError(f"unknown method {method!r}; known: {METHODS}")
-    alpha, gamma = _applied_steps(method, alpha, gamma)
-    if gamma != 0.0 and u is None:
-        raise MissingSecondDrawError(f"{method} needs a second sampling vector")
-    if alpha == 0.0 and gamma == 0.0:
-        return x
-    val_v = sampled_value(op, x, v)
-    out = x
-    if alpha != 0.0:
-        out = out - alpha * val_v
-    if gamma != 0.0:
-        out = out - gamma * stochastic_hamiltonian_gradient(op, x, v, u, val_u=val_v)
-    return out
+# ---------------------------------------------------------------------------
+# batched estimator
+# ---------------------------------------------------------------------------
 
 
 class _BatchEstimator:
     """Estimator value_v(x) and Jacobian J_v(x) for S points at once.
 
     ``sel`` holds one row of draw_many per point (None for the full batch).
-    Terms are scaled and summed in index order, as _weighted_sum accumulates
-    them, so row s is bitwise the one-point estimate at xs[s].
+    Terms are scaled and summed in index order, as the one-point reference
+    estimator in tests/reference.py (_weighted_sum) accumulates them, so row
+    s is bitwise the one-point estimate at xs[s].
     """
 
     def __init__(self, op: FiniteSumOperator, scheme: SamplingScheme):
@@ -430,43 +341,46 @@ def run_batch(config: RunConfig, seeds: int, record_iterates: bool = False) -> l
     limit = np.minimum(np.where(d0 > 0.0, DIVERGENCE_FACTOR * d0, np.inf), np.finfo(float).max)
     if iterates is not None:
         iterates[0] = x[0]
-    for k in range(k_max):
-        alpha, gamma = steps[k]
-        if alpha != 0.0 or gamma != 0.0:
-            v = None if draws is None else draws[:, v_at[k]]
-            val_v, jac_v = estimator.evaluate(v, x, jacobian=gamma != 0.0)
-            out = x
-            if alpha != 0.0:
-                out = out - alpha * val_v
-            if gamma != 0.0:
-                # (J_v^T value_u + J_u^T value_v) / 2, the pairing of
-                # stochastic_hamiltonian_gradient(op, x, v, u, val_u=value_v)
-                if draws is None:  # no draws: u's estimate is v's
-                    term = _jac_t(jac_v, val_v)
-                    grad = 0.5 * (term + term)
-                else:
-                    val_u, jac_u = estimator.evaluate(draws[:, v_at[k] + 1], x, jacobian=True)
-                    grad = 0.5 * (_jac_t(jac_v, val_u) + _jac_t(jac_u, val_v))
-                out = out - gamma * grad
-            x = out
-        if iterates is not None and active[0] == 0:
-            iterates[k + 1] = x[0]
-        d = _row_dots(x - x_star)
-        dist[active, k + 1] = d
-        if (d <= limit).all():
-            continue
-        bad = ~np.isfinite(x).all(axis=1) | (d0 > 0.0) & (d > DIVERGENCE_FACTOR * d0)
-        if bad.any():
-            stopped = active[bad]
-            steps_done[stopped] = k + 1
-            diverged[stopped] = True
-            final_x[stopped] = x[bad]
-            keep = ~bad
-            active, x, d0, limit = active[keep], x[keep], d0[keep], limit[keep]
-            if draws is not None:
-                draws = draws[keep]
-            if active.size == 0:
-                break
+    # The guard reports a run that overflows, so numpy need not warn too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(k_max):
+            alpha, gamma = steps[k]
+            if alpha != 0.0 or gamma != 0.0:
+                v = None if draws is None else draws[:, v_at[k]]
+                val_v, jac_v = estimator.evaluate(v, x, jacobian=gamma != 0.0)
+                out = x
+                if alpha != 0.0:
+                    out = out - alpha * val_v
+                if gamma != 0.0:
+                    # (J_v^T value_u + J_u^T value_v) / 2, the pairing of the
+                    # one-point reference in tests/reference.py,
+                    # stochastic_hamiltonian_gradient(op, x, v, u, val_u=value_v)
+                    if draws is None:  # no draws: u's estimate is v's
+                        term = _jac_t(jac_v, val_v)
+                        grad = 0.5 * (term + term)
+                    else:
+                        val_u, jac_u = estimator.evaluate(draws[:, v_at[k] + 1], x, jacobian=True)
+                        grad = 0.5 * (_jac_t(jac_v, val_u) + _jac_t(jac_u, val_v))
+                    out = out - gamma * grad
+                x = out
+            if iterates is not None and active[0] == 0:
+                iterates[k + 1] = x[0]
+            d = _row_dots(x - x_star)
+            dist[active, k + 1] = d
+            if (d <= limit).all():
+                continue
+            bad = ~np.isfinite(x).all(axis=1) | (d0 > 0.0) & (d > DIVERGENCE_FACTOR * d0)
+            if bad.any():
+                stopped = active[bad]
+                steps_done[stopped] = k + 1
+                diverged[stopped] = True
+                final_x[stopped] = x[bad]
+                keep = ~bad
+                active, x, d0, limit = active[keep], x[keep], d0[keep], limit[keep]
+                if draws is not None:
+                    draws = draws[keep]
+                if active.size == 0:
+                    break
     final_x[active] = x
 
     traces = []

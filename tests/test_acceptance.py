@@ -25,7 +25,7 @@ from stochvi.solvers import (
     run,
 )
 
-from test_solvers import reference_run
+from reference import reference_run
 
 
 @contextmanager

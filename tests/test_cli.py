@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +336,23 @@ def test_sweep_reports_only_diverged_rows(game_file, tmp_path, capsys):
     reports = _divergence_reports(capsys.readouterr().err)
     assert list(reports) == ["sgda@40"]
     assert [seed for seed, _ in reports["sgda@40"]] == [0, 1]
+
+
+def test_overflowing_run_prints_only_the_divergence_line(game_file, tmp_path, capsys):
+    # every seed overflows at its first step; the guard's line reports it and
+    # numpy raises no RuntimeWarning of its own
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([
+            "run", "--game", str(game_file), "--method", "sgda", "--schedule", "constant",
+            "--alpha", "1e200", "--iters", "5", "--seeds", "3",
+            "--out", str(tmp_path / "div.csv"), "--svg", str(tmp_path / "div.svg"),
+        ])
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert _divergence_reports(err) == {"sgda": [(0, 1), (1, 1), (2, 1)]}
 
 
 def test_cli_import_leaves_scipy_out():

@@ -18,6 +18,7 @@ from stochvi.errors import (
 from stochvi.operators import QuadraticGame
 from stochvi.sampling import SamplingScheme, enumerate_support
 
+from reference import grid_cocoercivity
 from test_operators import random_game
 
 
@@ -27,28 +28,28 @@ from test_operators import random_game
 
 
 def test_cocoercivity_identity_is_one():
-    for method in ("exact", "grid_oracle"):
-        assert C.matrix_cocoercivity(np.eye(2), method) == pytest.approx(1.0, rel=1e-9)
+    for cocoercivity in (C.matrix_cocoercivity, grid_cocoercivity):
+        assert cocoercivity(np.eye(2)) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_cocoercivity_rotation_scale_is_two():
     m = [[1.0, 1.0], [-1.0, 1.0]]
-    for method in ("exact", "grid_oracle"):
-        assert C.matrix_cocoercivity(m, method) == pytest.approx(2.0, rel=1e-6)
+    for cocoercivity in (C.matrix_cocoercivity, grid_cocoercivity):
+        assert cocoercivity(m) == pytest.approx(2.0, rel=1e-6)
 
 
 def test_pure_rotation_not_cocoercive():
     m = [[0.0, 1.0], [-1.0, 0.0]]
-    for method in ("exact", "grid_oracle"):
+    for cocoercivity in (C.matrix_cocoercivity, grid_cocoercivity):
         with pytest.raises(NotCocoerciveError):
-            C.matrix_cocoercivity(m, method)
+            cocoercivity(m)
 
 
 def test_cocoercivity_skips_null_space():
     # singular but co-coercive on its range: diag(2, 0)
     m = np.diag([2.0, 0.0])
-    assert C.matrix_cocoercivity(m, "exact") == pytest.approx(2.0, rel=1e-12)
-    assert C.matrix_cocoercivity(m, "grid_oracle") == pytest.approx(2.0, rel=1e-12)
+    assert C.matrix_cocoercivity(m) == pytest.approx(2.0, rel=1e-12)
+    assert grid_cocoercivity(m) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_cocoercivity_exact_certifies_nonnormal():
@@ -56,19 +57,14 @@ def test_cocoercivity_exact_certifies_nonnormal():
     # give 2: the true constant is the worst ratio |Mx|^2 / <x, Mx>,
     # attained here at (1, -1), and the grid oracle finds it too.
     m = np.array([[1.0, 1.0], [-1.0, 2.0]])
-    exact = C.matrix_cocoercivity(m, "exact")
+    exact = C.matrix_cocoercivity(m)
     assert exact == pytest.approx(3.0, rel=1e-9)
-    assert C.matrix_cocoercivity(m, "grid_oracle") == pytest.approx(3.0, rel=1e-9)
+    assert grid_cocoercivity(m) == pytest.approx(3.0, rel=1e-9)
     rng = numerics.make_rng(0)
     for _ in range(2000):
         x = rng.standard_normal(2)
         mx = m @ x
         assert mx @ mx <= exact * (x @ mx) + 1e-9
-
-
-def test_cocoercivity_knows_only_exact_and_grid_oracle():
-    with pytest.raises(ConfigError):
-        C.matrix_cocoercivity(np.eye(2), "spectral")
 
 
 def _random_normal_cocoercive(rng, d):
@@ -99,8 +95,8 @@ def test_exact_matches_grid_on_normal_matrices():
     for trial in range(100):
         d = int(rng.integers(2, 7))
         m = _random_normal_cocoercive(rng, d)
-        exact = C.matrix_cocoercivity(m, "exact")
-        grid = C.matrix_cocoercivity(m, "grid_oracle", rng=numerics.make_rng(trial))
+        exact = C.matrix_cocoercivity(m)
+        grid = grid_cocoercivity(m, rng=numerics.make_rng(trial))
         assert grid == pytest.approx(exact, rel=1e-3)
 
 
@@ -112,10 +108,10 @@ def test_grid_matches_exact_on_random_cocoercive_matrices():
         g = rng.standard_normal((d, d))
         m = g + g.T + 2.0 * d * np.eye(d) + (g - g.T)
         try:
-            exact = C.matrix_cocoercivity(m, "exact")
+            exact = C.matrix_cocoercivity(m)
         except NotCocoerciveError:
             continue
-        grid = C.matrix_cocoercivity(m, "grid_oracle", rng=numerics.make_rng(done))
+        grid = grid_cocoercivity(m, rng=numerics.make_rng(done))
         assert grid == pytest.approx(exact, rel=1e-3)
         done += 1
 

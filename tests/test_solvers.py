@@ -2,16 +2,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stochvi import constants as C
 from stochvi import numerics
-from stochvi.errors import ConfigError, MissingSecondDrawError
+from stochvi.errors import ConfigError
 from stochvi.operators import FiniteSumOperator, QuadraticGame
-from stochvi.sampling import INDEPENDENT, SamplingScheme, draw, draw_many, enumerate_support
+from stochvi.sampling import INDEPENDENT, SamplingScheme, draw_many, enumerate_support
 from stochvi.experiments import run_seeds
 from stochvi.solvers import (
+    DETERMINISTIC_METHODS,
     DIVERGENCE_FACTOR,
-    TERMS,
+    HAMILTONIAN_METHODS,
+    METHODS,
     ConstantSchedule,
     RunConfig,
     ScoSwitchingSchedule,
@@ -19,13 +22,16 @@ from stochvi.solvers import (
     _BatchEstimator,
     run,
     run_batch,
+)
+
+from reference import (
+    draw,
+    reference_run,
     sampled_jacobian,
     sampled_value,
     solver_step,
-    step_sizes,
     stochastic_hamiltonian_gradient,
 )
-
 from test_operators import random_game
 
 
@@ -42,12 +48,12 @@ def identity_game():
 def test_sgda_switching_constant_branch():
     sched = SgdaSwitchingSchedule(ell_xi=10.0, mu=1.0)
     assert sched.switch_point == 40
-    assert step_sizes(sched, 40) == (0.05, 0.0)
+    assert sched.at(40) == (0.05, 0.0)
 
 
 def test_sgda_switching_decreasing_branch():
     sched = SgdaSwitchingSchedule(ell_xi=10.0, mu=1.0)
-    alpha, gamma = step_sizes(sched, 41)
+    alpha, gamma = sched.at(41)
     assert alpha == pytest.approx(83 / 1764, rel=1e-15)
     assert gamma == 0.0
 
@@ -55,7 +61,7 @@ def test_sgda_switching_decreasing_branch():
 def test_sco_switching_constant_branch():
     sched = ScoSwitchingSchedule(ell_xi=4.0, cal_l_h=16.0, mu=1.0, mu_h=1.0)
     assert sched.switch_point == 64
-    assert step_sizes(sched, 64) == (1 / 64, 1 / 64)
+    assert sched.at(64) == (1 / 64, 1 / 64)
 
 
 def test_switching_continuity_and_monotone_tail():
@@ -175,13 +181,6 @@ def test_sco_step_with_zero_alpha_equals_shgd_step():
     a = solver_step("shgd", game, x, v, u, 0.0, 0.02)
     b = solver_step("sco", game, x, v, u, 0.0, 0.02)
     assert a.tobytes() == b.tobytes()
-
-
-def test_missing_second_draw():
-    game = random_game(2, 1, 1, seed=9)
-    vec = draw(SamplingScheme.single_element(2), numerics.make_rng(0))
-    with pytest.raises(MissingSecondDrawError):
-        solver_step("sco", game, np.zeros(game.dim), vec, None, 0.1, 0.1)
 
 
 @pytest.mark.parametrize(
@@ -371,36 +370,6 @@ def test_trace_lengths_and_finiteness():
 # ---------------------------------------------------------------------------
 # seed batches
 # ---------------------------------------------------------------------------
-
-
-def reference_run(cfg):
-    """One seed, one point at a time, from the single-point definitions:
-    draw v (and u for a nonzero Hamiltonian step), solver_step, record,
-    and stop at an iterate that is not finite or, from a start away from
-    x*, more than DIVERGENCE_FACTOR times the initial squared distance away.
-    Returns (dist_sq, iterates, final x)."""
-    op, rng = cfg.operator, numerics.make_rng(cfg.seed)
-    x_star = op.equilibrium()
-    if cfg.x0 is None:
-        g = rng.standard_normal(op.dim)
-        x = x_star + g / np.linalg.norm(g)
-    else:
-        x = np.array(cfg.x0, dtype=float)
-    xs = [x]
-    for k in range(cfg.iterations):
-        alpha, gamma = cfg.schedule.at(k)
-        uses_da, uses_ham = TERMS[cfg.method]
-        alpha, gamma = (alpha if uses_da else 0.0), (gamma if uses_ham else 0.0)
-        v = draw(cfg.scheme, rng)
-        u = draw(cfg.scheme, rng) if gamma != 0.0 else None
-        x = solver_step(cfg.method, op, x, v, u, alpha, gamma)
-        xs.append(x)
-        dist = (x - x_star) @ (x - x_star)
-        dist0 = (xs[0] - x_star) @ (xs[0] - x_star)
-        if not np.all(np.isfinite(x)) or dist0 > 0.0 and dist > DIVERGENCE_FACTOR * dist0:
-            break
-    dist_sq = np.array([(y - x_star) @ (y - x_star) for y in xs])
-    return dist_sq, np.array(xs), x
 
 
 BATCH_CASES = {
@@ -707,3 +676,62 @@ def test_guard_from_the_equilibrium_waits_for_a_non_finite_iterate():
         assert trace.diverged and trace.dist_sq[0] == 0.0
         assert not np.isfinite(trace.final_x).all()
         assert np.isinf(trace.dist_sq[:-1]).any()
+
+
+@st.composite
+def drawn_runs(pick):
+    """(RunConfig, seed count) over a drawn operator, scheme, method and
+    schedule.  n runs past the 8 terms from which numpy sums one-element
+    terms pairwise, tiny inclusion probabilities leave some draws empty,
+    zero steps skip a term, the large steps diverge and the largest
+    overflows, also from a start at the equilibrium."""
+    n = pick(st.integers(1, 16))
+    seed = pick(st.integers(0, 2**16))
+    if pick(st.integers(0, 4)) == 0:
+        op = Line(n, seed)
+    else:
+        op = random_game(n, pick(st.integers(1, 4)), pick(st.integers(1, 4)), seed=seed)
+    method = pick(st.sampled_from(METHODS))
+    kind = "full" if method in DETERMINISTIC_METHODS else pick(
+        st.sampled_from(("single", "minibatch", "full", "independent")))
+    if kind == "single":
+        scheme = SamplingScheme.single_element(n)
+    elif kind == "minibatch":
+        scheme = SamplingScheme.minibatch(n, pick(st.integers(1, n)))
+    elif kind == "full":
+        scheme = SamplingScheme.full_batch(n)
+    else:
+        probs = st.sampled_from((1.0, 0.5, 0.2, 1e-3))
+        scheme = SamplingScheme.independent(pick(st.lists(probs, min_size=n, max_size=n)))
+    constants = st.sampled_from((0.5, 2.0, 8.0))
+    if pick(st.booleans()):
+        steps = st.sampled_from((0.0, 0.004, 0.05, 0.3, 40.0, 1e200))
+        schedule = ConstantSchedule(alpha=pick(steps), gamma=pick(steps))
+    elif method in HAMILTONIAN_METHODS:
+        schedule = ScoSwitchingSchedule(ell_xi=pick(constants), cal_l_h=pick(constants),
+                                        mu=pick(st.sampled_from((0.0, 1.0))),
+                                        mu_h=pick(constants))
+    else:
+        schedule = SgdaSwitchingSchedule(ell_xi=pick(constants), mu=pick(constants))
+    x0 = op.equilibrium() if pick(st.integers(0, 3)) == 0 else None
+    cfg = RunConfig(method=method, operator=op, scheme=scheme, schedule=schedule,
+                    iterations=pick(st.integers(0, 30)), seed=pick(st.integers(0, 1000)),
+                    x0=x0)
+    return cfg, pick(st.integers(1, 6))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(drawn_runs())
+def test_run_batch_equals_the_one_point_reference(drawn):
+    # every seed of a batch, and its iterates in a batch of its own, are
+    # bitwise the one-point loop's, divergence and stop iteration included
+    cfg, seeds = drawn
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = run_batch(cfg, seeds, record_iterates=True)
+        assert_guard_matches_reference(batch, cfg)
+        for trace in batch:
+            one = dataclasses.replace(cfg, seed=trace.seed)
+            xs = reference_run(one)[1]
+            assert run_batch(one, 1, record_iterates=True)[0].iterates.tobytes() == xs.tobytes()
+            if trace.seed == cfg.seed:
+                assert trace.iterates.tobytes() == xs.tobytes()

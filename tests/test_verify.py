@@ -15,8 +15,9 @@ from stochvi.errors import (
 )
 from stochvi.operators import CosineOperator, FiniteSumOperator, QuadraticGame
 from stochvi.sampling import SamplingScheme, enumerate_support, support_weights
-from stochvi.solvers import ConstantSchedule, RunConfig, run, stochastic_hamiltonian_gradient
+from stochvi.solvers import ConstantSchedule, RunConfig, run
 
+from reference import stochastic_hamiltonian_gradient
 from test_operators import random_game
 
 

@@ -326,6 +326,16 @@ def switching_schedule(method: str, prof: GameProfile):
 # ---------------------------------------------------------------------------
 
 
+def _reject_repeats(kind: str, names) -> None:
+    """ConfigError naming the first name given twice: a table's rows are
+    keyed by name, so a repeat would write rows that read_csv rejects."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ConfigError(f"{kind} {name!r} is given more than once")
+        seen.add(name)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Multi-method multi-seed comparison on one game.
@@ -350,6 +360,7 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; known: {METHODS}")
+        _reject_repeats("method", self.methods)
 
 
 @dataclass
@@ -540,7 +551,10 @@ def _svg_coords(ks, values, k_max, log_lo, log_hi):
 
 
 def _path(xs, ys) -> str:
-    return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
+    """SVG points "x,y x,y ...", each coordinate to two decimals, from one
+    format over the interleaved coordinates."""
+    pts = np.stack([xs, ys], axis=1).ravel().tolist()
+    return ("%.2f,%.2f " * len(xs) % tuple(pts))[:-1]
 
 
 def emit_svg(table: AggregateTable, path) -> None:
@@ -644,6 +658,9 @@ def sweep_step_sizes(
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; known: {METHODS}")
+    _reject_repeats("method", methods)
+    label = "{}@{:g}".format
+    _reject_repeats("label", [label(m, mult) for m in methods for mult in multipliers])
     _, plan = method_plan(game, scheme, methods)
     rows = []
     for method in methods:
@@ -652,7 +669,7 @@ def sweep_step_sizes(
         for mult in multipliers:
             schedule = ConstantSchedule(alpha=base.alpha * mult, gamma=base.gamma * mult)
             traces = run_seeds(method, game, run_scheme, schedule, iterations, seeds, base_seed)
-            rows.append(aggregate_traces(f"{method}@{mult:g}", traces))
+            rows.append(aggregate_traces(label(method, mult), traces))
     return AggregateTable(iterations=iterations, rows=rows)
 
 

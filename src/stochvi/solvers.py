@@ -41,6 +41,10 @@ DETERMINISTIC_METHODS = (GDA, CO)
 
 DIVERGENCE_FACTOR = 1e12
 
+# Steps whose distances run_batch records, and whose iterates it checks for
+# divergence, in one pass.
+BLOCK = 8
+
 
 # ---------------------------------------------------------------------------
 # step-size schedules
@@ -298,13 +302,19 @@ def run_batch(config: RunConfig, seeds: int, record_iterates: bool = False) -> l
     advancing all seeds together on (seeds, dim) arrays; traces in seed order.
 
     Per iteration: evaluate (alpha_k, gamma_k), take seed s's v draw and, when
-    a nonzero Hamiltonian step will be taken, its u draw, apply the step, and
-    record |x - x*|^2.  Each seed's draws come from its own generator, drawn
-    up front in the order the steps consume them, and every batched product
-    is bitwise its one-point counterpart, so a seed's trace does not depend
-    on which seeds share its batch.  A seed whose iterate is not finite or,
-    from a start off x*, beyond DIVERGENCE_FACTOR times its initial squared
-    distance leaves the batch there; the others go on.  ``record_iterates``
+    a nonzero Hamiltonian step will be taken, its u draw, and apply the step.
+    Each seed's draws come from its own generator, drawn up front in the
+    order the steps consume them, and every batched product is bitwise its
+    one-point counterpart, so a seed's trace does not depend on which seeds
+    share its batch.  The iterates of BLOCK steps are kept, and after each
+    block |x - x*|^2 is recorded for all of them in one pass.
+
+    A seed whose iterate is not finite or, from a start off x*, beyond
+    DIVERGENCE_FACTOR times its initial squared distance is found at the end
+    of its block of BLOCK steps.  Its trace ends at that first offending
+    iterate and it leaves the batch; the others go on.  Until the block ends
+    it is stepped on with the others, with numpy's overflow and invalid-value
+    warnings silenced, and those steps are thrown away.  ``record_iterates``
     keeps the first seed's iterates.
     """
     if seeds < 1:
@@ -317,7 +327,7 @@ def run_batch(config: RunConfig, seeds: int, record_iterates: bool = False) -> l
     gammas = np.array([g for _, g in steps])
     # Draw position of each step's v; its u, when drawn, follows it.
     counts = 1 + (gammas != 0.0)
-    v_at = np.cumsum(counts) - counts
+    v_at = (np.cumsum(counts) - counts).tolist()
 
     xs, draws = [], []
     for seed in range(config.seed, config.seed + seeds):
@@ -325,7 +335,8 @@ def run_batch(config: RunConfig, seeds: int, record_iterates: bool = False) -> l
         xs.append(_initial_point(config, rng, x_star))
         draws.append(draw_many(config.scheme, rng, int(counts.sum())))
     x = np.stack(xs)
-    draws = None if draws[0] is None else np.stack(draws)
+    # draws[r, s] is seed s's r-th draw.
+    draws = None if draws[0] is None else np.stack(draws, axis=1)
     estimator = _BatchEstimator(op, config.scheme)
 
     dist = np.empty((seeds, k_max + 1))
@@ -334,51 +345,61 @@ def run_batch(config: RunConfig, seeds: int, record_iterates: bool = False) -> l
     diverged = np.zeros(seeds, dtype=bool)
     final_x = np.empty((seeds, op.dim))
     active = np.arange(seeds)
+    # Each step writes its iterates into the next row of the block.
+    blocks = np.empty((min(BLOCK, k_max), seeds, op.dim))
 
     d0 = dist[:, 0] = _row_dots(x - x_star)
     # A row within its limit is finite and not diverged, so one comparison
-    # clears a step; the full predicate runs only when some row is beyond it.
+    # clears a block; the full predicate runs only when some row is beyond it.
     limit = np.minimum(np.where(d0 > 0.0, DIVERGENCE_FACTOR * d0, np.inf), np.finfo(float).max)
     if iterates is not None:
         iterates[0] = x[0]
     # The guard reports a run that overflows, so numpy need not warn too.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(k_max):
-            alpha, gamma = steps[k]
-            if alpha != 0.0 or gamma != 0.0:
-                v = None if draws is None else draws[:, v_at[k]]
+        for start in range(0, k_max, BLOCK):
+            block = blocks[:min(BLOCK, k_max - start), :active.size]
+            for k, row in enumerate(block, start):
+                alpha, gamma = steps[k]
+                if alpha == 0.0 and gamma == 0.0:
+                    row[...] = x
+                    x = row
+                    continue
+                v = None if draws is None else draws[v_at[k]]
                 val_v, jac_v = estimator.evaluate(v, x, jacobian=gamma != 0.0)
-                out = x
+                if gamma == 0.0:
+                    x = np.subtract(x, alpha * val_v, out=row)
+                    continue
+                # (J_v^T value_u + J_u^T value_v) / 2, the pairing of the
+                # one-point reference in tests/reference.py,
+                # stochastic_hamiltonian_gradient(op, x, v, u, val_u=value_v)
+                if draws is None:  # no draws: u's estimate is v's
+                    term = _jac_t(jac_v, val_v)
+                    grad = 0.5 * (term + term)
+                else:
+                    val_u, jac_u = estimator.evaluate(draws[v_at[k] + 1], x, jacobian=True)
+                    grad = 0.5 * (_jac_t(jac_v, val_u) + _jac_t(jac_u, val_v))
                 if alpha != 0.0:
-                    out = out - alpha * val_v
-                if gamma != 0.0:
-                    # (J_v^T value_u + J_u^T value_v) / 2, the pairing of the
-                    # one-point reference in tests/reference.py,
-                    # stochastic_hamiltonian_gradient(op, x, v, u, val_u=value_v)
-                    if draws is None:  # no draws: u's estimate is v's
-                        term = _jac_t(jac_v, val_v)
-                        grad = 0.5 * (term + term)
-                    else:
-                        val_u, jac_u = estimator.evaluate(draws[:, v_at[k] + 1], x, jacobian=True)
-                        grad = 0.5 * (_jac_t(jac_v, val_u) + _jac_t(jac_u, val_v))
-                    out = out - gamma * grad
-                x = out
+                    x = x - alpha * val_v
+                x = np.subtract(x, gamma * grad, out=row)
+            stop = start + len(block) + 1
+            d = _row_dots((block - x_star).reshape(-1, op.dim)).reshape(len(block), -1)
+            dist[active, start + 1:stop] = d.T
             if iterates is not None and active[0] == 0:
-                iterates[k + 1] = x[0]
-            d = _row_dots(x - x_star)
-            dist[active, k + 1] = d
+                iterates[start + 1:stop] = block[:, 0]
             if (d <= limit).all():
                 continue
-            bad = ~np.isfinite(x).all(axis=1) | (d0 > 0.0) & (d > DIVERGENCE_FACTOR * d0)
-            if bad.any():
-                stopped = active[bad]
-                steps_done[stopped] = k + 1
+            bad = ~np.isfinite(block).all(axis=2) | (d0 > 0.0) & (d > DIVERGENCE_FACTOR * d0)
+            hit = bad.any(axis=0)
+            if hit.any():
+                first = bad.argmax(axis=0)[hit]
+                stopped = active[hit]
+                steps_done[stopped] = start + 1 + first
                 diverged[stopped] = True
-                final_x[stopped] = x[bad]
-                keep = ~bad
+                final_x[stopped] = block[first, hit]
+                keep = ~hit
                 active, x, d0, limit = active[keep], x[keep], d0[keep], limit[keep]
                 if draws is not None:
-                    draws = draws[keep]
+                    draws = draws[:, keep]
                 if active.size == 0:
                     break
     final_x[active] = x

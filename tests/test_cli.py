@@ -214,6 +214,24 @@ def test_sweep_multipliers(game_file, tmp_path):
     assert [r.method for r in table.rows] == ["sgda@0.5", "sgda@1"]
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["run", "--method", "sgda,sgda"], "method 'sgda'"),
+    (["sweep", "--methods", "sgda,sgda", "--multipliers", "1"], "method 'sgda'"),
+    (["sweep", "--methods", "sgda", "--multipliers", "1,1"], "label 'sgda@1'"),
+    # :g keeps six significant digits, so both label as sgda@1
+    (["sweep", "--methods", "sgda", "--multipliers", "1,1.0000001"], "label 'sgda@1'"),
+], ids=["run-methods", "sweep-methods", "sweep-multipliers", "sweep-labels"])
+def test_repeated_rows_are_config_errors(game_file, tmp_path, capsys, argv, named):
+    # each would write a CSV whose repeated rows plot rejects
+    out = tmp_path / "agg.csv"
+    code = main([*argv, "--game", str(game_file), "--scheme", "single",
+                 "--iters", "7", "--seeds", "2", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and named in err[0]
+
+
 def test_sweep_target_kappa(tmp_path):
     out = tmp_path / "kappa_game.json"
     code = main([

@@ -390,6 +390,22 @@ def test_emission_deterministic(tmp_path):
     assert "polyline" in svg and "polygon" in svg
 
 
+@pytest.mark.parametrize("xs, ys", [
+    ([-0.0, 0.0, -0.004, -0.005, 0.004999], [0.0, -0.0, -0.0049, 1e-300, -1e-300]),
+    ([0.125, 0.375, 0.625, 2.675, 1.005], [0.5, 1.5, 72.125, 455.875, 479.995]),
+    ([1e20, -1e20, 1.7976931348623157e308, 123456789.125], [3e15, 1e300, -1e200, 0.015]),
+    ([np.inf, -np.inf, np.nan], [np.nan, np.inf, -np.inf]),
+    ([], []),
+], ids=["signed-zeros", "halves", "large", "non-finite", "empty"])
+def test_svg_path_formats_as_the_per_point_join(xs, ys):
+    # the one-format path is byte for byte the per-point f-string join, also
+    # over reversed views as emit_svg passes for the lower band
+    xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
+    for a, b in ((xs, ys), (xs[::-1], ys[::-1])):
+        want = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(a.tolist(), b.tolist()))
+        assert E._path(a, b) == want
+
+
 def test_empty_table_rejected(tmp_path):
     with pytest.raises(ConfigError):
         E.emit_csv(E.AggregateTable(iterations=0, rows=[]), tmp_path / "x.csv")

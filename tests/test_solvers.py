@@ -11,6 +11,7 @@ from stochvi.operators import FiniteSumOperator, QuadraticGame
 from stochvi.sampling import INDEPENDENT, SamplingScheme, draw_many, enumerate_support
 from stochvi.experiments import run_seeds
 from stochvi.solvers import (
+    BLOCK,
     DETERMINISTIC_METHODS,
     DIVERGENCE_FACTOR,
     HAMILTONIAN_METHODS,
@@ -676,6 +677,138 @@ def test_guard_from_the_equilibrium_waits_for_a_non_finite_iterate():
         assert trace.diverged and trace.dist_sq[0] == 0.0
         assert not np.isfinite(trace.final_x).all()
         assert np.isinf(trace.dist_sq[:-1]).any()
+
+
+class Fuse(FiniteSumOperator):
+    """Component 0 is -1e7 x, so an sgda step of alpha = 1 that draws it
+    takes the iterate 1e14 times its squared distance from x* = 0, past
+    DIVERGENCE_FACTOR; every other component is 0 and leaves the iterate
+    where it is.  A seed stops at its first draw of component 0."""
+
+    dim = 2
+
+    def __init__(self, n):
+        self.n = n
+
+    def component_value(self, i, x):
+        return (-1e7 if i == 0 else 0.0) * x
+
+    def component_jacobian(self, i, x):
+        return (-1e7 if i == 0 else 0.0) * np.eye(2)
+
+    @property
+    def has_equilibrium(self):
+        return True
+
+    def equilibrium(self):
+        return np.zeros(2)
+
+
+def fuse_run(n, iterations, seed=0):
+    return RunConfig(method="sgda", operator=Fuse(n), scheme=SamplingScheme.single_element(n),
+                     schedule=ConstantSchedule(alpha=1.0), iterations=iterations, seed=seed)
+
+
+def first_seed_stopping_at(cfg, stop):
+    """The smallest seed whose one-point run of cfg diverges at iteration
+    ``stop``."""
+    for seed in range(5000):
+        dist_sq = reference_run(dataclasses.replace(cfg, seed=seed))[0]
+        if len(dist_sq) == stop + 1 and dist_sq[-1] > DIVERGENCE_FACTOR * dist_sq[0]:
+            return seed
+    raise AssertionError(f"no seed below 5000 stops at iteration {stop}")
+
+
+def assert_batch_matches_reference(cfg, seeds):
+    """run_batch(cfg, seeds) with the first seed's iterates, against the
+    one-point loop bit for bit; returns the traces."""
+    batch = run_batch(cfg, seeds, record_iterates=True)
+    assert_guard_matches_reference(batch, cfg)
+    assert batch[0].iterates.tobytes() == reference_run(cfg)[1].tobytes()
+    return batch
+
+
+@pytest.mark.parametrize("iterations, stop", [
+    (3 * BLOCK, 1),
+    (3 * BLOCK, BLOCK + 1),
+    (3 * BLOCK, 2 * BLOCK + 1),
+    (3 * BLOCK, BLOCK),
+    (3 * BLOCK, 2 * BLOCK),
+    (2 * BLOCK + 3, 2 * BLOCK + 2),
+    (2 * BLOCK + 3, 2 * BLOCK + 3),
+    (BLOCK - 3, BLOCK - 5),
+], ids=["iteration-1", "block-2-first", "block-3-first", "block-1-last", "block-2-last",
+        "partial-block", "partial-block-last", "under-one-block"])
+def test_guard_at_block_boundaries(iterations, stop):
+    # the first seed of each batch stops at ``stop``, the others wherever
+    # their draws take them: every trace ends at its first offending iterate
+    cfg = fuse_run(4, iterations)
+    cfg = dataclasses.replace(cfg, seed=first_seed_stopping_at(cfg, stop))
+    batch = assert_batch_matches_reference(cfg, 5)
+    assert batch[0].diverged and len(batch[0].alphas) == stop
+
+
+def test_guard_with_no_iterations():
+    batch = assert_batch_matches_reference(fuse_run(4, 0), 3)
+    assert all(len(t.dist_sq) == 1 and not t.diverged for t in batch)
+
+
+def test_guard_stops_every_seed_in_one_block():
+    # each seed of the first batch stops at its own iteration of block 1,
+    # and a full-batch run that grows every seed by the same factor stops
+    # them all at iteration BLOCK + 3 of a run of four blocks
+    batch = assert_batch_matches_reference(fuse_run(2, 4 * BLOCK), 6)
+    stops = [len(t.alphas) for t in batch]
+    assert all(t.diverged for t in batch) and max(stops) <= BLOCK and len(set(stops)) > 1
+    g = 10.0 ** (6.0 / (BLOCK + 2.5))  # g^(2k) passes 1e12 at k = BLOCK + 3
+    grow = QuadraticGame([[[1.0 - g]]], [[[0.0]]], [[[1.0 - g]]], [[0.0]], [[0.0]])
+    cfg = RunConfig(method="gda", operator=grow, scheme=SamplingScheme.full_batch(1),
+                    schedule=ConstantSchedule(alpha=1.0), iterations=4 * BLOCK, seed=0)
+    batch = assert_batch_matches_reference(cfg, 4)
+    assert all(t.diverged and len(t.alphas) == BLOCK + 3 for t in batch)
+
+
+class Bounce(FiniteSumOperator):
+    """One component that, with a gda step of alpha = 1, doubles the
+    iterate until |x|^2 >= 100, then takes it 1e14 times further from x* = 0
+    and, once |x|^2 > 1e6, back to 1e-9 times where it was."""
+
+    n, dim = 1, 2
+
+    def component_value(self, i, x):
+        r = x @ x
+        if r > 1e6:
+            return (1.0 - 1e-9) * x
+        return (-1e7 if r >= 100.0 else -1.0) * x
+
+    def component_jacobian(self, i, x):
+        return np.eye(2)
+
+    @property
+    def has_equilibrium(self):
+        return True
+
+    def equilibrium(self):
+        return np.zeros(2)
+
+
+def test_guard_stops_a_seed_that_comes_back_within_its_block():
+    # from distance 1, iteration 5 is beyond the limit and iteration 6 back
+    # within it, as is the last of the block: each seed still stops at 5
+    cfg = RunConfig(method="gda", operator=Bounce(), scheme=SamplingScheme.full_batch(1),
+                    schedule=ConstantSchedule(alpha=1.0), iterations=3 * BLOCK, seed=0)
+    batch = assert_batch_matches_reference(cfg, 3)
+    assert all(t.diverged and len(t.alphas) == 5 for t in batch)
+
+
+def test_guard_stops_the_recorded_seed_mid_block():
+    # seed 0 of the batch, whose iterates are kept, stops mid-block; its
+    # iterates end at the offending one while the others run on
+    cfg = fuse_run(16, 3 * BLOCK)
+    cfg = dataclasses.replace(cfg, seed=first_seed_stopping_at(cfg, BLOCK + BLOCK // 2))
+    batch = assert_batch_matches_reference(cfg, 6)
+    assert len(batch[0].iterates) == BLOCK + BLOCK // 2 + 1
+    assert any(len(t.alphas) > BLOCK + BLOCK // 2 for t in batch[1:])
 
 
 @st.composite

@@ -11,20 +11,12 @@ genuine certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import numerics
-from .errors import (
-    ConfigError,
-    NonSquareError,
-    NotCocoerciveError,
-    NotStronglyMonotoneError,
-    StepSizeOutOfRangeError,
-    SwitchNotReachedError,
-    UnsupportedSchemeError,
-)
+from .errors import ConfigError, NumericalError, UnsupportedSchemeError
 from .operators import QuadraticGame
 from .sampling import SamplingScheme, enumerate_support, scheme_stats, support_weights
 from .solvers import ScoSwitchingSchedule, SgdaSwitchingSchedule
@@ -46,7 +38,7 @@ def matrix_cocoercivity(m) -> float:
     docstring)."""
     m = numerics.as_matrix(m)
     if m.shape[0] != m.shape[1]:
-        raise NonSquareError(f"expected square matrix, got {m.shape}")
+        raise ConfigError(f"expected square matrix, got {m.shape}")
     sym = 0.5 * (m + m.T)
     evals, evecs = np.linalg.eigh(sym)
     scale = max(float(np.abs(evals).max(initial=0.0)), float(np.abs(m).max(initial=0.0)))
@@ -55,16 +47,14 @@ def matrix_cocoercivity(m) -> float:
     tol = _ZERO_RTOL * scale
     if evals.min() < -tol:
         # <v, Mv> = v^T sym(M) v < 0 forces Mv != 0, so co-coercivity fails.
-        raise NotCocoerciveError(
-            f"symmetric part has negative eigenvalue {evals.min():.3e}"
+        raise NumericalError(
+            f"not co-coercive: symmetric part has negative eigenvalue {evals.min():.3e}"
         )
     null = evals <= tol
     if np.any(null):
         null_slice = m @ evecs[:, null]
         if np.abs(null_slice).max() > 1e-9 * scale:
-            raise NotCocoerciveError(
-                "direction with <x, Mx> = 0 but Mx != 0"
-            )
+            raise NumericalError("not co-coercive: direction with <x, Mx> = 0 but Mx != 0")
         if np.all(null):
             return 0.0
     w = evecs[:, ~null] / np.sqrt(evals[~null])
@@ -77,8 +67,17 @@ def matrix_cocoercivity(m) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _Finite:
+    """Base of the constants records: a constant that overflowed to inf or
+    nan certifies nothing, so building such a record is a NumericalError."""
+
+    def __post_init__(self):
+        if not np.isfinite(np.hstack(astuple(self))).all():
+            raise NumericalError(f"{type(self).__name__} are not finite: {self}")
+
+
 @dataclass(frozen=True)
-class GameConstants:
+class GameConstants(_Finite):
     """Structural constants of one quadratic game.
 
     mu is the quasi-strong monotonicity modulus (smallest eigenvalue of the
@@ -97,7 +96,7 @@ class GameConstants:
 
 
 @dataclass(frozen=True)
-class ECConstants:
+class ECConstants(_Finite):
     """Expected co-coercivity constant and operator noise for one scheme."""
 
     ell_xi: float
@@ -105,7 +104,7 @@ class ECConstants:
 
 
 @dataclass(frozen=True)
-class HamiltonianConstants:
+class HamiltonianConstants(_Finite):
     """Constants of H(x) = |mean value|^2 / 2 for one quadratic game."""
 
     mu_h: float
@@ -126,8 +125,8 @@ def game_constants(game: QuadraticGame) -> GameConstants:
     sym_eigs = numerics.symmetric_eigenvalues(0.5 * (j_mean + j_mean.T))
     mu = float(sym_eigs[0])
     if mu <= 0.0:
-        raise NotStronglyMonotoneError(
-            f"lambda_min of the symmetric mean Jacobian is {mu:.3e}"
+        raise NumericalError(
+            f"not strongly monotone: lambda_min of the symmetric mean Jacobian is {mu:.3e}"
         )
     ell_i = tuple(
         matrix_cocoercivity(game.component_jacobians[i]) for i in range(game.n)
@@ -222,7 +221,7 @@ def hamiltonian_constants(
     j_mean = game.mean_jacobian()
     svals = numerics.singular_values(j_mean)
     if svals[-1] <= _ZERO_RTOL * max(svals[0], 1.0):
-        raise numerics.SingularMatrixError("mean Jacobian is singular")
+        raise NumericalError("mean Jacobian is singular")
     l_h = float(svals[0] ** 2)
     mu_h = float(svals[-1] ** 2)
     if full:
@@ -319,9 +318,9 @@ def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
     * shgd_constant:          gamma, mu_h, cal_l_h, sigma_h_sq
     * sco_switching:          mu, mu_h, ell_xi, cal_l_h, sigma_sq, sigma_h_sq
 
-    Raises StepSizeOutOfRangeError when a step size violates the statement's
-    range and SwitchNotReachedError when k lies before a switching rule's
-    switch point, which the matching schedule class defines.
+    Raises NumericalError when a step size violates the statement's range
+    and ConfigError when k lies before a switching rule's switch point,
+    which the matching schedule class defines.
     """
     if k < 0:
         raise ConfigError("iteration index must be >= 0")
@@ -329,7 +328,9 @@ def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
     def limit(value, ceiling, what, strict=False):
         if value < 0.0 or (value >= ceiling if strict else value > ceiling * (1.0 + _STEP_SLOP)):
             op = "<" if strict else "<="
-            raise StepSizeOutOfRangeError(f"{what} must satisfy {what} {op} {ceiling:.6g}")
+            raise NumericalError(
+                f"step size out of range: {what} must satisfy {what} {op} {ceiling:.6g}"
+            )
 
     if bound == SGDA_CONSTANT:
         alpha, mu, ell_xi, sigma_sq = p["alpha"], p["mu"], p["ell_xi"], p["sigma_sq"]
@@ -350,7 +351,7 @@ def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
         mu, ell_xi, sigma_sq = p["mu"], p["ell_xi"], p["sigma_sq"]
         switch = SgdaSwitchingSchedule(ell_xi=ell_xi, mu=mu).switch_point
         if k < switch:
-            raise SwitchNotReachedError(f"bound valid from iteration {switch}, got {k}")
+            raise ConfigError(f"switch not reached: bound valid from iteration {switch}, got {k}")
         # The statement's 16 ceil(ell_xi / mu)^2 is the switch point squared.
         return 8.0 * sigma_sq / (mu**2 * k) + switch**2 * r0_sq / (math.e**2 * k**2)
 
@@ -364,7 +365,7 @@ def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
         limit(gamma, 1.0 / (4.0 * p["cal_l_h"]), "gamma")
         denom = gamma * mu_h + alpha * mu
         if denom <= 0.0:
-            raise StepSizeOutOfRangeError("alpha and gamma may not both vanish")
+            raise NumericalError("step size out of range: alpha and gamma may not both vanish")
         rate = 1.0 - denom
         return rate**k * r0_sq + 4.0 * (alpha**2 * sigma_sq + gamma**2 * sigma_h_sq) / denom
 
@@ -374,7 +375,7 @@ def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
             raise ConfigError("this rate needs mu_h > 0")
         limit(gamma, 1.0 / (2.0 * p["cal_l_h"]), "gamma")
         if gamma <= 0.0:
-            raise StepSizeOutOfRangeError("gamma must be positive")
+            raise NumericalError("step size out of range: gamma must be positive")
         return (1.0 - gamma * mu_h) ** k * r0_sq + 2.0 * gamma * sigma_h_sq / mu_h
 
     if bound == SCO_SWITCHING:
@@ -382,8 +383,8 @@ def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
         sigma_sq, sigma_h_sq = p["sigma_sq"], p["sigma_h_sq"]
         sched = ScoSwitchingSchedule(ell_xi=p["ell_xi"], cal_l_h=p["cal_l_h"], mu=mu, mu_h=mu_h)
         if k < sched.switch_point:
-            raise SwitchNotReachedError(
-                f"bound valid from iteration {sched.switch_point}, got {k}"
+            raise ConfigError(
+                f"switch not reached: bound valid from iteration {sched.switch_point}, got {k}"
             )
         first = 16.0 * (sigma_h_sq + sigma_sq) / ((mu + mu_h) ** 2 * k)
         return first + sched.k_star**2 * r0_sq / (math.e**2 * k**2)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import constants as consts
 from . import numerics
-from .errors import ConfigError, InvalidRangeError
+from .errors import ConfigError
 from .operators import QuadraticGame
 from .sampling import SamplingScheme
 from .solvers import (
@@ -77,11 +77,11 @@ class GameGenConfig:
 
     def __post_init__(self):
         if self.n < 1 or self.d1 < 1 or self.d2 < 1:
-            raise InvalidRangeError("n, d1, d2 must all be >= 1")
+            raise ConfigError("n, d1, d2 must all be >= 1")
         if not 0.0 < self.mu_a <= self.l_a or not 0.0 < self.mu_c <= self.l_c:
-            raise InvalidRangeError("need 0 < mu_a <= l_a and 0 < mu_c <= l_c")
+            raise ConfigError("need 0 < mu_a <= l_a and 0 < mu_c <= l_c")
         if not 0.0 <= self.mu_b <= self.l_b:
-            raise InvalidRangeError("need 0 <= mu_b <= l_b")
+            raise ConfigError("need 0 <= mu_b <= l_b")
 
 
 def _spread_diagonal(rng, dim, lo, hi, force_min, force_max):
@@ -336,6 +336,14 @@ def _reject_repeats(kind: str, names) -> None:
         seen.add(name)
 
 
+def _check_methods(methods) -> None:
+    """ConfigError naming the first unknown or repeated method."""
+    for m in methods:
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r}; known: {METHODS}")
+    _reject_repeats("method", methods)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Multi-method multi-seed comparison on one game.
@@ -357,10 +365,7 @@ class ExperimentConfig:
             raise ConfigError("need at least one method")
         if self.seeds < 1:
             raise ConfigError("need at least one seed")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}; known: {METHODS}")
-        _reject_repeats("method", self.methods)
+        _check_methods(self.methods)
 
 
 @dataclass
@@ -655,10 +660,7 @@ def sweep_step_sizes(
     still aggregated (their traces are truncated); callers can spot them by
     the trailing values.
     """
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; known: {METHODS}")
-    _reject_repeats("method", methods)
+    _check_methods(methods)
     label = "{}@{:g}".format
     _reject_repeats("label", [label(m, mult) for m in methods for mult in multipliers])
     _, plan = method_plan(game, scheme, methods)
@@ -731,6 +733,8 @@ def find_generator_for_kappa(
 
 
 def _scheme_by_name(name: str, n: int, b: int | None = None) -> SamplingScheme:
+    if b is not None and name != "minibatch":
+        raise ConfigError(f"--b applies only to the minibatch scheme, not {name!r}")
     if name in ("single", "single_element", "single_element_uniform"):
         return SamplingScheme.single_element(n)
     if name in ("full", "full_batch"):

@@ -3,7 +3,8 @@ and seeded orthogonal-matrix generation.
 
 Matrices are plain float64 ``numpy.ndarray`` values, immutable by convention
 (nothing in this package mutates an input array).  Each routine validates its
-contract and maps LAPACK failure modes onto the package's error types.
+contract; a LAPACK failure (``numpy.linalg.LinAlgError``) is left to the
+CLI, which reports it as a numerical error.
 
 Randomness: one generator for the whole artifact, PCG64 behind
 ``numpy.random.Generator``.  Identical seeds give identical draw sequences on
@@ -15,12 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    AsymmetryError,
-    NonSquareError,
-    NoConvergenceError,
-    SingularMatrixError,
-)
+from .errors import ConfigError, NumericalError
 
 # Relative tolerance for accepting a matrix as symmetric.
 SYMMETRY_RTOL = 1e-12
@@ -38,15 +34,15 @@ def as_matrix(m) -> np.ndarray:
     """Validate and return ``m`` as a finite float64 2-d array."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
-        raise NonSquareError(f"expected a 2-d array, got shape {a.shape}")
+        raise ConfigError(f"expected a 2-d array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+        raise ConfigError("matrix entries must be finite")
     return a
 
 
 def _require_square(a: np.ndarray) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
+        raise ConfigError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
@@ -62,25 +58,22 @@ def relative_asymmetry(m: np.ndarray) -> float:
 def symmetric_eigenvalues(m) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending.
 
-    Raises AsymmetryError when the relative asymmetry exceeds 1e-12; the
+    Raises ConfigError when the relative asymmetry exceeds 1e-12; the
     computation itself uses the symmetrized matrix so the result is exactly
     the spectrum of (M + M^T)/2.
     """
     a = _require_square(as_matrix(m))
     if relative_asymmetry(a) > SYMMETRY_RTOL:
-        raise AsymmetryError(
-            f"relative asymmetry {relative_asymmetry(a):.3e} exceeds {SYMMETRY_RTOL}"
+        raise ConfigError(
+            f"matrix is not symmetric: relative asymmetry {relative_asymmetry(a):.3e} "
+            f"exceeds {SYMMETRY_RTOL}"
         )
     return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
 def singular_values(m) -> np.ndarray:
     """Singular values of any matrix, descending, all nonnegative."""
-    a = as_matrix(m)
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
+    return np.linalg.svd(as_matrix(m), compute_uv=False)
 
 
 def condition_number(m) -> float:
@@ -100,15 +93,12 @@ def solve_linear(m, b) -> np.ndarray:
     a = _require_square(as_matrix(m))
     rhs = np.asarray(b, dtype=float)
     if rhs.shape[0] != a.shape[0]:
-        raise SingularMatrixError(
+        raise ConfigError(
             f"right-hand side length {rhs.shape[0]} != matrix order {a.shape[0]}"
         )
     if condition_number(a) > CONDITION_LIMIT:
-        raise SingularMatrixError("matrix is singular or too ill-conditioned")
-    try:
-        return np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc
+        raise NumericalError("matrix is singular or too ill-conditioned")
+    return np.linalg.solve(a, rhs)
 
 
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -119,7 +109,7 @@ def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     distribution exactly Haar.  Deterministic given the generator state.
     """
     if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
+        raise ConfigError(f"dimension must be >= 1, got {dim}")
     g = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diag(r))

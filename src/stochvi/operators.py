@@ -19,12 +19,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from . import numerics
-from .errors import (
-    AsymmetryError,
-    DimensionMismatchError,
-    IndexOutOfRangeError,
-    UnsupportedError,
-)
+from .errors import ConfigError, NumericalError
 
 
 class FiniteSumOperator(ABC):
@@ -35,14 +30,12 @@ class FiniteSumOperator(ABC):
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.n:
-            raise IndexOutOfRangeError(f"component index {i} outside [0, {self.n})")
+            raise ConfigError(f"component index {i} outside [0, {self.n})")
 
     def _check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"point has shape {x.shape}, operator dimension is {self.dim}"
-            )
+            raise ConfigError(f"point has shape {x.shape}, operator dimension is {self.dim}")
         return x
 
     @abstractmethod
@@ -94,7 +87,7 @@ class FiniteSumOperator(ABC):
 
     def equilibrium(self) -> np.ndarray:
         """Point x* with full_value(x*) = 0, when analytically available."""
-        raise UnsupportedError(f"{type(self).__name__} has no analytic equilibrium")
+        raise ConfigError(f"{type(self).__name__} has no analytic equilibrium")
 
 
 class QuadraticGame(FiniteSumOperator):
@@ -116,21 +109,21 @@ class QuadraticGame(FiniteSumOperator):
         self.a = np.asarray(a_vecs, dtype=float)
         self.c = np.asarray(c_vecs, dtype=float)
         if self.A.ndim != 3 or self.B.ndim != 3 or self.C.ndim != 3:
-            raise DimensionMismatchError("A, B, C must be stacks of matrices")
+            raise ConfigError("A, B, C must be stacks of matrices")
         n = self.A.shape[0]
         if not (self.B.shape[0] == self.C.shape[0] == self.a.shape[0] == self.c.shape[0] == n):
-            raise DimensionMismatchError("all component stacks must share n")
+            raise ConfigError("all component stacks must share n")
         d1, d2 = self.B.shape[1], self.B.shape[2]
         if self.A.shape[1:] != (d1, d1) or self.C.shape[1:] != (d2, d2):
-            raise DimensionMismatchError("A must be d1 x d1 and C must be d2 x d2")
+            raise ConfigError("A must be d1 x d1 and C must be d2 x d2")
         if self.a.shape[1:] != (d1,) or self.c.shape[1:] != (d2,):
-            raise DimensionMismatchError("offset vectors must match block dimensions")
+            raise ConfigError("offset vectors must match block dimensions")
+        if not all(np.all(np.isfinite(arr)) for arr in (self.A, self.B, self.C, self.a, self.c)):
+            raise ConfigError("game data must be finite")
         for name, stack in (("A", self.A), ("C", self.C)):
             for i in range(n):
                 if numerics.relative_asymmetry(stack[i]) > numerics.SYMMETRY_RTOL:
-                    raise AsymmetryError(f"{name}_{i} is not symmetric")
-        if not all(np.all(np.isfinite(arr)) for arr in (self.A, self.B, self.C, self.a, self.c)):
-            raise ValueError("game data must be finite")
+                    raise ConfigError(f"{name}_{i} is not symmetric")
 
         self.n = n
         self.d1 = d1
@@ -144,8 +137,11 @@ class QuadraticGame(FiniteSumOperator):
         jacs[:, d1:, d1:] = self.C
         self._jacs = jacs
         self._offsets = np.concatenate([self.a, self.c], axis=1)
-        self._j_mean = jacs.mean(axis=0)
-        self._r_mean = self._offsets.mean(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._j_mean = jacs.mean(axis=0)
+            self._r_mean = self._offsets.mean(axis=0)
+        if not (np.isfinite(self._j_mean).all() and np.isfinite(self._r_mean).all()):
+            raise NumericalError("the mean Jacobian or offset overflows")
 
     def component_value(self, i: int, x: np.ndarray) -> np.ndarray:
         self._check_index(i)
@@ -215,7 +211,7 @@ class QuadraticGame(FiniteSumOperator):
         return True
 
     def equilibrium(self) -> np.ndarray:
-        """Unique solution of J x = -r; raises SingularMatrixError if J is singular."""
+        """Unique solution of J x = -r; raises NumericalError if J is singular."""
         return numerics.solve_linear(self.mean_jacobian(), -self.mean_offset())
 
 
@@ -234,9 +230,9 @@ class CosineOperator(FiniteSumOperator):
 
     def __init__(self, dim: int, mu: float, big_l: float):
         if dim < 1:
-            raise DimensionMismatchError(f"dimension must be >= 1, got {dim}")
+            raise ConfigError(f"dimension must be >= 1, got {dim}")
         if not 0.0 < mu < big_l:
-            raise ValueError(f"need 0 < mu < big_l, got mu={mu}, big_l={big_l}")
+            raise ConfigError(f"need 0 < mu < big_l, got mu={mu}, big_l={big_l}")
         self.n = 1
         self.dim = dim
         self.mu = float(mu)

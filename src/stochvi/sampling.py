@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SupportTooLargeError
+from .errors import ConfigError
 
 SUPPORT_CAP = 10**6
 
@@ -149,8 +149,8 @@ def draw_many(scheme: SamplingScheme, rng: np.random.Generator, count: int):
 def enumerate_support(scheme: SamplingScheme):
     """Exhaustive support as a list of (probability, SamplingVector).
 
-    Probabilities sum to 1 within 1e-12.  Raises SupportTooLargeError when
-    the support exceeds the cap; enumeration is an oracle for tests, not a
+    Probabilities sum to 1 within 1e-12.  Raises ConfigError when the
+    support exceeds the cap; enumeration is an oracle for tests, not a
     production path.
     """
     n = scheme.n
@@ -158,7 +158,7 @@ def enumerate_support(scheme: SamplingScheme):
     if b is not None:
         size = math.comb(n, b)
         if size > SUPPORT_CAP:
-            raise SupportTooLargeError(f"support size {size} exceeds cap {SUPPORT_CAP}")
+            raise ConfigError(f"support size {size} exceeds cap {SUPPORT_CAP}")
         prob = 1.0 / size
         weight = (n / b,) * b
         return [
@@ -166,7 +166,7 @@ def enumerate_support(scheme: SamplingScheme):
             for combo in itertools.combinations(range(n), b)
         ]
     if 2**n > SUPPORT_CAP:
-        raise SupportTooLargeError(f"support size 2^{n} exceeds cap {SUPPORT_CAP}")
+        raise ConfigError(f"support size 2^{n} exceeds cap {SUPPORT_CAP}")
     probs = np.asarray(scheme.probs)
     out = []
     for mask in itertools.product((0, 1), repeat=n):

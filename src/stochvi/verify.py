@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants as consts
-from .errors import ConfigError, NoEquilibriumError, TooFewSeedsError
+from .errors import ConfigError, NumericalError
 from .operators import FiniteSumOperator
 from .sampling import SamplingScheme, enumerate_support, support_weights
 from .solvers import RunTrace, ScoSwitchingSchedule, SgdaSwitchingSchedule
@@ -35,7 +35,8 @@ class CheckReport:
 
     ``passed`` is always exactly ``worst_margin >= -tolerance``; margins are
     normalized (dimensionless).  ``witness`` is the probe point (or pair)
-    attaining the worst margin whenever the check fails.
+    attaining the worst margin whenever the check fails.  A margin that is
+    not a number certifies nothing: NumericalError.
     """
 
     name: str
@@ -48,6 +49,8 @@ class CheckReport:
 
     @staticmethod
     def from_margins(name, margins, tolerance, points, witnesses=None, details=None):
+        if np.isnan(margins).any():
+            raise NumericalError(f"{name}: a margin is not a number")
         worst = int(np.argmin(margins))
         worst_margin = float(margins[worst])
         passed = worst_margin >= -tolerance
@@ -67,7 +70,7 @@ class CheckReport:
 
 def _equilibrium(op: FiniteSumOperator) -> np.ndarray:
     if not op.has_equilibrium:
-        raise NoEquilibriumError(f"{type(op).__name__} has no computable equilibrium")
+        raise ConfigError(f"{type(op).__name__} has no computable equilibrium")
     return op.equilibrium()
 
 
@@ -79,6 +82,8 @@ def sample_points(
     Directions are standard normal scaled by radius/sqrt(d); any draw whose
     distance exceeds the radius is pulled back onto the sphere.
     """
+    if not radius >= 0.0:
+        raise ConfigError(f"radius must be >= 0, got {radius}")
     d = center.shape[0]
     pts = center + rng.standard_normal((count, d)) * (radius / np.sqrt(d))
     dist = np.linalg.norm(pts - center, axis=1)
@@ -280,10 +285,10 @@ def check_bound_envelope(
     without divergence are a ConfigError.
     """
     if not traces:
-        raise TooFewSeedsError("no traces supplied")
+        raise ConfigError("too few seeds: no traces supplied")
     noise = params.get("sigma_sq", 0.0) + params.get("sigma_h_sq", 0.0)
     if len(traces) < 30 and noise > 0.0:
-        raise TooFewSeedsError(f"need >= 30 traces for noisy bounds, got {len(traces)}")
+        raise ConfigError(f"too few seeds: need >= 30 traces for noisy bounds, got {len(traces)}")
     diverged = tuple((t.seed, len(t.alphas)) for t in traces if t.diverged)
     lengths = sorted({len(t.dist_sq) for t in traces})
     if not diverged and len(lengths) > 1:
@@ -325,7 +330,7 @@ def check_bound_envelope(
             details={"slack": slack, "seeds": len(traces), "diverged": diverged},
         )
     if k_hi < k_lo:
-        raise TooFewSeedsError("no iterations in the requested envelope range")
+        raise ConfigError("no iterations in the requested envelope range")
 
     ks = np.arange(k_lo, k_hi + 1)
     margins = np.empty(ks.size)

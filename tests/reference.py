@@ -11,7 +11,7 @@ check.
 import numpy as np
 
 from stochvi import numerics
-from stochvi.errors import ConfigError, NotCocoerciveError
+from stochvi.errors import ConfigError, NumericalError
 from stochvi.operators import FiniteSumOperator
 from stochvi.sampling import INDEPENDENT, SamplingScheme, SamplingVector
 from stochvi.solvers import DIVERGENCE_FACTOR, METHODS, TERMS, _applied_steps
@@ -184,7 +184,7 @@ def _cocoercivity_grid(m: np.ndarray, rng: np.random.Generator) -> float:
         num = np.einsum("ij,ij->i", mx, mx)
         den = np.einsum("ij,ij->i", pts, mx)
         if np.any((den <= 0.0) & (np.sqrt(num) > 1e-9 * scale)):
-            raise NotCocoerciveError("grid point with <x, Mx> <= 0 and Mx != 0")
+            raise NumericalError("not co-coercive: grid point with <x, Mx> <= 0 and Mx != 0")
         return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
     pts = rng.standard_normal((_GRID_SAMPLES, d))

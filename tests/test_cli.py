@@ -19,6 +19,7 @@ from stochvi import numerics
 from stochvi import constants as C
 from stochvi import experiments as E
 from stochvi.cli import main
+from stochvi.errors import ConfigError
 from stochvi.solvers import METHODS
 
 
@@ -411,9 +412,18 @@ def _config_error_exit(argv, capsys):
         ["verify", "{game}", "--radius", "nan"],
         ["sweep", "--out", "{out}/s.csv"],
         ["run", "--game", "{game}", "--method", "sgda", "--iters", "5", "--out", "{out}"],
+        ["run", "--game", "{game}", "--method", "sgda", "--scheme", "single", "--b", "3",
+         "--iters", "5", "--out", "{out}/r.csv"],
+        ["constants", "{game}", "--scheme", "full", "--b", "2"],
+        ["run", "--game", "{game}", "--method", "sgda", "--schedule", "theory",
+         "--alpha", "0.1", "--iters", "5", "--out", "{out}/r.csv"],
+        ["run", "--game", "{game}", "--method", "sco", "--schedule", "switching",
+         "--gamma", "0.1", "--iters", "5", "--out", "{out}/r.csv"],
+        ["verify", "{game}", "--radius", "-1"],
     ],
     ids=["zero_points", "empty_multipliers", "negative_seed", "nan_kappa", "nan_radius",
-         "sweep_without_game", "output_is_directory"],
+         "sweep_without_game", "output_is_directory", "b_with_single", "b_with_full",
+         "alpha_with_theory", "gamma_with_switching", "negative_radius"],
 )
 def test_bad_argv_is_config_error(game_file, tmp_path, capsys, argv):
     out = tmp_path / "outputs"
@@ -421,6 +431,60 @@ def test_bad_argv_is_config_error(game_file, tmp_path, capsys, argv):
     argv = [a.replace("{game}", str(game_file)).replace("{out}", str(out)) for a in argv]
     _config_error_exit(argv, capsys)
     assert list(out.iterdir()) == []
+
+
+def _one_line_exit(argv, capsys):
+    """(exit code, the one stderr line) of argv; numpy warns of nothing."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    return code, lines[0]
+
+
+@pytest.mark.parametrize("flags, code, line", [
+    (["--d1", "2", "--d2", "2", "--mu-a", "1.7e308", "--l-a", "1.7e308"], 2,
+     "configuration error: game data must be finite"),
+    (["--d1", "3", "--d2", "3", "--mu-b", "1.7e308", "--l-b", "1.7e308"], 3,
+     "numerical error: the mean Jacobian or offset overflows"),
+], ids=["non_finite_blocks", "overflowing_mean"])
+def test_overflowing_generator_writes_no_game(tmp_path, capsys, flags, code, line):
+    out = tmp_path / "game.json"
+    assert _one_line_exit(["generate", "--n", "2", *flags, "--out", str(out)], capsys) == (
+        code, line)
+    assert not out.exists()
+
+
+def test_game_file_whose_mean_overflows_is_numerical_error(tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text(_game_text(n=2, A=[[1.0], [1.0]], B=[[1.7e308], [1.7e308]],
+                               C=[[1.0], [1.0]], a=[[0.0], [0.0]], c=[[0.0], [0.0]]))
+    code, line = _one_line_exit(["constants", str(path)], capsys)
+    assert (code, line) == (3, "numerical error: the mean Jacobian or offset overflows")
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "{game}"],
+    ["constants", "{game}", "--scheme", "full"],
+    ["run", "--game", "{game}", "--method", "sgda,sco", "--iters", "3", "--out", "{out}"],
+    ["verify", "{game}"],
+], ids=["constants", "constants_full", "run", "verify"])
+def test_game_near_float_max_is_numerical_error(tmp_path, capsys, argv):
+    # finite entries up to 1e308: the Gram matrices overflow, so LAPACK's
+    # eigvalsh fails, |J|^2 is inf, and every probe margin of the checks is nan
+    game, out = tmp_path / "big.json", tmp_path / "o.csv"
+    assert main(["generate", "--n", "2", "--d1", "2", "--d2", "2", "--mu-a", "1e300",
+                 "--l-a", "1e308", "--mu-c", "1e300", "--l-c", "1e308",
+                 "--out", str(game)]) == 0
+    capsys.readouterr()
+    argv = [a.replace("{game}", str(game)).replace("{out}", str(out)) for a in argv]
+    code, line = _one_line_exit(argv, capsys)
+    assert code == 3 and line.startswith("numerical error: ")
+    assert not out.exists()
 
 
 def test_unknown_sweep_method_is_named(game_file, tmp_path, capsys):
@@ -560,7 +624,7 @@ def _generator_ok(gen):
             return False
     try:
         E.GameGenConfig(**gen)
-    except E.InvalidRangeError:
+    except ConfigError:
         return False
     return True
 
@@ -624,11 +688,11 @@ def _replace(doc, path, value):
 @st.composite
 def _mutated_game(draw, doc):
     """``doc`` after one to three mutations: a key or entry dropped, a value
-    retyped, a list resized, or a number made non-finite."""
+    retyped, a list resized, or a number made non-finite or +-1.7e308."""
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(doc))
-        kind = draw(st.sampled_from(("drop", "retype", "resize", "non_finite")))
+        kind = draw(st.sampled_from(("drop", "retype", "resize", "non_finite", "huge")))
         if kind == "drop" and len(paths) > 1:
             path = draw(st.sampled_from(paths[1:]))
             del _at(doc, path[:-1])[path[-1]]
@@ -639,9 +703,13 @@ def _mutated_game(draw, doc):
                 node.pop(draw(st.integers(0, len(node) - 1)))
             else:
                 node.append(copy.deepcopy(node[-1]) if node else 0.5)
-        elif kind == "non_finite" and any(type(_at(doc, p)) in (int, float) for p in paths):
+        elif kind in ("non_finite", "huge") and any(
+            type(_at(doc, p)) in (int, float) for p in paths
+        ):
             path = draw(st.sampled_from([p for p in paths if type(_at(doc, p)) in (int, float)]))
-            doc = _replace(doc, path, draw(st.sampled_from((math.nan, math.inf, -math.inf))))
+            values = ((math.nan, math.inf, -math.inf) if kind == "non_finite"
+                      else (1.7e308, -1.7e308))
+            doc = _replace(doc, path, draw(st.sampled_from(values)))
         else:
             path = draw(st.sampled_from(paths))
             value = _at(doc, path)

@@ -8,7 +8,7 @@ from stochvi import constants as C
 from stochvi import experiments as E
 from stochvi import numerics
 from stochvi.cli import main
-from stochvi.errors import ConfigError, InvalidRangeError
+from stochvi.errors import ConfigError
 from stochvi.sampling import SamplingScheme
 from stochvi.solvers import ConstantSchedule, RunConfig, run
 
@@ -87,10 +87,10 @@ def test_generated_mu_matches_block_diagonal_eigensolve():
 
 
 def test_generator_rejects_bad_ranges():
-    with pytest.raises(InvalidRangeError):
+    with pytest.raises(ConfigError, match="need 0 < mu_a <= l_a"):
         E.GameGenConfig(n=1, d1=1, d2=1, mu_a=0.0, l_a=1.0, mu_b=0.0, l_b=1.0,
                         mu_c=1.0, l_c=2.0, seed=0)
-    with pytest.raises(InvalidRangeError):
+    with pytest.raises(ConfigError, match="need 0 <= mu_b <= l_b"):
         E.GameGenConfig(n=1, d1=1, d2=1, mu_a=1.0, l_a=1.0, mu_b=0.5, l_b=0.4,
                         mu_c=1.0, l_c=2.0, seed=0)
 

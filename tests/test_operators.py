@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from stochvi import numerics
-from stochvi.errors import (
-    AsymmetryError,
-    DimensionMismatchError,
-    IndexOutOfRangeError,
-    UnsupportedError,
-)
+from stochvi.errors import ConfigError
 from stochvi.operators import CosineOperator, FiniteSumOperator, QuadraticGame
 
 FD_STEP = 1e-5
@@ -162,11 +157,11 @@ def test_cosine_value_at_pi():
 
 def test_index_and_dimension_errors():
     game = scalar_game()
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(ConfigError, match=r"component index 1 outside \[0, 1\)"):
         game.component_value(1, [0.0, 0.0])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ConfigError, match="operator dimension is 2"):
         game.component_value(0, [0.0, 0.0, 0.0])
-    with pytest.raises(AsymmetryError):
+    with pytest.raises(ConfigError, match="A_0 is not symmetric"):
         QuadraticGame([[[0.0, 1.0], [0.5, 0.0]]], [[[1.0], [1.0]]],
                       [[[1.0]]], [[0.0, 0.0]], [[0.0]])
 
@@ -184,7 +179,7 @@ def test_operator_without_equilibrium_raises():
 
     op = Anonymous()
     assert not op.has_equilibrium
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(ConfigError, match="has no analytic equilibrium"):
         op.equilibrium()
 
 

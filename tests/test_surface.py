@@ -30,7 +30,7 @@ def test_every_top_level_definition_is_named_elsewhere():
 
 def _name(node):
     """The name an expression such as ``ConfigError`` or
-    ``numerics.SingularMatrixError`` ends in, else None."""
+    ``errors.NumericalError`` ends in, else None."""
     if isinstance(node, ast.Call):
         node = node.func
     if isinstance(node, ast.Attribute):
@@ -39,22 +39,14 @@ def _name(node):
 
 
 def _raised_or_caught(tree):
-    """Names a module raises or catches; an except clause that names a
-    module-level tuple of exception types catches each of them."""
-    tuples = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
-            for target in node.targets:
-                tuples[_name(target)] = [_name(elt) for elt in node.value.elts]
+    """Names a module raises or catches."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Raise) and node.exc is not None:
             names.add(_name(node.exc))
         elif isinstance(node, ast.ExceptHandler) and node.type is not None:
             types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-            for name in map(_name, types):
-                names.add(name)
-                names.update(tuples.get(name, ()))
+            names.update(map(_name, types))
     return names
 
 

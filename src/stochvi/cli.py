@@ -53,6 +53,14 @@ def _finite(text: str) -> float:
     return value
 
 
+def _nonnegative(text: str) -> float:
+    """argparse type: a finite float >= 0."""
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _out_path(args, name: str) -> Path:
     base = Path(args.out_dir) if args.out_dir else Path(".")
     base.mkdir(parents=True, exist_ok=True)
@@ -104,7 +112,7 @@ def cmd_generate(args) -> int:
 def cmd_constants(args) -> int:
     game = _load_game(args.game)
     scheme = _scheme(args, game.n)
-    prof = exps.profile(game, scheme, with_hamiltonian=False)
+    prof = exps.profile(game, scheme)
     gc, ec = prof.game_constants, prof.ec
     pairs = {
         "n": gc.n,
@@ -120,7 +128,7 @@ def cmd_constants(args) -> int:
     for i, ell_i in enumerate(gc.ell_i):
         pairs[f"ell_{i}"] = ell_i
     try:
-        ham = consts.hamiltonian_constants(game, scheme)
+        ham = prof.hamiltonian
         pairs.update(
             mu_h=ham.mu_h, l_h=ham.l_h, cal_l_h=ham.cal_l_h, sigma_h_sq=ham.sigma_h_sq
         )
@@ -151,9 +159,9 @@ def cmd_run(args) -> int:
         game=game,
         methods=methods,
         scheme=scheme,
-        schedules={m: schedule for m in methods},
         iterations=args.iters,
         seeds=args.seeds,
+        schedule=schedule,
         base_seed=args.seed,
     )
     table, _, traces = exps.run_experiment(cfg, record_traces=args.dump_iterates is not None)
@@ -182,41 +190,34 @@ def cmd_verify(args) -> int:
     game = _load_game(args.game)
     scheme = _scheme(args, game.n)
     rng = numerics.make_rng(args.seed)
-    prof = exps.profile(game, scheme, with_hamiltonian=False)
+    prof = exps.profile(game, scheme)
     gc, ec = prof.game_constants, prof.ec
-    checks = args.checks.split(",")
-    reports = []
-    for name in checks:
-        if name == "ec":
-            reports.append(
-                verify.check_ec(game, scheme, ec.ell_xi, args.points, args.radius, rng)
-            )
-        elif name == "class":
-            lipschitz = numerics.singular_values(game.mean_jacobian())[0]
-            ell_star = lipschitz**2 / gc.mu
-            reports.append(
-                verify.check_monotonicity_class(
-                    game, gc.mu, ell_star, args.points, args.radius, rng
-                )
-            )
-        elif name == "unbiased":
-            reports.append(
-                verify.check_unbiasedness(game, scheme, min(args.points, 50), args.radius, rng)
-            )
-        elif name == "envelope":
-            schedule = exps.theory_schedule("sgda", prof)
-            traces = exps.run_seeds(
-                "sgda", game, scheme, schedule, args.envelope_iters, args.envelope_seeds,
-                args.seed,
-            )
-            params = dict(
-                alpha=schedule.alpha, mu=gc.mu, ell_xi=ec.ell_xi, sigma_sq=ec.sigma_sq
-            )
-            reports.append(
-                verify.check_bound_envelope(traces, consts.SGDA_CONSTANT, params, 1.05)
-            )
-        else:
-            raise ConfigError(f"unknown check {name!r}")
+
+    def envelope():
+        schedule = exps.theory_schedule("sgda", prof)
+        traces = exps.run_seeds("sgda", game, scheme, schedule, args.envelope_iters,
+                                args.envelope_seeds, args.seed)
+        params = dict(alpha=schedule.alpha, mu=gc.mu, ell_xi=ec.ell_xi, sigma_sq=ec.sigma_sq)
+        return verify.check_bound_envelope(traces, consts.SGDA_CONSTANT, params, 1.05)
+
+    checks = {
+        "ec": lambda: verify.check_ec(game, scheme, ec.ell_xi, args.points, args.radius, rng),
+        "class": lambda: verify.check_monotonicity_class(
+            game, gc.mu, numerics.singular_values(game.mean_jacobian())[0] ** 2 / gc.mu,
+            args.points, args.radius, rng,
+        ),
+        "unbiased": lambda: verify.check_unbiasedness(
+            game, scheme, min(args.points, 50), args.radius, rng
+        ),
+        "envelope": envelope,
+    }
+    names = args.checks.split(",")
+    for name in names:
+        if name not in checks:
+            raise ConfigError(f"unknown check {name!r}; known: {', '.join(checks)}")
+    exps._reject_repeats("check", names)
+    # In argv order: the checks share one generator.
+    reports = [checks[name]() for name in names]
     failed = [r for r in reports if not r.passed]
     for r in reports:
         state = "PASS" if r.passed else "FAIL"
@@ -248,6 +249,8 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.target_kappa is not None:
+        if args.svg is not None:
+            raise ConfigError("--svg applies to a step-size sweep, not to --target-kappa")
         cfg, kappa = exps.find_generator_for_kappa(
             args.target_kappa, args.n, args.d1, args.d2, args.scheme,
             getattr(args, "b", None), args.seed,
@@ -257,8 +260,6 @@ def cmd_sweep(args) -> int:
         exps.write_game(out, game, cfg)
         print(f"wrote {out} (kappa_g={kappa:.3f}, l_a={cfg.l_a!r})")
         return EXIT_OK
-    if args.game is None:
-        raise ConfigError("sweep needs --game or --target-kappa")
     try:
         multipliers = tuple(float(m) for m in args.multipliers.split(","))
     except ValueError:
@@ -349,14 +350,17 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--b", type=int, default=None)
     v.add_argument("--checks", default="ec,class,unbiased")
     v.add_argument("--points", type=_count(1), default=200)
-    v.add_argument("--radius", type=_finite, default=verify.DEFAULT_RADIUS)
+    v.add_argument("--radius", type=_nonnegative, default=verify.DEFAULT_RADIUS)
     v.add_argument("--envelope-seeds", type=_count(1), default=30)
     v.add_argument("--envelope-iters", type=_count(0), default=500)
     v.add_argument("--out", default=None, help="machine-readable JSON report path")
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("sweep", help="step-size grid, or search for a target kappa")
-    s.add_argument("--game", default=None)
+    mode = s.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--game", default=None, help="sweep step sizes on this game")
+    mode.add_argument("--target-kappa", type=_finite, default=None,
+                      help="write a generated game of this kappa_g to --out")
     s.add_argument("--methods", default="sgda,sco,shgd")
     s.add_argument("--multipliers", default="0.25,0.5,1,2")
     s.add_argument("--scheme", default="single_element_uniform")
@@ -365,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seeds", type=_count(1), default=5)
     s.add_argument("--out", required=True)
     s.add_argument("--svg", default=None)
-    s.add_argument("--target-kappa", type=_finite, default=None)
     s.add_argument("--n", type=int, default=20)
     s.add_argument("--d1", type=int, default=20)
     s.add_argument("--d2", type=int, default=20)

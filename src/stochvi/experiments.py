@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .solvers import (
     CO,
     DETERMINISTIC_METHODS,
     GDA,
-    HAMILTONIAN_METHODS,
     METHODS,
     SCO,
     SGDA,
@@ -93,15 +93,14 @@ def _spread_diagonal(rng, dim, lo, hi, force_min, force_max):
     return d
 
 
-def generate_game(cfg: GameGenConfig, rng: np.random.Generator | None = None) -> QuadraticGame:
+def generate_game(cfg: GameGenConfig) -> QuadraticGame:
     """Random strongly monotone quadratic game, deterministic given the seed.
 
     Per component, in fixed draw order: orthogonal factor and eigenvalues of
     A_i, the same for C_i, the two orthogonal factors and singular values of
     B_i, then the offsets a_i and c_i.
     """
-    if rng is None:
-        rng = numerics.make_rng(cfg.seed)
+    rng = numerics.make_rng(cfg.seed)
     n, d1, d2 = cfg.n, cfg.d1, cfg.d2
     k = min(d1, d2)
     a_mats = np.empty((n, d1, d1))
@@ -237,29 +236,33 @@ def _generator_config(spec) -> GameGenConfig | None:
 
 @dataclass(frozen=True)
 class GameProfile:
-    """All constants of one (game, scheme) pair, computed once."""
+    """The constants of ``game`` under ``scheme``.
 
+    The game and expected co-coercivity constants are computed when the
+    profile is built.  The Hamiltonian constants are computed on the first
+    read of ``hamiltonian`` and kept; on a scheme without them that read
+    raises UnsupportedSchemeError.
+    """
+
+    game: QuadraticGame
+    scheme: SamplingScheme
     game_constants: consts.GameConstants
     ec: consts.ECConstants
-    hamiltonian: consts.HamiltonianConstants | None
 
     @property
     def kappa_g(self) -> float:
         return self.ec.ell_xi / self.game_constants.mu
 
+    @cached_property
+    def hamiltonian(self) -> consts.HamiltonianConstants:
+        return consts.hamiltonian_constants(self.game, self.scheme)
 
-def profile(
-    game: QuadraticGame, scheme: SamplingScheme, with_hamiltonian=True, gc=None
-) -> GameProfile:
-    """Constants of (game, scheme); ``gc`` passes in game constants the
-    caller already has, since they do not depend on the scheme."""
-    if gc is None:
-        gc = consts.game_constants(game)
-    ec = consts.ec_constants(gc, scheme, game)
-    ham = None
-    if with_hamiltonian:
-        ham = consts.hamiltonian_constants(game, scheme)
-    return GameProfile(game_constants=gc, ec=ec, hamiltonian=ham)
+
+def profile(game: QuadraticGame, scheme: SamplingScheme) -> GameProfile:
+    """Profile of (game, scheme): its game and expected co-coercivity
+    constants, with the Hamiltonian constants left to their first read."""
+    gc = consts.game_constants(game)
+    return GameProfile(game, scheme, gc, consts.ec_constants(gc, scheme, game))
 
 
 def theory_schedule(method: str, prof: GameProfile) -> ConstantSchedule:
@@ -268,43 +271,31 @@ def theory_schedule(method: str, prof: GameProfile) -> ConstantSchedule:
     Hamiltonian descent 1/(2 cal_l_h).  Deterministic variants use the same
     forms through the full-batch constants."""
     ell_xi = prof.ec.ell_xi
-    ham = prof.hamiltonian
     if method in (SGDA, GDA):
         return ConstantSchedule(alpha=1.0 / (2.0 * ell_xi), gamma=0.0)
-    if ham is None:
-        raise ConfigError(f"{method} needs Hamiltonian constants")
     if method == SHGD:
-        return ConstantSchedule(alpha=0.0, gamma=1.0 / (2.0 * ham.cal_l_h))
+        return ConstantSchedule(alpha=0.0, gamma=1.0 / (2.0 * prof.hamiltonian.cal_l_h))
     if method in (SCO, CO):
         return ConstantSchedule(
-            alpha=1.0 / (4.0 * ell_xi), gamma=1.0 / (4.0 * ham.cal_l_h)
+            alpha=1.0 / (4.0 * ell_xi), gamma=1.0 / (4.0 * prof.hamiltonian.cal_l_h)
         )
     raise ConfigError(f"unknown method {method!r}")
 
 
 def method_plan(game: QuadraticGame, scheme: SamplingScheme, methods):
-    """Sampling scheme and constants each method runs with.
+    """(profile of ``scheme``, {method: the profile it runs with}); a
+    method samples from its profile's ``scheme``.
 
-    gda and co run on the full batch and take their steps from the
-    full-batch constants; every other method runs on ``scheme``.  Hamiltonian
-    constants are computed only for a scheme that a method needing them runs
-    on, each profile at most once and the game constants once.  Returns
-    (profile of ``scheme``, {method: (run scheme, profile)}).
+    gda and co run on the full batch with the full-batch constants, every
+    other method on ``scheme``.  The game constants are computed once; a
+    full-batch profile is built only for gda or co on a stochastic scheme.
     """
-    full = SamplingScheme.full_batch(game.n)
-    on_full = [m for m in methods if m in DETERMINISTIC_METHODS]
-    on_scheme = [m for m in methods if m not in DETERMINISTIC_METHODS]
-
-    def needs_ham(ms):
-        return any(m in HAMILTONIAN_METHODS for m in ms)
-
-    gc = consts.game_constants(game)
-    if scheme.is_deterministic:
-        prof = prof_full = profile(game, scheme, needs_ham(methods), gc)
-    else:
-        prof = profile(game, scheme, needs_ham(on_scheme), gc)
-        prof_full = profile(game, full, needs_ham(on_full), gc) if on_full else None
-    return prof, {m: (full, prof_full) if m in on_full else (scheme, prof) for m in methods}
+    prof = full = profile(game, scheme)
+    if not scheme.is_deterministic and any(m in DETERMINISTIC_METHODS for m in methods):
+        full_scheme = SamplingScheme.full_batch(game.n)
+        gc = prof.game_constants
+        full = GameProfile(game, full_scheme, gc, consts.ec_constants(gc, full_scheme, game))
+    return prof, {m: full if m in DETERMINISTIC_METHODS else prof for m in methods}
 
 
 def switching_schedule(method: str, prof: GameProfile):
@@ -313,8 +304,6 @@ def switching_schedule(method: str, prof: GameProfile):
         return SgdaSwitchingSchedule(ell_xi=prof.ec.ell_xi, mu=gc.mu)
     if method == SCO:
         ham = prof.hamiltonian
-        if ham is None:
-            raise ConfigError("sco switching needs Hamiltonian constants")
         return ScoSwitchingSchedule(
             ell_xi=prof.ec.ell_xi, cal_l_h=ham.cal_l_h, mu=gc.mu, mu_h=ham.mu_h
         )
@@ -348,16 +337,16 @@ def _check_methods(methods) -> None:
 class ExperimentConfig:
     """Multi-method multi-seed comparison on one game.
 
-    ``schedules`` maps method name to "theory", "switching", or a schedule
-    object.  Run i of every method uses seed base_seed + i.
+    ``schedule`` is "theory", "switching", or a schedule object, and every
+    method runs with it.  Run i of every method uses seed base_seed + i.
     """
 
     game: QuadraticGame
     methods: tuple[str, ...]
     scheme: SamplingScheme
-    schedules: dict
     iterations: int
     seeds: int
+    schedule: object = "theory"
     base_seed: int = 0
 
     def __post_init__(self):
@@ -459,13 +448,14 @@ def run_experiment(cfg: ExperimentConfig, record_traces: bool = False):
     (empty mapping unless ``record_traces``).
     """
     prof, plan = method_plan(cfg.game, cfg.scheme, cfg.methods)
+    # Every schedule is resolved first, so a method the scheme cannot serve
+    # stops the experiment before any run.
+    schedules = [_resolve_schedule(m, cfg.schedule, plan[m]) for m in cfg.methods]
     rows = []
     traces: dict[str, list[RunTrace]] = {}
-    for method in cfg.methods:
-        scheme, method_prof = plan[method]
-        schedule = _resolve_schedule(method, cfg.schedules.get(method, "theory"), method_prof)
+    for method, schedule in zip(cfg.methods, schedules):
         method_traces = run_seeds(
-            method, cfg.game, scheme, schedule, cfg.iterations, cfg.seeds,
+            method, cfg.game, plan[method].scheme, schedule, cfg.iterations, cfg.seeds,
             cfg.base_seed, record_traces,
         )
         rows.append(aggregate_traces(method, method_traces))
@@ -664,15 +654,19 @@ def sweep_step_sizes(
     label = "{}@{:g}".format
     _reject_repeats("label", [label(m, mult) for m in methods for mult in multipliers])
     _, plan = method_plan(game, scheme, methods)
+    bases = [theory_schedule(m, plan[m]) for m in methods]
     rows = []
-    for method in methods:
-        run_scheme, prof = plan[method]
-        base = theory_schedule(method, prof)
+    for method, base in zip(methods, bases):
         for mult in multipliers:
             schedule = ConstantSchedule(alpha=base.alpha * mult, gamma=base.gamma * mult)
-            traces = run_seeds(method, game, run_scheme, schedule, iterations, seeds, base_seed)
+            traces = run_seeds(method, game, plan[method].scheme, schedule, iterations, seeds,
+                               base_seed)
             rows.append(aggregate_traces(label(method, mult), traces))
     return AggregateTable(iterations=iterations, rows=rows)
+
+
+KAPPA_REL_TOL = 0.1
+KAPPA_BISECTIONS = 60
 
 
 def find_generator_for_kappa(
@@ -683,11 +677,10 @@ def find_generator_for_kappa(
     scheme_name: str = "single_element_uniform",
     b: int | None = None,
     seed: int = 0,
-    rel_tol: float = 0.1,
-    max_iters: int = 60,
 ) -> tuple[GameGenConfig, float]:
     """Search generator ranges for a game whose kappa_g = ell_xi / mu is
-    within rel_tol of the target, for the named scheme.
+    within KAPPA_REL_TOL of the target, for the named scheme, in at most
+    KAPPA_BISECTIONS bisection steps.
 
     One scalar knob s >= 1 is bisected: eigenvalue ranges [1, s] for the
     diagonal blocks and singular values [0, (s-1)/2] for the coupling.
@@ -704,7 +697,7 @@ def find_generator_for_kappa(
         )
         game = generate_game(cfg)
         scheme = _scheme_by_name(scheme_name, n, b)
-        return profile(game, scheme, with_hamiltonian=False).kappa_g, cfg
+        return profile(game, scheme).kappa_g, cfg
 
     lo, hi = 1.0, 2.0
     kappa, cfg = kappa_of(hi)
@@ -714,8 +707,8 @@ def find_generator_for_kappa(
     if kappa < target:
         raise ConfigError(f"could not reach kappa {target}")
     best_cfg, best_kappa = cfg, kappa
-    for _ in range(max_iters):
-        if abs(best_kappa - target) / target <= rel_tol:
+    for _ in range(KAPPA_BISECTIONS):
+        if abs(best_kappa - target) / target <= KAPPA_REL_TOL:
             break
         mid = 0.5 * (lo + hi)
         kappa, cfg = kappa_of(mid)
@@ -725,7 +718,7 @@ def find_generator_for_kappa(
             lo = mid
         else:
             hi = mid
-    if abs(best_kappa - target) / target > rel_tol:
+    if abs(best_kappa - target) / target > KAPPA_REL_TOL:
         raise ConfigError(
             f"kappa search stalled at {best_kappa:.3f} for target {target}"
         )

@@ -33,9 +33,6 @@ METHODS = (SGDA, SHGD, SCO, GDA, CO)
 TERMS = {SGDA: (True, False), SHGD: (False, True), SCO: (True, True),
          GDA: (True, False), CO: (True, True)}
 
-# Methods whose update includes the Hamiltonian-gradient term.
-HAMILTONIAN_METHODS = tuple(m for m in METHODS if TERMS[m][1])
-
 # Methods that run on the full batch by definition.
 DETERMINISTIC_METHODS = (GDA, CO)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants as consts
+from . import numerics
 from .errors import ConfigError, NumericalError
 from .operators import FiniteSumOperator
 from .sampling import SamplingScheme, enumerate_support, support_weights
@@ -34,9 +35,9 @@ class CheckReport:
     """Outcome of one check; self-certifying.
 
     ``passed`` is always exactly ``worst_margin >= -tolerance``; margins are
-    normalized (dimensionless).  ``witness`` is the probe point (or pair)
-    attaining the worst margin whenever the check fails.  A margin that is
-    not a number certifies nothing: NumericalError.
+    normalized (dimensionless).  ``witness`` is the probe point (or, for an
+    envelope, the iteration) attaining the worst margin whenever the check
+    fails.
     """
 
     name: str
@@ -46,26 +47,6 @@ class CheckReport:
     points: int
     witness: object | None = None
     details: dict = field(default_factory=dict)
-
-    @staticmethod
-    def from_margins(name, margins, tolerance, points, witnesses=None, details=None):
-        if np.isnan(margins).any():
-            raise NumericalError(f"{name}: a margin is not a number")
-        worst = int(np.argmin(margins))
-        worst_margin = float(margins[worst])
-        passed = worst_margin >= -tolerance
-        witness = None
-        if not passed and witnesses is not None:
-            witness = witnesses[worst]
-        return CheckReport(
-            name=name,
-            passed=passed,
-            worst_margin=worst_margin,
-            tolerance=tolerance,
-            points=points,
-            witness=witness,
-            details=details or {},
-        )
 
 
 def _equilibrium(op: FiniteSumOperator) -> np.ndarray:
@@ -93,6 +74,34 @@ def sample_points(
     return pts
 
 
+def _probe(name, center, points, radius, rng, tolerance, margin_pair, details) -> CheckReport:
+    """Report of ``name`` over ``points`` probe points around ``center``.
+
+    ``margin_pair(x)`` gives the two margins at probe point x, each
+    witnessed by x.  ``details(rng)`` gives the report's details once every
+    probe point is drawn from ``rng`` (by default ``make_rng(0)``).  A
+    margin that is not a number certifies nothing: NumericalError.
+    """
+    if rng is None:
+        rng = numerics.make_rng(0)
+    pts = sample_points(center, points, radius, rng)
+    margins = np.array([margin_pair(x) for x in pts], dtype=float).reshape(-1)
+    if np.isnan(margins).any():
+        raise NumericalError(f"{name}: a margin is not a number")
+    worst = int(np.argmin(margins))
+    worst_margin = float(margins[worst])
+    passed = worst_margin >= -tolerance
+    return CheckReport(
+        name=name,
+        passed=passed,
+        worst_margin=worst_margin,
+        tolerance=tolerance,
+        points=points,
+        witness=None if passed else pts[worst // 2],
+        details=details(rng),
+    )
+
+
 def check_ec(
     op: FiniteSumOperator,
     scheme: SamplingScheme,
@@ -111,19 +120,13 @@ def check_ec(
     2 ell_xi <value(x), x - x*> + 2 sigma^2 - E |value_v(x)|^2.  Margins are
     normalized by the magnitude of the terms involved.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     x_star = _equilibrium(op)
     probs, w = support_weights(enumerate_support(scheme), scheme.n)
     vals_star = op.component_values(x_star)
     est_star = w @ vals_star
     sigma_sq = float(probs @ np.einsum("kj,kj->k", est_star, est_star))
 
-    pts = sample_points(x_star, points, radius, rng)
-    margins = np.empty(2 * points)
-    witnesses = []
-    for idx in range(points):
-        x = pts[idx]
+    def margin_pair(x):
         vals = op.component_values(x)
         inner = float(vals.mean(axis=0) @ (x - x_star))
         est_diff = w @ (vals - vals_star)
@@ -132,18 +135,12 @@ def check_ec(
         second = float(probs @ np.einsum("kj,kj->k", est, est))
         scale1 = 1.0 + abs(ell_xi * inner) + second_diff
         scale2 = 1.0 + abs(2.0 * ell_xi * inner) + 2.0 * sigma_sq + second
-        margins[2 * idx] = (ell_xi * inner - second_diff) / scale1
-        margins[2 * idx + 1] = (
-            2.0 * ell_xi * inner + 2.0 * sigma_sq - second
-        ) / scale2
-        witnesses.extend([x, x])
-    return CheckReport.from_margins(
-        "expected_cocoercivity",
-        margins,
-        INEQUALITY_TOL,
-        points,
-        witnesses,
-        details={"ell_xi": ell_xi, "sigma_sq": sigma_sq, "radius": radius},
+        return ((ell_xi * inner - second_diff) / scale1,
+                (2.0 * ell_xi * inner + 2.0 * sigma_sq - second) / scale2)
+
+    return _probe(
+        "expected_cocoercivity", x_star, points, radius, rng, INEQUALITY_TOL, margin_pair,
+        lambda rng: {"ell_xi": ell_xi, "sigma_sq": sigma_sq, "radius": radius},
     )
 
 
@@ -159,19 +156,14 @@ def check_monotonicity_class(
 
     Sub-checks at random points: (a) <value(x), x-x*> >= mu |x-x*|^2 and
     (b) |value(x) - value(x*)|^2 <= ell_star <value(x) - value(x*), x-x*>.
-    A plain monotonicity probe over random pairs is reported as
-    informational only (details["monotone_min"]); quasi-strongly monotone
-    operators may legitimately fail it.
+    A plain monotonicity probe over random pairs, drawn after the points,
+    is reported as informational only (details["monotone_min"]);
+    quasi-strongly monotone operators may legitimately fail it.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     x_star = _equilibrium(op)
     val_star = op.full_value(x_star)
-    pts = sample_points(x_star, points, radius, rng)
-    margins = np.empty(2 * points)
-    witnesses = []
-    for idx in range(points):
-        x = pts[idx]
+
+    def margin_pair(x):
         val = op.full_value(x)
         diff = x - x_star
         dist_sq = float(diff @ diff)
@@ -181,31 +173,21 @@ def check_monotonicity_class(
         vnorm_sq = float(vdiff @ vdiff)
         scale_a = 1.0 + abs(inner) + mu * dist_sq
         scale_b = 1.0 + vnorm_sq + abs(ell_star * inner_star)
-        margins[2 * idx] = (inner - mu * dist_sq) / scale_a
-        margins[2 * idx + 1] = (ell_star * inner_star - vnorm_sq) / scale_b
-        witnesses.extend([x, x])
+        return ((inner - mu * dist_sq) / scale_a,
+                (ell_star * inner_star - vnorm_sq) / scale_b)
 
-    pairs = sample_points(x_star, 2 * points, radius, rng).reshape(points, 2, -1)
-    mono_min = np.inf
-    mono_witness = None
-    for x, y in pairs:
-        gap = monotonicity_gap(op, x, y)
-        if gap < mono_min:
-            mono_min = gap
-            mono_witness = (x, y)
-    return CheckReport.from_margins(
-        "monotonicity_class",
-        margins,
-        INEQUALITY_TOL,
-        points,
-        witnesses,
-        details={
-            "mu": mu,
-            "ell_star": ell_star,
-            "monotone_min": mono_min,
-            "monotone_witness": mono_witness,
-        },
-    )
+    def details(rng):
+        pairs = sample_points(x_star, 2 * points, radius, rng).reshape(points, 2, -1)
+        mono_min, mono_witness = np.inf, None
+        for x, y in pairs:
+            gap = monotonicity_gap(op, x, y)
+            if gap < mono_min:
+                mono_min, mono_witness = gap, (x, y)
+        return {"mu": mu, "ell_star": ell_star, "monotone_min": mono_min,
+                "monotone_witness": mono_witness}
+
+    return _probe("monotonicity_class", x_star, points, radius, rng, INEQUALITY_TOL,
+                  margin_pair, details)
 
 
 def monotonicity_gap(op: FiniteSumOperator, x, y) -> float:
@@ -228,19 +210,14 @@ def check_unbiasedness(
     of the Hamiltonian-gradient estimator over independent (u, v) pairs must
     match J(x)^T value(x), both to 1e-12 relative.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     center = op.equilibrium() if op.has_equilibrium else np.zeros(op.dim)
     probs, w = support_weights(enumerate_support(scheme), scheme.n)
     # Targets go through the same weighted-contraction code path as the
     # support estimates (uniform weights 1/n), so the noise-free full-batch
     # scheme reproduces them exactly, not merely to rounding.
     w_uniform = np.full((1, scheme.n), 1.0 / scheme.n)
-    pts = sample_points(center, points, radius, rng)
-    margins = np.empty(2 * points)
-    witnesses = []
-    for idx in range(points):
-        x = pts[idx]
+
+    def margin_pair(x):
         vals = op.component_values(x)
         target = (w_uniform @ vals)[0]
         mean_est = probs @ (w @ vals)
@@ -255,13 +232,10 @@ def check_unbiasedness(
         target_h = np.einsum("kn,nij->kij", w_uniform, jacs)[0].T @ target
         res_h = float(np.linalg.norm(cross - target_h))
         scale_h = 1.0 + float(np.linalg.norm(target_h))
+        return EXACT_TOL - res_val / scale_val, EXACT_TOL - res_h / scale_h
 
-        margins[2 * idx] = EXACT_TOL - res_val / scale_val
-        margins[2 * idx + 1] = EXACT_TOL - res_h / scale_h
-        witnesses.extend([x, x])
-    return CheckReport.from_margins(
-        "unbiasedness", margins, 0.0, points, witnesses
-    )
+    return _probe("unbiasedness", center, points, radius, rng, 0.0, margin_pair,
+                  lambda rng: {})
 
 
 def check_bound_envelope(
@@ -269,7 +243,6 @@ def check_bound_envelope(
     bound: str,
     params: dict,
     slack: float,
-    k_range: tuple[int, int] | None = None,
 ) -> CheckReport:
     """Seed-averaged squared distance against slack * closed-form bound.
 
@@ -311,11 +284,8 @@ def check_bound_envelope(
             ell_xi=params["ell_xi"], cal_l_h=params["cal_l_h"],
             mu=params["mu"], mu_h=params["mu_h"],
         ).switch_point
-    if k_range is not None:
-        k_lo = max(k_lo, k_range[0])
-        k_hi = min(k_hi, k_range[1])
-    if k_lo < 1:
-        k_lo = 1 if bound in (consts.SGDA_SWITCHING, consts.SCO_SWITCHING) else 0
+    if bound in (consts.SGDA_SWITCHING, consts.SCO_SWITCHING):
+        k_lo = max(k_lo, 1)
     name = f"bound_envelope[{bound}]"
     if diverged:
         # A step size outside the bound's range is a configuration error first.
@@ -330,7 +300,7 @@ def check_bound_envelope(
             details={"slack": slack, "seeds": len(traces), "diverged": diverged},
         )
     if k_hi < k_lo:
-        raise ConfigError("no iterations in the requested envelope range")
+        raise ConfigError(f"the traces end at iteration {k_hi}, before the bound starts at {k_lo}")
 
     ks = np.arange(k_lo, k_hi + 1)
     margins = np.empty(ks.size)

@@ -212,9 +212,8 @@ def test_criterion_5_stochastic_bound_envelopes(desk_game, envelope_traces):
         params = dict(alpha=alpha, mu=gc.mu, ell_xi=ec.ell_xi, sigma_sq=ec.sigma_sq)
         rep = V.check_bound_envelope(
             envelope_traces["sgda"], C.SGDA_CONSTANT, params, slack=1.05,
-            k_range=(0, 5000),
         )
-        assert rep.passed
+        assert rep.passed and rep.details["k_range"] == (0, 5000)
 
         a2, g2 = 1.0 / (4.0 * ec.ell_xi), 1.0 / (4.0 * ham.cal_l_h)
         params = dict(alpha=a2, gamma=g2, mu=gc.mu, mu_h=ham.mu_h, ell_xi=ec.ell_xi,
@@ -222,26 +221,24 @@ def test_criterion_5_stochastic_bound_envelopes(desk_game, envelope_traces):
                       sigma_h_sq=ham.sigma_h_sq)
         rep = V.check_bound_envelope(
             envelope_traces["sco"], C.SCO_CONSTANT, params, slack=1.05,
-            k_range=(0, 5000),
         )
-        assert rep.passed
+        assert rep.passed and rep.details["k_range"] == (0, 5000)
 
         sw = envelope_traces["sw"]
         params = dict(mu=gc.mu, ell_xi=ec.ell_xi, sigma_sq=ec.sigma_sq)
         rep = V.check_bound_envelope(
             envelope_traces["sgda_sw"], C.SGDA_SWITCHING, params, slack=1.1,
-            k_range=(sw.switch_point, 20 * sw.switch_point),
         )
-        assert rep.passed
+        assert rep.passed and rep.details["k_range"] == (sw.switch_point, 20 * sw.switch_point)
 
         sw2 = envelope_traces["sw2"]
         params = dict(mu=gc.mu, mu_h=ham.mu_h, ell_xi=ec.ell_xi, cal_l_h=ham.cal_l_h,
                       sigma_sq=ec.sigma_sq, sigma_h_sq=ham.sigma_h_sq)
         rep = V.check_bound_envelope(
             envelope_traces["sco_sw"], C.SCO_SWITCHING, params, slack=1.1,
-            k_range=(sw2.switch_point, 20 * sw2.switch_point),
         )
         assert rep.passed
+        assert rep.details["k_range"] == (sw2.switch_point, 20 * sw2.switch_point)
 
         assert envelope_traces["elapsed"] < 120.0
 
@@ -338,7 +335,7 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
 
         scheme = SamplingScheme.single_element(6)
         ecfg = E.ExperimentConfig(
-            game=g1, methods=("sgda", "sco"), scheme=scheme, schedules={},
+            game=g1, methods=("sgda", "sco"), scheme=scheme, schedule="theory",
             iterations=100, seeds=5, base_seed=0,
         )
         t1, _, _ = E.run_experiment(ecfg)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stochvi
-from stochvi import numerics
+from stochvi import numerics, solvers
 from stochvi import constants as C
 from stochvi import experiments as E
 from stochvi.cli import main
@@ -316,6 +316,45 @@ def test_game_constants_computed_once_per_run(game_file, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("methods, flags, calls", [
+    ("sgda", ["--scheme", "minibatch", "--b", "3"], 0),
+    ("sgda,sco,shgd", ["--scheme", "single"], 1),
+    ("gda,co", ["--scheme", "full"], 1),
+])
+def test_hamiltonian_constants_computed_once_when_read(game_file, tmp_path, monkeypatch,
+                                                      methods, flags, calls):
+    counted = []
+    original = C.hamiltonian_constants
+
+    def counting(game, scheme):
+        counted.append(scheme)
+        return original(game, scheme)
+
+    monkeypatch.setattr(C, "hamiltonian_constants", counting)
+    assert main(["run", "--game", str(game_file), "--method", methods, *flags,
+                 "--iters", "5", "--seeds", "1", "--out", str(tmp_path / "r.csv")]) == 0
+    assert len(counted) == calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--game", "{game}", "--method", "sgda,sco", "--iters", "5"],
+    ["sweep", "--game", "{game}", "--methods", "sgda,sco", "--iters", "5"],
+])
+def test_unsupported_scheme_stops_before_any_run(game_file, tmp_path, capsys, monkeypatch,
+                                                 argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_batch was called")
+
+    monkeypatch.setattr(E, "run_batch", no_run)
+    monkeypatch.setattr(solvers, "run_batch", no_run)
+    out = tmp_path / "r.csv"
+    argv = [a.replace("{game}", str(game_file)) for a in argv]
+    err = _config_error_exit(argv + ["--scheme", "minibatch", "--b", "3", "--out", str(out)],
+                             capsys)
+    assert "hamiltonian constants support single-element or full-batch" in err
+    assert not out.exists()
+
+
 def _divergence_reports(err):
     """{row label: [(seed, iteration), ...]} from the stderr warnings."""
     reports = {}
@@ -420,10 +459,19 @@ def _config_error_exit(argv, capsys):
         ["run", "--game", "{game}", "--method", "sco", "--schedule", "switching",
          "--gamma", "0.1", "--iters", "5", "--out", "{out}/r.csv"],
         ["verify", "{game}", "--radius", "-1"],
+        ["verify", "{game}", "--checks", "ec,ec", "--points", "3", "--out", "{out}/v.json"],
+        ["verify", "{game}", "--checks", "ec,bogus", "--points", "3", "--out", "{out}/v.json"],
+        ["verify", "{game}", "--checks", "envelope", "--radius", "-1", "--points", "3"],
+        ["sweep", "--game", "{game}", "--methods", "sgda", "--target-kappa", "5",
+         "--n", "3", "--d1", "1", "--d2", "1", "--out", "{out}/k.json"],
+        ["sweep", "--target-kappa", "5", "--n", "3", "--d1", "1", "--d2", "1",
+         "--out", "{out}/k.json", "--svg", "{out}/k.svg"],
     ],
     ids=["zero_points", "empty_multipliers", "negative_seed", "nan_kappa", "nan_radius",
          "sweep_without_game", "output_is_directory", "b_with_single", "b_with_full",
-         "alpha_with_theory", "gamma_with_switching", "negative_radius"],
+         "alpha_with_theory", "gamma_with_switching", "negative_radius", "repeated_check",
+         "unknown_check_after_known", "negative_radius_envelope", "game_with_target_kappa",
+         "svg_with_target_kappa"],
 )
 def test_bad_argv_is_config_error(game_file, tmp_path, capsys, argv):
     out = tmp_path / "outputs"

@@ -8,7 +8,7 @@ from stochvi import constants as C
 from stochvi import experiments as E
 from stochvi import numerics
 from stochvi.cli import main
-from stochvi.errors import ConfigError
+from stochvi.errors import ConfigError, UnsupportedSchemeError
 from stochvi.sampling import SamplingScheme
 from stochvi.solvers import ConstantSchedule, RunConfig, run
 
@@ -184,7 +184,7 @@ def test_single_method_single_seed_equals_trace():
     scheme = SamplingScheme.single_element(game.n)
     cfg = E.ExperimentConfig(
         game=game, methods=("sgda",), scheme=scheme,
-        schedules={"sgda": "theory"}, iterations=50, seeds=1, base_seed=3,
+        schedule="theory", iterations=50, seeds=1, base_seed=3,
     )
     table, prof, _ = E.run_experiment(cfg)
     row = table.rows[0]
@@ -204,7 +204,7 @@ def test_recorded_iterates_only_for_first_seed():
     game = E.generate_game(small_cfg(seed=12))
     cfg = E.ExperimentConfig(
         game=game, methods=("sgda", "gda"), scheme=SamplingScheme.single_element(game.n),
-        schedules={}, iterations=30, seeds=3, base_seed=2,
+        schedule="theory", iterations=30, seeds=3, base_seed=2,
     )
     _, _, traces = E.run_experiment(cfg, record_traces=True)
     for method, method_traces in traces.items():
@@ -219,7 +219,7 @@ def test_iteration_zero_mean_is_one():
     cfg = E.ExperimentConfig(
         game=game, methods=("sgda", "shgd", "sco"),
         scheme=SamplingScheme.single_element(game.n),
-        schedules={}, iterations=20, seeds=4, base_seed=0,
+        schedule="theory", iterations=20, seeds=4, base_seed=0,
     )
     table, _, _ = E.run_experiment(cfg)
     for row in table.rows:
@@ -234,7 +234,7 @@ def test_deterministic_methods_use_full_batch_constants():
     gc = C.game_constants(game)
     cfg = E.ExperimentConfig(
         game=game, methods=("gda", "sgda"), scheme=SamplingScheme.single_element(game.n),
-        schedules={}, iterations=10, seeds=1, base_seed=0,
+        schedule="theory", iterations=10, seeds=1, base_seed=0,
     )
     _, prof, traces = E.run_experiment(cfg, record_traces=True)
     assert traces["gda"][0].alphas[0] == pytest.approx(1.0 / (2.0 * gc.ell), rel=1e-12)
@@ -251,7 +251,7 @@ def test_sweep_deterministic_methods_match_run_experiment_theory_rows():
     methods = ("gda", "co")
     cfg = E.ExperimentConfig(
         game=game, methods=methods, scheme=scheme,
-        schedules={}, iterations=20, seeds=2, base_seed=0,
+        schedule="theory", iterations=20, seeds=2, base_seed=0,
     )
     table, _, _ = E.run_experiment(cfg)
     swept = E.sweep_step_sizes(game, scheme, methods, (1.0,), iterations=20, seeds=2)
@@ -259,6 +259,14 @@ def test_sweep_deterministic_methods_match_run_experiment_theory_rows():
     for got, want in zip(swept.rows, table.rows):
         for field in ("mean", "ci_low", "ci_high"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+def test_profile_leaves_hamiltonian_constants_to_their_first_read():
+    game = E.generate_game(small_cfg(seed=19))
+    prof = E.profile(game, SamplingScheme.minibatch(game.n, 3))
+    assert prof.ec.ell_xi > 0.0
+    with pytest.raises(UnsupportedSchemeError, match="single-element or full-batch"):
+        prof.hamiltonian
 
 
 def test_sweep_cli_with_minibatch_scheme(tmp_path):
@@ -279,11 +287,11 @@ def test_constant_step_plateau_near_theory():
     cfg_gen, kappa = E.find_generator_for_kappa(5.0, n=8, d1=4, d2=4, seed=21)
     game = E.generate_game(cfg_gen)
     scheme = SamplingScheme.single_element(game.n)
-    prof = E.profile(game, scheme, with_hamiltonian=False)
+    prof = E.profile(game, scheme)
     alpha = 1.0 / (2.0 * prof.ec.ell_xi)
     cfg = E.ExperimentConfig(
         game=game, methods=("sgda",), scheme=scheme,
-        schedules={"sgda": "theory"}, iterations=5000, seeds=5, base_seed=0,
+        schedule="theory", iterations=5000, seeds=5, base_seed=0,
     )
     table, _, _ = E.run_experiment(cfg)
     plateau = 2.0 * alpha * prof.ec.sigma_sq / prof.game_constants.mu
@@ -300,7 +308,7 @@ def aggregate_fixture():
     game = E.generate_game(small_cfg(seed=15))
     cfg = E.ExperimentConfig(
         game=game, methods=("sgda", "shgd"), scheme=SamplingScheme.single_element(game.n),
-        schedules={}, iterations=30, seeds=3, base_seed=0,
+        schedule="theory", iterations=30, seeds=3, base_seed=0,
     )
     table, _, _ = E.run_experiment(cfg)
     return table
@@ -433,7 +441,7 @@ def test_method_plateau_ordering_at_desk_scale():
     cfg = E.ExperimentConfig(
         game=game, methods=("sgda", "sco", "shgd"),
         scheme=SamplingScheme.single_element(game.n),
-        schedules={}, iterations=1000, seeds=5, base_seed=0,
+        schedule="theory", iterations=1000, seeds=5, base_seed=0,
     )
     table, _, _ = E.run_experiment(cfg)
     tails = {row.method: row.mean[-200:].mean() for row in table.rows}
@@ -445,12 +453,12 @@ def test_switching_beats_constant_plateau():
     cfg_gen, _ = E.find_generator_for_kappa(4.0, n=6, d1=3, d2=3, seed=44)
     game = E.generate_game(cfg_gen)
     scheme = SamplingScheme.single_element(game.n)
-    prof = E.profile(game, scheme, with_hamiltonian=False)
+    prof = E.profile(game, scheme)
     sched = E.switching_schedule("sgda", prof)
     horizon = 20 * sched.switch_point
     cfg = E.ExperimentConfig(
         game=game, methods=("sgda",), scheme=scheme,
-        schedules={"sgda": "switching"}, iterations=horizon, seeds=20, base_seed=0,
+        schedule="switching", iterations=horizon, seeds=20, base_seed=0,
     )
     table, _, _ = E.run_experiment(cfg)
     alpha = 1.0 / (2.0 * prof.ec.ell_xi)

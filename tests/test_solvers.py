@@ -14,8 +14,8 @@ from stochvi.solvers import (
     BLOCK,
     DETERMINISTIC_METHODS,
     DIVERGENCE_FACTOR,
-    HAMILTONIAN_METHODS,
     METHODS,
+    TERMS,
     ConstantSchedule,
     RunConfig,
     ScoSwitchingSchedule,
@@ -840,7 +840,7 @@ def drawn_runs(pick):
     if pick(st.booleans()):
         steps = st.sampled_from((0.0, 0.004, 0.05, 0.3, 40.0, 1e200))
         schedule = ConstantSchedule(alpha=pick(steps), gamma=pick(steps))
-    elif method in HAMILTONIAN_METHODS:
+    elif TERMS[method][1]:  # the update has a Hamiltonian term
         schedule = ScoSwitchingSchedule(ell_xi=pick(constants), cal_l_h=pick(constants),
                                         mu=pick(st.sampled_from((0.0, 1.0))),
                                         mu_h=pick(constants))

@@ -247,10 +247,24 @@ def cmd_verify(args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
+# The flags only one sweep mode reads, with their defaults.  The parser
+# leaves them None, so a flag given to the other mode is seen and rejected.
+_SWEEP_FLAGS = {
+    "--game": {"methods": "sgda,sco,shgd", "multipliers": "0.25,0.5,1,2",
+               "iters": 1000, "seeds": 5, "svg": None},
+    "--target-kappa": {"n": 20, "d1": 20, "d2": 20},
+}
+
+
 def cmd_sweep(args) -> int:
+    mode = "--game" if args.target_kappa is None else "--target-kappa"
+    for owner, flags in _SWEEP_FLAGS.items():
+        for name, default in flags.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif owner != mode:
+                raise ConfigError(f"--{name} applies to sweep {owner}, not to sweep {mode}")
     if args.target_kappa is not None:
-        if args.svg is not None:
-            raise ConfigError("--svg applies to a step-size sweep, not to --target-kappa")
         cfg, kappa = exps.find_generator_for_kappa(
             args.target_kappa, args.n, args.d1, args.d2, args.scheme,
             getattr(args, "b", None), args.seed,
@@ -361,17 +375,18 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--game", default=None, help="sweep step sizes on this game")
     mode.add_argument("--target-kappa", type=_finite, default=None,
                       help="write a generated game of this kappa_g to --out")
-    s.add_argument("--methods", default="sgda,sco,shgd")
-    s.add_argument("--multipliers", default="0.25,0.5,1,2")
+    step_sweep, kappa_search = _SWEEP_FLAGS["--game"], _SWEEP_FLAGS["--target-kappa"]
+    s.add_argument("--methods", help=f"--game only (default {step_sweep['methods']})")
+    s.add_argument("--multipliers", help=f"--game only (default {step_sweep['multipliers']})")
     s.add_argument("--scheme", default="single_element_uniform")
     s.add_argument("--b", type=int, default=None)
-    s.add_argument("--iters", type=_count(0), default=1000)
-    s.add_argument("--seeds", type=_count(1), default=5)
+    s.add_argument("--iters", type=_count(0), help=f"--game only (default {step_sweep['iters']})")
+    s.add_argument("--seeds", type=_count(1), help=f"--game only (default {step_sweep['seeds']})")
     s.add_argument("--out", required=True)
-    s.add_argument("--svg", default=None)
-    s.add_argument("--n", type=int, default=20)
-    s.add_argument("--d1", type=int, default=20)
-    s.add_argument("--d2", type=int, default=20)
+    s.add_argument("--svg", help="--game only")
+    for dim in ("n", "d1", "d2"):
+        s.add_argument(f"--{dim}", type=int,
+                       help=f"--target-kappa only (default {kappa_search[dim]})")
     s.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("plot", help="re-render an aggregate CSV as SVG")

@@ -18,7 +18,7 @@ import numpy as np
 from . import numerics
 from .errors import ConfigError, NumericalError, UnsupportedSchemeError
 from .operators import QuadraticGame
-from .sampling import SamplingScheme, enumerate_support, scheme_stats, support_weights
+from .sampling import SamplingScheme, enumerate_support, support_weights
 from .solvers import ScoSwitchingSchedule, SgdaSwitchingSchedule
 
 # Eigenvalues below this fraction of the spectral scale count as zero.
@@ -164,9 +164,10 @@ def ec_constants(
 ) -> ECConstants:
     """Expected co-coercivity constant and noise for (game, scheme).
 
-    Minibatch-family schemes use the closed forms; the independent scheme
-    uses the general pairwise-z formula, with the noise computed by exact
-    support enumeration.
+    Minibatch-family schemes use the closed forms.  The independent scheme
+    uses the general formula z ell + max_i ell_i (1 - p_i z) / (n p_i) with
+    the pairwise constant z of Prob(i, j in S) = z p_i p_j, which is 1 by
+    independence, and its noise comes from exact support enumeration.
     """
     if gc.n != scheme.n:
         raise ConfigError(f"scheme is for n={scheme.n}, constants for n={gc.n}")
@@ -176,13 +177,8 @@ def ec_constants(
             ell_xi=minibatch_ell_xi(gc.n, b, gc.ell, gc.ell_max),
             sigma_sq=minibatch_sigma_sq(gc.n, b, gc.sigma1_sq),
         )
-    stats = scheme_stats(scheme)
-    z = stats.z
-    extra = max(
-        gc.ell_i[i] / (gc.n * stats.probs[i]) * (1.0 - stats.probs[i] * z)
-        for i in range(gc.n)
-    )
-    ell_xi = z * gc.ell + extra
+    extra = max(ell_i / (gc.n * p) * (1.0 - p) for ell_i, p in zip(gc.ell_i, scheme.probs))
+    ell_xi = gc.ell + extra
     probs, w = support_weights(enumerate_support(scheme), gc.n)
     est = w @ game.component_values(game.equilibrium())
     sigma_sq = float(probs @ np.einsum("kj,kj->k", est, est))
@@ -305,6 +301,17 @@ BOUND_IDS = (
 )
 
 
+def bound_start(bound: str, params: dict) -> int:
+    """First iteration at which ``bound`` holds: a switching rule's switch
+    point, which the matching schedule class defines, else 0."""
+    if bound == SGDA_SWITCHING:
+        return SgdaSwitchingSchedule(ell_xi=params["ell_xi"], mu=params["mu"]).switch_point
+    if bound == SCO_SWITCHING:
+        return ScoSwitchingSchedule(ell_xi=params["ell_xi"], cal_l_h=params["cal_l_h"],
+                                    mu=params["mu"], mu_h=params["mu_h"]).switch_point
+    return 0
+
+
 def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
     """Closed-form distance bound at iteration k for the given rate statement.
 
@@ -319,11 +326,13 @@ def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
     * sco_switching:          mu, mu_h, ell_xi, cal_l_h, sigma_sq, sigma_h_sq
 
     Raises NumericalError when a step size violates the statement's range
-    and ConfigError when k lies before a switching rule's switch point,
-    which the matching schedule class defines.
+    and ConfigError when k lies before ``bound_start``.
     """
     if k < 0:
         raise ConfigError("iteration index must be >= 0")
+    start = bound_start(bound, p)
+    if k < start:
+        raise ConfigError(f"switch not reached: bound valid from iteration {start}, got {k}")
 
     def limit(value, ceiling, what, strict=False):
         if value < 0.0 or (value >= ceiling if strict else value > ceiling * (1.0 + _STEP_SLOP)):
@@ -348,12 +357,9 @@ def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
         return rate**k * r0_sq + alpha * sigma_sq / (mu * (1.0 - alpha * ell_xi))
 
     if bound == SGDA_SWITCHING:
-        mu, ell_xi, sigma_sq = p["mu"], p["ell_xi"], p["sigma_sq"]
-        switch = SgdaSwitchingSchedule(ell_xi=ell_xi, mu=mu).switch_point
-        if k < switch:
-            raise ConfigError(f"switch not reached: bound valid from iteration {switch}, got {k}")
+        mu, sigma_sq = p["mu"], p["sigma_sq"]
         # The statement's 16 ceil(ell_xi / mu)^2 is the switch point squared.
-        return 8.0 * sigma_sq / (mu**2 * k) + switch**2 * r0_sq / (math.e**2 * k**2)
+        return 8.0 * sigma_sq / (mu**2 * k) + start**2 * r0_sq / (math.e**2 * k**2)
 
     if bound == SCO_CONSTANT:
         alpha, gamma = p["alpha"], p["gamma"]
@@ -381,12 +387,9 @@ def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
     if bound == SCO_SWITCHING:
         mu, mu_h = p["mu"], p["mu_h"]
         sigma_sq, sigma_h_sq = p["sigma_sq"], p["sigma_h_sq"]
-        sched = ScoSwitchingSchedule(ell_xi=p["ell_xi"], cal_l_h=p["cal_l_h"], mu=mu, mu_h=mu_h)
-        if k < sched.switch_point:
-            raise ConfigError(
-                f"switch not reached: bound valid from iteration {sched.switch_point}, got {k}"
-            )
+        k_star = ScoSwitchingSchedule(
+            ell_xi=p["ell_xi"], cal_l_h=p["cal_l_h"], mu=mu, mu_h=mu_h).k_star
         first = 16.0 * (sigma_h_sq + sigma_sq) / ((mu + mu_h) ** 2 * k)
-        return first + sched.k_star**2 * r0_sq / (math.e**2 * k**2)
+        return first + k_star**2 * r0_sq / (math.e**2 * k**2)
 
     raise ConfigError(f"unknown bound id {bound!r}; known: {BOUND_IDS}")

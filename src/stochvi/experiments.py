@@ -24,13 +24,11 @@ from .errors import ConfigError
 from .operators import QuadraticGame
 from .sampling import SamplingScheme
 from .solvers import (
-    CO,
     DETERMINISTIC_METHODS,
-    GDA,
     METHODS,
     SCO,
     SGDA,
-    SHGD,
+    TERMS,
     ConstantSchedule,
     RunConfig,
     RunTrace,
@@ -267,19 +265,16 @@ def profile(game: QuadraticGame, scheme: SamplingScheme) -> GameProfile:
 
 def theory_schedule(method: str, prof: GameProfile) -> ConstantSchedule:
     """Constant step sizes at the largest values the rate statements allow:
-    descent-ascent 1/(2 ell_xi); consensus 1/(4 ell_xi) and 1/(4 cal_l_h);
-    Hamiltonian descent 1/(2 cal_l_h).  Deterministic variants use the same
-    forms through the full-batch constants."""
-    ell_xi = prof.ec.ell_xi
-    if method in (SGDA, GDA):
-        return ConstantSchedule(alpha=1.0 / (2.0 * ell_xi), gamma=0.0)
-    if method == SHGD:
-        return ConstantSchedule(alpha=0.0, gamma=1.0 / (2.0 * prof.hamiltonian.cal_l_h))
-    if method in (SCO, CO):
-        return ConstantSchedule(
-            alpha=1.0 / (4.0 * ell_xi), gamma=1.0 / (4.0 * prof.hamiltonian.cal_l_h)
-        )
-    raise ConfigError(f"unknown method {method!r}")
+    1/(2 ell_xi) for the descent-ascent term and 1/(2 cal_l_h) for the
+    Hamiltonian term, each halved when the method applies both (solvers.TERMS).
+    Deterministic variants use the same forms through the full-batch
+    constants."""
+    descent_ascent, hamiltonian = TERMS[method]
+    factor = 4.0 if descent_ascent and hamiltonian else 2.0
+    return ConstantSchedule(
+        alpha=1.0 / (factor * prof.ec.ell_xi) if descent_ascent else 0.0,
+        gamma=1.0 / (factor * prof.hamiltonian.cal_l_h) if hamiltonian else 0.0,
+    )
 
 
 def method_plan(game: QuadraticGame, scheme: SamplingScheme, methods):

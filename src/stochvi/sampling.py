@@ -189,28 +189,3 @@ def support_weights(support, n: int):
     for k, (_, vec) in enumerate(support):
         w[k] = vec.dense(n) / n
     return probs, w
-
-
-@dataclass(frozen=True)
-class SchemeStats:
-    """Inclusion probabilities and the pairwise constant z with
-    Prob(i,j in S) = z * p_i * p_j for all i != j."""
-
-    probs: tuple[float, ...]
-    z: float
-
-
-def scheme_stats(scheme: SamplingScheme) -> SchemeStats:
-    """Per-index inclusion probabilities and the pairwise z constant.
-
-    Minibatch(b): p_i = b/n and z = (n/b) * (b-1)/(n-1); independent
-    inclusion has z = 1 by independence.  For n = 1 there are no pairs and z
-    is reported as 1.
-    """
-    n = scheme.n
-    b = scheme.batch_size
-    if b is not None:
-        p = (b / n,) * n
-        z = 1.0 if n == 1 else (n / b) * (b - 1) / (n - 1)
-        return SchemeStats(p, z)
-    return SchemeStats(tuple(scheme.probs), 1.0)

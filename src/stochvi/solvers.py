@@ -62,10 +62,6 @@ class ConstantSchedule:
                 f"alpha={self.alpha!r}, gamma={self.gamma!r}"
             )
 
-    @property
-    def switch_point(self) -> int | None:
-        return None
-
     def at(self, k: int) -> tuple[float, float]:
         return self.alpha, self.gamma
 

@@ -19,7 +19,7 @@ from . import numerics
 from .errors import ConfigError, NumericalError
 from .operators import FiniteSumOperator
 from .sampling import SamplingScheme, enumerate_support, support_weights
-from .solvers import RunTrace, ScoSwitchingSchedule, SgdaSwitchingSchedule
+from .solvers import RunTrace
 
 DEFAULT_RADIUS = 10.0
 
@@ -251,6 +251,12 @@ def check_bound_envelope(
     degenerate set.  Switching bounds are only evaluated from their switch
     point onward.  The margin at iteration k is slack - mean_k / bound_k.
 
+    A run cannot get closer to x* than rounding lets it: a noiseless trace
+    settles near that floor while a bound such as (1 - alpha mu)^k r0^2
+    keeps falling.  So each bound is held to at least the rounding floor
+    (dim eps)^2 max(r0^2, max |final_x|^2), eps the float64 machine epsilon,
+    which lies far below every noisy bound's plateau (details["floor"]).
+
     A trace the divergence guard stopped fails the check outright, once the
     bound's step-size range has been checked: its worst margin is -inf, its
     witness the earliest stop iteration, and details["diverged"] lists the
@@ -276,16 +282,7 @@ def check_bound_envelope(
     mean = dists.mean(axis=0)
     r0_sq = float(mean[0])
 
-    k_lo, k_hi = 0, length - 1
-    if bound == consts.SGDA_SWITCHING:
-        k_lo = SgdaSwitchingSchedule(ell_xi=params["ell_xi"], mu=params["mu"]).switch_point
-    elif bound == consts.SCO_SWITCHING:
-        k_lo = ScoSwitchingSchedule(
-            ell_xi=params["ell_xi"], cal_l_h=params["cal_l_h"],
-            mu=params["mu"], mu_h=params["mu_h"],
-        ).switch_point
-    if bound in (consts.SGDA_SWITCHING, consts.SCO_SWITCHING):
-        k_lo = max(k_lo, 1)
+    k_lo, k_hi = consts.bound_start(bound, params), length - 1
     name = f"bound_envelope[{bound}]"
     if diverged:
         # A step size outside the bound's range is a configuration error first.
@@ -302,11 +299,13 @@ def check_bound_envelope(
     if k_hi < k_lo:
         raise ConfigError(f"the traces end at iteration {k_hi}, before the bound starts at {k_lo}")
 
+    final_sq = max(float(t.final_x @ t.final_x) for t in traces)
+    floor = (traces[0].final_x.size * np.finfo(float).eps) ** 2 * max(r0_sq, final_sq)
     ks = np.arange(k_lo, k_hi + 1)
     margins = np.empty(ks.size)
     for j, k in enumerate(ks):
         b = consts.theoretical_bound(bound, int(k), r0_sq, **params)
-        margins[j] = slack - mean[k] / b
+        margins[j] = slack - mean[k] / max(b, floor)
     worst = int(np.argmin(margins))
     return CheckReport(
         name=name,
@@ -315,5 +314,6 @@ def check_bound_envelope(
         tolerance=0.0,
         points=ks.size,
         witness=int(ks[worst]),
-        details={"slack": slack, "k_range": (int(ks[0]), int(ks[-1])), "seeds": len(traces)},
+        details={"slack": slack, "k_range": (int(ks[0]), int(ks[-1])), "seeds": len(traces),
+                 "floor": floor},
     )

@@ -119,6 +119,12 @@ def test_verify_envelope_check(game_file, capsys):
     assert "[PASS]" in capsys.readouterr().out
 
 
+def test_verify_full_batch_envelope_at_the_default_iterations(game_file, capsys):
+    # the 500-iteration run reaches the rounding floor long before its end
+    assert main(["verify", str(game_file), "--scheme", "full", "--checks", "envelope"]) == 0
+    assert "[PASS] bound_envelope[sgda_constant]" in capsys.readouterr().out
+
+
 def test_verify_exit_code_on_failure(tmp_path, capsys):
     # a deliberately mis-specified check: huge mu makes the class check fail
     path = tmp_path / "game.json"
@@ -260,6 +266,15 @@ def test_plot_roundtrip(game_file, tmp_path):
     ])
     assert main(["plot", "--csv", str(csv), "--svg", str(svg2)]) == 0
     assert svg1.read_bytes() == svg2.read_bytes()
+
+
+def test_sweep_svg_is_the_plot_of_its_csv(game_file, tmp_path):
+    csv, svg, replot = tmp_path / "sweep.csv", tmp_path / "sweep.svg", tmp_path / "plot.svg"
+    assert main(["sweep", "--game", str(game_file), "--methods", "sgda,sco",
+                 "--multipliers", "0.5,2", "--iters", "20", "--seeds", "2",
+                 "--out", str(csv), "--svg", str(svg)]) == 0
+    assert main(["plot", "--csv", str(csv), "--svg", str(replot)]) == 0
+    assert svg.read_bytes() == replot.read_bytes()
 
 
 @pytest.mark.parametrize("seeds", ["1", "3"])
@@ -466,12 +481,25 @@ def _config_error_exit(argv, capsys):
          "--n", "3", "--d1", "1", "--d2", "1", "--out", "{out}/k.json"],
         ["sweep", "--target-kappa", "5", "--n", "3", "--d1", "1", "--d2", "1",
          "--out", "{out}/k.json", "--svg", "{out}/k.svg"],
+        *(["sweep", "--game", "{game}", flag, "3", "--iters", "5", "--out", "{out}/s.csv"]
+          for flag in ("--n", "--d1", "--d2")),
+        *(["sweep", "--target-kappa", "5", "--n", "3", "--d1", "1", "--d2", "1", flag, value,
+           "--out", "{out}/k.json"]
+          for flag, value in (("--methods", "sgda"), ("--multipliers", "1"),
+                              ("--iters", "5"), ("--seeds", "2"))),
+        ["run", "--game", "{game}", "--method", "shgd", "--schedule", "switching",
+         "--iters", "5", "--out", "{out}/r.csv"],
+        ["run", "--game", "{game}", "--method", "gda", "--scheme", "full",
+         "--schedule", "switching", "--iters", "5", "--out", "{out}/r.csv"],
     ],
     ids=["zero_points", "empty_multipliers", "negative_seed", "nan_kappa", "nan_radius",
          "sweep_without_game", "output_is_directory", "b_with_single", "b_with_full",
          "alpha_with_theory", "gamma_with_switching", "negative_radius", "repeated_check",
          "unknown_check_after_known", "negative_radius_envelope", "game_with_target_kappa",
-         "svg_with_target_kappa"],
+         "svg_with_target_kappa", "n_with_game", "d1_with_game", "d2_with_game",
+         "methods_with_target_kappa", "multipliers_with_target_kappa",
+         "iters_with_target_kappa", "seeds_with_target_kappa", "shgd_switching",
+         "gda_switching"],
 )
 def test_bad_argv_is_config_error(game_file, tmp_path, capsys, argv):
     out = tmp_path / "outputs"
@@ -574,9 +602,10 @@ def _joined(items):
 
 @st.composite
 def _argv(draw, files):
-    """argv for one subcommand.  Options that bound the work (sizes,
-    iterations, seeds, points) are always present; the rest may be left out.
-    Values are attached with "=" so that a negative number stays a value."""
+    """argv for one subcommand, or for one mode of sweep.  Options that bound
+    the work (sizes, iterations, seeds, points) are always present; the rest
+    may be left out.  Values are attached with "=" so that a negative number
+    stays a value."""
     game, out = _choice([files["game"]]), _choice(["out.csv"])
     scheme = {"--scheme": _choice(["single", "full", "minibatch"]), "--b": _ints(1, 4)}
     size = {"--n": _ints(1, 4), "--d1": _ints(1, 2), "--d2": _ints(1, 2)}
@@ -594,10 +623,12 @@ def _argv(draw, files):
                             "--envelope-iters": _ints(0, 50)},
                    {**scheme, "--radius": _floats(0.0, 10.0), "--out": out,
                     "--checks": _joined(("ec", "class", "unbiased", "envelope"))}),
-        "sweep": ([], {**size, "--iters": _ints(0, 50), "--seeds": _ints(1, 3), "--out": out},
-                  {**scheme, "--game": game, "--methods": _joined(METHODS),
-                   "--multipliers": _joined(("0.5", "1", "2")),
-                   "--target-kappa": _floats(1.0, 4.0), "--svg": out}),
+        "sweep --game": ([], {"--game": game, "--iters": _ints(0, 50), "--seeds": _ints(1, 3),
+                              "--out": out},
+                         {**scheme, "--methods": _joined(METHODS),
+                          "--multipliers": _joined(("0.5", "1", "2")), "--svg": out}),
+        "sweep --target-kappa": ([], {"--target-kappa": _floats(1.0, 4.0), **size, "--out": out},
+                                 scheme),
         "plot": ([], {"--csv": _choice([files["csv"]]), "--svg": out}, {}),
     }
     command = draw(st.sampled_from(sorted(spec)))
@@ -605,7 +636,7 @@ def _argv(draw, files):
     argv = [f"--out-dir={files['out_dir']}"]
     if draw(st.booleans()):
         argv.append(f"--seed={draw(_ints(0, 3))}")
-    argv += [command] + [draw(p) for p in positional]
+    argv += command.split()[:1] + [draw(p) for p in positional]
     for flag, strategy in fixed.items():
         argv.append(f"{flag}={draw(strategy)}")
     for flag, strategy in optional.items():

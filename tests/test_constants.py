@@ -514,6 +514,16 @@ def test_bound_switch_gate():
         C.SGDA_SWITCHING, 40, 1.0, mu=1.0, ell_xi=10.0, sigma_sq=1.0
     )
     assert val == pytest.approx(8 / 40 + 16 * 100 / (math.e**2 * 1600), rel=1e-12)
+    # sco: psi = 16 and mu + mu_h = 3, so the switch point is ceil(128 / 3) = 43
+    sco = dict(mu=1.0, mu_h=2.0, ell_xi=4.0, cal_l_h=16.0, sigma_sq=3.0, sigma_h_sq=3.0)
+    assert C.bound_start(C.SCO_SWITCHING, sco) == 43
+    with pytest.raises(ConfigError, match="bound valid from iteration 43, got 42"):
+        C.theoretical_bound(C.SCO_SWITCHING, 42, 1.0, **sco)
+    val = C.theoretical_bound(C.SCO_SWITCHING, 43, 1.0, **sco)
+    assert val == pytest.approx(16 * 6 / (9 * 43) + (128 / 3) ** 2 / (math.e**2 * 43**2),
+                                rel=1e-12)
+    for bound in (C.SGDA_CONSTANT, C.SGDA_CONSTANT_GENERAL, C.SCO_CONSTANT, C.SHGD_CONSTANT):
+        assert C.bound_start(bound, {}) == 0
 
 
 def test_bound_shgd_constant():

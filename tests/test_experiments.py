@@ -10,7 +10,7 @@ from stochvi import numerics
 from stochvi.cli import main
 from stochvi.errors import ConfigError, UnsupportedSchemeError
 from stochvi.sampling import SamplingScheme
-from stochvi.solvers import ConstantSchedule, RunConfig, run
+from stochvi.solvers import ConstantSchedule, RunConfig, ScoSwitchingSchedule, run
 
 from test_operators import random_game
 
@@ -464,6 +464,24 @@ def test_switching_beats_constant_plateau():
     alpha = 1.0 / (2.0 * prof.ec.ell_xi)
     plateau = 2.0 * alpha * prof.ec.sigma_sq / prof.game_constants.mu
     assert table.rows[0].mean[horizon] <= 0.1 * plateau
+
+
+def test_sco_switching_experiment_runs_the_hand_built_schedule():
+    game = E.generate_game(small_cfg(seed=17))
+    scheme = SamplingScheme.single_element(game.n)
+    gc = C.game_constants(game)
+    ham = C.hamiltonian_constants(game, scheme)
+    sched = ScoSwitchingSchedule(ell_xi=C.ec_constants(gc, scheme, game).ell_xi,
+                                 cal_l_h=ham.cal_l_h, mu=gc.mu, mu_h=ham.mu_h)
+    iterations = 3 * sched.switch_point
+    cfg = E.ExperimentConfig(game=game, methods=("sco",), scheme=scheme,
+                             schedule="switching", iterations=iterations, seeds=3)
+    _, _, traces = E.run_experiment(cfg, record_traces=True)
+    expected = E.run_seeds("sco", game, scheme, sched, iterations, 3)
+    for got, want in zip(traces["sco"], expected, strict=True):
+        assert got.dist_sq.tobytes() == want.dist_sq.tobytes()
+        assert got.final_x.tobytes() == want.final_x.tobytes()
+        assert got.gammas.tobytes() == want.gammas.tobytes()
 
 
 def test_sweep_step_sizes_labels_and_shape():

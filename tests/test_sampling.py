@@ -12,7 +12,6 @@ from stochvi.sampling import (
     SamplingScheme,
     draw_many,
     enumerate_support,
-    scheme_stats,
 )
 
 from reference import draw
@@ -96,32 +95,6 @@ def test_support_cap():
         enumerate_support(SamplingScheme.minibatch(60, 30))
     with pytest.raises(ConfigError, match=r"support size 2\^25 exceeds cap"):
         enumerate_support(SamplingScheme.independent([0.5] * 25))
-
-
-def test_scheme_stats_closed_forms():
-    stats = scheme_stats(SamplingScheme.minibatch(4, 2))
-    assert stats.probs == (0.5,) * 4
-    assert abs(stats.z - 2 / 3) <= 1e-15
-
-    stats = scheme_stats(SamplingScheme.full_batch(3))
-    assert stats.probs == (1.0,) * 3
-    assert stats.z == 1.0
-
-    stats = scheme_stats(SamplingScheme.single_element(5))
-    assert stats.probs == (0.2,) * 5
-    assert stats.z == 0.0
-
-
-def test_scheme_stats_match_enumeration():
-    scheme = SamplingScheme.minibatch(5, 3)
-    stats = scheme_stats(scheme)
-    support = enumerate_support(scheme)
-    for i in range(5):
-        p_i = sum(p for p, v in support if i in v.indices)
-        assert abs(p_i - stats.probs[i]) <= 1e-12
-    for i, j in itertools.combinations(range(5), 2):
-        p_ij = sum(p for p, v in support if i in v.indices and j in v.indices)
-        assert abs(p_ij - stats.z * stats.probs[i] * stats.probs[j]) <= 1e-12
 
 
 def test_double_counting_identity():

@@ -252,6 +252,38 @@ def test_envelope_deterministic_single_trace():
     assert report.passed
 
 
+def _full_batch_envelope(game, stall_at=None):
+    """One 500-step full-batch sgda trace at 1/(2 ell) and its envelope
+    report; with ``stall_at`` the distances from iteration 100 on are set
+    to that value."""
+    gc = C.game_constants(game)
+    alpha = 1.0 / (2.0 * gc.ell)
+    traces = sgda_traces(game, SamplingScheme.full_batch(game.n), alpha, 500, 1)
+    if stall_at is not None:
+        dist_sq = traces[0].dist_sq.copy()
+        dist_sq[100:] = stall_at
+        traces[0] = dataclasses.replace(traces[0], dist_sq=dist_sq)
+    params = dict(alpha=alpha, mu=gc.mu, ell_xi=gc.ell, sigma_sq=0.0)
+    return traces[0], V.check_bound_envelope(traces, C.SGDA_CONSTANT, params, slack=1.05)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2), (1, 1, 1), (6, 3, 3)])
+def test_envelope_noiseless_run_at_the_rounding_floor_passes(shape):
+    # the run settles where rounding stops it, while (1 - alpha mu)^k r0^2
+    # falls on towards 0: the bound is held to the rounding floor there
+    trace, report = _full_batch_envelope(random_game(*shape, seed=85))
+    assert report.passed and report.worst_margin == pytest.approx(0.05, abs=1e-3)
+    assert 0.0 < trace.dist_sq[-100:].max() < report.details["floor"]
+
+
+def test_envelope_noiseless_stall_above_the_floor_fails():
+    # a distance of 1e-20 is far above rounding for a unit start
+    _, report = _full_batch_envelope(random_game(3, 2, 2, seed=85), stall_at=1e-20)
+    assert not report.passed and report.details["floor"] < 1e-26
+    assert report.passed == (report.worst_margin >= -report.tolerance)
+    assert report.worst_margin < -1e3 and report.witness > 100
+
+
 def test_envelope_rejects_too_few_noisy_seeds():
     game = random_game(3, 2, 2, seed=80)
     scheme = SamplingScheme.single_element(3)

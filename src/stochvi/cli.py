@@ -216,6 +216,7 @@ def cmd_verify(args) -> int:
         if name not in checks:
             raise ConfigError(f"unknown check {name!r}; known: {', '.join(checks)}")
     exps._reject_repeats("check", names)
+    _fill_flags(args, "--checks", _VERIFY_FLAGS, names)
     # In argv order: the checks share one generator.
     reports = [checks[name]() for name in names]
     failed = [r for r in reports if not r.passed]
@@ -247,23 +248,34 @@ def cmd_verify(args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-# The flags only one sweep mode reads, with their defaults.  The parser
-# leaves them None, so a flag given to the other mode is seen and rejected.
+# The flags that only some verify checks or one sweep mode read, with their
+# defaults, by the checks or mode that read them.  The parser leaves them
+# None, so a flag that nothing given reads is seen and rejected.
+_VERIFY_FLAGS = {
+    ("ec", "class", "unbiased"): {"points": 200, "radius": verify.DEFAULT_RADIUS},
+    ("envelope",): {"envelope_seeds": 30, "envelope_iters": 500},
+}
 _SWEEP_FLAGS = {
-    "--game": {"methods": "sgda,sco,shgd", "multipliers": "0.25,0.5,1,2",
-               "iters": 1000, "seeds": 5, "svg": None},
-    "--target-kappa": {"n": 20, "d1": 20, "d2": 20},
+    ("--game",): {"methods": "sgda,sco,shgd", "multipliers": "0.25,0.5,1,2",
+                  "iters": 1000, "seeds": 5, "svg": None},
+    ("--target-kappa",): {"n": 20, "d1": 20, "d2": 20},
 }
 
 
-def cmd_sweep(args) -> int:
-    mode = "--game" if args.target_kappa is None else "--target-kappa"
-    for owner, flags in _SWEEP_FLAGS.items():
+def _fill_flags(args, what: str, table: dict, given) -> None:
+    """Default each flag of ``table`` left None; reject one nothing given reads."""
+    for readers, flags in table.items():
         for name, default in flags.items():
             if getattr(args, name) is None:
                 setattr(args, name, default)
-            elif owner != mode:
-                raise ConfigError(f"--{name} applies to sweep {owner}, not to sweep {mode}")
+            elif not set(readers) & set(given):
+                raise ConfigError(f"--{name.replace('_', '-')} applies only to "
+                                  f"{what} {'/'.join(readers)}")
+
+
+def cmd_sweep(args) -> int:
+    _fill_flags(args, "sweep", _SWEEP_FLAGS,
+                ["--game" if args.target_kappa is None else "--target-kappa"])
     if args.target_kappa is not None:
         cfg, kappa = exps.find_generator_for_kappa(
             args.target_kappa, args.n, args.d1, args.d2, args.scheme,
@@ -363,10 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--scheme", default="single_element_uniform")
     v.add_argument("--b", type=int, default=None)
     v.add_argument("--checks", default="ec,class,unbiased")
-    v.add_argument("--points", type=_count(1), default=200)
-    v.add_argument("--radius", type=_nonnegative, default=verify.DEFAULT_RADIUS)
-    v.add_argument("--envelope-seeds", type=_count(1), default=30)
-    v.add_argument("--envelope-iters", type=_count(0), default=500)
+    v.add_argument("--points", type=_count(1))
+    v.add_argument("--radius", type=_nonnegative)
+    v.add_argument("--envelope-seeds", type=_count(1))
+    v.add_argument("--envelope-iters", type=_count(0))
     v.add_argument("--out", default=None, help="machine-readable JSON report path")
     v.set_defaults(func=cmd_verify)
 
@@ -375,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--game", default=None, help="sweep step sizes on this game")
     mode.add_argument("--target-kappa", type=_finite, default=None,
                       help="write a generated game of this kappa_g to --out")
-    step_sweep, kappa_search = _SWEEP_FLAGS["--game"], _SWEEP_FLAGS["--target-kappa"]
+    step_sweep, kappa_search = _SWEEP_FLAGS.values()
     s.add_argument("--methods", help=f"--game only (default {step_sweep['methods']})")
     s.add_argument("--multipliers", help=f"--game only (default {step_sweep['multipliers']})")
     s.add_argument("--scheme", default="single_element_uniform")

@@ -33,33 +33,41 @@ _STEP_SLOP = 1e-12
 # ---------------------------------------------------------------------------
 
 
-def matrix_cocoercivity(m) -> float:
+def matrix_cocoercivity(m):
     """Co-coercivity constant of the linear operator x -> Mx (see module
-    docstring)."""
-    m = numerics.as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ConfigError(f"expected square matrix, got {m.shape}")
-    sym = 0.5 * (m + m.T)
-    evals, evecs = np.linalg.eigh(sym)
-    scale = max(float(np.abs(evals).max(initial=0.0)), float(np.abs(m).max(initial=0.0)))
-    if scale == 0.0:
-        return 0.0
-    tol = _ZERO_RTOL * scale
-    if evals.min() < -tol:
-        # <v, Mv> = v^T sym(M) v < 0 forces Mv != 0, so co-coercivity fails.
-        raise NumericalError(
-            f"not co-coercive: symmetric part has negative eigenvalue {evals.min():.3e}"
-        )
-    null = evals <= tol
-    if np.any(null):
-        null_slice = m @ evecs[:, null]
-        if np.abs(null_slice).max() > 1e-9 * scale:
-            raise NumericalError("not co-coercive: direction with <x, Mx> = 0 but Mx != 0")
-        if np.all(null):
-            return 0.0
-    w = evecs[:, ~null] / np.sqrt(evals[~null])
-    mw = m @ w
-    return float(np.linalg.eigvalsh(mw.T @ mw).max())
+    docstring); for a (k, d, d) stack, the array of the k constants from one
+    stacked eigh and eigvalsh per chunk.  Only a matrix whose symmetric part
+    has a null or negative direction takes its own rules."""
+    stack = np.asarray(m, dtype=float)
+    if stack.ndim not in (2, 3) or stack.shape[-1] != stack.shape[-2]:
+        raise ConfigError(f"expected a square matrix or a stack of them, got {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise ConfigError("matrix entries must be finite")
+    if stack.ndim == 2:
+        return float(matrix_cocoercivity(stack[None])[0])
+    out = np.empty(len(stack))
+    for part in numerics.chunks(len(stack)):
+        m, res = stack[part], out[part]
+        evals, evecs = np.linalg.eigh(0.5 * (m + m.transpose(0, 2, 1)))
+        scale = np.maximum(np.abs(evals).max(axis=1, initial=0.0),
+                           np.abs(m).max(axis=(1, 2), initial=0.0))
+        tol = _ZERO_RTOL * scale
+        null = evals <= tol[:, None]
+        for i in np.flatnonzero(null.any(axis=1)):
+            if evals[i].min() < -tol[i]:
+                # <v, Mv> = v^T sym(M) v < 0 forces Mv != 0, so co-coercivity fails.
+                raise NumericalError(f"not co-coercive: symmetric part has negative "
+                                     f"eigenvalue {evals[i].min():.3e}")
+            if np.abs(m[i] @ evecs[i][:, null[i]]).max() > 1e-9 * scale[i]:
+                raise NumericalError("not co-coercive: direction with <x, Mx> = 0 but Mx != 0")
+            mw = m[i] @ (evecs[i][:, ~null[i]] / np.sqrt(evals[i][~null[i]]))
+            res[i] = np.linalg.eigvalsh(mw.T @ mw).max(initial=0.0)
+        ok = ~null.any(axis=1)
+        # Column-major like the w above, which the product's bits depend on.
+        w_t = np.divide(evecs[ok].transpose(0, 2, 1), np.sqrt(evals[ok])[:, :, None], order="C")
+        mw = m[ok] @ w_t.transpose(0, 2, 1)
+        res[ok] = np.linalg.eigvalsh(mw.transpose(0, 2, 1) @ mw).max(axis=1, initial=0.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -128,21 +136,13 @@ def game_constants(game: QuadraticGame) -> GameConstants:
         raise NumericalError(
             f"not strongly monotone: lambda_min of the symmetric mean Jacobian is {mu:.3e}"
         )
-    ell_i = tuple(
-        matrix_cocoercivity(game.component_jacobians[i]) for i in range(game.n)
-    )
+    ell_i = tuple(matrix_cocoercivity(game.component_jacobians).tolist())
     ell = matrix_cocoercivity(j_mean)
     x_star = game.equilibrium()
     vals = game.component_values(x_star)
     sigma1_sq = float(np.einsum("ij,ij->i", vals, vals).mean())
-    return GameConstants(
-        n=game.n,
-        mu=mu,
-        ell_i=ell_i,
-        ell=ell,
-        ell_max=max(ell_i),
-        sigma1_sq=sigma1_sq,
-    )
+    return GameConstants(n=game.n, mu=mu, ell_i=ell_i, ell=ell, ell_max=max(ell_i),
+                         sigma1_sq=sigma1_sq)
 
 
 def minibatch_ell_xi(n: int, b: int, ell: float, ell_max: float) -> float:

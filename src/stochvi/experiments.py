@@ -94,34 +94,37 @@ def _spread_diagonal(rng, dim, lo, hi, force_min, force_max):
 def generate_game(cfg: GameGenConfig) -> QuadraticGame:
     """Random strongly monotone quadratic game, deterministic given the seed.
 
-    Per component, in fixed draw order: orthogonal factor and eigenvalues of
-    A_i, the same for C_i, the two orthogonal factors and singular values of
-    B_i, then the offsets a_i and c_i.
+    Per component, in fixed draw order: the normals behind the orthogonal
+    factor of A_i and its eigenvalues, the same for C_i, the normals behind
+    the two orthogonal factors of B_i and its singular values, then the
+    offsets a_i and c_i.  The factors are formed a chunk at a time.
     """
     rng = numerics.make_rng(cfg.seed)
     n, d1, d2 = cfg.n, cfg.d1, cfg.d2
     k = min(d1, d2)
-    a_mats = np.empty((n, d1, d1))
-    b_mats = np.empty((n, d1, d2))
-    c_mats = np.empty((n, d2, d2))
-    a_vecs = np.empty((n, d1))
-    c_vecs = np.empty((n, d2))
+    # A and C hold their normals until their chunk is factored.
+    a_mats, u_normals, diag_a = np.empty((n, d1, d1)), np.empty((n, d1, d1)), np.empty((n, d1))
+    c_mats, v_normals, diag_c = np.empty((n, d2, d2)), np.empty((n, d2, d2)), np.empty((n, d2))
+    a_vecs, c_vecs, svals = np.empty((n, d1)), np.empty((n, d2)), np.empty((n, k))
     for i in range(n):
         first, last = i == 0, i == n - 1
-        q = numerics.random_orthogonal(d1, rng)
-        diag = _spread_diagonal(rng, d1, cfg.mu_a, cfg.l_a, first, last)
-        a_mats[i] = (q * diag) @ q.T
-        a_mats[i] = 0.5 * (a_mats[i] + a_mats[i].T)
-        q = numerics.random_orthogonal(d2, rng)
-        diag = _spread_diagonal(rng, d2, cfg.mu_c, cfg.l_c, first, last)
-        c_mats[i] = (q * diag) @ q.T
-        c_mats[i] = 0.5 * (c_mats[i] + c_mats[i].T)
-        u = numerics.random_orthogonal(d1, rng)
-        v = numerics.random_orthogonal(d2, rng)
-        svals = rng.uniform(cfg.mu_b, cfg.l_b, k)
-        b_mats[i] = (u[:, :k] * svals) @ v[:, :k].T
+        a_mats[i] = rng.standard_normal((d1, d1))
+        diag_a[i] = _spread_diagonal(rng, d1, cfg.mu_a, cfg.l_a, first, last)
+        c_mats[i] = rng.standard_normal((d2, d2))
+        diag_c[i] = _spread_diagonal(rng, d2, cfg.mu_c, cfg.l_c, first, last)
+        u_normals[i] = rng.standard_normal((d1, d1))
+        v_normals[i] = rng.standard_normal((d2, d2))
+        svals[i] = rng.uniform(cfg.mu_b, cfg.l_b, k)
         a_vecs[i] = rng.standard_normal(d1)
         c_vecs[i] = rng.standard_normal(d2)
+    b_mats = np.empty((n, d1, d2))
+    for part in numerics.chunks(n):
+        for mats, diag in ((a_mats, diag_a), (c_mats, diag_c)):
+            q = numerics.haar_orthogonal(mats[part])
+            sym = (q * diag[part, None]) @ q.transpose(0, 2, 1)
+            mats[part] = 0.5 * (sym + sym.transpose(0, 2, 1))
+        u, v = (numerics.haar_orthogonal(g[part])[..., :k] for g in (u_normals, v_normals))
+        b_mats[part] = (u * svals[part, None]) @ v.transpose(0, 2, 1)
     return QuadraticGame(a_mats, b_mats, c_mats, a_vecs, c_vecs)
 
 

@@ -1,5 +1,5 @@
 """Dense small-matrix substrate: eigenvalues, singular values, linear solves
-and seeded orthogonal-matrix generation.
+and Haar-random orthogonal matrices.
 
 Matrices are plain float64 ``numpy.ndarray`` values, immutable by convention
 (nothing in this package mutates an input array).  Each routine validates its
@@ -46,13 +46,13 @@ def _require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def relative_asymmetry(m: np.ndarray) -> float:
-    """max |M - M^T| scaled by max(1-ish floor, max |M|)."""
-    a = _require_square(as_matrix(m))
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(a - a.T).max() / scale)
+def relative_asymmetry(m) -> np.ndarray:
+    """max |M - M^T| / max |M| (0 for a zero matrix), of a square matrix or
+    of each matrix of a (k, d, d) stack."""
+    a = _require_square(as_matrix(m)) if np.ndim(m) == 2 else np.asarray(m, dtype=float)
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    skew = np.abs(a - np.swapaxes(a, -2, -1)).max(axis=(-2, -1), initial=0.0)
+    return np.divide(skew, scale, out=np.zeros(np.shape(skew)), where=scale > 0.0)
 
 
 def symmetric_eigenvalues(m) -> np.ndarray:
@@ -101,17 +101,21 @@ def solve_linear(m, b) -> np.ndarray:
     return np.linalg.solve(a, rhs)
 
 
-def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform random orthogonal matrix.
+# Matrices per stacked LAPACK call: bounds the temporaries of a stacked
+# factorization at large n.
+STACK_CHUNK = 16
 
-    QR-factors a matrix of independent standard normals and flips column
-    signs so the triangular factor has a positive diagonal, which makes the
-    distribution exactly Haar.  Deterministic given the generator state.
-    """
-    if dim < 1:
-        raise ConfigError(f"dimension must be >= 1, got {dim}")
-    g = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.diag(r))
+
+def chunks(n: int):
+    """Slices that cover range(n) in STACK_CHUNK-sized pieces, in order."""
+    return (slice(s, s + STACK_CHUNK) for s in range(0, n, STACK_CHUNK))
+
+
+def haar_orthogonal(normals: np.ndarray) -> np.ndarray:
+    """Haar-uniform orthogonal matrices from a (k, d, d) stack of standard
+    normals: QR-factors each matrix and flips column signs so the triangular
+    factor has a positive diagonal, which makes the distribution exactly Haar."""
+    q, r = np.linalg.qr(normals)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
-    return q * signs
+    return q * signs[..., None, :]

@@ -121,9 +121,9 @@ class QuadraticGame(FiniteSumOperator):
         if not all(np.all(np.isfinite(arr)) for arr in (self.A, self.B, self.C, self.a, self.c)):
             raise ConfigError("game data must be finite")
         for name, stack in (("A", self.A), ("C", self.C)):
-            for i in range(n):
-                if numerics.relative_asymmetry(stack[i]) > numerics.SYMMETRY_RTOL:
-                    raise ConfigError(f"{name}_{i} is not symmetric")
+            bad = np.flatnonzero(numerics.relative_asymmetry(stack) > numerics.SYMMETRY_RTOL)
+            if bad.size:
+                raise ConfigError(f"{name}_{bad[0]} is not symmetric")
 
         self.n = n
         self.d1 = d1

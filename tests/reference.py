@@ -3,16 +3,19 @@ held to.
 
 Nothing in the package calls these.  They are the literal definitions: one
 draw, one estimator term and one update at a time, so a test can compare the
-seed-batched engine (``solvers.run_batch``) with them bit for bit, and the
-grid oracle gives the closed-form co-coercivity constant an independent
-check.
+seed-batched engine (``solvers.run_batch``) with them bit for bit; one
+orthogonal factor and one co-coercivity constant at a time, so a test can
+compare the stacked game generation and ``game_constants`` with them bit for
+bit; and the grid oracle gives the closed-form co-coercivity constant an
+independent check.
 """
 
 import numpy as np
 
-from stochvi import numerics
+from stochvi import constants, numerics
 from stochvi.errors import ConfigError, NumericalError
-from stochvi.operators import FiniteSumOperator
+from stochvi.experiments import GameGenConfig, _spread_diagonal
+from stochvi.operators import FiniteSumOperator, QuadraticGame
 from stochvi.sampling import INDEPENDENT, SamplingScheme, SamplingVector
 from stochvi.solvers import DIVERGENCE_FACTOR, METHODS, TERMS, _applied_steps
 
@@ -162,6 +165,87 @@ def reference_run(cfg):
             break
     dist_sq = np.array([(y - x_star) @ (y - x_star) for y in xs])
     return dist_sq, np.array(xs), x
+
+
+# ---------------------------------------------------------------------------
+# game generation and component constants, one matrix at a time
+# ---------------------------------------------------------------------------
+
+
+def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-uniform random orthogonal matrix.
+
+    QR-factors a matrix of independent standard normals and flips column
+    signs so the triangular factor has a positive diagonal, which makes the
+    distribution exactly Haar.  Deterministic given the generator state.
+    """
+    if dim < 1:
+        raise ConfigError(f"dimension must be >= 1, got {dim}")
+    g = rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0.0] = 1.0
+    return q * signs
+
+
+def generate_game(cfg: GameGenConfig) -> QuadraticGame:
+    """The per-component loop ``experiments.generate_game`` is held to: each
+    factor is formed right after its draws, in the documented draw order."""
+    rng = numerics.make_rng(cfg.seed)
+    n, d1, d2 = cfg.n, cfg.d1, cfg.d2
+    k = min(d1, d2)
+    a_mats = np.empty((n, d1, d1))
+    b_mats = np.empty((n, d1, d2))
+    c_mats = np.empty((n, d2, d2))
+    a_vecs = np.empty((n, d1))
+    c_vecs = np.empty((n, d2))
+    for i in range(n):
+        first, last = i == 0, i == n - 1
+        q = random_orthogonal(d1, rng)
+        diag = _spread_diagonal(rng, d1, cfg.mu_a, cfg.l_a, first, last)
+        a_mats[i] = (q * diag) @ q.T
+        a_mats[i] = 0.5 * (a_mats[i] + a_mats[i].T)
+        q = random_orthogonal(d2, rng)
+        diag = _spread_diagonal(rng, d2, cfg.mu_c, cfg.l_c, first, last)
+        c_mats[i] = (q * diag) @ q.T
+        c_mats[i] = 0.5 * (c_mats[i] + c_mats[i].T)
+        u = random_orthogonal(d1, rng)
+        v = random_orthogonal(d2, rng)
+        svals = rng.uniform(cfg.mu_b, cfg.l_b, k)
+        b_mats[i] = (u[:, :k] * svals) @ v[:, :k].T
+        a_vecs[i] = rng.standard_normal(d1)
+        c_vecs[i] = rng.standard_normal(d2)
+    return QuadraticGame(a_mats, b_mats, c_mats, a_vecs, c_vecs)
+
+
+def cocoercivity_one(m) -> float:
+    """The closed-form co-coercivity constant of one matrix, written out:
+    the largest eigenvalue of (MW)^T MW with W the eigenvectors of sym(M)
+    on its positive subspace, scaled by their eigenvalues' inverse roots."""
+    m = numerics.as_matrix(m)
+    sym = 0.5 * (m + m.T)
+    evals, evecs = np.linalg.eigh(sym)
+    scale = max(float(np.abs(evals).max(initial=0.0)), float(np.abs(m).max(initial=0.0)))
+    if scale == 0.0:
+        return 0.0
+    tol = constants._ZERO_RTOL * scale
+    if evals.min() < -tol:
+        raise NumericalError(
+            f"not co-coercive: symmetric part has negative eigenvalue {evals.min():.3e}"
+        )
+    null = evals <= tol
+    if np.any(null):
+        if np.abs(m @ evecs[:, null]).max() > 1e-9 * scale:
+            raise NumericalError("not co-coercive: direction with <x, Mx> = 0 but Mx != 0")
+        if np.all(null):
+            return 0.0
+    mw = m @ (evecs[:, ~null] / np.sqrt(evals[~null]))
+    return float(np.linalg.eigvalsh(mw.T @ mw).max())
+
+
+def cocoercivity_loop(stack) -> list[float]:
+    """``cocoercivity_one`` of each matrix of a stack, in order."""
+    return [cocoercivity_one(m) for m in stack]
 
 
 # ---------------------------------------------------------------------------

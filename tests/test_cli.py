@@ -491,6 +491,14 @@ def _config_error_exit(argv, capsys):
          "--iters", "5", "--out", "{out}/r.csv"],
         ["run", "--game", "{game}", "--method", "gda", "--scheme", "full",
          "--schedule", "switching", "--iters", "5", "--out", "{out}/r.csv"],
+        ["verify", "{game}", "--checks", "envelope", "--points", "3",
+         "--out", "{out}/v.json"],
+        ["verify", "{game}", "--checks", "envelope", "--radius", "0.5",
+         "--out", "{out}/v.json"],
+        ["verify", "{game}", "--checks", "ec,class", "--envelope-seeds", "2",
+         "--out", "{out}/v.json"],
+        ["verify", "{game}", "--checks", "unbiased", "--envelope-iters", "5",
+         "--out", "{out}/v.json"],
     ],
     ids=["zero_points", "empty_multipliers", "negative_seed", "nan_kappa", "nan_radius",
          "sweep_without_game", "output_is_directory", "b_with_single", "b_with_full",
@@ -499,7 +507,8 @@ def _config_error_exit(argv, capsys):
          "svg_with_target_kappa", "n_with_game", "d1_with_game", "d2_with_game",
          "methods_with_target_kappa", "multipliers_with_target_kappa",
          "iters_with_target_kappa", "seeds_with_target_kappa", "shgd_switching",
-         "gda_switching"],
+         "gda_switching", "points_with_envelope_only", "radius_with_envelope_only",
+         "envelope_seeds_without_envelope", "envelope_iters_without_envelope"],
 )
 def test_bad_argv_is_config_error(game_file, tmp_path, capsys, argv):
     out = tmp_path / "outputs"

@@ -11,7 +11,7 @@ from stochvi.errors import ConfigError, NumericalError, UnsupportedSchemeError
 from stochvi.operators import QuadraticGame
 from stochvi.sampling import SamplingScheme, enumerate_support
 
-from reference import grid_cocoercivity
+from reference import cocoercivity_loop, cocoercivity_one, grid_cocoercivity, random_orthogonal
 from test_operators import random_game
 
 
@@ -43,6 +43,50 @@ def test_cocoercivity_skips_null_space():
     m = np.diag([2.0, 0.0])
     assert C.matrix_cocoercivity(m) == pytest.approx(2.0, rel=1e-12)
     assert grid_cocoercivity(m) == pytest.approx(2.0, rel=1e-12)
+
+
+def _cocoercive_stack(rng, k, d):
+    """k matrices whose symmetric part is positive definite."""
+    g = rng.standard_normal((k, d, d))
+    return g @ g.transpose(0, 2, 1) + np.eye(d) + (g - g.transpose(0, 2, 1))
+
+
+def test_stacked_cocoercivity_equals_the_per_matrix_values():
+    # 40 matrices span three chunks; the null-direction and zero matrices
+    # take the one-matrix rules.
+    stack = _cocoercive_stack(numerics.make_rng(5), 40, 2)
+    stack[3] = np.diag([2.0, 0.0])
+    stack[17] = 0.0
+    stack[33] = np.diag([0.0, 0.5])
+    got = C.matrix_cocoercivity(stack)
+    assert got.tolist() == cocoercivity_loop(stack)
+    assert [C.matrix_cocoercivity(m) for m in stack] == cocoercivity_loop(stack)
+    assert got[[3, 17, 33]].tolist() == pytest.approx([2.0, 0.0, 0.5], rel=1e-12)
+
+
+def test_game_constants_ell_i_equal_the_per_matrix_values():
+    # At dim 27 the bits of M @ W depend on W's memory layout.
+    game = E.generate_game(E.GameGenConfig(n=37, d1=13, d2=14, mu_a=0.5, l_a=2.0, mu_b=0.0,
+                                           l_b=1.5, mu_c=0.7, l_c=3.0, seed=8))
+    gc = C.game_constants(game)
+    assert gc.ell_i == tuple(cocoercivity_loop(game.component_jacobians))
+    assert all(type(ell) is float for ell in gc.ell_i)
+    assert gc.ell == cocoercivity_one(game.mean_jacobian())
+
+
+@pytest.mark.parametrize("bad", [
+    [[1.0, 1.0], [-1.0, 0.0]],  # <e2, M e2> = 0 but M e2 != 0
+    [[-1.0, 0.0], [0.0, 1.0]],  # negative eigendirection
+])
+def test_stacked_cocoercivity_raises_the_per_matrix_error(bad):
+    stack = _cocoercive_stack(numerics.make_rng(6), 20, 2)
+    stack[5] = bad
+    stack[18] = [[-2.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(NumericalError) as one:
+        cocoercivity_loop(stack)
+    with pytest.raises(NumericalError) as stacked:
+        C.matrix_cocoercivity(stack)
+    assert str(stacked.value) == str(one.value)
 
 
 def test_cocoercivity_exact_certifies_nonnormal():
@@ -77,7 +121,7 @@ def _random_normal_cocoercive(rng, d):
         k = blk.shape[0]
         m[at : at + k, at : at + k] = blk
         at += k
-    q = numerics.random_orthogonal(d, rng)
+    q = random_orthogonal(d, rng)
     return q @ m @ q.T
 
 

@@ -12,6 +12,7 @@ from stochvi.errors import ConfigError, UnsupportedSchemeError
 from stochvi.sampling import SamplingScheme
 from stochvi.solvers import ConstantSchedule, RunConfig, ScoSwitchingSchedule, run
 
+from reference import generate_game as reference_generate_game
 from test_operators import random_game
 
 
@@ -59,6 +60,20 @@ def test_generated_forced_extremes():
     assert numerics.symmetric_eigenvalues(game.C[-1])[-1] == pytest.approx(
         cfg.l_c, abs=1e-9
     )
+
+
+@pytest.mark.parametrize("n, d1, d2, mu_b", [
+    (1, 3, 2, 0.5), (5, 1, 4, 0.0), (3, 4, 1, 1.2), (1, 1, 1, 0.0),
+    (20, 6, 3, 0.0), (37, 5, 5, 1.2), (100, 2, 3, 0.3),
+])
+def test_generate_game_equals_the_per_component_loop(n, d1, d2, mu_b):
+    # n = 37 and 100 span several stacked chunks; d = 1 and mu_b = 0 are the
+    # degenerate factors.
+    cfg = E.GameGenConfig(n=n, d1=d1, d2=d2, mu_a=0.5, l_a=2.0, mu_b=mu_b, l_b=1.5,
+                          mu_c=0.7, l_c=3.0, seed=n + 10 * d1 + d2)
+    got, want = E.generate_game(cfg), reference_generate_game(cfg)
+    for name in ("A", "B", "C", "a", "c"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_generated_b_singular_values_in_range_many_games():

@@ -4,6 +4,8 @@ import pytest
 from stochvi import numerics
 from stochvi.errors import ConfigError, NumericalError
 
+from reference import random_orthogonal
+
 
 def test_symmetric_eigenvalues_diagonal():
     assert np.allclose(numerics.symmetric_eigenvalues(np.diag([2.0, 5.0])), [2, 5])
@@ -61,9 +63,9 @@ def test_solve_linear_random_well_conditioned():
     rng = numerics.make_rng(1234)
     for _ in range(1000):
         d = int(rng.integers(1, 51))
-        q = numerics.random_orthogonal(d, rng)
+        q = random_orthogonal(d, rng)
         s = rng.uniform(0.5, 2.0, d)
-        m = (q * s) @ numerics.random_orthogonal(d, rng).T
+        m = (q * s) @ random_orthogonal(d, rng).T
         b = rng.standard_normal(d)
         if np.linalg.norm(b) == 0.0:
             continue
@@ -97,19 +99,19 @@ def test_singular_values_match_gram_eigenvalues():
 def test_random_orthogonal_contract():
     rng = numerics.make_rng(10)
     for d in (1, 2, 3, 7, 20):
-        q = numerics.random_orthogonal(d, rng)
+        q = random_orthogonal(d, rng)
         assert np.abs(q.T @ q - np.eye(d)).max() <= 1e-10
 
 
 def test_random_orthogonal_one_dimensional():
     rng = numerics.make_rng(11)
-    vals = {float(numerics.random_orthogonal(1, rng)[0, 0]) for _ in range(20)}
+    vals = {float(random_orthogonal(1, rng)[0, 0]) for _ in range(20)}
     assert vals <= {1.0, -1.0}
 
 
 def test_random_orthogonal_deterministic():
-    a = numerics.random_orthogonal(5, numerics.make_rng(99))
-    b = numerics.random_orthogonal(5, numerics.make_rng(99))
+    a = random_orthogonal(5, numerics.make_rng(99))
+    b = random_orthogonal(5, numerics.make_rng(99))
     assert a.tobytes() == b.tobytes()
 
 
@@ -119,3 +121,12 @@ def test_rng_determinism_across_instances():
     assert numerics.make_rng(3).integers(0, 100, 10).tolist() == numerics.make_rng(
         3
     ).integers(0, 100, 10).tolist()
+
+
+def test_haar_orthogonal_equals_the_one_matrix_factor():
+    for d in (1, 2, 7):
+        rng = numerics.make_rng(12)
+        normals = rng.standard_normal((5, d, d))
+        rng = numerics.make_rng(12)
+        one = [random_orthogonal(d, rng) for _ in range(5)]
+        assert numerics.haar_orthogonal(normals).tobytes() == np.stack(one).tobytes()

@@ -5,6 +5,8 @@ from stochvi import numerics
 from stochvi.errors import ConfigError
 from stochvi.operators import CosineOperator, FiniteSumOperator, QuadraticGame
 
+from reference import random_orthogonal
+
 FD_STEP = 1e-5
 
 
@@ -25,7 +27,7 @@ def random_game(n, d1, d2, seed, offsets=True):
 
 
 def _spd(rng, d):
-    q = numerics.random_orthogonal(d, rng)
+    q = random_orthogonal(d, rng)
     return (q * rng.uniform(0.5, 3.0, d)) @ q.T
 
 
@@ -164,6 +166,18 @@ def test_index_and_dimension_errors():
     with pytest.raises(ConfigError, match="A_0 is not symmetric"):
         QuadraticGame([[[0.0, 1.0], [0.5, 0.0]]], [[[1.0], [1.0]]],
                       [[[1.0]]], [[0.0, 0.0]], [[0.0]])
+
+
+def test_first_asymmetric_component_is_named():
+    game = random_game(5, 3, 2, seed=21)
+    a, c = game.A.copy(), game.C.copy()
+    a[3, 0, 1] += 1e-3
+    a[4, 1, 2] += 1e-3
+    c[1, 0, 1] += 1e-3
+    with pytest.raises(ConfigError, match="^A_3 is not symmetric$"):
+        QuadraticGame(a, game.B, game.C, game.a, game.c)
+    with pytest.raises(ConfigError, match="^C_1 is not symmetric$"):
+        QuadraticGame(game.A, game.B, c, game.a, game.c)
 
 
 def test_operator_without_equilibrium_raises():

@@ -3,7 +3,7 @@ variational inequalities over finite-sum operators."""
 
 from . import constants, experiments, numerics, operators, sampling, solvers, verify
 from .operators import CosineOperator, FiniteSumOperator, QuadraticGame
-from .sampling import SamplingScheme, SamplingVector
+from .sampling import SamplingScheme
 from .solvers import (
     ConstantSchedule,
     RunConfig,
@@ -20,7 +20,6 @@ __all__ = [
     "FiniteSumOperator",
     "QuadraticGame",
     "SamplingScheme",
-    "SamplingVector",
     "ConstantSchedule",
     "SgdaSwitchingSchedule",
     "ScoSwitchingSchedule",

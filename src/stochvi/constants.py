@@ -18,7 +18,7 @@ import numpy as np
 from . import numerics
 from .errors import ConfigError, NumericalError, UnsupportedSchemeError
 from .operators import QuadraticGame
-from .sampling import SamplingScheme, enumerate_support, support_weights
+from .sampling import SamplingScheme, enumerate_support
 from .solvers import ScoSwitchingSchedule, SgdaSwitchingSchedule
 
 # Eigenvalues below this fraction of the spectral scale count as zero.
@@ -179,7 +179,7 @@ def ec_constants(
         )
     extra = max(ell_i / (gc.n * p) * (1.0 - p) for ell_i, p in zip(gc.ell_i, scheme.probs))
     ell_xi = gc.ell + extra
-    probs, w = support_weights(enumerate_support(scheme), gc.n)
+    probs, w = enumerate_support(scheme)
     est = w @ game.component_values(game.equilibrium())
     sigma_sq = float(probs @ np.einsum("kj,kj->k", est, est))
     return ECConstants(ell_xi=ell_xi, sigma_sq=sigma_sq)

@@ -20,7 +20,7 @@ import numpy as np
 from . import numerics
 from .errors import ConfigError
 from .operators import FiniteSumOperator
-from .sampling import INDEPENDENT, SamplingScheme, draw_many
+from .sampling import INDEPENDENT, SamplingScheme, draw_many, index_weights
 
 SGDA = "sgda"
 SHGD = "shgd"
@@ -156,12 +156,8 @@ class _BatchEstimator:
 
     def __init__(self, op: FiniteSumOperator, scheme: SamplingScheme):
         self.op = op
-        n = op.n
         self.independent = scheme.kind == INDEPENDENT
-        if self.independent:
-            self.scale = np.array([(1.0 / p) / n for p in scheme.probs])
-        else:
-            self.scale = (n / scheme.batch_size) / n
+        self.scale = index_weights(scheme)
         # The full-batch Jacobian of an affine operator is one constant matrix.
         self.full_jacobian = None
         if scheme.is_deterministic and op.affine:

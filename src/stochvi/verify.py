@@ -18,7 +18,7 @@ from . import constants as consts
 from . import numerics
 from .errors import ConfigError, NumericalError
 from .operators import FiniteSumOperator
-from .sampling import SamplingScheme, enumerate_support, support_weights
+from .sampling import SamplingScheme, enumerate_support
 from .solvers import RunTrace
 
 DEFAULT_RADIUS = 10.0
@@ -121,7 +121,7 @@ def check_ec(
     normalized by the magnitude of the terms involved.
     """
     x_star = _equilibrium(op)
-    probs, w = support_weights(enumerate_support(scheme), scheme.n)
+    probs, w = enumerate_support(scheme)
     vals_star = op.component_values(x_star)
     est_star = w @ vals_star
     sigma_sq = float(probs @ np.einsum("kj,kj->k", est_star, est_star))
@@ -211,7 +211,7 @@ def check_unbiasedness(
     match J(x)^T value(x), both to 1e-12 relative.
     """
     center = op.equilibrium() if op.has_equilibrium else np.zeros(op.dim)
-    probs, w = support_weights(enumerate_support(scheme), scheme.n)
+    probs, w = enumerate_support(scheme)
     # Targets go through the same weighted-contraction code path as the
     # support estimates (uniform weights 1/n), so the noise-free full-batch
     # scheme reproduces them exactly, not merely to rounding.

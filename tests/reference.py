@@ -2,7 +2,8 @@
 held to.
 
 Nothing in the package calls these.  They are the literal definitions: one
-draw, one estimator term and one update at a time, so a test can compare the
+support vector, one draw, one estimator term and one update at a time, so a
+test can compare the array support (``sampling.enumerate_support``) and the
 seed-batched engine (``solvers.run_batch``) with them bit for bit; one
 orthogonal factor and one co-coercivity constant at a time, so a test can
 compare the stacked game generation and ``game_constants`` with them bit for
@@ -10,13 +11,17 @@ bit; and the grid oracle gives the closed-form co-coercivity constant an
 independent check.
 """
 
+import itertools
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from stochvi import constants, numerics
 from stochvi.errors import ConfigError, NumericalError
 from stochvi.experiments import GameGenConfig, _spread_diagonal
 from stochvi.operators import FiniteSumOperator, QuadraticGame
-from stochvi.sampling import INDEPENDENT, SamplingScheme, SamplingVector
+from stochvi.sampling import INDEPENDENT, SamplingScheme
 from stochvi.solvers import DIVERGENCE_FACTOR, METHODS, TERMS, _applied_steps
 
 # Random unit directions the grid oracle samples before refining.
@@ -26,6 +31,42 @@ _GRID_SAMPLES = 100_000
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SamplingVector:
+    """Selected index set with one weight per selected index."""
+
+    indices: tuple[int, ...]
+    weights: tuple[float, ...]
+
+    def dense(self, n: int) -> np.ndarray:
+        v = np.zeros(n)
+        v[list(self.indices)] = self.weights
+        return v
+
+
+def enumerate_support(scheme: SamplingScheme) -> list:
+    """The support one vector at a time, as a list of (probability,
+    SamplingVector) in the row order of ``sampling.enumerate_support``:
+    ``itertools.combinations`` for the minibatch family, and
+    ``itertools.product`` over inclusion masks, zero-probability masks
+    dropped, for the independent scheme."""
+    n = scheme.n
+    b = scheme.batch_size
+    if b is not None:
+        prob = 1.0 / math.comb(n, b)
+        weight = (n / b,) * b
+        return [(prob, SamplingVector(combo, weight))
+                for combo in itertools.combinations(range(n), b)]
+    probs = np.asarray(scheme.probs)
+    out = []
+    for mask in itertools.product((0, 1), repeat=n):
+        sel = tuple(i for i in range(n) if mask[i])
+        p = float(np.prod(np.where(np.asarray(mask, dtype=bool), probs, 1.0 - probs)))
+        if p > 0.0:
+            out.append((p, SamplingVector(sel, tuple(1.0 / probs[i] for i in sel))))
+    return out
 
 
 def draw(scheme: SamplingScheme, rng: np.random.Generator) -> SamplingVector:

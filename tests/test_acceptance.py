@@ -16,7 +16,7 @@ from stochvi import experiments as E
 from stochvi import numerics
 from stochvi import verify as V
 from stochvi.operators import CosineOperator
-from stochvi.sampling import SamplingScheme, enumerate_support
+from stochvi.sampling import SamplingScheme
 from stochvi.solvers import (
     ConstantSchedule,
     RunConfig,
@@ -25,7 +25,7 @@ from stochvi.solvers import (
     run,
 )
 
-from reference import reference_run
+from reference import enumerate_support, reference_run
 
 
 @contextmanager

@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -134,6 +135,22 @@ def test_verify_exit_code_on_failure(tmp_path, capsys):
     # fail but the class check still passes; use unknown check for exit 2.
     code = main(["verify", str(path), "--checks", "nonsense"])
     assert code == 2
+
+
+def test_verify_support_over_the_cap_is_config_error(tmp_path, capsys):
+    # C(24, 12) = 2,704,156 support rows: refused before W (519 MB) exists
+    path = tmp_path / "game.json"
+    assert main(["generate", "--n", "24", "--d1", "1", "--d2", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        err = _config_error_exit(["verify", str(path), "--scheme", "minibatch", "--b", "12",
+                                  "--checks", "unbiased"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.strip() == "configuration error: support size 2704156 exceeds cap 1000000"
+    assert peak < 20 * 2**20
 
 
 def test_exit_code_numerical_error(tmp_path):

@@ -9,9 +9,15 @@ from stochvi import experiments as E
 from stochvi import numerics
 from stochvi.errors import ConfigError, NumericalError, UnsupportedSchemeError
 from stochvi.operators import QuadraticGame
-from stochvi.sampling import SamplingScheme, enumerate_support
+from stochvi.sampling import SamplingScheme
 
-from reference import cocoercivity_loop, cocoercivity_one, grid_cocoercivity, random_orthogonal
+from reference import (
+    cocoercivity_loop,
+    cocoercivity_one,
+    enumerate_support,
+    grid_cocoercivity,
+    random_orthogonal,
+)
 from test_operators import random_game
 
 

@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 from stochvi import numerics
 from stochvi.errors import ConfigError
 from stochvi.sampling import (
+    INDEPENDENT,
     SamplingScheme,
     draw_many,
     enumerate_support,
 )
 
+import reference
 from reference import draw
 from test_operators import random_game
 
@@ -53,17 +55,44 @@ def test_minibatch_weights_are_n_over_b():
 
 
 def test_enumerate_support_minibatch():
-    support = enumerate_support(SamplingScheme.minibatch(3, 2))
-    assert len(support) == 3
-    assert all(abs(p - 1 / 3) < 1e-15 for p, _ in support)
+    probs, w = enumerate_support(SamplingScheme.minibatch(3, 2))
+    assert probs.shape == (3,) and w.shape == (3, 3)
+    assert all(abs(p - 1 / 3) < 1e-15 for p in probs)
 
 
 def test_enumerate_support_single_element_two():
-    support = enumerate_support(SamplingScheme.single_element(2))
-    assert [(p, v.indices, v.weights) for p, v in support] == [
-        (0.5, (0,), (2.0,)),
-        (0.5, (1,), (2.0,)),
-    ]
+    # weight n/b = 2 with the 1/n folded in
+    probs, w = enumerate_support(SamplingScheme.single_element(2))
+    assert probs.tolist() == [0.5, 0.5]
+    assert w.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+_ORACLE_SCHEMES = [
+    SamplingScheme.single_element(20),
+    SamplingScheme.single_element(100),
+    SamplingScheme.minibatch(20, 3),
+    SamplingScheme.minibatch(20, 4),
+    SamplingScheme.minibatch(12, 9),
+    SamplingScheme.minibatch(1, 1),
+    SamplingScheme.full_batch(20),
+    SamplingScheme.independent([0.3, 1.0, 0.5, 1.0]),
+    SamplingScheme.independent([1.0] * 5),
+    *(SamplingScheme.independent(numerics.make_rng(n).uniform(0.05, 1.0, n)) for n in (12, 14, 16)),
+]
+
+
+@pytest.mark.parametrize("scheme", _ORACLE_SCHEMES, ids=lambda s: f"{s.label()}-n{s.n}")
+def test_enumerate_support_equals_the_reference(scheme):
+    # row k is the k-th vector of the one-vector-at-a-time enumeration,
+    # bit for bit, with the zero-probability masks dropped
+    probs, w = enumerate_support(scheme)
+    support = reference.enumerate_support(scheme)
+    assert probs.tobytes() == np.array([p for p, _ in support]).tobytes()
+    assert w.tobytes() == np.array([vec.dense(scheme.n) / scheme.n for _, vec in support]).tobytes()
+    if scheme.kind == INDEPENDENT:
+        ones = sum(p == 1.0 for p in scheme.probs)
+        assert len(probs) == 2 ** (scheme.n - ones)
+        assert all(w[:, i].all() for i, p in enumerate(scheme.probs) if p == 1.0)
 
 
 def test_enumerate_support_probabilities_sum_to_one():
@@ -73,21 +102,19 @@ def test_enumerate_support_probabilities_sum_to_one():
         SamplingScheme.full_batch(4),
         SamplingScheme.independent([0.2, 0.9, 0.5, 1.0]),
     ):
-        support = enumerate_support(scheme)
-        assert abs(sum(p for p, _ in support) - 1.0) <= 1e-12
+        probs, _ = enumerate_support(scheme)
+        assert abs(probs.sum() - 1.0) <= 1e-12
 
 
 def test_enumerate_support_unbiased_weights():
-    # sum over support of prob * v_i == 1 for every index
+    # sum over support of prob * v_i / n == 1/n for every index
     for scheme in (
         SamplingScheme.minibatch(6, 2),
         SamplingScheme.single_element(6),
         SamplingScheme.independent([0.25, 0.5, 0.75, 1.0, 0.1, 0.9]),
     ):
-        acc = np.zeros(scheme.n)
-        for p, vec in enumerate_support(scheme):
-            acc += p * vec.dense(scheme.n)
-        assert np.abs(acc - 1.0).max() <= 1e-12
+        probs, w = enumerate_support(scheme)
+        assert np.abs(probs @ w * scheme.n - 1.0).max() <= 1e-12
 
 
 def test_support_cap():
@@ -100,10 +127,10 @@ def test_support_cap():
 def test_double_counting_identity():
     # Prob(i, j in S) = (b/n) (b-1)/(n-1) for i != j, via enumeration
     for n, b in ((4, 2), (6, 3), (5, 5)):
-        support = enumerate_support(SamplingScheme.minibatch(n, b))
+        probs, w = enumerate_support(SamplingScheme.minibatch(n, b))
         expect = (b / n) * (b - 1) / (n - 1)
         for i, j in itertools.combinations(range(n), 2):
-            p_ij = sum(p for p, v in support if i in v.indices and j in v.indices)
+            p_ij = probs @ ((w[:, i] != 0.0) & (w[:, j] != 0.0))
             assert abs(p_ij - expect) <= 1e-12
 
 
@@ -117,14 +144,12 @@ def test_estimator_unbiased_on_operator():
         SamplingScheme.independent([0.3, 0.8, 0.5, 1.0, 0.6]),
     )
     for scheme in schemes:
-        support = enumerate_support(scheme)
+        probs, w = enumerate_support(scheme)
         for _ in range(25):
             x = rng.standard_normal(game.dim) * 3.0
             vals = game.component_values(x)
             target = vals.mean(axis=0)
-            mean = np.zeros(game.dim)
-            for p, vec in support:
-                mean += p * (vec.dense(game.n) @ vals) / game.n
+            mean = probs @ (w @ vals)
             scale = max(np.linalg.norm(target), 1.0)
             assert np.linalg.norm(mean - target) <= 1e-12 * scale
 
@@ -132,7 +157,7 @@ def test_estimator_unbiased_on_operator():
 def test_draw_matches_support_frequencies():
     # empirical subset frequencies within 3 standard errors of enumeration
     scheme = SamplingScheme.minibatch(5, 2)
-    support = enumerate_support(scheme)
+    support = reference.enumerate_support(scheme)
     rng = numerics.make_rng(17)
     total = 10**5
     counts = Counter(draw(scheme, rng).indices for _ in range(total))
@@ -173,11 +198,8 @@ def test_improper_schemes_rejected():
 @settings(max_examples=60, deadline=None)
 def test_unbiasedness_identity_property(n, data):
     b = data.draw(st.integers(min_value=1, max_value=n))
-    scheme = SamplingScheme.minibatch(n, b)
-    acc = np.zeros(n)
-    for p, vec in enumerate_support(scheme):
-        acc += p * vec.dense(n)
-    assert np.abs(acc - 1.0).max() <= 1e-12
+    probs, w = enumerate_support(SamplingScheme.minibatch(n, b))
+    assert np.abs(probs @ w * n - 1.0).max() <= 1e-12
 
 
 @given(

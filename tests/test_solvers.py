@@ -8,7 +8,7 @@ from stochvi import constants as C
 from stochvi import numerics
 from stochvi.errors import ConfigError
 from stochvi.operators import FiniteSumOperator, QuadraticGame
-from stochvi.sampling import INDEPENDENT, SamplingScheme, draw_many, enumerate_support
+from stochvi.sampling import INDEPENDENT, SamplingScheme, draw_many
 from stochvi.experiments import run_seeds
 from stochvi.solvers import (
     BLOCK,
@@ -27,6 +27,7 @@ from stochvi.solvers import (
 
 from reference import (
     draw,
+    enumerate_support,
     reference_run,
     sampled_jacobian,
     sampled_value,

@@ -9,9 +9,10 @@ from stochvi import verify as V
 from stochvi.experiments import run_seeds
 from stochvi.errors import ConfigError, NumericalError
 from stochvi.operators import CosineOperator, FiniteSumOperator, QuadraticGame
-from stochvi.sampling import SamplingScheme, enumerate_support, support_weights
+from stochvi.sampling import SamplingScheme, enumerate_support
 from stochvi.solvers import ConstantSchedule, RunConfig, run
 
+import reference
 from reference import stochastic_hamiltonian_gradient
 from test_operators import random_game
 
@@ -172,13 +173,11 @@ def test_unbiasedness_catches_corrupted_weights(monkeypatch):
     game = random_game(3, 2, 2, seed=77)
     scheme = SamplingScheme.single_element(3)
     from stochvi import verify as verify_mod
-    from stochvi.sampling import SamplingVector, enumerate_support
 
     def corrupted(s):
-        support = enumerate_support(s)
-        p, vec = support[0]
-        bad = SamplingVector(vec.indices, tuple(w + 1e-3 for w in vec.weights))
-        return [(p, bad)] + support[1:]
+        probs, w = enumerate_support(s)
+        w[0, w[0] != 0.0] += 1e-3 / s.n
+        return probs, w
 
     monkeypatch.setattr(verify_mod, "enumerate_support", corrupted)
     report = V.check_unbiasedness(game, scheme, points=20, rng=numerics.make_rng(9))
@@ -196,13 +195,13 @@ def test_hamiltonian_pair_sum_factors(scheme):
     # unbiasedness check replaces by (sum_k p_k J_k)^T (sum_l p_l val_l)
     game = random_game(scheme.n, 2, 2, seed=79)
     x = numerics.make_rng(3).standard_normal(game.dim) * 5.0
-    support = enumerate_support(scheme)
+    support = reference.enumerate_support(scheme)
     literal = sum(
         pu * pv * stochastic_hamiltonian_gradient(game, x, u, v)
         for pu, u in support
         for pv, v in support
     )
-    probs, w = support_weights(support, scheme.n)
+    probs, w = enumerate_support(scheme)
     jacs = np.stack([game.component_jacobian(i, x) for i in range(game.n)])
     mean_jac = np.einsum("n,nij->ij", probs @ w, jacs)
     factored = mean_jac.T @ (probs @ (w @ game.component_values(x)))

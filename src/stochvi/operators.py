@@ -4,9 +4,8 @@ An operator is any object exposing ``n``, ``dim``, ``component_value``,
 ``component_jacobian`` and (optionally) ``equilibrium``.  Downstream code
 reads all component values through ``component_values`` and the mean value
 through ``full_value``, and solvers read component values and Jacobians for
-a batch of points through ``batch_values``, ``batch_jacobians`` and
-``batch_values_and_jacobians``; subclasses may override any of them with a
-faster route.
+a batch of points through ``batch_terms``, the one batched read; subclasses
+may override any of these three with a faster route.
 Nothing downstream assumes affinity except where documented.  Operators are
 immutable after construction and all evaluation is pure, so instances can be
 shared freely and replayed exactly.
@@ -48,37 +47,29 @@ class FiniteSumOperator(ABC):
 
     def component_values(self, x: np.ndarray) -> np.ndarray:
         """All component values at x, shape (n, dim)."""
-        x = self._check_point(x)
-        return np.stack([self.component_value(i, x) for i in range(self.n)])
+        return self.batch_terms(self._check_point(x)[None])[0][0]
 
     def full_value(self, x: np.ndarray) -> np.ndarray:
         """Uniform mean of all component values at x."""
         return self.component_values(x).mean(axis=0)
 
-    # Batched views for solvers that advance S points together.  Entry
-    # [s, j] is component idx[s, j] (component j when idx is None) at xs[s];
-    # every entry is bitwise the single-point evaluation.
+    # batch_terms is the one batched read, for solvers that advance S points
+    # together.  Entry [s, j] is component idx[s, j] (component j when idx is
+    # None) at xs[s]; every entry is bitwise the single-point evaluation.
 
     # Whether every component is affine, so that its Jacobian does not
     # depend on x.
     affine = False
 
-    def _per_entry(self, component, xs, idx):
+    def batch_terms(self, xs: np.ndarray, idx=None, jacobian: bool = False):
+        """(component values, shape (S, m, dim), and with ``jacobian`` the
+        component Jacobians, shape (S, m, dim, dim), else None)."""
         rows = [range(self.n)] * len(xs) if idx is None else idx
-        return np.array([[component(int(i), x) for i in row] for row, x in zip(rows, xs)])
 
-    def batch_values(self, xs: np.ndarray, idx=None) -> np.ndarray:
-        """Component values, shape (S, m, dim)."""
-        return self._per_entry(self.component_value, xs, idx)
+        def read(component):
+            return np.array([[component(int(i), x) for i in row] for row, x in zip(rows, xs)])
 
-    def batch_jacobians(self, xs: np.ndarray, idx=None) -> np.ndarray:
-        """Component Jacobians, shape (S, m, dim, dim)."""
-        return self._per_entry(self.component_jacobian, xs, idx)
-
-    def batch_values_and_jacobians(self, xs: np.ndarray, idx=None):
-        """(batch_values, batch_jacobians) of the same entries, so that an
-        override can read each sampled component once for both."""
-        return self.batch_values(xs, idx), self.batch_jacobians(xs, idx)
+        return read(self.component_value), read(self.component_jacobian) if jacobian else None
 
     @property
     def has_equilibrium(self) -> bool:
@@ -171,23 +162,14 @@ class QuadraticGame(FiniteSumOperator):
     # evaluates as the same matrix-vector product component_value does.
     affine = True
 
-    def batch_values(self, xs: np.ndarray, idx=None) -> np.ndarray:
+    def batch_terms(self, xs: np.ndarray, idx=None, jacobian: bool = False):
+        """One gather of the Jacobians, one product and one add."""
         jacs, offsets = ((self._jacs, self._offsets) if idx is None
                          else (self._jacs[idx], self._offsets[idx]))
-        return (jacs @ xs[:, None, :, None])[..., 0] + offsets
-
-    def batch_jacobians(self, xs: np.ndarray, idx=None) -> np.ndarray:
-        if idx is None:
-            return np.broadcast_to(self._jacs, (len(xs),) + self._jacs.shape)
-        return self._jacs[idx]
-
-    def batch_values_and_jacobians(self, xs: np.ndarray, idx=None):
-        """Sampled values from the one gather of the Jacobians returned,
-        by the product batch_values takes."""
-        if idx is None:
-            return self.batch_values(xs), self.batch_jacobians(xs)
-        jacs = self._jacs[idx]
-        return (jacs @ xs[:, None, :, None])[..., 0] + self._offsets[idx], jacs
+        vals = (jacs @ xs[:, None, :, None])[..., 0] + offsets
+        if jacobian and idx is None:
+            jacs = np.broadcast_to(jacs, (len(xs),) + jacs.shape)
+        return vals, jacs if jacobian else None
 
     # Same function under its older name: perfbench/tracer.py wraps each
     # QuadraticGame method it finds in the class body, this name included.

@@ -149,7 +149,8 @@ class _BatchEstimator:
     """Estimator value_v(x) and Jacobian J_v(x) for S points at once.
 
     ``sel`` holds one row of draw_many per point (None for the full batch).
-    Terms are scaled and summed in index order, as the one-point reference
+    Terms come from ``batch_terms``, the operator's one batched read.  They
+    are scaled and summed in index order, as the one-point reference
     estimator in tests/reference.py (_weighted_sum) accumulates them, so row
     s is bitwise the one-point estimate at xs[s].
     """
@@ -161,7 +162,8 @@ class _BatchEstimator:
         # The full-batch Jacobian of an affine operator is one constant matrix.
         self.full_jacobian = None
         if scheme.is_deterministic and op.affine:
-            self.full_jacobian = self._reduce(None, op.batch_jacobians(np.zeros((1, op.dim))))[0]
+            jacs = op.batch_terms(np.zeros((1, op.dim)), jacobian=True)[1]
+            self.full_jacobian = self._reduce(None, jacs)[0]
 
     def _reduce(self, sel, terms: np.ndarray) -> np.ndarray:
         """Row s sums the scaled terms[s, i] over axis 1 in index order, for
@@ -192,14 +194,14 @@ class _BatchEstimator:
 
     def evaluate(self, sel, xs: np.ndarray, jacobian: bool = False):
         """(value_{sel[s]}(xs[s]) per row, and with ``jacobian`` the
-        estimator Jacobians J_{sel[s]}(xs[s]), else None).  Values and
-        Jacobians come from one read of the sampled components."""
-        idx = None if self.independent else sel
-        if jacobian and self.full_jacobian is None:
-            vals, jacs = self.op.batch_values_and_jacobians(xs, idx)
-            return self._reduce(sel, vals), self._reduce(sel, jacs)
-        jac = self.full_jacobian if jacobian else None
-        return self._reduce(sel, self.op.batch_values(xs, idx)), jac
+        estimator Jacobians J_{sel[s]}(xs[s]), else None), from one
+        batch_terms read; a constant full-batch Jacobian is not read again."""
+        read = jacobian and self.full_jacobian is None
+        vals, jacs = self.op.batch_terms(xs, None if self.independent else sel, read)
+        val = self._reduce(sel, vals)
+        if read:
+            return val, self._reduce(sel, jacs)
+        return val, self.full_jacobian if jacobian else None
 
 
 def _jac_t(jac: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -218,13 +218,12 @@ def check_unbiasedness(
     w_uniform = np.full((1, scheme.n), 1.0 / scheme.n)
 
     def margin_pair(x):
-        vals = op.component_values(x)
+        (vals,), (jacs,) = op.batch_terms(x[None], jacobian=True)
         target = (w_uniform @ vals)[0]
         mean_est = probs @ (w @ vals)
         res_val = float(np.linalg.norm(mean_est - target))
         scale_val = 1.0 + float(np.linalg.norm(target))
 
-        jacs = op.batch_jacobians(x[None])[0]
         # u and v are independent, so the mean of (J_u^T val_v + J_v^T val_u) / 2
         # over all support pairs factors into (sum_k p_k J_k)^T (sum_l p_l val_l).
         mean_jac = np.einsum("n,nij->ij", probs @ w, jacs)

@@ -245,3 +245,52 @@ def test_cosine_monotonicity_fails_at_known_pair():
     expect = (np.pi**2 / 8) * (4 + 1 - 4 * (4 - 1))
     assert abs(gap - expect) <= 1e-9
     assert gap < 0
+
+
+class Componentwise(FiniteSumOperator):
+    """A nonlinear operator that defines only component_value and
+    component_jacobian, so its batched reads take the base class's path."""
+
+    n, dim = 4, 3
+
+    def component_value(self, i, x):
+        return (i + 1.0) * np.sin(x + i)
+
+    def component_jacobian(self, i, x):
+        return np.diag((i + 1.0) * np.cos(x + i)) + 0.5 * i
+
+
+READ_OPERATORS = {"quadratic": random_game(4, 2, 3, seed=3),
+                  "cosine": CosineOperator(3, 0.5, 2.0),
+                  "componentwise": Componentwise()}
+
+
+@pytest.mark.parametrize("jacobian", [False, True])
+@pytest.mark.parametrize("m", [None, 1, 3])
+@pytest.mark.parametrize("name", sorted(READ_OPERATORS))
+def test_batch_terms_entry_is_the_component_at_its_point(name, m, jacobian):
+    # entry [s, j] is component idx[s, j] (component j without idx) at xs[s],
+    # byte for byte; three columns repeat an index in every row
+    op = READ_OPERATORS[name]
+    xs = 3.0 * numerics.make_rng(1).standard_normal((5, op.dim))
+    idx = None if m is None else (np.arange(5)[:, None] + np.array([0, 1, 0][:m])) % op.n
+    vals, jacs = op.batch_terms(xs, idx, jacobian=jacobian)
+    rows = [range(op.n)] * len(xs) if idx is None else idx
+    assert vals.shape == (len(xs), len(rows[0]), op.dim)
+    if not jacobian:
+        assert jacs is None
+    else:
+        assert jacs.shape == vals.shape + (op.dim,)
+    for s, row in enumerate(rows):
+        for j, i in enumerate(row):
+            assert vals[s, j].tobytes() == op.component_value(int(i), xs[s]).tobytes()
+            if jacobian:
+                assert jacs[s, j].tobytes() == op.component_jacobian(int(i), xs[s]).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(READ_OPERATORS))
+def test_component_values_is_the_stack_of_components(name):
+    op = READ_OPERATORS[name]
+    for x in 3.0 * numerics.make_rng(2).standard_normal((4, op.dim)):
+        stack = np.stack([op.component_value(i, x) for i in range(op.n)])
+        assert op.component_values(x).tobytes() == stack.tobytes()

@@ -470,7 +470,7 @@ def test_diverging_seeds_leave_the_batch_alone():
 
 class Delegating(FiniteSumOperator):
     """A game seen only through the per-component protocol, so runs take the
-    operator base class's batched fallbacks."""
+    operator base class's batched read."""
 
     def __init__(self, game):
         self.game, self.n, self.dim = game, game.n, game.dim
@@ -577,26 +577,29 @@ def count_calls(obj, name, calls):
     """Make obj.<name> add one to calls[name] per call."""
     fn = getattr(obj, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[name] += 1
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     setattr(obj, name, counted)
 
 
 def test_full_batch_co_evaluates_the_batch_once_per_step():
     # with no draw, u's estimate is v's: 10 co steps of 3 seeds take one
-    # batched value evaluation each, and an operator seen through its
+    # batched read each, after the one read of the game's constant Jacobian
+    # when the estimator is built, and an operator seen through its
     # components evaluates each of its 4 components once per seed and step
     game, op = random_game(4, 2, 2, seed=10), Delegating(random_game(4, 2, 2, seed=10))
-    calls = dict.fromkeys(("batch_values", "component_value", "component_jacobian"), 0)
-    count_calls(game, "batch_values", calls)
+    calls = dict.fromkeys(("batch_terms", "component_value", "component_jacobian"), 0)
+    count_calls(game, "batch_terms", calls)
     count_calls(op, "component_value", calls)
     count_calls(op, "component_jacobian", calls)
     schedule = ConstantSchedule(alpha=0.03, gamma=0.004)
     for target in (game, op):
         run_seeds("co", target, SamplingScheme.full_batch(4), schedule, 10, 3)
-    assert calls == {"batch_values": 10, "component_value": 120, "component_jacobian": 120}
+    construction, steps = 1, 10
+    assert calls == {"batch_terms": construction + steps, "component_value": 120,
+                     "component_jacobian": 120}
 
 
 def test_run_config_needs_an_equilibrium():

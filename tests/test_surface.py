@@ -1,31 +1,59 @@
-"""Dead-code guard: every module-level function and class of the package is
-named somewhere in the package outside its own definition, and every error
-type is raised or caught by some other module of the package.  A name that
-only tests use, such as a test oracle, belongs in tests/."""
+"""Dead-code guard: every module-level function and class of the package,
+and every method of those classes bar the dunders, is named somewhere in the
+package outside its own definition, and every error type is raised or caught
+by some other module of the package.  A name that only tests use, such as a
+test oracle, belongs in tests/.  A further guard holds QuadraticGame to the
+method names the benchmark's tracer looks up in its class body."""
 
 import ast
 import re
 from pathlib import Path
 
+from stochvi.operators import QuadraticGame
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_every_top_level_definition_is_named_elsewhere():
+def _top_level(tree):
+    return [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _methods(tree):
+    """Methods of the module-level classes, dunders excepted."""
+    return [node for cls in _top_level(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _named_nowhere_else(definitions):
+    """The package definitions ``definitions(tree)`` picks out whose name no
+    text of the package holds outside that definition.  Another ``def`` of
+    the same name does not count, so a method and its override cannot keep
+    each other alive."""
     texts = {p: p.read_text(encoding="utf-8")
              for p in sorted((ROOT / "src").rglob("*.py"))}
     unused = []
     for path in sorted((ROOT / "src" / "stochvi").glob("*.py")):
         lines = texts[path].splitlines()
-        for node in ast.parse(texts[path]).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for node in definitions(ast.parse(texts[path])):
             # The definition itself, docstring and body included, does not count.
             rest = lines[: node.lineno - 1] + lines[node.end_lineno:]
             others = [t for p, t in texts.items() if p != path] + ["\n".join(rest)]
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            word = re.compile(rf"(?<!def )\b{re.escape(node.name)}\b")
             if not any(word.search(t) for t in others):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
+    return unused
+
+
+def test_every_top_level_definition_is_named_elsewhere():
+    unused = _named_nowhere_else(_top_level)
     assert not unused, "named nowhere outside their definition: " + ", ".join(unused)
+
+
+def test_every_method_is_named_elsewhere():
+    # a method kept only under an old name, say, that nothing calls
+    unused = _named_nowhere_else(_methods)
+    assert not unused, "methods named nowhere outside their definition: " + ", ".join(unused)
 
 
 def _name(node):
@@ -61,3 +89,16 @@ def test_every_error_type_is_raised_or_caught_elsewhere():
                if isinstance(node, ast.ClassDef)]
     dead = [name for name in defined if name not in used]
     assert not dead, "error types no other module raises or catches: " + ", ".join(dead)
+
+
+def test_traced_game_methods_are_in_the_class_body():
+    # perfbench/tracer.py wraps each GAME_METHODS name with the function it
+    # finds in QuadraticGame.__dict__, so a method the class only inherits
+    # fails every traced run.  The tracer is parsed, not imported.
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    names = [ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["GAME_METHODS"]]
+    assert len(names) == 1 and names[0], "tracer.py defines no GAME_METHODS tuple"
+    missing = [name for name in names[0] if name not in QuadraticGame.__dict__]
+    assert not missing, "GAME_METHODS not in QuadraticGame's class body: " + ", ".join(missing)

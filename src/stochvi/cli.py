@@ -61,21 +61,30 @@ def _nonnegative(text: str) -> float:
     return value
 
 
-def _out_path(args, name: str) -> Path:
-    base = Path(args.out_dir) if args.out_dir else Path(".")
-    base.mkdir(parents=True, exist_ok=True)
-    return base / name
-
-
 def _resolve(args, path_str: str) -> Path:
+    """``path_str``, under --out-dir (made if need be) when relative."""
     p = Path(path_str)
     if p.is_absolute() or args.out_dir is None:
         return p
-    return _out_path(args, path_str)
+    base = Path(args.out_dir)
+    base.mkdir(parents=True, exist_ok=True)
+    return base / p
 
 
 def _scheme(args, n: int) -> SamplingScheme:
-    return exps._scheme_by_name(args.scheme, n, getattr(args, "b", None))
+    """The scheme that --scheme and --b name, over n components."""
+    name, b = args.scheme, args.b
+    if b is not None and name != "minibatch":
+        raise ConfigError(f"--b applies only to the minibatch scheme, not {name!r}")
+    if name in ("single", "single_element", "single_element_uniform"):
+        return SamplingScheme.single_element(n)
+    if name in ("full", "full_batch"):
+        return SamplingScheme.full_batch(n)
+    if name == "minibatch":
+        if b is None:
+            raise ConfigError("minibatch scheme needs --b")
+        return SamplingScheme.minibatch(n, b)
+    raise ConfigError(f"unknown scheme {name!r}")
 
 
 def _load_game(path: str) -> exps.QuadraticGame:
@@ -83,8 +92,16 @@ def _load_game(path: str) -> exps.QuadraticGame:
     return game
 
 
-def _report_divergence(table: exps.AggregateTable) -> None:
-    """One stderr line per row whose runs the divergence guard cut short."""
+def _write_table(args, table: exps.AggregateTable) -> None:
+    """The CSV at --out, the SVG at --svg if given, and one stderr line per
+    row whose runs the divergence guard cut short."""
+    out = _resolve(args, args.out)
+    exps.emit_csv(table, out)
+    print(f"wrote {out}")
+    if args.svg:
+        svg = _resolve(args, args.svg)
+        exps.emit_svg(table, svg)
+        print(f"wrote {svg}")
     for row in table.rows:
         if row.diverged:
             stops = ", ".join(f"seed {seed} at iteration {k}" for seed, k in row.diverged)
@@ -165,14 +182,7 @@ def cmd_run(args) -> int:
         base_seed=args.seed,
     )
     table, _, traces = exps.run_experiment(cfg, record_traces=args.dump_iterates is not None)
-    out = _resolve(args, args.out)
-    exps.emit_csv(table, out)
-    print(f"wrote {out}")
-    if args.svg:
-        svg = _resolve(args, args.svg)
-        exps.emit_svg(table, svg)
-        print(f"wrote {svg}")
-    _report_divergence(table)
+    _write_table(args, table)
     if args.dump_iterates is not None:
         # One CSV of iterate coordinates for the first seed of each method.
         lines = ["method,iteration," + ",".join(f"x{i}" for i in range(game.dim))]
@@ -278,8 +288,7 @@ def cmd_sweep(args) -> int:
                 ["--game" if args.target_kappa is None else "--target-kappa"])
     if args.target_kappa is not None:
         cfg, kappa = exps.find_generator_for_kappa(
-            args.target_kappa, args.n, args.d1, args.d2, args.scheme,
-            getattr(args, "b", None), args.seed,
+            args.target_kappa, args.n, args.d1, args.d2, _scheme(args, args.n), args.seed,
         )
         game = exps.generate_game(cfg)
         out = _resolve(args, args.out)
@@ -298,14 +307,7 @@ def cmd_sweep(args) -> int:
         game, scheme, methods, multipliers, args.iters, args.seeds,
         base_seed=args.seed,
     )
-    out = _resolve(args, args.out)
-    exps.emit_csv(table, out)
-    print(f"wrote {out}")
-    if args.svg:
-        svg = _resolve(args, args.svg)
-        exps.emit_svg(table, svg)
-        print(f"wrote {svg}")
-    _report_divergence(table)
+    _write_table(args, table)
     return EXIT_OK
 
 
@@ -330,6 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=_count(0), default=0, help="base seed (default 0)")
     parser.add_argument("--out-dir", default=None, help="directory for output files")
     sub = parser.add_subparsers(dest="command", required=True)
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--scheme", default="single_element_uniform",
+                          help="single (default), full or minibatch")
+    sampling.add_argument("--b", type=int, default=None, help="minibatch size")
 
     g = sub.add_parser("generate", help="generate a random quadratic game file")
     g.add_argument("--n", type=int, default=20)
@@ -344,20 +350,18 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 
-    c = sub.add_parser("constants", help="print all constants for a game and scheme")
+    c = sub.add_parser("constants", parents=[sampling],
+                       help="print all constants for a game and scheme")
     c.add_argument("game")
-    c.add_argument("--scheme", default="single_element_uniform")
-    c.add_argument("--b", type=int, default=None)
     c.add_argument("--epsilon", type=_finite, default=None,
                    help="accuracy for the optimal minibatch size")
     c.set_defaults(func=cmd_constants)
 
-    r = sub.add_parser("run", help="run methods on a game and emit aggregates")
+    r = sub.add_parser("run", parents=[sampling],
+                       help="run methods on a game and emit aggregates")
     r.add_argument("--game", required=True)
     r.add_argument("--method", required=True, help="comma-separated subset of "
                    + ",".join(METHODS))
-    r.add_argument("--scheme", default="single_element_uniform")
-    r.add_argument("--b", type=int, default=None)
     r.add_argument("--schedule", default="theory",
                    choices=("theory", "constant", "switching"))
     r.add_argument("--alpha", type=_finite, default=None)
@@ -370,10 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write per-iteration coordinates for seed 0")
     r.set_defaults(func=cmd_run)
 
-    v = sub.add_parser("verify", help="run assumption/envelope checks on a game")
+    v = sub.add_parser("verify", parents=[sampling],
+                       help="run assumption/envelope checks on a game")
     v.add_argument("game")
-    v.add_argument("--scheme", default="single_element_uniform")
-    v.add_argument("--b", type=int, default=None)
     v.add_argument("--checks", default="ec,class,unbiased")
     v.add_argument("--points", type=_count(1))
     v.add_argument("--radius", type=_nonnegative)
@@ -382,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", default=None, help="machine-readable JSON report path")
     v.set_defaults(func=cmd_verify)
 
-    s = sub.add_parser("sweep", help="step-size grid, or search for a target kappa")
+    s = sub.add_parser("sweep", parents=[sampling],
+                       help="step-size grid, or search for a target kappa")
     mode = s.add_mutually_exclusive_group(required=True)
     mode.add_argument("--game", default=None, help="sweep step sizes on this game")
     mode.add_argument("--target-kappa", type=_finite, default=None,
@@ -390,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     step_sweep, kappa_search = _SWEEP_FLAGS.values()
     s.add_argument("--methods", help=f"--game only (default {step_sweep['methods']})")
     s.add_argument("--multipliers", help=f"--game only (default {step_sweep['multipliers']})")
-    s.add_argument("--scheme", default="single_element_uniform")
-    s.add_argument("--b", type=int, default=None)
     s.add_argument("--iters", type=_count(0), help=f"--game only (default {step_sweep['iters']})")
     s.add_argument("--seeds", type=_count(1), help=f"--game only (default {step_sweep['seeds']})")
     s.add_argument("--out", required=True)

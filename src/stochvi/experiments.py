@@ -159,23 +159,23 @@ def write_game(path, game: QuadraticGame, gen: GameGenConfig | None = None) -> N
 def read_game(path):
     """Load a game file; returns (game, generator config or None).
 
-    A file that does not hold a valid game raises ConfigError: invalid JSON,
-    a non-object document, a format_version that is not the integer 1,
-    missing keys, a header that is not positive integers, array entries
-    that are not JSON numbers (strings such as "1.5" and booleans
-    included), arrays whose sizes do not match the header, non-finite
-    entries, A_i / C_i that are not symmetric, or a generator that is
-    neither null nor an object with exactly the GameGenConfig fields
-    (integer n, d1, d2 and seed >= 0, finite numbers in valid ranges) whose
-    n, d1 and d2 repeat the header's.  The top-level "seed", when present,
-    must repeat the generator's: null without a generator, else the integer
-    generator seed.
+    A file that does not hold a valid game raises ConfigError: text that is
+    not UTF-8 JSON or nests too deep to parse, a non-object document, a
+    format_version that is not the integer 1, missing keys, a header that is
+    not positive integers, array entries that are not JSON numbers (strings
+    such as "1.5" and booleans included), arrays whose sizes do not match
+    the header, non-finite entries, A_i / C_i that are not symmetric, or a
+    generator that is neither null nor an object with exactly the
+    GameGenConfig fields (integer n, d1, d2 and seed >= 0, finite numbers in
+    valid ranges) whose n, d1 and d2 repeat the header's.  The top-level
+    "seed", when present, must repeat the generator's: null without a
+    generator, else the integer generator seed.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"game file {path} is not valid JSON: {exc}") from None
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise ConfigError(f"game file {path} cannot be read as JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"game file {path} is not a JSON object")
     version = doc.get("format_version")
@@ -483,26 +483,31 @@ def emit_csv(table: AggregateTable, path) -> None:
 
 
 def read_csv(path) -> AggregateTable:
-    """Inverse of emit_csv; a malformed row, a seeds count below 1 or beyond
-    int64, or a method whose rows are not iterations 0..m-1 each once raises
-    ConfigError.  Non-finite statistics are read as written."""
+    """Inverse of emit_csv; text that is not UTF-8, a malformed row, a seeds
+    count below 1 or beyond int64, or a method whose rows are not iterations
+    0..m-1 each once raises ConfigError.  Non-finite statistics are read as
+    written."""
     data: dict[str, list] = {}
-    # Rows are parsed as the file streams in: a list of its lines would
-    # outweigh the table.
-    with open(path, encoding="utf-8") as fh:
-        lines = ((num, ln.rstrip("\n")) for num, ln in enumerate(fh, start=1))
-        lines = ((num, ln) for num, ln in lines if ln)
-        if next(lines, (0, None))[1] != CSV_HEADER:
-            raise ConfigError("not an aggregate CSV (bad header)")
-        for num, ln in lines:
-            try:
-                method, it, mean, lo, hi, s = ln.split(",")
-                entry = (int(it), float(mean), float(lo), float(hi), int(s))
-                if not 1 <= entry[4] <= _MAX_SEEDS:
-                    raise ValueError
-            except ValueError:
-                raise ConfigError(f"{path}: line {num} is not an aggregate row: {ln!r}") from None
-            data.setdefault(method, []).append(entry)
+    # Rows are parsed as the file streams in (a list of its lines would
+    # outweigh the table), so the text is decoded inside the loop.
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = ((num, ln.rstrip("\n")) for num, ln in enumerate(fh, start=1))
+            lines = ((num, ln) for num, ln in lines if ln)
+            if next(lines, (0, None))[1] != CSV_HEADER:
+                raise ConfigError("not an aggregate CSV (bad header)")
+            for num, ln in lines:
+                try:
+                    method, it, mean, lo, hi, s = ln.split(",")
+                    entry = (int(it), float(mean), float(lo), float(hi), int(s))
+                    if not 1 <= entry[4] <= _MAX_SEEDS:
+                        raise ValueError
+                except ValueError:
+                    raise ConfigError(f"{path}: line {num} is not an aggregate row: "
+                                      f"{ln!r}") from None
+                data.setdefault(method, []).append(entry)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     rows = []
     length = 0
     for method, entries in data.items():
@@ -531,6 +536,8 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _SVG_W, _SVG_H = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 24, 48
 _FLOOR = 1e-300
+# A row label as SVG text: a CSV's method field may hold markup characters.
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _svg_coords(ks, values, k_max, log_lo, log_hi):
@@ -621,7 +628,7 @@ def emit_svg(table: AggregateTable, path) -> None:
         )
         parts.append(
             f'<text x="{_MARGIN_L + 34}" y="{ly}" font-size="12" '
-            f'font-family="sans-serif">{row.method}</text>'
+            f'font-family="sans-serif">{row.method.translate(_XML_ESCAPES)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -672,13 +679,12 @@ def find_generator_for_kappa(
     n: int,
     d1: int,
     d2: int,
-    scheme_name: str = "single_element_uniform",
-    b: int | None = None,
+    scheme: SamplingScheme,
     seed: int = 0,
 ) -> tuple[GameGenConfig, float]:
     """Search generator ranges for a game whose kappa_g = ell_xi / mu is
-    within KAPPA_REL_TOL of the target, for the named scheme, in at most
-    KAPPA_BISECTIONS bisection steps.
+    within KAPPA_REL_TOL of the target, under ``scheme`` (over n
+    components), in at most KAPPA_BISECTIONS bisection steps.
 
     One scalar knob s >= 1 is bisected: eigenvalue ranges [1, s] for the
     diagonal blocks and singular values [0, (s-1)/2] for the coupling.
@@ -693,9 +699,7 @@ def find_generator_for_kappa(
             mu_a=1.0, l_a=s, mu_b=0.0, l_b=(s - 1.0) / 2.0, mu_c=1.0, l_c=s,
             seed=seed,
         )
-        game = generate_game(cfg)
-        scheme = _scheme_by_name(scheme_name, n, b)
-        return profile(game, scheme).kappa_g, cfg
+        return profile(generate_game(cfg), scheme).kappa_g, cfg
 
     lo, hi = 1.0, 2.0
     kappa, cfg = kappa_of(hi)
@@ -721,17 +725,3 @@ def find_generator_for_kappa(
             f"kappa search stalled at {best_kappa:.3f} for target {target}"
         )
     return best_cfg, best_kappa
-
-
-def _scheme_by_name(name: str, n: int, b: int | None = None) -> SamplingScheme:
-    if b is not None and name != "minibatch":
-        raise ConfigError(f"--b applies only to the minibatch scheme, not {name!r}")
-    if name in ("single", "single_element", "single_element_uniform"):
-        return SamplingScheme.single_element(n)
-    if name in ("full", "full_batch"):
-        return SamplingScheme.full_batch(n)
-    if name == "minibatch":
-        if b is None:
-            raise ConfigError("minibatch scheme needs --b")
-        return SamplingScheme.minibatch(n, b)
-    raise ConfigError(f"unknown scheme {name!r}")

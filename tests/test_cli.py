@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -51,6 +52,20 @@ def test_constants_prints_flat_keys(game_file, capsys):
     keys = {line.split(":")[0] for line in out.strip().splitlines()}
     assert {"mu", "ell", "ell_max", "sigma1_sq", "ell_xi", "sigma_sq",
             "kappa_g", "b_star", "b_star_real"} <= keys
+
+
+@pytest.mark.parametrize("flags, label", [
+    (["--scheme", "single"], "single_element_uniform"),
+    (["--scheme", "single_element"], "single_element_uniform"),
+    (["--scheme", "single_element_uniform"], "single_element_uniform"),
+    (["--scheme", "full"], "full_batch"),
+    (["--scheme", "full_batch"], "full_batch"),
+    (["--scheme", "minibatch", "--b", "2"], "minibatch(b=2)"),
+], ids=["single", "single_element", "single_element_uniform", "full", "full_batch",
+        "minibatch"])
+def test_constants_accepts_every_scheme_name(game_file, capsys, flags, label):
+    assert main(["constants", str(game_file), *flags]) == 0
+    assert f"scheme: {label}" in capsys.readouterr().out.splitlines()
 
 
 def test_constants_reports_hamiltonian_for_single_element(game_file, capsys):
@@ -192,14 +207,20 @@ _GENERATOR = {"n": 1, "d1": 1, "d2": 1, "mu_a": 1.0, "l_a": 1.0, "mu_b": 0.5, "l
         _game_text(generator=_GENERATOR, seed=5),
         _game_text(generator=_GENERATOR, seed="4"),
         _game_text(generator={**_GENERATOR, "n": 5, "d1": 7, "d2": 9}),
+        b'{"n": \xff}',
+        "[" * 200000 + "]" * 200000,
     ],
     ids=["missing_key", "invalid_json", "not_an_object", "non_integer_header",
          "size_mismatch", "nan_entry", "asymmetric", "numeric_string", "boolean",
-         "seed_mismatch", "string_seed", "generator_shape_mismatch"],
+         "seed_mismatch", "string_seed", "generator_shape_mismatch", "not_utf8",
+         "nested_past_recursion_limit"],
 )
 def test_malformed_game_file_is_config_error(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
-    path.write_text(content)
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
     assert main(["constants", str(path)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -283,6 +304,22 @@ def test_plot_roundtrip(game_file, tmp_path):
     ])
     assert main(["plot", "--csv", str(csv), "--svg", str(svg2)]) == 0
     assert svg1.read_bytes() == svg2.read_bytes()
+
+
+def test_plot_of_a_csv_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    csv, svg = tmp_path / "agg.csv", tmp_path / "agg.svg"
+    csv.write_bytes(E.CSV_HEADER.encode() + b"\n\xff,0,1.0,1.0,1.0,1\n")
+    code, line = _one_line_exit(["plot", "--csv", str(csv), "--svg", str(svg)], capsys)
+    assert code == 2 and line.startswith("configuration error: ")
+    assert not svg.exists()
+
+
+def test_plot_escapes_markup_in_row_labels(tmp_path):
+    csv, svg = tmp_path / "agg.csv", tmp_path / "agg.svg"
+    csv.write_text(f"{E.CSV_HEADER}\na&b<c>,0,1.0,1.0,1.0,1\na&b<c>,1,0.5,0.4,0.6,1\n")
+    assert main(["plot", "--csv", str(csv), "--svg", str(svg)]) == 0
+    texts = [el.text for el in ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[-1] == "a&b<c>"
 
 
 def test_sweep_svg_is_the_plot_of_its_csv(game_file, tmp_path):
@@ -516,6 +553,20 @@ def _config_error_exit(argv, capsys):
          "--out", "{out}/v.json"],
         ["verify", "{game}", "--checks", "unbiased", "--envelope-iters", "5",
          "--out", "{out}/v.json"],
+        ["verify", "{game}", "--scheme", "full", "--b", "2", "--out", "{out}/v.json"],
+        ["sweep", "--game", "{game}", "--scheme", "single", "--b", "2", "--iters", "5",
+         "--out", "{out}/s.csv"],
+        ["sweep", "--target-kappa", "5", "--n", "3", "--d1", "1", "--d2", "1",
+         "--scheme", "full", "--b", "2", "--out", "{out}/k.json"],
+        *([*argv, "--scheme", "minibatch"] for argv in (
+            ["constants", "{game}"],
+            ["run", "--game", "{game}", "--method", "sgda", "--iters", "5",
+             "--out", "{out}/r.csv"],
+            ["verify", "{game}", "--out", "{out}/v.json"],
+            ["sweep", "--game", "{game}", "--iters", "5", "--out", "{out}/s.csv"],
+            ["sweep", "--target-kappa", "5", "--n", "3", "--d1", "1", "--d2", "1",
+             "--out", "{out}/k.json"],
+        )),
     ],
     ids=["zero_points", "empty_multipliers", "negative_seed", "nan_kappa", "nan_radius",
          "sweep_without_game", "output_is_directory", "b_with_single", "b_with_full",
@@ -525,7 +576,11 @@ def _config_error_exit(argv, capsys):
          "methods_with_target_kappa", "multipliers_with_target_kappa",
          "iters_with_target_kappa", "seeds_with_target_kappa", "shgd_switching",
          "gda_switching", "points_with_envelope_only", "radius_with_envelope_only",
-         "envelope_seeds_without_envelope", "envelope_iters_without_envelope"],
+         "envelope_seeds_without_envelope", "envelope_iters_without_envelope",
+         "b_with_full_verify", "b_with_single_sweep", "b_with_full_target_kappa",
+         "minibatch_without_b_constants", "minibatch_without_b_run",
+         "minibatch_without_b_verify", "minibatch_without_b_sweep",
+         "minibatch_without_b_target_kappa"],
 )
 def test_bad_argv_is_config_error(game_file, tmp_path, capsys, argv):
     out = tmp_path / "outputs"

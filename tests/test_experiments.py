@@ -299,7 +299,8 @@ def test_sweep_cli_with_minibatch_scheme(tmp_path):
 
 def test_constant_step_plateau_near_theory():
     # final mean within 1.5x of the predicted plateau 2 alpha sigma^2 / mu
-    cfg_gen, kappa = E.find_generator_for_kappa(5.0, n=8, d1=4, d2=4, seed=21)
+    cfg_gen, kappa = E.find_generator_for_kappa(5.0, n=8, d1=4, d2=4,
+                                              scheme=SamplingScheme.single_element(8), seed=21)
     game = E.generate_game(cfg_gen)
     scheme = SamplingScheme.single_element(game.n)
     prof = E.profile(game, scheme)
@@ -465,7 +466,8 @@ def test_method_plateau_ordering_at_desk_scale():
 
 
 def test_switching_beats_constant_plateau():
-    cfg_gen, _ = E.find_generator_for_kappa(4.0, n=6, d1=3, d2=3, seed=44)
+    cfg_gen, _ = E.find_generator_for_kappa(4.0, n=6, d1=3, d2=3,
+                                          scheme=SamplingScheme.single_element(6), seed=44)
     game = E.generate_game(cfg_gen)
     scheme = SamplingScheme.single_element(game.n)
     prof = E.profile(game, scheme)
@@ -510,7 +512,8 @@ def test_sweep_step_sizes_labels_and_shape():
 
 
 def test_find_generator_hits_target_kappa():
-    cfg, kappa = E.find_generator_for_kappa(25.0, n=6, d1=4, d2=4, seed=2)
+    cfg, kappa = E.find_generator_for_kappa(25.0, n=6, d1=4, d2=4,
+                                         scheme=SamplingScheme.single_element(6), seed=2)
     assert abs(kappa - 25.0) / 25.0 <= 0.1
     game = E.generate_game(cfg)
     gc = C.game_constants(game)

@@ -3,7 +3,8 @@ and every method of those classes bar the dunders, is named somewhere in the
 package outside its own definition, and every error type is raised or caught
 by some other module of the package.  A name that only tests use, such as a
 test oracle, belongs in tests/.  A further guard holds QuadraticGame to the
-method names the benchmark's tracer looks up in its class body."""
+method names the benchmark's tracer looks up in its class body, and another
+keeps command-line flag names in cli.py."""
 
 import ast
 import re
@@ -89,6 +90,18 @@ def test_every_error_type_is_raised_or_caught_elsewhere():
                if isinstance(node, ast.ClassDef)]
     dead = [name for name in defined if name not in used]
     assert not dead, "error types no other module raises or catches: " + ", ".join(dead)
+
+
+def test_only_the_cli_names_command_line_flags():
+    # The library is called with arguments, not flags: a message that names
+    # a flag is wrong for every caller but the CLI, which owns the flags.
+    flag = re.compile(r"--[A-Za-z]")
+    named = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "stochvi").glob("*.py")) if path.name != "cli.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and flag.search(node.value)]
+    assert not named, "string literals outside cli.py that name a flag: " + ", ".join(named)
 
 
 def test_traced_game_methods_are_in_the_class_body():

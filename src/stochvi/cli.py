@@ -19,7 +19,7 @@ from . import experiments as exps
 from . import numerics, verify
 from .errors import ConfigError, NumericalError, UnsupportedSchemeError
 from .sampling import SamplingScheme
-from .solvers import METHODS, ConstantSchedule
+from .solvers import METHODS, ConstantSchedule, RunConfig, run_batch
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -87,11 +87,6 @@ def _scheme(args, n: int) -> SamplingScheme:
     raise ConfigError(f"unknown scheme {name!r}")
 
 
-def _load_game(path: str) -> exps.QuadraticGame:
-    game, _ = exps.read_game(path)
-    return game
-
-
 def _write_table(args, table: exps.AggregateTable) -> None:
     """The CSV at --out, the SVG at --svg if given, and one stderr line per
     row whose runs the divergence guard cut short."""
@@ -127,7 +122,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    game = _load_game(args.game)
+    game = exps.read_game(args.game)[0]
     scheme = _scheme(args, game.n)
     prof = exps.profile(game, scheme)
     gc, ec = prof.game_constants, prof.ec
@@ -169,7 +164,7 @@ def cmd_run(args) -> int:
                           f"not {args.schedule!r}")
     else:
         schedule = args.schedule
-    game = _load_game(args.game)
+    game = exps.read_game(args.game)[0]
     scheme = _scheme(args, game.n)
     methods = tuple(args.method.split(","))
     cfg = exps.ExperimentConfig(
@@ -197,16 +192,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    game = _load_game(args.game)
+    game = exps.read_game(args.game)[0]
     scheme = _scheme(args, game.n)
     rng = numerics.make_rng(args.seed)
     prof = exps.profile(game, scheme)
     gc, ec = prof.game_constants, prof.ec
 
     def envelope():
-        schedule = exps.theory_schedule("sgda", prof)
-        traces = exps.run_seeds("sgda", game, scheme, schedule, args.envelope_iters,
-                                args.envelope_seeds, args.seed)
+        own, schedule = exps.method_plan(prof, ("sgda",))["sgda"]
+        config = RunConfig(method="sgda", operator=game, scheme=own, schedule=schedule,
+                           iterations=args.envelope_iters, seed=args.seed)
+        traces = run_batch(config, args.envelope_seeds)
         params = dict(alpha=schedule.alpha, mu=gc.mu, ell_xi=ec.ell_xi, sigma_sq=ec.sigma_sq)
         return verify.check_bound_envelope(traces, consts.SGDA_CONSTANT, params, 1.05)
 
@@ -300,7 +296,7 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"--multipliers must be comma-separated numbers, "
                           f"got {args.multipliers!r}") from None
-    game = _load_game(args.game)
+    game = exps.read_game(args.game)[0]
     scheme = _scheme(args, game.n)
     methods = tuple(args.methods.split(","))
     table = exps.sweep_step_sizes(

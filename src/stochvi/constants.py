@@ -130,8 +130,7 @@ def game_constants(game: QuadraticGame) -> GameConstants:
     come from the certified closed form of ``matrix_cocoercivity``.
     """
     j_mean = game.mean_jacobian()
-    sym_eigs = numerics.symmetric_eigenvalues(0.5 * (j_mean + j_mean.T))
-    mu = float(sym_eigs[0])
+    mu = float(np.linalg.eigvalsh(0.5 * (j_mean + j_mean.T))[0])
     if mu <= 0.0:
         raise NumericalError(
             f"not strongly monotone: lambda_min of the symmetric mean Jacobian is {mu:.3e}"

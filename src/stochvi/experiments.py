@@ -42,6 +42,8 @@ GAME_FORMAT_VERSION = 1
 CSV_HEADER = "method,iteration,mean_rel_dist,ci_low,ci_high,seeds"
 # A row's seeds count is read into an int64 array.
 _MAX_SEEDS = np.iinfo(np.int64).max
+# The characters XML 1.0 cannot hold, which a method would carry into an SVG.
+_NOT_XML = frozenset(map(chr, [*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF]))
 
 # 95% two-sided normal quantile for the confidence bands.
 CI_QUANTILE = 1.96
@@ -280,20 +282,29 @@ def theory_schedule(method: str, prof: GameProfile) -> ConstantSchedule:
     )
 
 
-def method_plan(game: QuadraticGame, scheme: SamplingScheme, methods):
-    """(profile of ``scheme``, {method: the profile it runs with}); a
-    method samples from its profile's ``scheme``.
-
-    gda and co run on the full batch with the full-batch constants, every
-    other method on ``scheme``.  The game constants are computed once; a
-    full-batch profile is built only for gda or co on a stochastic scheme.
+def method_plan(prof: GameProfile, methods, schedule="theory"):
+    """{method: (scheme, schedule)}: gda and co sample from the full batch
+    and the rest from ``prof.scheme``, and "theory" and "switching" resolve
+    from the constants of that scheme (a full-batch profile shares the game
+    constants of ``prof``).  Every schedule is resolved before the caller's
+    first run.
     """
-    prof = full = profile(game, scheme)
-    if not scheme.is_deterministic and any(m in DETERMINISTIC_METHODS for m in methods):
-        full_scheme = SamplingScheme.full_batch(game.n)
+    full = prof
+    if not prof.scheme.is_deterministic and any(m in DETERMINISTIC_METHODS for m in methods):
+        full_scheme = SamplingScheme.full_batch(prof.game.n)
         gc = prof.game_constants
-        full = GameProfile(game, full_scheme, gc, consts.ec_constants(gc, full_scheme, game))
-    return prof, {m: full if m in DETERMINISTIC_METHODS else prof for m in methods}
+        full = GameProfile(prof.game, full_scheme, gc,
+                           consts.ec_constants(gc, full_scheme, prof.game))
+    plan = {}
+    for m in methods:
+        own = full if m in DETERMINISTIC_METHODS else prof
+        if schedule == "theory":
+            plan[m] = own.scheme, theory_schedule(m, own)
+        elif schedule == "switching":
+            plan[m] = own.scheme, switching_schedule(m, own)
+        else:
+            plan[m] = own.scheme, schedule
+    return plan
 
 
 def switching_schedule(method: str, prof: GameProfile):
@@ -420,22 +431,19 @@ def aggregate_traces(method: str, traces: list[RunTrace]) -> MethodAggregate:
     )
 
 
-def _resolve_schedule(method: str, spec, prof: GameProfile):
-    if spec == "theory":
-        return theory_schedule(method, prof)
-    if spec == "switching":
-        return switching_schedule(method, prof)
-    return spec
-
-
-def run_seeds(method, game, scheme, schedule, iterations, seeds, base_seed=0,
-              record_iterates=False) -> list[RunTrace]:
-    """One run of ``method`` per seed base_seed, ..., base_seed + seeds - 1,
-    all advanced together, in seed order; ``record_iterates`` keeps the first
-    seed's iterates.  Each trace equals the one-seed ``run`` of its seed."""
-    config = RunConfig(method=method, operator=game, scheme=scheme, schedule=schedule,
-                       iterations=iterations, seed=base_seed)
-    return run_batch(config, seeds, record_iterates)
+def _run_rows(game, rows, iterations, seeds, base_seed, record_traces=False):
+    """(AggregateTable, traces by label) of each (label, method, scheme,
+    schedule) row run on seeds base_seed, ..., base_seed + seeds - 1."""
+    table = AggregateTable(iterations=iterations, rows=[])
+    traces: dict[str, list[RunTrace]] = {}
+    for label, method, scheme, schedule in rows:
+        config = RunConfig(method=method, operator=game, scheme=scheme, schedule=schedule,
+                           iterations=iterations, seed=base_seed)
+        runs = run_batch(config, seeds, record_traces)
+        table.rows.append(aggregate_traces(label, runs))
+        if record_traces:
+            traces[label] = runs
+    return table, traces
 
 
 def run_experiment(cfg: ExperimentConfig, record_traces: bool = False):
@@ -445,21 +453,11 @@ def run_experiment(cfg: ExperimentConfig, record_traces: bool = False):
     maps method -> list of RunTrace, the first seed's with its iterates
     (empty mapping unless ``record_traces``).
     """
-    prof, plan = method_plan(cfg.game, cfg.scheme, cfg.methods)
-    # Every schedule is resolved first, so a method the scheme cannot serve
-    # stops the experiment before any run.
-    schedules = [_resolve_schedule(m, cfg.schedule, plan[m]) for m in cfg.methods]
-    rows = []
-    traces: dict[str, list[RunTrace]] = {}
-    for method, schedule in zip(cfg.methods, schedules):
-        method_traces = run_seeds(
-            method, cfg.game, plan[method].scheme, schedule, cfg.iterations, cfg.seeds,
-            cfg.base_seed, record_traces,
-        )
-        rows.append(aggregate_traces(method, method_traces))
-        if record_traces:
-            traces[method] = method_traces
-    return AggregateTable(iterations=cfg.iterations, rows=rows), prof, traces
+    prof = profile(cfg.game, cfg.scheme)
+    rows = [(m, m, *entry) for m, entry in method_plan(prof, cfg.methods, cfg.schedule).items()]
+    table, traces = _run_rows(cfg.game, rows, cfg.iterations, cfg.seeds, cfg.base_seed,
+                              record_traces)
+    return table, prof, traces
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +481,11 @@ def emit_csv(table: AggregateTable, path) -> None:
 
 
 def read_csv(path) -> AggregateTable:
-    """Inverse of emit_csv; text that is not UTF-8, a malformed row, a seeds
-    count below 1 or beyond int64, or a method whose rows are not iterations
-    0..m-1 each once raises ConfigError.  Non-finite statistics are read as
-    written."""
+    """Inverse of emit_csv; text that is not UTF-8, a malformed row, a method
+    holding a character XML 1.0 cannot hold (a control character other than
+    tab, U+FFFE, U+FFFF), a seeds count below 1 or beyond int64, or a method
+    whose rows are not iterations 0..m-1 each once raises ConfigError.
+    Non-finite statistics are read as written."""
     data: dict[str, list] = {}
     # Rows are parsed as the file streams in (a list of its lines would
     # outweigh the table), so the text is decoded inside the loop.
@@ -500,7 +499,7 @@ def read_csv(path) -> AggregateTable:
                 try:
                     method, it, mean, lo, hi, s = ln.split(",")
                     entry = (int(it), float(mean), float(lo), float(hi), int(s))
-                    if not 1 <= entry[4] <= _MAX_SEEDS:
+                    if not 1 <= entry[4] <= _MAX_SEEDS or not _NOT_XML.isdisjoint(method):
                         raise ValueError
                 except ValueError:
                     raise ConfigError(f"{path}: line {num} is not an aggregate row: "
@@ -658,16 +657,12 @@ def sweep_step_sizes(
     _check_methods(methods)
     label = "{}@{:g}".format
     _reject_repeats("label", [label(m, mult) for m in methods for mult in multipliers])
-    _, plan = method_plan(game, scheme, methods)
-    bases = [theory_schedule(m, plan[m]) for m in methods]
-    rows = []
-    for method, base in zip(methods, bases):
-        for mult in multipliers:
-            schedule = ConstantSchedule(alpha=base.alpha * mult, gamma=base.gamma * mult)
-            traces = run_seeds(method, game, plan[method].scheme, schedule, iterations, seeds,
-                               base_seed)
-            rows.append(aggregate_traces(label(method, mult), traces))
-    return AggregateTable(iterations=iterations, rows=rows)
+    # Every schedule is built first, so a bad multiplier stops the sweep
+    # before any run.
+    plan = method_plan(profile(game, scheme), methods)
+    rows = [(label(m, mult), m, own, ConstantSchedule(base.alpha * mult, base.gamma * mult))
+            for m, (own, base) in plan.items() for mult in multipliers]
+    return _run_rows(game, rows, iterations, seeds, base_seed)[0]
 
 
 KAPPA_REL_TOL = 0.1

@@ -1,5 +1,5 @@
-"""Dense small-matrix substrate: eigenvalues, singular values, linear solves
-and Haar-random orthogonal matrices.
+"""Dense small-matrix substrate: symmetry checks, singular values, linear
+solves and Haar-random orthogonal matrices.
 
 Matrices are plain float64 ``numpy.ndarray`` values, immutable by convention
 (nothing in this package mutates an input array).  Each routine validates its
@@ -40,35 +40,13 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def _require_square(a: np.ndarray) -> np.ndarray:
-    if a.shape[0] != a.shape[1]:
-        raise ConfigError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def relative_asymmetry(m) -> np.ndarray:
-    """max |M - M^T| / max |M| (0 for a zero matrix), of a square matrix or
-    of each matrix of a (k, d, d) stack."""
-    a = _require_square(as_matrix(m)) if np.ndim(m) == 2 else np.asarray(m, dtype=float)
+def relative_asymmetry(stack) -> np.ndarray:
+    """max |M - M^T| / max |M| (0 for a zero matrix) of each matrix of a
+    (k, d, d) stack."""
+    a = np.asarray(stack, dtype=float)
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
     skew = np.abs(a - np.swapaxes(a, -2, -1)).max(axis=(-2, -1), initial=0.0)
     return np.divide(skew, scale, out=np.zeros(np.shape(skew)), where=scale > 0.0)
-
-
-def symmetric_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending.
-
-    Raises ConfigError when the relative asymmetry exceeds 1e-12; the
-    computation itself uses the symmetrized matrix so the result is exactly
-    the spectrum of (M + M^T)/2.
-    """
-    a = _require_square(as_matrix(m))
-    if relative_asymmetry(a) > SYMMETRY_RTOL:
-        raise ConfigError(
-            f"matrix is not symmetric: relative asymmetry {relative_asymmetry(a):.3e} "
-            f"exceeds {SYMMETRY_RTOL}"
-        )
-    return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
 def singular_values(m) -> np.ndarray:
@@ -76,27 +54,23 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(as_matrix(m), compute_uv=False)
 
 
-def condition_number(m) -> float:
-    """2-norm condition number; inf for exactly singular matrices."""
-    s = singular_values(m)
-    if s.size == 0 or s[-1] == 0.0:
-        return float("inf")
-    return float(s[0] / s[-1])
-
-
 def solve_linear(m, b) -> np.ndarray:
     """Solve M x = b for square nonsingular M.
 
-    Refuses matrices whose condition estimate exceeds 1e12; the returned
-    solution has relative residual below 1e-10 for accepted systems.
+    Refuses matrices whose 2-norm condition number exceeds 1e12 (an exactly
+    singular one included); the returned solution has relative residual
+    below 1e-10 for accepted systems.
     """
-    a = _require_square(as_matrix(m))
+    a = as_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise ConfigError(f"expected a square matrix, got shape {a.shape}")
     rhs = np.asarray(b, dtype=float)
     if rhs.shape[0] != a.shape[0]:
         raise ConfigError(
             f"right-hand side length {rhs.shape[0]} != matrix order {a.shape[0]}"
         )
-    if condition_number(a) > CONDITION_LIMIT:
+    s = singular_values(a)
+    if s.size == 0 or s[-1] == 0.0 or s[0] / s[-1] > CONDITION_LIMIT:
         raise NumericalError("matrix is singular or too ill-conditioned")
     return np.linalg.solve(a, rhs)
 

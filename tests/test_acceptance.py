@@ -23,6 +23,7 @@ from stochvi.solvers import (
     ScoSwitchingSchedule,
     SgdaSwitchingSchedule,
     run,
+    run_batch,
 )
 
 from reference import enumerate_support, reference_run
@@ -86,15 +87,20 @@ def envelope_traces(desk_game):
     t0 = time.monotonic()
 
     alpha = 1.0 / (2.0 * ec.ell_xi)
-    sgda = E.run_seeds("sgda", game, scheme, ConstantSchedule(alpha=alpha), 5000, 100, 0)
+    sgda = run_batch(RunConfig(method="sgda", operator=game, scheme=scheme,
+                               schedule=ConstantSchedule(alpha=alpha), iterations=5000,
+                               seed=0), 100)
     a2, g2 = 1.0 / (4.0 * ec.ell_xi), 1.0 / (4.0 * ham.cal_l_h)
-    sco = E.run_seeds("sco", game, scheme, ConstantSchedule(alpha=a2, gamma=g2),
-                      5000, 100, 0)
+    sco = run_batch(RunConfig(method="sco", operator=game, scheme=scheme,
+                              schedule=ConstantSchedule(alpha=a2, gamma=g2), iterations=5000,
+                              seed=0), 100)
     sw = SgdaSwitchingSchedule(ell_xi=ec.ell_xi, mu=gc.mu)
-    sgda_sw = E.run_seeds("sgda", game, scheme, sw, 20 * sw.switch_point, 100, 0)
+    sgda_sw = run_batch(RunConfig(method="sgda", operator=game, scheme=scheme, schedule=sw,
+                                  iterations=20 * sw.switch_point, seed=0), 100)
     sw2 = ScoSwitchingSchedule(ell_xi=ec.ell_xi, cal_l_h=ham.cal_l_h,
                                mu=gc.mu, mu_h=ham.mu_h)
-    sco_sw = E.run_seeds("sco", game, scheme, sw2, 20 * sw2.switch_point, 100, 0)
+    sco_sw = run_batch(RunConfig(method="sco", operator=game, scheme=scheme, schedule=sw2,
+                                 iterations=20 * sw2.switch_point, seed=0), 100)
     elapsed = time.monotonic() - t0
     return dict(sgda=sgda, sco=sco, sgda_sw=sgda_sw, sco_sw=sco_sw,
                 sw=sw, sw2=sw2, elapsed=elapsed)
@@ -308,7 +314,7 @@ def test_criterion_9_hamiltonian_constants(battery):
         for game in battery:
             ham = C.hamiltonian_constants(game, SamplingScheme.full_batch(game.n))
             j = game.mean_jacobian()
-            gram = numerics.symmetric_eigenvalues(j.T @ j)
+            gram = np.linalg.eigvalsh(j.T @ j)
             positive = gram[gram > 1e-12 * max(gram[-1], 1.0)]
             assert ham.mu_h == pytest.approx(positive[0], rel=1e-9)
             assert ham.l_h == pytest.approx(gram[-1], rel=1e-9)

@@ -314,6 +314,26 @@ def test_plot_of_a_csv_that_is_not_utf8_is_config_error(tmp_path, capsys):
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("label", ["a\x00b", "a\x01b", "a\x0bb", "a\x0cb", "a\x1fb",
+                                   "a\ufffeb", "a\uffffb"])
+def test_plot_rejects_a_label_xml_cannot_hold(tmp_path, capsys, label):
+    # no XML escape exists for these characters, so the SVG could not parse
+    csv, svg = tmp_path / "agg.csv", tmp_path / "agg.svg"
+    csv.write_text(f"{E.CSV_HEADER}\nok,0,1.0,1.0,1.0,1\n{label},0,1.0,1.0,1.0,1\n",
+                   encoding="utf-8")
+    code, line = _one_line_exit(["plot", "--csv", str(csv), "--svg", str(svg)], capsys)
+    assert code == 2 and line.startswith(f"configuration error: {csv}: line 3 ")
+    assert not svg.exists()
+
+
+def test_plot_keeps_a_tab_in_a_label(tmp_path):
+    csv, svg = tmp_path / "agg.csv", tmp_path / "agg.svg"
+    csv.write_text(f"{E.CSV_HEADER}\na\tb,0,1.0,1.0,1.0,1\n", encoding="utf-8")
+    assert main(["plot", "--csv", str(csv), "--svg", str(svg)]) == 0
+    texts = [el.text for el in ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[-1] == "a\tb"
+
+
 def test_plot_escapes_markup_in_row_labels(tmp_path):
     csv, svg = tmp_path / "agg.csv", tmp_path / "agg.svg"
     csv.write_text(f"{E.CSV_HEADER}\na&b<c>,0,1.0,1.0,1.0,1\na&b<c>,1,0.5,0.4,0.6,1\n")

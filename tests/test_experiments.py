@@ -10,7 +10,7 @@ from stochvi import numerics
 from stochvi.cli import main
 from stochvi.errors import ConfigError, UnsupportedSchemeError
 from stochvi.sampling import SamplingScheme
-from stochvi.solvers import ConstantSchedule, RunConfig, ScoSwitchingSchedule, run
+from stochvi.solvers import ConstantSchedule, RunConfig, ScoSwitchingSchedule, run, run_batch
 
 from reference import generate_game as reference_generate_game
 from test_operators import random_game
@@ -39,8 +39,8 @@ def test_generated_spectra_in_range():
     cfg = small_cfg(seed=6)
     game = E.generate_game(cfg)
     for i in range(cfg.n):
-        eig_a = numerics.symmetric_eigenvalues(game.A[i])
-        eig_c = numerics.symmetric_eigenvalues(game.C[i])
+        eig_a = np.linalg.eigvalsh(game.A[i])
+        eig_c = np.linalg.eigvalsh(game.C[i])
         assert eig_a[0] >= cfg.mu_a - 1e-9 and eig_a[-1] <= cfg.l_a + 1e-9
         assert eig_c[0] >= cfg.mu_c - 1e-9 and eig_c[-1] <= cfg.l_c + 1e-9
 
@@ -48,16 +48,16 @@ def test_generated_spectra_in_range():
 def test_generated_forced_extremes():
     cfg = small_cfg(seed=7, n=5)
     game = E.generate_game(cfg)
-    assert numerics.symmetric_eigenvalues(game.A[0])[0] == pytest.approx(
+    assert np.linalg.eigvalsh(game.A[0])[0] == pytest.approx(
         cfg.mu_a, abs=1e-9
     )
-    assert numerics.symmetric_eigenvalues(game.C[0])[0] == pytest.approx(
+    assert np.linalg.eigvalsh(game.C[0])[0] == pytest.approx(
         cfg.mu_c, abs=1e-9
     )
-    assert numerics.symmetric_eigenvalues(game.A[-1])[-1] == pytest.approx(
+    assert np.linalg.eigvalsh(game.A[-1])[-1] == pytest.approx(
         cfg.l_a, abs=1e-9
     )
-    assert numerics.symmetric_eigenvalues(game.C[-1])[-1] == pytest.approx(
+    assert np.linalg.eigvalsh(game.C[-1])[-1] == pytest.approx(
         cfg.l_c, abs=1e-9
     )
 
@@ -98,7 +98,7 @@ def test_generated_mu_matches_block_diagonal_eigensolve():
     sym = np.zeros((game.dim, game.dim))
     sym[: game.d1, : game.d1] = game.A.mean(axis=0)
     sym[game.d1 :, game.d1 :] = game.C.mean(axis=0)
-    assert gc.mu == pytest.approx(numerics.symmetric_eigenvalues(sym)[0], abs=1e-8)
+    assert gc.mu == pytest.approx(np.linalg.eigvalsh(sym)[0], abs=1e-8)
 
 
 def test_generator_rejects_bad_ranges():
@@ -260,18 +260,20 @@ def test_deterministic_methods_use_full_batch_constants():
 
 
 def test_sweep_deterministic_methods_match_run_experiment_theory_rows():
-    # gda@1 and co@1 are the theory steps from the full-batch constants
+    # gda@1 and co@1 are the theory steps from the full-batch constants, the
+    # stochastic methods' from the single-element ones: every method@1 row is
+    # the run theory row, bit for bit
     game = E.generate_game(small_cfg(seed=17))
     scheme = SamplingScheme.single_element(game.n)
-    methods = ("gda", "co")
+    methods = ("gda", "co", "sgda", "sco", "shgd")
     cfg = E.ExperimentConfig(
         game=game, methods=methods, scheme=scheme,
         schedule="theory", iterations=20, seeds=2, base_seed=0,
     )
     table, _, _ = E.run_experiment(cfg)
     swept = E.sweep_step_sizes(game, scheme, methods, (1.0,), iterations=20, seeds=2)
-    assert [row.method for row in swept.rows] == ["gda@1", "co@1"]
-    for got, want in zip(swept.rows, table.rows):
+    assert [row.method for row in swept.rows] == [f"{m}@1" for m in methods]
+    for got, want in zip(swept.rows, table.rows, strict=True):
         for field in ("mean", "ci_low", "ci_high"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
@@ -295,6 +297,24 @@ def test_sweep_cli_with_minibatch_scheme(tmp_path):
         "--out", str(out),
     ]) == 0
     assert [row.method for row in E.read_csv(out).rows] == ["sgda@0.5", "sgda@1"]
+
+
+def test_sweep_builds_every_schedule_before_any_run(tmp_path, monkeypatch):
+    # sgda@-1 is a negative step: the sweep stops before sgda@1 runs
+    path = tmp_path / "game.json"
+    E.write_game(path, E.generate_game(small_cfg(seed=18, n=6)))
+    runs = []
+
+    def counted(config, seeds, record_iterates=False):
+        runs.append(config.method)
+        return run_batch(config, seeds, record_iterates)
+
+    monkeypatch.setattr(E, "run_batch", counted)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--game", str(path), "--methods", "sgda,sco",
+                 "--multipliers", "1,-1", "--iters", "5", "--seeds", "2",
+                 "--out", str(out)]) == 2
+    assert runs == [] and not out.exists()
 
 
 def test_constant_step_plateau_near_theory():
@@ -367,8 +387,10 @@ def test_aggregate_over_running_seeds(tmp_path):
     # seeds diverge at different iterations and some run to the end: each
     # iteration averages the seeds whose traces reach it
     game = random_game(4, 2, 2, seed=3)
-    traces = E.run_seeds("sgda", game, SamplingScheme.single_element(4),
-                         ConstantSchedule(alpha=0.75), 300, 8)
+    traces = run_batch(RunConfig(method="sgda", operator=game,
+                                 scheme=SamplingScheme.single_element(4),
+                                 schedule=ConstantSchedule(alpha=0.75), iterations=300,
+                                 seed=0), 8)
     row = E.aggregate_traces("sgda", traces)
     assert len({len(t.dist_sq) for t in traces}) > 2
     assert row.mean.size == 301 and row.seeds == 8
@@ -494,7 +516,8 @@ def test_sco_switching_experiment_runs_the_hand_built_schedule():
     cfg = E.ExperimentConfig(game=game, methods=("sco",), scheme=scheme,
                              schedule="switching", iterations=iterations, seeds=3)
     _, _, traces = E.run_experiment(cfg, record_traces=True)
-    expected = E.run_seeds("sco", game, scheme, sched, iterations, 3)
+    expected = run_batch(RunConfig(method="sco", operator=game, scheme=scheme,
+                                   schedule=sched, iterations=iterations, seed=0), 3)
     for got, want in zip(traces["sco"], expected, strict=True):
         assert got.dist_sq.tobytes() == want.dist_sq.tobytes()
         assert got.final_x.tobytes() == want.final_x.tobytes()

@@ -2,33 +2,9 @@ import numpy as np
 import pytest
 
 from stochvi import numerics
-from stochvi.errors import ConfigError, NumericalError
+from stochvi.errors import NumericalError
 
 from reference import random_orthogonal
-
-
-def test_symmetric_eigenvalues_diagonal():
-    assert np.allclose(numerics.symmetric_eigenvalues(np.diag([2.0, 5.0])), [2, 5])
-
-
-def test_symmetric_eigenvalues_identity():
-    assert np.allclose(numerics.symmetric_eigenvalues(np.eye(3)), [1, 1, 1])
-
-
-def test_symmetric_eigenvalues_offdiagonal():
-    # roots of (2 - t)^2 - 1
-    vals = numerics.symmetric_eigenvalues([[2.0, 1.0], [1.0, 2.0]])
-    assert np.allclose(vals, [1.0, 3.0], rtol=1e-10)
-
-
-def test_symmetric_eigenvalues_rejects_nonsquare():
-    with pytest.raises(ConfigError, match="expected a square matrix"):
-        numerics.symmetric_eigenvalues(np.ones((2, 3)))
-
-
-def test_symmetric_eigenvalues_rejects_asymmetric():
-    with pytest.raises(ConfigError, match="matrix is not symmetric"):
-        numerics.symmetric_eigenvalues([[0.0, 1.0], [0.5, 0.0]])
 
 
 def test_singular_values_antisymmetric():
@@ -73,24 +49,13 @@ def test_solve_linear_random_well_conditioned():
         assert np.linalg.norm(m @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
-def test_trace_identity_random_symmetric():
-    rng = numerics.make_rng(7)
-    for _ in range(50):
-        d = int(rng.integers(1, 30))
-        g = rng.standard_normal((d, d))
-        m = g + g.T
-        vals = numerics.symmetric_eigenvalues(m)
-        scale = max(1.0, np.abs(vals).max())
-        assert abs(vals.sum() - np.trace(m)) <= 1e-9 * scale * d
-
-
 def test_singular_values_match_gram_eigenvalues():
     rng = numerics.make_rng(9)
     for _ in range(25):
         d1, d2 = int(rng.integers(1, 15)), int(rng.integers(1, 15))
         m = rng.standard_normal((d1, d2))
         sv = numerics.singular_values(m)
-        gram = numerics.symmetric_eigenvalues(m.T @ m)
+        gram = np.linalg.eigvalsh(m.T @ m)
         expect = np.sqrt(np.maximum(gram, 0.0))[::-1][: sv.size]
         scale = max(sv[0], 1e-30)
         assert np.all(np.abs(sv - expect) <= 1e-8 * scale)

@@ -203,7 +203,7 @@ def test_quadratic_monotonicity_gap_equals_symmetric_part():
     sym = np.zeros((game.dim, game.dim))
     sym[: game.d1, : game.d1] = game.A.mean(axis=0)
     sym[game.d1 :, game.d1 :] = game.C.mean(axis=0)
-    lam_min = numerics.symmetric_eigenvalues(sym)[0]
+    lam_min = np.linalg.eigvalsh(sym)[0]
     rng = numerics.make_rng(4)
     for _ in range(1000):
         x = rng.standard_normal(game.dim)

@@ -9,7 +9,6 @@ from stochvi import numerics
 from stochvi.errors import ConfigError
 from stochvi.operators import FiniteSumOperator, QuadraticGame
 from stochvi.sampling import INDEPENDENT, SamplingScheme, draw_many
-from stochvi.experiments import run_seeds
 from stochvi.solvers import (
     BLOCK,
     DETERMINISTIC_METHODS,
@@ -431,7 +430,8 @@ def test_seed_batch_equals_separate_runs(case, n):
     method, make_scheme, schedule = case
     game = random_game(n, 3, 2, seed=20)
     scheme = make_scheme(game.n)
-    batch = run_seeds(method, game, scheme, schedule, 150, 5, base_seed=7,
+    batch = run_batch(RunConfig(method=method, operator=game, scheme=scheme,
+                                schedule=schedule, iterations=150, seed=7), 5,
                       record_iterates=True)
     assert [t.seed for t in batch] == list(range(7, 12))
     for trace in batch:
@@ -453,7 +453,8 @@ def test_diverging_seeds_leave_the_batch_alone():
     game = random_game(4, 2, 2, seed=3)
     scheme = SamplingScheme.single_element(4)
     schedule = ConstantSchedule(alpha=0.75)
-    batch = run_seeds("sgda", game, scheme, schedule, 300, 8)
+    batch = run_batch(RunConfig(method="sgda", operator=game, scheme=scheme,
+                                schedule=schedule, iterations=300, seed=0), 8)
     stops = {len(t.alphas) for t in batch if t.diverged}
     assert len(stops) >= 3 and any(not t.diverged for t in batch)
     for trace in batch:
@@ -526,7 +527,8 @@ def test_seed_batch_of_a_generic_operator(case, make_op):
     method, make_scheme, schedule = case
     op = make_op()
     scheme = make_scheme(op.n)
-    batch = run_seeds(method, op, scheme, schedule, 60, 3)
+    batch = run_batch(RunConfig(method=method, operator=op, scheme=scheme,
+                                schedule=schedule, iterations=60, seed=0), 3)
     for trace in batch:
         cfg = RunConfig(method=method, operator=op, scheme=scheme, schedule=schedule,
                         iterations=60, seed=trace.seed)
@@ -596,7 +598,8 @@ def test_full_batch_co_evaluates_the_batch_once_per_step():
     count_calls(op, "component_jacobian", calls)
     schedule = ConstantSchedule(alpha=0.03, gamma=0.004)
     for target in (game, op):
-        run_seeds("co", target, SamplingScheme.full_batch(4), schedule, 10, 3)
+        run_batch(RunConfig(method="co", operator=target, scheme=SamplingScheme.full_batch(4),
+                            schedule=schedule, iterations=10, seed=0), 3)
     construction, steps = 1, 10
     assert calls == {"batch_terms": construction + steps, "component_value": 120,
                      "component_jacobian": 120}

@@ -3,8 +3,9 @@ and every method of those classes bar the dunders, is named somewhere in the
 package outside its own definition, and every error type is raised or caught
 by some other module of the package.  A name that only tests use, such as a
 test oracle, belongs in tests/.  A further guard holds QuadraticGame to the
-method names the benchmark's tracer looks up in its class body, and another
-keeps command-line flag names in cli.py."""
+method names the benchmark's tracer looks up in its class body, another
+keeps command-line flag names in cli.py, and a last one fails on an import
+that its module never uses."""
 
 import ast
 import re
@@ -102,6 +103,28 @@ def test_only_the_cli_names_command_line_flags():
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and flag.search(node.value)]
     assert not named, "string literals outside cli.py that name a flag: " + ", ".join(named)
+
+
+def test_every_import_is_used():
+    # a deletion can leave behind an import that nothing reads; a name
+    # __init__.py lists in __all__ counts as read
+    unused = []
+    for path in sorted((ROOT / "src" / "stochvi").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None)
+                                                 for t in node.targets] == ["__all__"]:
+                used |= set(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, "imported names the module never uses: " + ", ".join(unused)
 
 
 def test_traced_game_methods_are_in_the_class_body():

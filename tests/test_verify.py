@@ -6,11 +6,10 @@ import pytest
 from stochvi import constants as C
 from stochvi import numerics
 from stochvi import verify as V
-from stochvi.experiments import run_seeds
 from stochvi.errors import ConfigError, NumericalError
 from stochvi.operators import CosineOperator, FiniteSumOperator, QuadraticGame
 from stochvi.sampling import SamplingScheme, enumerate_support
-from stochvi.solvers import ConstantSchedule, RunConfig, run
+from stochvi.solvers import ConstantSchedule, RunConfig, run, run_batch
 
 import reference
 from reference import stochastic_hamiltonian_gradient
@@ -337,7 +336,9 @@ def test_envelope_fails_on_staggered_divergence():
     # check neither drops the diverged seeds nor cuts the survivors short
     game = random_game(4, 2, 2, seed=3)
     scheme = SamplingScheme.single_element(4)
-    traces = run_seeds("sgda", game, scheme, ConstantSchedule(alpha=0.75), 300, 40)
+    traces = run_batch(RunConfig(method="sgda", operator=game, scheme=scheme,
+                                 schedule=ConstantSchedule(alpha=0.75), iterations=300,
+                                 seed=0), 40)
     stops = [(t.seed, len(t.alphas)) for t in traces if t.diverged]
     assert len({k for _, k in stops}) >= 3 and len(stops) < len(traces)
     gc = C.game_constants(game)
@@ -357,7 +358,9 @@ def test_envelope_rejects_unequal_lengths_without_divergence():
     gc = C.game_constants(game)
     ec = C.ec_constants(gc, scheme, game)
     alpha = 1.0 / (2.0 * ec.ell_xi)
-    traces = run_seeds("sgda", game, scheme, ConstantSchedule(alpha=alpha), 40, 30)
+    traces = run_batch(RunConfig(method="sgda", operator=game, scheme=scheme,
+                                 schedule=ConstantSchedule(alpha=alpha), iterations=40,
+                                 seed=0), 30)
     traces[7] = dataclasses.replace(traces[7], dist_sq=traces[7].dist_sq[:-5])
     params = dict(alpha=alpha, mu=gc.mu, ell_xi=ec.ell_xi, sigma_sq=ec.sigma_sq)
     with pytest.raises(ConfigError):

@@ -87,17 +87,17 @@ def _scheme(args, n: int) -> SamplingScheme:
     raise ConfigError(f"unknown scheme {name!r}")
 
 
-def _write_table(args, table: exps.AggregateTable) -> None:
+def _write_table(args, rows: list[exps.MethodAggregate]) -> None:
     """The CSV at --out, the SVG at --svg if given, and one stderr line per
     row whose runs the divergence guard cut short."""
     out = _resolve(args, args.out)
-    exps.emit_csv(table, out)
+    exps.emit_csv(rows, out)
     print(f"wrote {out}")
     if args.svg:
         svg = _resolve(args, args.svg)
-        exps.emit_svg(table, svg)
+        exps.emit_svg(rows, svg)
         print(f"wrote {svg}")
-    for row in table.rows:
+    for row in rows:
         if row.diverged:
             stops = ", ".join(f"seed {seed} at iteration {k}" for seed, k in row.diverged)
             print(f"warning: {row.method} diverged: {stops}", file=sys.stderr)
@@ -167,17 +167,9 @@ def cmd_run(args) -> int:
     game = exps.read_game(args.game)[0]
     scheme = _scheme(args, game.n)
     methods = tuple(args.method.split(","))
-    cfg = exps.ExperimentConfig(
-        game=game,
-        methods=methods,
-        scheme=scheme,
-        iterations=args.iters,
-        seeds=args.seeds,
-        schedule=schedule,
-        base_seed=args.seed,
-    )
-    table, _, traces = exps.run_experiment(cfg, record_traces=args.dump_iterates is not None)
-    _write_table(args, table)
+    rows, traces = exps.run_experiment(game, scheme, methods, args.iters, args.seeds, schedule,
+                                       args.seed, record_traces=args.dump_iterates is not None)
+    _write_table(args, rows)
     if args.dump_iterates is not None:
         # One CSV of iterate coordinates for the first seed of each method.
         lines = ["method,iteration," + ",".join(f"x{i}" for i in range(game.dim))]
@@ -299,18 +291,16 @@ def cmd_sweep(args) -> int:
     game = exps.read_game(args.game)[0]
     scheme = _scheme(args, game.n)
     methods = tuple(args.methods.split(","))
-    table = exps.sweep_step_sizes(
-        game, scheme, methods, multipliers, args.iters, args.seeds,
-        base_seed=args.seed,
-    )
-    _write_table(args, table)
+    rows = exps.sweep_step_sizes(game, scheme, methods, multipliers, args.iters, args.seeds,
+                                 base_seed=args.seed)
+    _write_table(args, rows)
     return EXIT_OK
 
 
 def cmd_plot(args) -> int:
-    table = exps.read_csv(args.csv)
+    rows = exps.read_csv(args.csv)
     out = _resolve(args, args.svg)
-    exps.emit_svg(table, out)
+    exps.emit_svg(rows, out)
     print(f"wrote {out}")
     return EXIT_OK
 

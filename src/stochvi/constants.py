@@ -250,20 +250,27 @@ class OptimalMinibatch:
     b_star: int
 
 
+def _noise_term(gc: GameConstants, sigma_sq: float, epsilon: float) -> float:
+    """2 sigma^2 / (eps mu), inf when eps mu underflows to 0 under noise."""
+    scale = epsilon * gc.mu
+    return 2.0 * sigma_sq / scale if scale else (math.inf if sigma_sq else 0.0)
+
+
 def total_complexity(gc: GameConstants, b: int, epsilon: float) -> float:
     """Iteration cost b * max{ell_xi(b), 2 sigma^2(b) / (eps mu)} * 2/mu."""
     ell_xi = minibatch_ell_xi(gc.n, b, gc.ell, gc.ell_max)
     sigma_sq = minibatch_sigma_sq(gc.n, b, gc.sigma1_sq)
-    return (2.0 / gc.mu) * b * max(ell_xi, 2.0 * sigma_sq / (epsilon * gc.mu))
+    return (2.0 / gc.mu) * b * max(ell_xi, _noise_term(gc, sigma_sq, epsilon))
 
 
 def optimal_minibatch(gc: GameConstants, epsilon: float) -> OptimalMinibatch:
     """Minibatch size minimizing total complexity to accuracy epsilon.
 
-    The real-valued optimizer is 1 when sigma1^2 <= ell_max and otherwise
-    n * (ell - ell_max + t) / (n ell - ell_max + t) with t = 2 sigma1^2 /
-    (eps mu); the integer answer is whichever of its floor/ceil neighbors
-    (clamped to [1, n]) has the smaller total complexity.
+    b_star is the argmin of total_complexity over b = 1..n, the smaller b
+    on a tie.  b_star_real is the real-valued optimizer: 1 when t =
+    2 sigma1^2 / (eps mu) <= ell_max, and otherwise n * (ell - ell_max + t)
+    / (n ell - ell_max + t), which lies in [1, n] and is n, its limit, once
+    t or the formula overflows.
     """
     if gc.mu <= 0.0:
         raise ConfigError("optimal minibatch size needs mu > 0")
@@ -271,16 +278,15 @@ def optimal_minibatch(gc: GameConstants, epsilon: float) -> OptimalMinibatch:
         raise ConfigError("optimal minibatch size needs n >= 2")
     if epsilon <= 0.0:
         raise ConfigError("epsilon must be positive")
-    if gc.sigma1_sq <= gc.ell_max:
-        b_real = 1.0
-    else:
-        t = 2.0 * gc.sigma1_sq / (epsilon * gc.mu)
+    t = _noise_term(gc, gc.sigma1_sq, epsilon)
+    b_real = 1.0
+    if t > gc.ell_max:
         b_real = gc.n * (gc.ell - gc.ell_max + t) / (gc.n * gc.ell - gc.ell_max + t)
-    clamped = min(max(b_real, 1.0), float(gc.n))
-    lo = int(math.floor(clamped))
-    hi = min(int(math.ceil(clamped)), gc.n)
-    best = min((lo, hi), key=lambda b: total_complexity(gc, b, epsilon))
-    return OptimalMinibatch(b_star_real=b_real, b_star=best)
+        # past float range the formula is inf / inf, and min(n, nan) is n; the max
+        # lifts a rounding below 1
+        b_real = max(1.0, min(float(gc.n), b_real))
+    b_star = min(range(1, gc.n + 1), key=lambda b: total_complexity(gc, b, epsilon))
+    return OptimalMinibatch(b_star_real=b_real, b_star=b_star)
 
 
 SGDA_CONSTANT = "sgda_constant"

@@ -335,60 +335,30 @@ def _reject_repeats(kind: str, names) -> None:
 
 
 def _check_methods(methods) -> None:
-    """ConfigError naming the first unknown or repeated method."""
+    """ConfigError if ``methods`` is empty or names an unknown or repeated method."""
+    if not methods:
+        raise ConfigError("need at least one method")
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; known: {METHODS}")
     _reject_repeats("method", methods)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Multi-method multi-seed comparison on one game.
-
-    ``schedule`` is "theory", "switching", or a schedule object, and every
-    method runs with it.  Run i of every method uses seed base_seed + i.
-    """
-
-    game: QuadraticGame
-    methods: tuple[str, ...]
-    scheme: SamplingScheme
-    iterations: int
-    seeds: int
-    schedule: object = "theory"
-    base_seed: int = 0
-
-    def __post_init__(self):
-        if not self.methods:
-            raise ConfigError("need at least one method")
-        if self.seeds < 1:
-            raise ConfigError("need at least one seed")
-        _check_methods(self.methods)
-
-
 @dataclass
 class MethodAggregate:
-    """``seeds`` is the number of runs aggregated and ``running[k]`` the
-    number still running at iteration k; ``diverged`` lists (seed, last
-    iteration) for each run the divergence guard cut short."""
+    """One method's mean relative squared distance per iteration with a 95%
+    normal-approximation confidence band (mean +- 1.96 * sd / sqrt(seeds)),
+    over the seeds still running at that iteration.  ``running[k]`` is the
+    number of those seeds, so ``running[0]`` counts the runs aggregated;
+    ``diverged`` lists (seed, last iteration) for each run the divergence
+    guard cut short."""
 
     method: str
     mean: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
-    seeds: int
     running: np.ndarray
     diverged: tuple[tuple[int, int], ...] = ()
-
-
-@dataclass
-class AggregateTable:
-    """Per (method, iteration) mean relative squared distance with a 95%
-    normal-approximation confidence band (mean +- 1.96 * sd / sqrt(seeds)),
-    over the seeds still running at that iteration."""
-
-    iterations: int
-    rows: list[MethodAggregate]
 
 
 def aggregate_traces(method: str, traces: list[RunTrace]) -> MethodAggregate:
@@ -425,39 +395,41 @@ def aggregate_traces(method: str, traces: list[RunTrace]) -> MethodAggregate:
         mean=mean,
         ci_low=mean - half,
         ci_high=mean + half,
-        seeds=len(traces),
         running=(lengths[:, None] > np.arange(length)).sum(axis=0),
         diverged=tuple((t.seed, len(t.alphas)) for t in traces if t.diverged),
     )
 
 
 def _run_rows(game, rows, iterations, seeds, base_seed, record_traces=False):
-    """(AggregateTable, traces by label) of each (label, method, scheme,
+    """(aggregate rows, traces by label) of each (label, method, scheme,
     schedule) row run on seeds base_seed, ..., base_seed + seeds - 1."""
-    table = AggregateTable(iterations=iterations, rows=[])
+    aggregates: list[MethodAggregate] = []
     traces: dict[str, list[RunTrace]] = {}
     for label, method, scheme, schedule in rows:
         config = RunConfig(method=method, operator=game, scheme=scheme, schedule=schedule,
                            iterations=iterations, seed=base_seed)
         runs = run_batch(config, seeds, record_traces)
-        table.rows.append(aggregate_traces(label, runs))
+        aggregates.append(aggregate_traces(label, runs))
         if record_traces:
             traces[label] = runs
-    return table, traces
+    return aggregates, traces
 
 
-def run_experiment(cfg: ExperimentConfig, record_traces: bool = False):
+def run_experiment(game: QuadraticGame, scheme: SamplingScheme, methods, iterations: int,
+                   seeds: int, schedule="theory", base_seed: int = 0,
+                   record_traces: bool = False):
     """Run every (method, seed) pair and aggregate.
 
-    Returns (AggregateTable, profile of cfg.scheme, traces) where traces
-    maps method -> list of RunTrace, the first seed's with its iterates
-    (empty mapping unless ``record_traces``).
+    ``schedule`` is "theory", "switching", or a schedule object, and every
+    method runs with it.  Run i of every method uses seed base_seed + i.
+    Returns (aggregate rows, traces) where traces maps method -> list of
+    RunTrace, the first seed's with its iterates (empty mapping unless
+    ``record_traces``).
     """
-    prof = profile(cfg.game, cfg.scheme)
-    rows = [(m, m, *entry) for m, entry in method_plan(prof, cfg.methods, cfg.schedule).items()]
-    table, traces = _run_rows(cfg.game, rows, cfg.iterations, cfg.seeds, cfg.base_seed,
-                              record_traces)
-    return table, prof, traces
+    _check_methods(methods)
+    plan = method_plan(profile(game, scheme), methods, schedule)
+    rows = [(m, m, *entry) for m, entry in plan.items()]
+    return _run_rows(game, rows, iterations, seeds, base_seed, record_traces)
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +437,13 @@ def run_experiment(cfg: ExperimentConfig, record_traces: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def emit_csv(table: AggregateTable, path) -> None:
+def emit_csv(rows: list[MethodAggregate], path) -> None:
     """CSV per the fixed schema; floats as shortest round-trip decimals and
     the seeds column as the seeds still running at each iteration."""
-    if not table.rows:
+    if not rows:
         raise ConfigError("refusing to emit an empty table")
     lines = [CSV_HEADER]
-    for row in table.rows:
+    for row in rows:
         columns = zip(row.mean.tolist(), row.ci_low.tolist(), row.ci_high.tolist(),
                       row.running.tolist())
         for k, (mean, low, high, running) in enumerate(columns):
@@ -480,7 +452,7 @@ def emit_csv(table: AggregateTable, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_csv(path) -> AggregateTable:
+def read_csv(path) -> list[MethodAggregate]:
     """Inverse of emit_csv; text that is not UTF-8, a malformed row, a method
     holding a character XML 1.0 cannot hold (a control character other than
     tab, U+FFFE, U+FFFF), a seeds count below 1 or beyond int64, or a method
@@ -508,7 +480,6 @@ def read_csv(path) -> AggregateTable:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     rows = []
-    length = 0
     for method, entries in data.items():
         entries.sort()
         if [entry[0] for entry in entries] != list(range(len(entries))):
@@ -522,12 +493,10 @@ def read_csv(path) -> AggregateTable:
                 mean=arr[:, 0],
                 ci_low=arr[:, 1],
                 ci_high=arr[:, 2],
-                seeds=int(running.max()),
                 running=running,
             )
         )
-        length = max(length, len(entries))
-    return AggregateTable(iterations=length - 1, rows=rows)
+    return rows
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -556,18 +525,18 @@ def _path(xs, ys) -> str:
     return ("%.2f,%.2f " * len(xs) % tuple(pts))[:-1]
 
 
-def emit_svg(table: AggregateTable, path) -> None:
+def emit_svg(rows: list[MethodAggregate], path) -> None:
     """Log-scale line chart, one line per method plus its shaded band.
 
     Hand-rolled SVG so the output is a pure function of the table: byte
     identical on re-emission.
     """
-    if not table.rows:
+    if not rows:
         raise ConfigError("refusing to emit an empty table")
-    k_max = max(row.mean.size - 1 for row in table.rows)
+    k_max = max(row.mean.size - 1 for row in rows)
     # The axis spans the finite values only.
-    means = [row.mean[np.isfinite(row.mean)] for row in table.rows]
-    highs = [row.ci_high[np.isfinite(row.ci_high)] for row in table.rows]
+    means = [row.mean[np.isfinite(row.mean)] for row in rows]
+    highs = [row.ci_high[np.isfinite(row.ci_high)] for row in rows]
     positive = [m[m > 0] for m in means]
     lo_val = min((p.min() for p in positive if p.size), default=1e-12)
     hi_val = max(
@@ -608,7 +577,7 @@ def emit_svg(table: AggregateTable, path) -> None:
         f'<text x="{(_SVG_W + _MARGIN_L - _MARGIN_R) / 2:.2f}" y="{_SVG_H - 12}" '
         f'text-anchor="middle" font-size="12" font-family="sans-serif">iteration</text>'
     )
-    for idx, row in enumerate(table.rows):
+    for idx, row in enumerate(rows):
         color = _PALETTE[idx % len(_PALETTE)]
         ks = np.arange(row.mean.size)
         xs, ys_mean = _svg_coords(ks, row.mean, k_max, log_lo, log_hi)
@@ -647,7 +616,7 @@ def sweep_step_sizes(
     iterations: int,
     seeds: int,
     base_seed: int = 0,
-) -> AggregateTable:
+) -> list[MethodAggregate]:
     """Constant-step study: every method at multiplier x its theory step.
 
     Rows are labelled "method@multiplier".  Diverging configurations are

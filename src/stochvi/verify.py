@@ -61,13 +61,17 @@ def sample_points(
     """Gaussian probe points around ``center``, rescaled into the radius ball.
 
     Directions are standard normal scaled by radius/sqrt(d); any draw whose
-    distance exceeds the radius is pulled back onto the sphere.
+    distance exceeds the radius is pulled back onto the sphere.  A distance
+    beyond float range would pull every probe onto the center: ConfigError.
     """
     if not radius >= 0.0:
         raise ConfigError(f"radius must be >= 0, got {radius}")
     d = center.shape[0]
-    pts = center + rng.standard_normal((count, d)) * (radius / np.sqrt(d))
-    dist = np.linalg.norm(pts - center, axis=1)
+    with np.errstate(over="ignore"):
+        pts = center + rng.standard_normal((count, d)) * (radius / np.sqrt(d))
+        dist = np.linalg.norm(pts - center, axis=1)
+    if not np.isfinite(dist).all():
+        raise ConfigError(f"radius {radius} puts probe distances beyond float range")
     over = dist > radius
     if np.any(over):
         pts[over] = center + (pts[over] - center) * (radius / dist[over])[:, None]

@@ -340,12 +340,10 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
             assert a.tobytes() == b.tobytes()
 
         scheme = SamplingScheme.single_element(6)
-        ecfg = E.ExperimentConfig(
-            game=g1, methods=("sgda", "sco"), scheme=scheme, schedule="theory",
-            iterations=100, seeds=5, base_seed=0,
-        )
-        t1, _, _ = E.run_experiment(ecfg)
-        t2, _, _ = E.run_experiment(ecfg)
+        t1, _ = E.run_experiment(g1, scheme, ("sgda", "sco"), iterations=100, seeds=5,
+                                 schedule="theory", base_seed=0)
+        t2, _ = E.run_experiment(g1, scheme, ("sgda", "sco"), iterations=100, seeds=5,
+                                 schedule="theory", base_seed=0)
         c1, c2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
         s1, s2 = tmp_path / "t1.svg", tmp_path / "t2.svg"
         E.emit_csv(t1, c1)

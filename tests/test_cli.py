@@ -84,7 +84,7 @@ def test_run_emits_csv_and_svg(game_file, tmp_path):
     ])
     assert code == 0
     table = E.read_csv(csv)
-    assert [r.method for r in table.rows] == ["sgda", "sco"]
+    assert [r.method for r in table] == ["sgda", "sco"]
     assert svg.read_text().startswith("<svg")
 
 
@@ -256,7 +256,7 @@ def test_sweep_multipliers(game_file, tmp_path):
     ])
     assert code == 0
     table = E.read_csv(out)
-    assert [r.method for r in table.rows] == ["sgda@0.5", "sgda@1"]
+    assert [r.method for r in table] == ["sgda@0.5", "sgda@1"]
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -360,7 +360,7 @@ def test_run_and_plot_draw_non_finite_statistics(game_file, tmp_path, seeds):
         assert main(["run", "--game", str(game_file), "--method", "sgda",
                      "--schedule", "constant", "--alpha", "1e200", "--iters", "5",
                      "--seeds", seeds, "--out", str(csv), "--svg", str(svg)]) == 0
-    row = E.read_csv(csv).rows[0]
+    row = E.read_csv(csv)[0]
     assert row.mean[1] == math.inf and not np.isfinite(row.ci_high[1])
     assert main(["plot", "--csv", str(csv), "--svg", str(replot)]) == 0
     assert svg.read_bytes() == replot.read_bytes()
@@ -466,7 +466,7 @@ def test_run_reports_diverged_seeds(game_file, tmp_path, capsys):
     assert captured.out == f"wrote {out}\n"
     reports = _divergence_reports(captured.err)
     assert list(reports) == ["sgda", "sco"]
-    for row in E.read_csv(out).rows:
+    for row in E.read_csv(out):
         stops = reports[row.method]
         assert [seed for seed, _ in stops] == [0, 1, 2]
         # the table keeps the iterations every seed reached
@@ -769,6 +769,36 @@ def test_any_argv_maps_to_a_documented_exit_code(cli_files, data):
             code = 2
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("value", ["5e-324", "1e-320", "1e200", "1e308"])
+@pytest.mark.parametrize("command", ["generate", "constants", "run", "verify", "sweep"])
+def test_extreme_finite_floats_map_to_documented_exit_codes(tmp_path, command, value):
+    game = str(tmp_path / "game.json")
+    assert main(["generate", "--n", "3", "--d1", "2", "--d2", "2", "--out", game]) == 0
+    out = str(tmp_path / "out.csv")
+    argv = {
+        "generate": ["generate", "--n", "3", "--d1", "2", "--d2", "2", "--l-a", value,
+                     "--out", str(tmp_path / "other.json")],
+        "constants": ["constants", game, "--epsilon", value],
+        "run": ["run", "--game", game, "--method", "sgda", "--schedule", "constant",
+                "--alpha", value, "--iters", "20", "--seeds", "2", "--out", out],
+        "verify": ["verify", game, "--radius", value, "--points", "2"],
+        "sweep": ["sweep", "--game", game, "--methods", "sgda", "--multipliers", value,
+                  "--iters", "20", "--seeds", "2", "--out", out],
+    }[command]
+    stdout, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in ((0, 1, 2, 3) if command == "verify" else (0, 2, 3)), argv
+    if (command, value) == ("constants", "1e-320"):
+        # the noise term overflows: the argmin is the full batch
+        assert code == 0 and "b_star: 3" in stdout.getvalue().splitlines()
+    if command == "verify" and float(value) >= 1e200:
+        # probes this far out would all land on the equilibrium
+        assert code == 2
+        assert err.getvalue() == (f"configuration error: radius {float(value)} puts probe "
+                                  "distances beyond float range\n")
 
 
 # ---------------------------------------------------------------------------

@@ -478,8 +478,10 @@ def make_constants(n, mu, ell, ell_max, sigma1_sq):
 
 
 def test_optimal_minibatch_low_noise_is_one():
+    # t = 2 sigma1^2 / (eps mu) = 4 = ell_max: total complexity 8.0 at b=1
+    # against 9.33 at b=2
     gc = make_constants(10, 1.0, 1.0, 4.0, 2.0)
-    out = C.optimal_minibatch(gc, epsilon=0.1)
+    out = C.optimal_minibatch(gc, epsilon=1.0)
     assert out.b_star_real == 1.0
     assert out.b_star == 1
 
@@ -499,6 +501,52 @@ def test_optimal_minibatch_noise_limit_is_full_batch():
     out = C.optimal_minibatch(gc, epsilon=1.0)
     assert out.b_star_real == pytest.approx(20.0, rel=1e-6)
     assert out.b_star == 20
+
+
+def assert_brute_force_argmin(gc, epsilon):
+    # b_star is the first b of 1..n at the least total complexity, and the
+    # real-valued optimizer lies in [1, n]
+    out = C.optimal_minibatch(gc, epsilon)
+    costs = [C.total_complexity(gc, b, epsilon) for b in range(1, gc.n + 1)]
+    assert out.b_star == 1 + costs.index(min(costs))
+    assert 1.0 <= out.b_star_real <= gc.n
+    return out
+
+
+EPSILONS = st.sampled_from([5e-324, 1e-320, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 1e300, 1e308])
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 8), epsilon=EPSILONS)
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+def test_optimal_minibatch_is_the_argmin_on_generated_games(seed, n, epsilon):
+    cfg = E.GameGenConfig(n=n, d1=2, d2=3, mu_a=0.5, l_a=4.0, mu_b=0.0, l_b=2.0,
+                          mu_c=0.5, l_c=4.0, seed=seed)
+    assert_brute_force_argmin(C.game_constants(E.generate_game(cfg)), epsilon)
+
+
+@given(
+    n=st.integers(2, 30),
+    mu=st.floats(0.01, 10.0),
+    ell=st.floats(0.1, 10.0),
+    excess=st.floats(1.01, 10.0),
+    sigma1_sq=st.floats(0.0, 100.0),
+    epsilon=EPSILONS,
+)
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+def test_optimal_minibatch_above_n_ell_is_full_batch(n, mu, ell, excess, sigma1_sq, epsilon):
+    # ell_max > n ell: b ell_xi(b) falls with b as b sigma^2(b) does, so the
+    # argmin is n (at ell_max = n ell, b ell_xi(b) is flat up to rounding)
+    gc = make_constants(n, mu, ell, excess * n * ell, sigma1_sq)
+    assert assert_brute_force_argmin(gc, epsilon).b_star == n
+
+
+@pytest.mark.parametrize("mu", [0.4, 1.0])
+@pytest.mark.parametrize("epsilon", [5e-324, 1e-320])
+def test_optimal_minibatch_past_float_range_is_full_batch(mu, epsilon):
+    # t overflows, or eps mu underflows to 0 (mu = 0.4 at 5e-324): the
+    # formula's limit n
+    out = assert_brute_force_argmin(make_constants(10, mu, 1.0, 4.0, 2.0), epsilon)
+    assert (out.b_star_real, out.b_star) == (10.0, 10)
 
 
 def test_optimal_minibatch_needs_two_components():

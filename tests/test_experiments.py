@@ -197,12 +197,10 @@ def test_game_file_version_gate(tmp_path):
 def test_single_method_single_seed_equals_trace():
     game = E.generate_game(small_cfg(seed=12))
     scheme = SamplingScheme.single_element(game.n)
-    cfg = E.ExperimentConfig(
-        game=game, methods=("sgda",), scheme=scheme,
-        schedule="theory", iterations=50, seeds=1, base_seed=3,
-    )
-    table, prof, _ = E.run_experiment(cfg)
-    row = table.rows[0]
+    rows, _ = E.run_experiment(game, scheme, ("sgda",), iterations=50, seeds=1,
+                               schedule="theory", base_seed=3)
+    prof = E.profile(game, scheme)
+    row = rows[0]
     trace = run(
         RunConfig(
             method="sgda", operator=game, scheme=scheme,
@@ -217,11 +215,10 @@ def test_single_method_single_seed_equals_trace():
 
 def test_recorded_iterates_only_for_first_seed():
     game = E.generate_game(small_cfg(seed=12))
-    cfg = E.ExperimentConfig(
-        game=game, methods=("sgda", "gda"), scheme=SamplingScheme.single_element(game.n),
-        schedule="theory", iterations=30, seeds=3, base_seed=2,
+    _, traces = E.run_experiment(
+        game, SamplingScheme.single_element(game.n), ("sgda", "gda"),
+        iterations=30, seeds=3, schedule="theory", base_seed=2, record_traces=True,
     )
-    _, _, traces = E.run_experiment(cfg, record_traces=True)
     for method, method_traces in traces.items():
         first, *later = method_traces
         assert first.seed == 2 and first.iterates.shape == (31, game.dim)
@@ -231,13 +228,11 @@ def test_recorded_iterates_only_for_first_seed():
 
 def test_iteration_zero_mean_is_one():
     game = E.generate_game(small_cfg(seed=13))
-    cfg = E.ExperimentConfig(
-        game=game, methods=("sgda", "shgd", "sco"),
-        scheme=SamplingScheme.single_element(game.n),
-        schedule="theory", iterations=20, seeds=4, base_seed=0,
+    rows, _ = E.run_experiment(
+        game, SamplingScheme.single_element(game.n), ("sgda", "shgd", "sco"),
+        iterations=20, seeds=4, schedule="theory", base_seed=0,
     )
-    table, _, _ = E.run_experiment(cfg)
-    for row in table.rows:
+    for row in rows:
         assert row.mean[0] == pytest.approx(1.0, abs=1e-12)
         assert row.ci_low[0] <= row.mean[0] <= row.ci_high[0]
 
@@ -247,11 +242,10 @@ def test_deterministic_methods_use_full_batch_constants():
     # of the stochastic scheme the other methods run on
     game = E.generate_game(small_cfg(seed=17))
     gc = C.game_constants(game)
-    cfg = E.ExperimentConfig(
-        game=game, methods=("gda", "sgda"), scheme=SamplingScheme.single_element(game.n),
-        schedule="theory", iterations=10, seeds=1, base_seed=0,
-    )
-    _, prof, traces = E.run_experiment(cfg, record_traces=True)
+    scheme = SamplingScheme.single_element(game.n)
+    _, traces = E.run_experiment(game, scheme, ("gda", "sgda"), iterations=10, seeds=1,
+                                 schedule="theory", base_seed=0, record_traces=True)
+    prof = E.profile(game, scheme)
     assert traces["gda"][0].alphas[0] == pytest.approx(1.0 / (2.0 * gc.ell), rel=1e-12)
     assert traces["sgda"][0].alphas[0] == pytest.approx(
         1.0 / (2.0 * prof.ec.ell_xi), rel=1e-12
@@ -266,14 +260,11 @@ def test_sweep_deterministic_methods_match_run_experiment_theory_rows():
     game = E.generate_game(small_cfg(seed=17))
     scheme = SamplingScheme.single_element(game.n)
     methods = ("gda", "co", "sgda", "sco", "shgd")
-    cfg = E.ExperimentConfig(
-        game=game, methods=methods, scheme=scheme,
-        schedule="theory", iterations=20, seeds=2, base_seed=0,
-    )
-    table, _, _ = E.run_experiment(cfg)
+    rows, _ = E.run_experiment(game, scheme, methods, iterations=20, seeds=2,
+                               schedule="theory", base_seed=0)
     swept = E.sweep_step_sizes(game, scheme, methods, (1.0,), iterations=20, seeds=2)
-    assert [row.method for row in swept.rows] == [f"{m}@1" for m in methods]
-    for got, want in zip(swept.rows, table.rows, strict=True):
+    assert [row.method for row in swept] == [f"{m}@1" for m in methods]
+    for got, want in zip(swept, rows, strict=True):
         for field in ("mean", "ci_low", "ci_high"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
@@ -296,7 +287,7 @@ def test_sweep_cli_with_minibatch_scheme(tmp_path):
         "--b", "4", "--multipliers", "0.5,1", "--iters", "20", "--seeds", "2",
         "--out", str(out),
     ]) == 0
-    assert [row.method for row in E.read_csv(out).rows] == ["sgda@0.5", "sgda@1"]
+    assert [row.method for row in E.read_csv(out)] == ["sgda@0.5", "sgda@1"]
 
 
 def test_sweep_builds_every_schedule_before_any_run(tmp_path, monkeypatch):
@@ -325,13 +316,10 @@ def test_constant_step_plateau_near_theory():
     scheme = SamplingScheme.single_element(game.n)
     prof = E.profile(game, scheme)
     alpha = 1.0 / (2.0 * prof.ec.ell_xi)
-    cfg = E.ExperimentConfig(
-        game=game, methods=("sgda",), scheme=scheme,
-        schedule="theory", iterations=5000, seeds=5, base_seed=0,
-    )
-    table, _, _ = E.run_experiment(cfg)
+    rows, _ = E.run_experiment(game, scheme, ("sgda",), iterations=5000, seeds=5,
+                               schedule="theory", base_seed=0)
     plateau = 2.0 * alpha * prof.ec.sigma_sq / prof.game_constants.mu
-    tail = table.rows[0].mean[-200:].mean()
+    tail = rows[0].mean[-200:].mean()
     assert tail <= 1.5 * plateau
 
 
@@ -342,12 +330,11 @@ def test_constant_step_plateau_near_theory():
 
 def aggregate_fixture():
     game = E.generate_game(small_cfg(seed=15))
-    cfg = E.ExperimentConfig(
-        game=game, methods=("sgda", "shgd"), scheme=SamplingScheme.single_element(game.n),
-        schedule="theory", iterations=30, seeds=3, base_seed=0,
+    rows, _ = E.run_experiment(
+        game, SamplingScheme.single_element(game.n), ("sgda", "shgd"),
+        iterations=30, seeds=3, schedule="theory", base_seed=0,
     )
-    table, _, _ = E.run_experiment(cfg)
-    return table
+    return rows
 
 
 def test_csv_schema_and_roundtrip(tmp_path):
@@ -358,9 +345,9 @@ def test_csv_schema_and_roundtrip(tmp_path):
     assert lines[0] == "method,iteration,mean_rel_dist,ci_low,ci_high,seeds"
     assert len(lines) == 1 + 2 * 31
     loaded = E.read_csv(path)
-    for src, dst in zip(table.rows, loaded.rows):
+    for src, dst in zip(table, loaded):
         assert src.method == dst.method
-        assert src.seeds == dst.seeds
+        assert src.running[0] == dst.running[0]
         assert src.mean.tobytes() == dst.mean.tobytes()
         assert src.ci_low.tobytes() == dst.ci_low.tobytes()
         assert src.ci_high.tobytes() == dst.ci_high.tobytes()
@@ -393,16 +380,16 @@ def test_aggregate_over_running_seeds(tmp_path):
                                  seed=0), 8)
     row = E.aggregate_traces("sgda", traces)
     assert len({len(t.dist_sq) for t in traces}) > 2
-    assert row.mean.size == 301 and row.seeds == 8
+    assert row.mean.size == 301 and row.running[0] == 8
     for k in range(301):
         alive = [t.dist_sq[k] / t.dist_sq[0] for t in traces if len(t.dist_sq) > k]
         assert row.running[k] == len(alive)
         assert row.mean[k] == pytest.approx(np.mean(alive), rel=1e-12)
     assert row.running[0] == 8 and 0 < row.running[-1] < 8
     path = tmp_path / "ragged.csv"
-    E.emit_csv(E.AggregateTable(iterations=300, rows=[row]), path)
-    loaded = E.read_csv(path).rows[0]
-    assert loaded.seeds == 8
+    E.emit_csv([row], path)
+    loaded = E.read_csv(path)[0]
+    assert loaded.running[0] == 8
     assert np.array_equal(loaded.running, row.running)
     assert loaded.mean.tobytes() == row.mean.tobytes()
 
@@ -454,9 +441,9 @@ def test_svg_path_formats_as_the_per_point_join(xs, ys):
 
 def test_empty_table_rejected(tmp_path):
     with pytest.raises(ConfigError):
-        E.emit_csv(E.AggregateTable(iterations=0, rows=[]), tmp_path / "x.csv")
+        E.emit_csv([], tmp_path / "x.csv")
     with pytest.raises(ConfigError):
-        E.emit_svg(E.AggregateTable(iterations=0, rows=[]), tmp_path / "x.svg")
+        E.emit_svg([], tmp_path / "x.svg")
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +463,11 @@ def test_method_plateau_ordering_at_desk_scale():
     game = E.generate_game(cfg_gen)
     prof = E.profile(game, SamplingScheme.single_element(game.n))
     assert prof.kappa_g == pytest.approx(5.0, abs=1.0)
-    cfg = E.ExperimentConfig(
-        game=game, methods=("sgda", "sco", "shgd"),
-        scheme=SamplingScheme.single_element(game.n),
-        schedule="theory", iterations=1000, seeds=5, base_seed=0,
+    rows, _ = E.run_experiment(
+        game, SamplingScheme.single_element(game.n), ("sgda", "sco", "shgd"),
+        iterations=1000, seeds=5, schedule="theory", base_seed=0,
     )
-    table, _, _ = E.run_experiment(cfg)
-    tails = {row.method: row.mean[-200:].mean() for row in table.rows}
+    tails = {row.method: row.mean[-200:].mean() for row in rows}
     assert tails["sgda"] <= tails["shgd"]
     assert tails["sco"] <= tails["shgd"]
 
@@ -495,14 +480,11 @@ def test_switching_beats_constant_plateau():
     prof = E.profile(game, scheme)
     sched = E.switching_schedule("sgda", prof)
     horizon = 20 * sched.switch_point
-    cfg = E.ExperimentConfig(
-        game=game, methods=("sgda",), scheme=scheme,
-        schedule="switching", iterations=horizon, seeds=20, base_seed=0,
-    )
-    table, _, _ = E.run_experiment(cfg)
+    rows, _ = E.run_experiment(game, scheme, ("sgda",), iterations=horizon, seeds=20,
+                               schedule="switching", base_seed=0)
     alpha = 1.0 / (2.0 * prof.ec.ell_xi)
     plateau = 2.0 * alpha * prof.ec.sigma_sq / prof.game_constants.mu
-    assert table.rows[0].mean[horizon] <= 0.1 * plateau
+    assert rows[0].mean[horizon] <= 0.1 * plateau
 
 
 def test_sco_switching_experiment_runs_the_hand_built_schedule():
@@ -513,9 +495,8 @@ def test_sco_switching_experiment_runs_the_hand_built_schedule():
     sched = ScoSwitchingSchedule(ell_xi=C.ec_constants(gc, scheme, game).ell_xi,
                                  cal_l_h=ham.cal_l_h, mu=gc.mu, mu_h=ham.mu_h)
     iterations = 3 * sched.switch_point
-    cfg = E.ExperimentConfig(game=game, methods=("sco",), scheme=scheme,
-                             schedule="switching", iterations=iterations, seeds=3)
-    _, _, traces = E.run_experiment(cfg, record_traces=True)
+    _, traces = E.run_experiment(game, scheme, ("sco",), iterations=iterations, seeds=3,
+                                 schedule="switching", record_traces=True)
     expected = run_batch(RunConfig(method="sco", operator=game, scheme=scheme,
                                    schedule=sched, iterations=iterations, seed=0), 3)
     for got, want in zip(traces["sco"], expected, strict=True):
@@ -530,8 +511,17 @@ def test_sweep_step_sizes_labels_and_shape():
         game, SamplingScheme.single_element(game.n),
         methods=("sgda",), multipliers=(0.5, 1.0), iterations=40, seeds=2,
     )
-    assert [row.method for row in table.rows] == ["sgda@0.5", "sgda@1"]
-    assert all(row.mean.size == 41 for row in table.rows)
+    assert [row.method for row in table] == ["sgda@0.5", "sgda@1"]
+    assert all(row.mean.size == 41 for row in table)
+
+
+def test_run_and_sweep_reject_an_empty_method_list():
+    game = E.generate_game(small_cfg(seed=16))
+    scheme = SamplingScheme.single_element(game.n)
+    with pytest.raises(ConfigError, match="need at least one method"):
+        E.run_experiment(game, scheme, (), iterations=5, seeds=1)
+    with pytest.raises(ConfigError, match="need at least one method"):
+        E.sweep_step_sizes(game, scheme, (), (1.0,), iterations=5, seeds=1)
 
 
 def test_find_generator_hits_target_kappa():

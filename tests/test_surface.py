@@ -4,13 +4,16 @@ package outside its own definition, and every error type is raised or caught
 by some other module of the package.  A name that only tests use, such as a
 test oracle, belongs in tests/.  A further guard holds QuadraticGame to the
 method names the benchmark's tracer looks up in its class body, another
+holds the benchmark's per-layer function names to the package, another
 keeps command-line flag names in cli.py, and a last one fails on an import
 that its module never uses."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
+from stochvi import experiments, verify
 from stochvi.operators import QuadraticGame
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -138,3 +141,22 @@ def test_traced_game_methods_are_in_the_class_body():
     assert len(names) == 1 and names[0], "tracer.py defines no GAME_METHODS tuple"
     missing = [name for name in names[0] if name not in QuadraticGame.__dict__]
     assert not missing, "GAME_METHODS not in QuadraticGame's class body: " + ", ".join(missing)
+
+
+def test_traced_layer_functions_exist():
+    # perfbench/run.py reads each per-layer metric of its EXPERIMENTS and
+    # VERIFY maps from the traced spans of a function it names, so a renamed
+    # or deleted function would read 0 without failing.  NUMERICS is left
+    # out: it still names random_orthogonal and symmetric_eigenvalues, which
+    # numerics no longer has, and those metrics read 0 today.  run.py is
+    # parsed, not imported.
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    maps = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and getattr(node.targets[0], "id", None) in ("EXPERIMENTS", "VERIFY")}
+    assert sorted(maps) == ["EXPERIMENTS", "VERIFY"], "run.py lacks EXPERIMENTS or VERIFY"
+    missing = [f"{module.__name__}.{name}"
+               for key, module in (("EXPERIMENTS", experiments), ("VERIFY", verify))
+               for name in maps[key].values()
+               if not inspect.isfunction(getattr(module, name, None))]
+    assert not missing, "traced functions the package lacks: " + ", ".join(missing)

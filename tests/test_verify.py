@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ def test_check_ec_margin_zero_at_equilibrium():
     report = V.check_ec(game, scheme, ell_xi, points=10, radius=0.0, rng=numerics.make_rng(2))
     assert report.passed
     assert report.worst_margin == 0.0
+
+
+def test_probe_distances_beyond_float_range_are_a_config_error():
+    # |x - x*| overflows long before the radius does (dim 4 here, from about
+    # 1e154); the probes would all be pulled onto the equilibrium and every
+    # margin read 0
+    game = random_game(3, 2, 2, seed=71)
+    scheme = SamplingScheme.single_element(3)
+    pts = V.sample_points(np.zeros(4), 5, 1e150, numerics.make_rng(2))
+    assert np.isfinite(pts).all() and np.linalg.norm(pts, axis=1).max() > 0.0
+    for radius in (1e200, 1e308):
+        with pytest.raises(ConfigError, match=re.escape(f"radius {radius} ")):
+            V.check_ec(game, scheme, 1.0, points=2, radius=radius, rng=numerics.make_rng(2))
 
 
 def test_check_ec_needs_equilibrium():

@@ -6,11 +6,10 @@ from .operators import CosineOperator, FiniteSumOperator, QuadraticGame
 from .sampling import SamplingScheme
 from .solvers import (
     ConstantSchedule,
-    RunConfig,
     RunTrace,
     ScoSwitchingSchedule,
     SgdaSwitchingSchedule,
-    run,
+    run_batch,
 )
 
 __version__ = "0.1.0"
@@ -23,9 +22,8 @@ __all__ = [
     "ConstantSchedule",
     "SgdaSwitchingSchedule",
     "ScoSwitchingSchedule",
-    "RunConfig",
     "RunTrace",
-    "run",
+    "run_batch",
     "constants",
     "experiments",
     "numerics",

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from . import experiments as exps
 from . import numerics, verify
 from .errors import ConfigError, NumericalError, UnsupportedSchemeError
 from .sampling import SamplingScheme
-from .solvers import METHODS, ConstantSchedule, RunConfig, run_batch
+from .solvers import METHODS, ConstantSchedule, run_batch
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -69,6 +70,23 @@ def _resolve(args, path_str: str) -> Path:
     base = Path(args.out_dir)
     base.mkdir(parents=True, exist_ok=True)
     return base / p
+
+
+def _check_paths(args) -> None:
+    """Reject an output that names the file of an input (read as given) or of
+    another output (written under --out-dir when relative)."""
+    seen = {}
+    for name in ("game", "csv", "out", "svg", "dump_iterates"):
+        given = getattr(args, name, None)
+        if given is None:
+            continue
+        out_dir = args.out_dir if name in ("out", "svg", "dump_iterates") else None
+        path = os.path.realpath(os.path.join(out_dir or "", given))
+        flag = "game" if (args.command, name) == ("verify", "game") else f"--{name}"
+        flag = flag.replace("_", "-")
+        if path in seen:
+            raise ConfigError(f"{seen[path]} and {flag} name the same file {path!r}")
+        seen[path] = flag
 
 
 def _scheme(args, n: int) -> SamplingScheme:
@@ -192,9 +210,8 @@ def cmd_verify(args) -> int:
 
     def envelope():
         own, schedule = exps.method_plan(prof, ("sgda",))["sgda"]
-        config = RunConfig(method="sgda", operator=game, scheme=own, schedule=schedule,
-                           iterations=args.envelope_iters, seed=args.seed)
-        traces = run_batch(config, args.envelope_seeds)
+        traces = run_batch(game, own, "sgda", args.envelope_iters, args.envelope_seeds,
+                           schedule, args.seed)
         params = dict(alpha=schedule.alpha, mu=gc.mu, ell_xi=ec.ell_xi, sigma_sq=ec.sigma_sq)
         return verify.check_bound_envelope(traces, consts.SGDA_CONSTANT, params, 1.05)
 
@@ -405,6 +422,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_paths(args)
         with np.errstate(all="ignore"):
             return args.func(args)
     except (NumericalError, np.linalg.LinAlgError) as exc:

@@ -30,7 +30,6 @@ from .solvers import (
     SGDA,
     TERMS,
     ConstantSchedule,
-    RunConfig,
     RunTrace,
     ScoSwitchingSchedule,
     SgdaSwitchingSchedule,
@@ -396,7 +395,7 @@ def aggregate_traces(method: str, traces: list[RunTrace]) -> MethodAggregate:
         ci_low=mean - half,
         ci_high=mean + half,
         running=(lengths[:, None] > np.arange(length)).sum(axis=0),
-        diverged=tuple((t.seed, len(t.alphas)) for t in traces if t.diverged),
+        diverged=tuple((t.seed, len(t.dist_sq) - 1) for t in traces if t.diverged),
     )
 
 
@@ -406,9 +405,8 @@ def _run_rows(game, rows, iterations, seeds, base_seed, record_traces=False):
     aggregates: list[MethodAggregate] = []
     traces: dict[str, list[RunTrace]] = {}
     for label, method, scheme, schedule in rows:
-        config = RunConfig(method=method, operator=game, scheme=scheme, schedule=schedule,
-                           iterations=iterations, seed=base_seed)
-        runs = run_batch(config, seeds, record_traces)
+        runs = run_batch(game, scheme, method, iterations, seeds, schedule, base_seed,
+                         record_iterates=record_traces)
         aggregates.append(aggregate_traces(label, runs))
         if record_traces:
             traces[label] = runs

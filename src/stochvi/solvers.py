@@ -219,78 +219,35 @@ def _row_dots(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One seeded solver run.
-
-    A run is recorded as its distance to the equilibrium, so the operator
-    must have one.  The default initial point is a seed-derived
-    standard-normal direction placed at distance exactly 1 from it (traces
-    are then directly relative distances).
-    """
-
-    method: str
-    operator: FiniteSumOperator
-    scheme: SamplingScheme
-    schedule: object
-    iterations: int
-    seed: int
-    x0: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}; known: {METHODS}")
-        if self.iterations < 0:
-            raise ConfigError("iterations must be >= 0")
-        if self.scheme.n != self.operator.n:
-            raise ConfigError(
-                f"scheme is for n={self.scheme.n}, operator has n={self.operator.n}"
-            )
-        if self.method in DETERMINISTIC_METHODS and not self.scheme.is_deterministic:
-            raise ConfigError(f"{self.method} requires the full-batch scheme")
-        if not self.operator.has_equilibrium:
-            raise ConfigError(f"{type(self.operator).__name__} has no equilibrium to run against")
-
-
 @dataclass
 class RunTrace:
     """Per-iteration record of one run.
 
     dist_sq, the squared distance to the equilibrium, has length
     iterations+1 unless the divergence guard truncated the run, in which
-    case ``diverged`` is set and it ends at the offending iterate.
+    case ``diverged`` is set and it ends at the offending iterate; the run
+    took len(dist_sq) - 1 steps.
     """
 
     method: str
     seed: int
     dist_sq: np.ndarray
     final_x: np.ndarray
-    alphas: np.ndarray
-    gammas: np.ndarray
     diverged: bool = False
     iterates: np.ndarray | None = None
 
 
-def _initial_point(config: RunConfig, rng: np.random.Generator, x_star) -> np.ndarray:
-    if config.x0 is not None:
-        x0 = np.asarray(config.x0, dtype=float)
-        if x0.shape != (config.operator.dim,):
-            raise ConfigError("x0 has the wrong dimension")
-        return x0.copy()
-    g = rng.standard_normal(config.operator.dim)
-    g /= np.linalg.norm(g)
-    return x_star + g
+def run_batch(operator: FiniteSumOperator, scheme: SamplingScheme, method: str,
+              iterations: int, seeds: int, schedule, base_seed: int = 0, *,
+              x0=None, record_iterates: bool = False) -> list[RunTrace]:
+    """Run ``method`` for ``iterations`` steps once per seed base_seed, ...,
+    base_seed + seeds - 1, advancing all seeds together on (seeds, dim)
+    arrays; deterministic given the seeds, traces in seed order.
 
-
-def run(config: RunConfig, record_iterates: bool = False) -> RunTrace:
-    """Execute the configured run; deterministic given the seed.  This is
-    run_batch with one seed."""
-    return run_batch(config, 1, record_iterates)[0]
-
-
-def run_batch(config: RunConfig, seeds: int, record_iterates: bool = False) -> list[RunTrace]:
-    """Run ``config`` once per seed config.seed, ..., config.seed + seeds - 1,
-    advancing all seeds together on (seeds, dim) arrays; traces in seed order.
+    A run is recorded as its distance to the equilibrium, so the operator
+    must have one.  Each seed starts at ``x0`` or, by default, at a
+    seed-derived standard-normal direction placed at distance exactly 1 from
+    it (traces are then directly relative distances).
 
     Per iteration: evaluate (alpha_k, gamma_k), take seed s's v draw and, when
     a nonzero Hamiltonian step will be taken, its u draw, and apply the step.
@@ -308,36 +265,50 @@ def run_batch(config: RunConfig, seeds: int, record_iterates: bool = False) -> l
     warnings silenced, and those steps are thrown away.  ``record_iterates``
     keeps the first seed's iterates.
     """
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; known: {METHODS}")
+    if iterations < 0:
+        raise ConfigError("iterations must be >= 0")
     if seeds < 1:
         raise ConfigError("need at least one seed")
-    op = config.operator
-    k_max = config.iterations
-    x_star = op.equilibrium()
-    steps = [_applied_steps(config.method, *config.schedule.at(k)) for k in range(k_max)]
-    alphas = np.array([a for a, _ in steps])
-    gammas = np.array([g for _, g in steps])
-    # Draw position of each step's v; its u, when drawn, follows it.
-    counts = 1 + (gammas != 0.0)
+    if scheme.n != operator.n:
+        raise ConfigError(f"scheme is for n={scheme.n}, operator has n={operator.n}")
+    if method in DETERMINISTIC_METHODS and not scheme.is_deterministic:
+        raise ConfigError(f"{method} requires the full-batch scheme")
+    if not operator.has_equilibrium:
+        raise ConfigError(f"{type(operator).__name__} has no equilibrium to run against")
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (operator.dim,):
+            raise ConfigError("x0 has the wrong dimension")
+    x_star, dim = operator.equilibrium(), operator.dim
+    steps = [_applied_steps(method, *schedule.at(k)) for k in range(iterations)]
+    # Draw position of each step's v; its u, drawn when gamma_k != 0, follows it.
+    counts = 1 + (np.array([g for _, g in steps]) != 0.0)
     v_at = (np.cumsum(counts) - counts).tolist()
 
     xs, draws = [], []
-    for seed in range(config.seed, config.seed + seeds):
+    for seed in range(base_seed, base_seed + seeds):
         rng = numerics.make_rng(seed)
-        xs.append(_initial_point(config, rng, x_star))
-        draws.append(draw_many(config.scheme, rng, int(counts.sum())))
+        if x0 is None:
+            g = rng.standard_normal(dim)
+            xs.append(x_star + g / np.linalg.norm(g))
+        else:
+            xs.append(x0)
+        draws.append(draw_many(scheme, rng, int(counts.sum())))
     x = np.stack(xs)
     # draws[r, s] is seed s's r-th draw.
     draws = None if draws[0] is None else np.stack(draws, axis=1)
-    estimator = _BatchEstimator(op, config.scheme)
+    estimator = _BatchEstimator(operator, scheme)
 
-    dist = np.empty((seeds, k_max + 1))
-    iterates = np.empty((k_max + 1, op.dim)) if record_iterates else None
-    steps_done = np.full(seeds, k_max)
+    dist = np.empty((seeds, iterations + 1))
+    iterates = np.empty((iterations + 1, dim)) if record_iterates else None
+    steps_done = np.full(seeds, iterations)
     diverged = np.zeros(seeds, dtype=bool)
-    final_x = np.empty((seeds, op.dim))
+    final_x = np.empty((seeds, dim))
     active = np.arange(seeds)
     # Each step writes its iterates into the next row of the block.
-    blocks = np.empty((min(BLOCK, k_max), seeds, op.dim))
+    blocks = np.empty((min(BLOCK, iterations), seeds, dim))
 
     d0 = dist[:, 0] = _row_dots(x - x_star)
     # A row within its limit is finite and not diverged, so one comparison
@@ -347,8 +318,8 @@ def run_batch(config: RunConfig, seeds: int, record_iterates: bool = False) -> l
         iterates[0] = x[0]
     # The guard reports a run that overflows, so numpy need not warn too.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, k_max, BLOCK):
-            block = blocks[:min(BLOCK, k_max - start), :active.size]
+        for start in range(0, iterations, BLOCK):
+            block = blocks[:min(BLOCK, iterations - start), :active.size]
             for k, row in enumerate(block, start):
                 alpha, gamma = steps[k]
                 if alpha == 0.0 and gamma == 0.0:
@@ -373,7 +344,7 @@ def run_batch(config: RunConfig, seeds: int, record_iterates: bool = False) -> l
                     x = x - alpha * val_v
                 x = np.subtract(x, gamma * grad, out=row)
             stop = start + len(block) + 1
-            d = _row_dots((block - x_star).reshape(-1, op.dim)).reshape(len(block), -1)
+            d = _row_dots((block - x_star).reshape(-1, dim)).reshape(len(block), -1)
             dist[active, start + 1:stop] = d.T
             if iterates is not None and active[0] == 0:
                 iterates[start + 1:stop] = block[:, 0]
@@ -397,15 +368,12 @@ def run_batch(config: RunConfig, seeds: int, record_iterates: bool = False) -> l
 
     traces = []
     for s in range(seeds):
-        done = steps_done[s]
-        end = done + 1
+        end = steps_done[s] + 1
         traces.append(RunTrace(
-            method=config.method,
-            seed=config.seed + s,
+            method=method,
+            seed=base_seed + s,
             dist_sq=dist[s, :end],
             final_x=final_x[s],
-            alphas=alphas[:done].copy(),
-            gammas=gammas[:done].copy(),
             diverged=bool(diverged[s]),
             iterates=iterates[:end] if iterates is not None and s == 0 else None,
         ))

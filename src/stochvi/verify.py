@@ -271,7 +271,7 @@ def check_bound_envelope(
     noise = params.get("sigma_sq", 0.0) + params.get("sigma_h_sq", 0.0)
     if len(traces) < 30 and noise > 0.0:
         raise ConfigError(f"too few seeds: need >= 30 traces for noisy bounds, got {len(traces)}")
-    diverged = tuple((t.seed, len(t.alphas)) for t in traces if t.diverged)
+    diverged = tuple((t.seed, len(t.dist_sq) - 1) for t in traces if t.diverged)
     lengths = sorted({len(t.dist_sq) for t in traces})
     if not diverged and len(lengths) > 1:
         raise ConfigError(

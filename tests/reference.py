@@ -178,27 +178,27 @@ def solver_step(
     return out
 
 
-def reference_run(cfg):
+def reference_run(*, method, operator, scheme, schedule, iterations, seed, x0=None):
     """One seed, one point at a time, from the single-point definitions:
     draw v (and u for a nonzero Hamiltonian step), solver_step, record,
     and stop at an iterate that is not finite or, from a start away from
     x*, more than DIVERGENCE_FACTOR times the initial squared distance away.
     Returns (dist_sq, iterates, final x)."""
-    op, rng = cfg.operator, numerics.make_rng(cfg.seed)
+    op, rng = operator, numerics.make_rng(seed)
     x_star = op.equilibrium()
-    if cfg.x0 is None:
+    if x0 is None:
         g = rng.standard_normal(op.dim)
         x = x_star + g / np.linalg.norm(g)
     else:
-        x = np.array(cfg.x0, dtype=float)
+        x = np.array(x0, dtype=float)
     xs = [x]
-    for k in range(cfg.iterations):
-        alpha, gamma = cfg.schedule.at(k)
-        uses_da, uses_ham = TERMS[cfg.method]
+    for k in range(iterations):
+        alpha, gamma = schedule.at(k)
+        uses_da, uses_ham = TERMS[method]
         alpha, gamma = (alpha if uses_da else 0.0), (gamma if uses_ham else 0.0)
-        v = draw(cfg.scheme, rng)
-        u = draw(cfg.scheme, rng) if gamma != 0.0 else None
-        x = solver_step(cfg.method, op, x, v, u, alpha, gamma)
+        v = draw(scheme, rng)
+        u = draw(scheme, rng) if gamma != 0.0 else None
+        x = solver_step(method, op, x, v, u, alpha, gamma)
         xs.append(x)
         dist = (x - x_star) @ (x - x_star)
         dist0 = (xs[0] - x_star) @ (xs[0] - x_star)

@@ -19,10 +19,8 @@ from stochvi.operators import CosineOperator
 from stochvi.sampling import SamplingScheme
 from stochvi.solvers import (
     ConstantSchedule,
-    RunConfig,
     ScoSwitchingSchedule,
     SgdaSwitchingSchedule,
-    run,
     run_batch,
 )
 
@@ -87,20 +85,14 @@ def envelope_traces(desk_game):
     t0 = time.monotonic()
 
     alpha = 1.0 / (2.0 * ec.ell_xi)
-    sgda = run_batch(RunConfig(method="sgda", operator=game, scheme=scheme,
-                               schedule=ConstantSchedule(alpha=alpha), iterations=5000,
-                               seed=0), 100)
+    sgda = run_batch(game, scheme, "sgda", 5000, 100, ConstantSchedule(alpha=alpha))
     a2, g2 = 1.0 / (4.0 * ec.ell_xi), 1.0 / (4.0 * ham.cal_l_h)
-    sco = run_batch(RunConfig(method="sco", operator=game, scheme=scheme,
-                              schedule=ConstantSchedule(alpha=a2, gamma=g2), iterations=5000,
-                              seed=0), 100)
+    sco = run_batch(game, scheme, "sco", 5000, 100, ConstantSchedule(alpha=a2, gamma=g2))
     sw = SgdaSwitchingSchedule(ell_xi=ec.ell_xi, mu=gc.mu)
-    sgda_sw = run_batch(RunConfig(method="sgda", operator=game, scheme=scheme, schedule=sw,
-                                  iterations=20 * sw.switch_point, seed=0), 100)
+    sgda_sw = run_batch(game, scheme, "sgda", 20 * sw.switch_point, 100, sw)
     sw2 = ScoSwitchingSchedule(ell_xi=ec.ell_xi, cal_l_h=ham.cal_l_h,
                                mu=gc.mu, mu_h=ham.mu_h)
-    sco_sw = run_batch(RunConfig(method="sco", operator=game, scheme=scheme, schedule=sw2,
-                                 iterations=20 * sw2.switch_point, seed=0), 100)
+    sco_sw = run_batch(game, scheme, "sco", 20 * sw2.switch_point, 100, sw2)
     elapsed = time.monotonic() - t0
     return dict(sgda=sgda, sco=sco, sgda_sw=sgda_sw, sco_sw=sco_sw,
                 sw=sw, sw2=sw2, elapsed=elapsed)
@@ -187,9 +179,7 @@ def test_criterion_4_deterministic_rates():
             # floors at the equilibrium solve's rounding level (~1e-32),
             # where raw per-step ratios compare noise against noise
             alpha = 1.0 / (2.0 * gc.ell)
-            trace = run(RunConfig(method="gda", operator=game, scheme=full,
-                                  schedule=ConstantSchedule(alpha=alpha),
-                                  iterations=200, seed=1))
+            trace = run_batch(game, full, "gda", 200, 1, ConstantSchedule(alpha=alpha), 1)[0]
             factor = 1.0 - alpha * gc.mu
             for k in range(200):
                 assert (
@@ -198,9 +188,8 @@ def test_criterion_4_deterministic_rates():
                 )
 
             alpha2, gamma2 = 1.0 / (4.0 * gc.ell), 1.0 / (4.0 * ham.l_h)
-            trace = run(RunConfig(method="co", operator=game, scheme=full,
-                                  schedule=ConstantSchedule(alpha=alpha2, gamma=gamma2),
-                                  iterations=200, seed=1))
+            trace = run_batch(game, full, "co", 200, 1,
+                              ConstantSchedule(alpha=alpha2, gamma=gamma2), 1)[0]
             factor = 1.0 - gamma2 * ham.mu_h - alpha2 * gc.mu
             for k in range(200):
                 assert (
@@ -290,21 +279,16 @@ def test_criterion_8_degenerate_limit_identities():
         game = E.generate_game(cfg)
         scheme = SamplingScheme.single_element(5)
         for seed in range(10):
-            a = run(RunConfig(method="sgda", operator=game, scheme=scheme,
-                              schedule=ConstantSchedule(alpha=0.02),
-                              iterations=1000, seed=seed))
-            b = run(RunConfig(method="sco", operator=game, scheme=scheme,
-                              schedule=ConstantSchedule(alpha=0.02, gamma=0.0),
-                              iterations=1000, seed=seed))
+            a = run_batch(game, scheme, "sgda", 1000, 1, ConstantSchedule(alpha=0.02), seed)[0]
+            b = run_batch(game, scheme, "sco", 1000, 1,
+                          ConstantSchedule(alpha=0.02, gamma=0.0), seed)[0]
             assert a.dist_sq.tobytes() == b.dist_sq.tobytes()
             assert a.final_x.tobytes() == b.final_x.tobytes()
 
-            a = run(RunConfig(method="shgd", operator=game, scheme=scheme,
-                              schedule=ConstantSchedule(alpha=0.0, gamma=0.01),
-                              iterations=1000, seed=seed))
-            b = run(RunConfig(method="sco", operator=game, scheme=scheme,
-                              schedule=ConstantSchedule(alpha=0.0, gamma=0.01),
-                              iterations=1000, seed=seed))
+            a = run_batch(game, scheme, "shgd", 1000, 1,
+                          ConstantSchedule(alpha=0.0, gamma=0.01), seed)[0]
+            b = run_batch(game, scheme, "sco", 1000, 1,
+                          ConstantSchedule(alpha=0.0, gamma=0.01), seed)[0]
             assert a.dist_sq.tobytes() == b.dist_sq.tobytes()
             assert a.final_x.tobytes() == b.final_x.tobytes()
 
@@ -353,8 +337,10 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
         assert c1.read_bytes() == c2.read_bytes()
         assert s1.read_bytes() == s2.read_bytes()
 
-        rcfg = RunConfig(method="sgda", operator=g1, scheme=scheme,
-                         schedule=ConstantSchedule(alpha=0.05), iterations=50, seed=9)
-        r1, r2 = run(rcfg, record_iterates=True), run(rcfg)
+        schedule = ConstantSchedule(alpha=0.05)
+        r1 = run_batch(g1, scheme, "sgda", 50, 1, schedule, 9, record_iterates=True)[0]
+        r2 = run_batch(g1, scheme, "sgda", 50, 1, schedule, 9)[0]
         assert r1.dist_sq.tobytes() == r2.dist_sq.tobytes()
-        assert r1.iterates.tobytes() == reference_run(rcfg)[1].tobytes()
+        xs = reference_run(method="sgda", operator=g1, scheme=scheme, schedule=schedule,
+                           iterations=50, seed=9)[1]
+        assert r1.iterates.tobytes() == xs.tobytes()

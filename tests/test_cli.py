@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -587,6 +588,18 @@ def _config_error_exit(argv, capsys):
             ["sweep", "--target-kappa", "5", "--n", "3", "--d1", "1", "--d2", "1",
              "--out", "{out}/k.json"],
         )),
+        ["run", "--game", "{game}", "--method", "sgda", "--iters", "5", "--out", "{game}"],
+        ["sweep", "--game", "{game}", "--iters", "5", "--out", "{game}"],
+        ["verify", "{game}", "--checks", "ec", "--points", "2", "--out", "{game}"],
+        ["run", "--game", "{game}", "--method", "sgda", "--iters", "5",
+         "--out", "{out}/s.csv", "--svg", "{out}/s.csv"],
+        ["run", "--game", "{game}", "--method", "sgda", "--iters", "5",
+         "--out", "{out}/s.csv", "--dump-iterates", "{out}/s.csv"],
+        ["sweep", "--game", "{game}", "--iters", "5", "--out", "{out}/s.csv",
+         "--svg", "{out}/./s.csv"],
+        ["plot", "--csv", "{csv}", "--svg", "{csv}"],
+        ["--out-dir", "{out}", "run", "--game", "{game}", "--method", "sgda", "--iters", "5",
+         "--out", "../game.json"],
     ],
     ids=["zero_points", "empty_multipliers", "negative_seed", "nan_kappa", "nan_radius",
          "sweep_without_game", "output_is_directory", "b_with_single", "b_with_full",
@@ -600,14 +613,30 @@ def _config_error_exit(argv, capsys):
          "b_with_full_verify", "b_with_single_sweep", "b_with_full_target_kappa",
          "minibatch_without_b_constants", "minibatch_without_b_run",
          "minibatch_without_b_verify", "minibatch_without_b_sweep",
-         "minibatch_without_b_target_kappa"],
+         "minibatch_without_b_target_kappa", "run_out_is_game", "sweep_out_is_game",
+         "verify_out_is_game", "svg_is_out", "dump_iterates_is_out", "sweep_svg_is_out",
+         "plot_svg_is_csv", "out_dir_out_is_game"],
 )
 def test_bad_argv_is_config_error(game_file, tmp_path, capsys, argv):
     out = tmp_path / "outputs"
     out.mkdir()
-    argv = [a.replace("{game}", str(game_file)).replace("{out}", str(out)) for a in argv]
+    csv = tmp_path / "agg.csv"
+    csv.write_text(f"{E.CSV_HEADER}\nsgda,0,1.0,1.0,1.0,1\n", encoding="utf-8")
+    inputs = {path: path.read_bytes() for path in (game_file, csv)}
+    argv = [a.replace("{game}", str(game_file)).replace("{csv}", str(csv))
+            .replace("{out}", str(out)) for a in argv]
     _config_error_exit(argv, capsys)
     assert list(out.iterdir()) == []
+    assert {path: path.read_bytes() for path in inputs} == inputs
+
+
+def test_overlapping_paths_name_both_flags(game_file, tmp_path, capsys):
+    out = tmp_path / "outputs"
+    err = _config_error_exit(["--out-dir", str(out), "verify", str(game_file), "--checks", "ec",
+                              "--out", "../game.json"], capsys)
+    path = os.path.realpath(game_file)
+    assert err == f"configuration error: game and --out name the same file {path!r}\n"
+    assert not out.exists()
 
 
 def _one_line_exit(argv, capsys):

@@ -10,7 +10,7 @@ from stochvi import numerics
 from stochvi.cli import main
 from stochvi.errors import ConfigError, UnsupportedSchemeError
 from stochvi.sampling import SamplingScheme
-from stochvi.solvers import ConstantSchedule, RunConfig, ScoSwitchingSchedule, run, run_batch
+from stochvi.solvers import ConstantSchedule, ScoSwitchingSchedule, run_batch
 
 from reference import generate_game as reference_generate_game
 from test_operators import random_game
@@ -201,12 +201,7 @@ def test_single_method_single_seed_equals_trace():
                                schedule="theory", base_seed=3)
     prof = E.profile(game, scheme)
     row = rows[0]
-    trace = run(
-        RunConfig(
-            method="sgda", operator=game, scheme=scheme,
-            schedule=E.theory_schedule("sgda", prof), iterations=50, seed=3,
-        )
-    )
+    trace = run_batch(game, scheme, "sgda", 50, 1, E.theory_schedule("sgda", prof), 3)[0]
     rel = trace.dist_sq / trace.dist_sq[0]
     assert row.mean.tobytes() == rel.tobytes()
     assert np.array_equal(row.ci_low, row.mean)
@@ -246,10 +241,14 @@ def test_deterministic_methods_use_full_batch_constants():
     _, traces = E.run_experiment(game, scheme, ("gda", "sgda"), iterations=10, seeds=1,
                                  schedule="theory", base_seed=0, record_traces=True)
     prof = E.profile(game, scheme)
-    assert traces["gda"][0].alphas[0] == pytest.approx(1.0 / (2.0 * gc.ell), rel=1e-12)
-    assert traces["sgda"][0].alphas[0] == pytest.approx(
+    plan = E.method_plan(prof, ("gda", "sgda"))
+    assert plan["gda"][1].at(0)[0] == pytest.approx(1.0 / (2.0 * gc.ell), rel=1e-12)
+    assert plan["sgda"][1].at(0)[0] == pytest.approx(
         1.0 / (2.0 * prof.ec.ell_xi), rel=1e-12
     )
+    for method, (own, schedule) in plan.items():  # the runs took these steps
+        want = run_batch(game, own, method, 10, 1, schedule)[0]
+        assert traces[method][0].dist_sq.tobytes() == want.dist_sq.tobytes()
     assert prof.ec.ell_xi != pytest.approx(gc.ell, rel=1e-6)
 
 
@@ -296,9 +295,9 @@ def test_sweep_builds_every_schedule_before_any_run(tmp_path, monkeypatch):
     E.write_game(path, E.generate_game(small_cfg(seed=18, n=6)))
     runs = []
 
-    def counted(config, seeds, record_iterates=False):
-        runs.append(config.method)
-        return run_batch(config, seeds, record_iterates)
+    def counted(*args, **kwargs):
+        runs.append(args[2])
+        return run_batch(*args, **kwargs)
 
     monkeypatch.setattr(E, "run_batch", counted)
     out = tmp_path / "sweep.csv"
@@ -361,9 +360,8 @@ def test_csv_schema_and_roundtrip(tmp_path):
 def test_aggregate_rejects_a_run_started_at_the_equilibrium():
     game = random_game(3, 2, 2, seed=12)
     scheme = SamplingScheme.single_element(3)
-    traces = [run(RunConfig(method="sgda", operator=game, scheme=scheme,
-                            schedule=ConstantSchedule(alpha=0.05), iterations=10, seed=seed,
-                            x0=game.equilibrium() if seed == 4 else None))
+    traces = [run_batch(game, scheme, "sgda", 10, 1, ConstantSchedule(alpha=0.05), seed,
+                        x0=game.equilibrium() if seed == 4 else None)[0]
               for seed in (3, 4)]
     assert traces[1].dist_sq[0] == 0.0
     with pytest.raises(ConfigError, match="seed 4"):
@@ -374,10 +372,8 @@ def test_aggregate_over_running_seeds(tmp_path):
     # seeds diverge at different iterations and some run to the end: each
     # iteration averages the seeds whose traces reach it
     game = random_game(4, 2, 2, seed=3)
-    traces = run_batch(RunConfig(method="sgda", operator=game,
-                                 scheme=SamplingScheme.single_element(4),
-                                 schedule=ConstantSchedule(alpha=0.75), iterations=300,
-                                 seed=0), 8)
+    traces = run_batch(game, SamplingScheme.single_element(4), "sgda", 300, 8,
+                       ConstantSchedule(alpha=0.75))
     row = E.aggregate_traces("sgda", traces)
     assert len({len(t.dist_sq) for t in traces}) > 2
     assert row.mean.size == 301 and row.running[0] == 8
@@ -497,12 +493,11 @@ def test_sco_switching_experiment_runs_the_hand_built_schedule():
     iterations = 3 * sched.switch_point
     _, traces = E.run_experiment(game, scheme, ("sco",), iterations=iterations, seeds=3,
                                  schedule="switching", record_traces=True)
-    expected = run_batch(RunConfig(method="sco", operator=game, scheme=scheme,
-                                   schedule=sched, iterations=iterations, seed=0), 3)
+    assert E.method_plan(E.profile(game, scheme), ("sco",), "switching")["sco"][1] == sched
+    expected = run_batch(game, scheme, "sco", iterations, 3, sched)
     for got, want in zip(traces["sco"], expected, strict=True):
         assert got.dist_sq.tobytes() == want.dist_sq.tobytes()
         assert got.final_x.tobytes() == want.final_x.tobytes()
-        assert got.gammas.tobytes() == want.gammas.tobytes()
 
 
 def test_sweep_step_sizes_labels_and_shape():

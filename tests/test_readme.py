@@ -1,4 +1,5 @@
-"""The README's "Command line" section stays in step with the CLI parser."""
+"""The README's "Command line" section stays in step with the CLI parser, and
+its "Library example" runs as written."""
 
 import argparse
 import re
@@ -12,15 +13,16 @@ from stochvi.cli import build_parser
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _command_line_section():
+def _section(title):
     text = README.read_text(encoding="utf-8")
-    start = text.index("## Command line")
-    return text[start:text.index("\n## ", start)]
+    start = text.index(f"## {title}\n")
+    end = text.find("\n## ", start)
+    return text[start:] if end < 0 else text[start:end]
 
 
 def _examples():
     """argv of every `stochvi ...` line, continuation lines joined."""
-    lines = _command_line_section().replace("\\\n", " ").splitlines()
+    lines = _section("Command line").replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("stochvi ")]
 
 
@@ -39,7 +41,7 @@ def _option_strings(parser):
 
 
 def test_readme_flags_exist_in_parser():
-    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", _command_line_section()))
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", _section("Command line")))
     assert "--seed" in named
     assert named - _option_strings(build_parser()) == set()
 
@@ -59,3 +61,12 @@ def test_readme_example_parses(argv):
         build_parser().parse_args(argv)
     except SystemExit:
         pytest.fail(f"README example does not parse: stochvi {' '.join(argv)}")
+
+
+def test_readme_library_example_runs(capsys):
+    section = _section("Library example")
+    start = section.index("```python\n") + len("```python\n")
+    code = section[start:section.index("```", start)]
+    exec(compile(code, f"{README.name} (Library example)", "exec"), {})
+    distance, plateau = capsys.readouterr().out.split(" vs plateau ")
+    assert 0.0 < float(distance) < float(plateau)

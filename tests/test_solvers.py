@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +14,10 @@ from stochvi.solvers import (
     METHODS,
     TERMS,
     ConstantSchedule,
-    RunConfig,
     ScoSwitchingSchedule,
     SgdaSwitchingSchedule,
+    _applied_steps,
     _BatchEstimator,
-    run,
     run_batch,
 )
 
@@ -222,24 +219,25 @@ def test_component_evaluations_per_step(method, batch, values, jacobians):
 # ---------------------------------------------------------------------------
 
 
+def batch_of(cfg, seeds, record_iterates=False):
+    """run_batch from seed cfg["seed"] on the run that the reference_run
+    keywords ``cfg`` describe."""
+    return run_batch(cfg["operator"], cfg["scheme"], cfg["method"], cfg["iterations"], seeds,
+                     cfg["schedule"], cfg["seed"], x0=cfg.get("x0"),
+                     record_iterates=record_iterates)
+
+
 def test_gda_geometric_decay_trace():
     game = identity_game()
-    cfg = RunConfig(
-        method="gda",
-        operator=game,
-        scheme=SamplingScheme.full_batch(1),
-        schedule=ConstantSchedule(alpha=0.5),
-        iterations=4,
-        seed=0,
-    )
-    trace = run(cfg)
+    trace = run_batch(game, SamplingScheme.full_batch(1), "gda", 4, 1,
+                      ConstantSchedule(alpha=0.5))[0]
     assert trace.dist_sq[0] == pytest.approx(1.0, rel=1e-12)
     assert np.allclose(trace.dist_sq, [1.0, 0.25, 0.0625, 0.015625, 0.00390625], rtol=1e-10)
 
 
 def test_run_is_deterministic_bitwise():
     game = random_game(4, 3, 3, seed=10)
-    cfg = RunConfig(
+    cfg = dict(
         method="sco",
         operator=game,
         scheme=SamplingScheme.single_element(4),
@@ -247,9 +245,9 @@ def test_run_is_deterministic_bitwise():
         iterations=200,
         seed=123,
     )
-    t1, t2 = run(cfg, record_iterates=True), run(cfg)
+    t1, t2 = batch_of(cfg, 1, record_iterates=True)[0], batch_of(cfg, 1)[0]
     assert t1.dist_sq.tobytes() == t2.dist_sq.tobytes()
-    assert t1.iterates.tobytes() == reference_run(cfg)[1].tobytes()
+    assert t1.iterates.tobytes() == reference_run(**cfg)[1].tobytes()
     assert t1.final_x.tobytes() == t2.final_x.tobytes()
 
 
@@ -257,30 +255,20 @@ def test_sco_gamma_zero_couples_to_sgda():
     game = random_game(5, 2, 2, seed=11)
     scheme = SamplingScheme.single_element(5)
     for seed in range(3):
-        sgda_cfg = RunConfig(
-            method="sgda", operator=game, scheme=scheme,
-            schedule=ConstantSchedule(alpha=0.02), iterations=500, seed=seed,
-        )
-        sco_cfg = RunConfig(
-            method="sco", operator=game, scheme=scheme,
-            schedule=ConstantSchedule(alpha=0.02, gamma=0.0), iterations=500, seed=seed,
-        )
-        assert run(sgda_cfg).dist_sq.tobytes() == run(sco_cfg).dist_sq.tobytes()
+        sgda = run_batch(game, scheme, "sgda", 500, 1, ConstantSchedule(alpha=0.02), seed)[0]
+        sco = run_batch(game, scheme, "sco", 500, 1,
+                        ConstantSchedule(alpha=0.02, gamma=0.0), seed)[0]
+        assert sgda.dist_sq.tobytes() == sco.dist_sq.tobytes()
 
 
 def test_sco_alpha_zero_couples_to_shgd():
     game = random_game(5, 2, 2, seed=12)
     scheme = SamplingScheme.single_element(5)
     for seed in range(3):
-        shgd_cfg = RunConfig(
-            method="shgd", operator=game, scheme=scheme,
-            schedule=ConstantSchedule(alpha=0.0, gamma=0.003), iterations=500, seed=seed,
-        )
-        sco_cfg = RunConfig(
-            method="sco", operator=game, scheme=scheme,
-            schedule=ConstantSchedule(alpha=0.0, gamma=0.003), iterations=500, seed=seed,
-        )
-        assert run(shgd_cfg).dist_sq.tobytes() == run(sco_cfg).dist_sq.tobytes()
+        schedule = ConstantSchedule(alpha=0.0, gamma=0.003)
+        shgd = run_batch(game, scheme, "shgd", 500, 1, schedule, seed)[0]
+        sco = run_batch(game, scheme, "sco", 500, 1, schedule, seed)[0]
+        assert shgd.dist_sq.tobytes() == sco.dist_sq.tobytes()
 
 
 def test_gda_per_step_contraction_bound():
@@ -290,11 +278,8 @@ def test_gda_per_step_contraction_bound():
         game = random_game(int(rng.integers(2, 6)), 2, 2, seed=int(rng.integers(0, 10**6)))
         gc = C.game_constants(game)
         alpha = 1.0 / (2.0 * gc.ell)
-        cfg = RunConfig(
-            method="gda", operator=game, scheme=SamplingScheme.full_batch(game.n),
-            schedule=ConstantSchedule(alpha=alpha), iterations=200, seed=1,
-        )
-        trace = run(cfg)
+        trace = run_batch(game, SamplingScheme.full_batch(game.n), "gda", 200, 1,
+                          ConstantSchedule(alpha=alpha), 1)[0]
         factor = 1.0 - alpha * gc.mu
         for k in range(200):
             assert trace.dist_sq[k + 1] <= factor * trace.dist_sq[k] + 1e-12 * trace.dist_sq[0]
@@ -308,11 +293,8 @@ def test_co_per_step_contraction_bound():
         ham = C.hamiltonian_constants(game, SamplingScheme.full_batch(game.n))
         alpha = 1.0 / (4.0 * gc.ell)
         gamma = 1.0 / (4.0 * ham.l_h)
-        cfg = RunConfig(
-            method="co", operator=game, scheme=SamplingScheme.full_batch(game.n),
-            schedule=ConstantSchedule(alpha=alpha, gamma=gamma), iterations=200, seed=2,
-        )
-        trace = run(cfg)
+        trace = run_batch(game, SamplingScheme.full_batch(game.n), "co", 200, 1,
+                          ConstantSchedule(alpha=alpha, gamma=gamma), 2)[0]
         factor = 1.0 - gamma * ham.mu_h - alpha * gc.mu
         for k in range(200):
             assert trace.dist_sq[k + 1] <= factor * trace.dist_sq[k] + 1e-12 * trace.dist_sq[0]
@@ -320,52 +302,80 @@ def test_co_per_step_contraction_bound():
 
 def test_divergence_guard_truncates_and_flags():
     game = identity_game()
-    cfg = RunConfig(
-        method="gda", operator=game, scheme=SamplingScheme.full_batch(1),
-        schedule=ConstantSchedule(alpha=25.0), iterations=50, seed=0,
-    )
-    trace = run(cfg)
+    trace = run_batch(game, SamplingScheme.full_batch(1), "gda", 50, 1,
+                      ConstantSchedule(alpha=25.0))[0]
     assert trace.diverged
     assert len(trace.dist_sq) < 51
     assert trace.dist_sq[-1] > 1e12 * trace.dist_sq[0]
 
 
-def test_run_records_step_sizes_and_x0_override():
+def test_run_applies_step_sizes_and_x0_override():
+    # on value(x) = x a step of alpha scales |x|^2 by (1 - alpha)^2
     game = identity_game()
     x0 = np.array([3.0, 4.0])
     sched = SgdaSwitchingSchedule(ell_xi=2.0, mu=1.0)
-    cfg = RunConfig(
-        method="sgda", operator=game, scheme=SamplingScheme.full_batch(1),
-        schedule=sched, iterations=12, seed=0, x0=x0,
-    )
-    trace = run(cfg)
+    trace = run_batch(game, SamplingScheme.full_batch(1), "sgda", 12, 1, sched, x0=x0)[0]
     assert trace.dist_sq[0] == pytest.approx(25.0, rel=1e-12)
-    assert len(trace.alphas) == 12
-    assert trace.alphas[0] == pytest.approx(0.25)
-    assert trace.gammas.max() == 0.0
-    assert trace.alphas[9] == pytest.approx((2 * 9 + 1) / (10**2 * 1.0), rel=1e-12)
+    assert len(trace.dist_sq) - 1 == 12
+    alphas, gammas = zip(*(_applied_steps("sgda", *sched.at(k)) for k in range(12)))
+    assert alphas[0] == pytest.approx(0.25)
+    assert max(gammas) == 0.0
+    assert alphas[9] == pytest.approx((2 * 9 + 1) / (10**2 * 1.0), rel=1e-12)
+    for k, alpha in enumerate(alphas):
+        assert trace.dist_sq[k + 1] == pytest.approx((1.0 - alpha) ** 2 * trace.dist_sq[k],
+                                                     rel=1e-12)
 
 
-def test_deterministic_methods_require_full_batch():
-    game = random_game(3, 1, 1, seed=15)
-    with pytest.raises(ConfigError):
-        RunConfig(
-            method="gda", operator=game, scheme=SamplingScheme.single_element(3),
-            schedule=ConstantSchedule(alpha=0.1), iterations=5, seed=0,
-        )
+class NoStar(FiniteSumOperator):
+    n, dim = 3, 2
+
+    def component_value(self, i, x):
+        return x
+
+    def component_jacobian(self, i, x):
+        return np.eye(2)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"method": "gdaa"}, "unknown method"),
+    ({"iterations": -1}, "iterations must be >= 0"),
+    ({"seeds": 0}, "at least one seed"),
+    ({"scheme": SamplingScheme.full_batch(4)}, "scheme is for n=4"),
+    ({"scheme": SamplingScheme.single_element(3)}, "gda requires the full-batch scheme"),
+    ({"method": "co", "scheme": SamplingScheme.minibatch(3, 2)},
+     "co requires the full-batch scheme"),
+    ({"operator": NoStar()}, "NoStar has no equilibrium"),
+    ({"x0": np.zeros(3)}, "x0 has the wrong dimension"),
+], ids=["unknown_method", "negative_iterations", "no_seeds", "scheme_size", "gda_stochastic",
+        "co_stochastic", "no_equilibrium", "x0_shape"])
+def test_run_batch_rejects_bad_input_before_it_draws(monkeypatch, change, message):
+    good = dict(operator=random_game(3, 1, 1, seed=15), scheme=SamplingScheme.full_batch(3),
+                method="gda", iterations=5, seeds=2, schedule=ConstantSchedule(alpha=0.1))
+    made = []
+
+    def make_rng(seed, real=numerics.make_rng):
+        made.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(numerics, "make_rng", make_rng)
+    with pytest.raises(ConfigError, match=message):
+        run_batch(**{**good, **change})
+    assert made == []
+    run_batch(**good)  # the count sees a run's generators
+    assert made == [0, 1]
 
 
 def test_trace_lengths_and_finiteness():
     game = random_game(3, 2, 2, seed=16)
-    cfg = RunConfig(
+    cfg = dict(
         method="sgda", operator=game, scheme=SamplingScheme.minibatch(3, 2),
         schedule=ConstantSchedule(alpha=0.05), iterations=100, seed=3,
     )
-    trace = run(cfg, record_iterates=True)
+    trace = batch_of(cfg, 1, record_iterates=True)[0]
     assert len(trace.dist_sq) == 101
     assert trace.iterates.shape == (101, game.dim)
     assert np.all(np.isfinite(trace.dist_sq))
-    assert trace.iterates.tobytes() == reference_run(cfg)[1].tobytes()
+    assert trace.iterates.tobytes() == reference_run(**cfg)[1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +428,7 @@ WIDE_CASES = {
 
 def assert_same_trace(got, want):
     assert (got.method, got.seed, got.diverged) == (want.method, want.seed, want.diverged)
-    for field in ("dist_sq", "final_x", "alphas", "gammas"):
+    for field in ("dist_sq", "final_x"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
 
@@ -430,16 +440,14 @@ def test_seed_batch_equals_separate_runs(case, n):
     method, make_scheme, schedule = case
     game = random_game(n, 3, 2, seed=20)
     scheme = make_scheme(game.n)
-    batch = run_batch(RunConfig(method=method, operator=game, scheme=scheme,
-                                schedule=schedule, iterations=150, seed=7), 5,
-                      record_iterates=True)
+    batch = run_batch(game, scheme, method, 150, 5, schedule, 7, record_iterates=True)
     assert [t.seed for t in batch] == list(range(7, 12))
     for trace in batch:
-        cfg = RunConfig(method=method, operator=game, scheme=scheme, schedule=schedule,
-                        iterations=150, seed=trace.seed)
-        single = run(cfg, record_iterates=True)
+        cfg = dict(method=method, operator=game, scheme=scheme, schedule=schedule,
+                   iterations=150, seed=trace.seed)
+        single = batch_of(cfg, 1, record_iterates=True)[0]
         assert_same_trace(trace, single)
-        dist_sq, xs, final_x = reference_run(cfg)
+        dist_sq, xs, final_x = reference_run(**cfg)
         assert trace.dist_sq.tobytes() == dist_sq.tobytes()
         assert single.iterates.tobytes() == xs.tobytes()
         if trace.seed == 7:  # the batch keeps its first seed's iterates
@@ -453,20 +461,18 @@ def test_diverging_seeds_leave_the_batch_alone():
     game = random_game(4, 2, 2, seed=3)
     scheme = SamplingScheme.single_element(4)
     schedule = ConstantSchedule(alpha=0.75)
-    batch = run_batch(RunConfig(method="sgda", operator=game, scheme=scheme,
-                                schedule=schedule, iterations=300, seed=0), 8)
-    stops = {len(t.alphas) for t in batch if t.diverged}
+    batch = run_batch(game, scheme, "sgda", 300, 8, schedule)
+    stops = {len(t.dist_sq) - 1 for t in batch if t.diverged}
     assert len(stops) >= 3 and any(not t.diverged for t in batch)
     for trace in batch:
-        cfg = RunConfig(method="sgda", operator=game, scheme=scheme, schedule=schedule,
-                        iterations=300, seed=trace.seed)
-        single = run(cfg, record_iterates=True)
+        cfg = dict(method="sgda", operator=game, scheme=scheme, schedule=schedule,
+                   iterations=300, seed=trace.seed)
+        single = batch_of(cfg, 1, record_iterates=True)[0]
         assert_same_trace(trace, single)
-        dist_sq, xs, final_x = reference_run(cfg)
+        dist_sq, xs, final_x = reference_run(**cfg)
         assert trace.dist_sq.tobytes() == dist_sq.tobytes()
         assert single.iterates.tobytes() == xs.tobytes()
         assert trace.final_x.tobytes() == final_x.tobytes()
-        assert len(trace.dist_sq) == len(trace.alphas) + 1
 
 
 class Delegating(FiniteSumOperator):
@@ -527,14 +533,13 @@ def test_seed_batch_of_a_generic_operator(case, make_op):
     method, make_scheme, schedule = case
     op = make_op()
     scheme = make_scheme(op.n)
-    batch = run_batch(RunConfig(method=method, operator=op, scheme=scheme,
-                                schedule=schedule, iterations=60, seed=0), 3)
+    batch = run_batch(op, scheme, method, 60, 3, schedule)
     for trace in batch:
-        cfg = RunConfig(method=method, operator=op, scheme=scheme, schedule=schedule,
-                        iterations=60, seed=trace.seed)
-        dist_sq, xs, final_x = reference_run(cfg)
+        cfg = dict(method=method, operator=op, scheme=scheme, schedule=schedule,
+                   iterations=60, seed=trace.seed)
+        dist_sq, xs, final_x = reference_run(**cfg)
         assert trace.dist_sq.tobytes() == dist_sq.tobytes()
-        assert run(cfg, record_iterates=True).iterates.tobytes() == xs.tobytes()
+        assert batch_of(cfg, 1, record_iterates=True)[0].iterates.tobytes() == xs.tobytes()
         assert trace.final_x.tobytes() == final_x.tobytes()
 
 
@@ -598,26 +603,10 @@ def test_full_batch_co_evaluates_the_batch_once_per_step():
     count_calls(op, "component_jacobian", calls)
     schedule = ConstantSchedule(alpha=0.03, gamma=0.004)
     for target in (game, op):
-        run_batch(RunConfig(method="co", operator=target, scheme=SamplingScheme.full_batch(4),
-                            schedule=schedule, iterations=10, seed=0), 3)
+        run_batch(target, SamplingScheme.full_batch(4), "co", 10, 3, schedule)
     construction, steps = 1, 10
     assert calls == {"batch_terms": construction + steps, "component_value": 120,
                      "component_jacobian": 120}
-
-
-def test_run_config_needs_an_equilibrium():
-    class NoStar(FiniteSumOperator):
-        n, dim = 1, 2
-
-        def component_value(self, i, x):
-            return x
-
-        def component_jacobian(self, i, x):
-            return np.eye(2)
-
-    with pytest.raises(ConfigError):
-        RunConfig(method="gda", operator=NoStar(), scheme=SamplingScheme.full_batch(1),
-                  schedule=ConstantSchedule(alpha=0.1), iterations=5, seed=0)
 
 
 class Cliff(FiniteSumOperator):
@@ -649,11 +638,11 @@ class Cliff(FiniteSumOperator):
 
 def assert_guard_matches_reference(batch, cfg):
     for trace in batch:
-        dist_sq, xs, final_x = reference_run(dataclasses.replace(cfg, seed=trace.seed))
+        dist_sq, xs, final_x = reference_run(**{**cfg, "seed": trace.seed})
         d0, d = dist_sq[0], dist_sq[-1]
         stopped = not np.isfinite(xs[-1]).all() or d0 > 0.0 and d > DIVERGENCE_FACTOR * d0
         assert trace.diverged == stopped
-        assert len(trace.alphas) == len(xs) - 1
+        assert len(trace.dist_sq) == len(xs)
         assert trace.dist_sq.tobytes() == dist_sq.tobytes()
         assert trace.final_x.tobytes() == final_x.tobytes()
 
@@ -661,24 +650,24 @@ def assert_guard_matches_reference(batch, cfg):
 @pytest.mark.parametrize("edge", [np.nan, np.inf], ids=["nan", "inf"])
 def test_guard_stops_a_seed_at_its_first_non_finite_iterate(edge):
     op = Cliff(edge)
-    cfg = RunConfig(method="sgda", operator=op, scheme=SamplingScheme.single_element(2),
-                    schedule=ConstantSchedule(alpha=0.5), iterations=40, seed=0)
+    cfg = dict(method="sgda", operator=op, scheme=SamplingScheme.single_element(2),
+               schedule=ConstantSchedule(alpha=0.5), iterations=40, seed=0)
     with np.errstate(invalid="ignore"):
-        batch = run_batch(cfg, 6)
+        batch = batch_of(cfg, 6)
         assert_guard_matches_reference(batch, cfg)
     assert all(t.diverged and not np.isfinite(t.final_x).all() for t in batch)
-    assert len({len(t.alphas) for t in batch}) >= 2
+    assert len({len(t.dist_sq) for t in batch}) >= 2
 
 
 def test_guard_from_the_equilibrium_waits_for_a_non_finite_iterate():
     # d0 = 0, so only a non-finite iterate stops a seed: the squared
     # distance overflows to inf first and the run goes on
     game = random_game(4, 2, 2, seed=5)
-    cfg = RunConfig(method="sgda", operator=game, scheme=SamplingScheme.single_element(4),
-                    schedule=ConstantSchedule(alpha=60.0), iterations=400, seed=0,
-                    x0=game.equilibrium())
+    cfg = dict(method="sgda", operator=game, scheme=SamplingScheme.single_element(4),
+               schedule=ConstantSchedule(alpha=60.0), iterations=400, seed=0,
+               x0=game.equilibrium())
     with np.errstate(over="ignore", invalid="ignore"):
-        batch = run_batch(cfg, 3)
+        batch = batch_of(cfg, 3)
         assert_guard_matches_reference(batch, cfg)
     for trace in batch:
         assert trace.diverged and trace.dist_sq[0] == 0.0
@@ -712,26 +701,26 @@ class Fuse(FiniteSumOperator):
 
 
 def fuse_run(n, iterations, seed=0):
-    return RunConfig(method="sgda", operator=Fuse(n), scheme=SamplingScheme.single_element(n),
-                     schedule=ConstantSchedule(alpha=1.0), iterations=iterations, seed=seed)
+    return dict(method="sgda", operator=Fuse(n), scheme=SamplingScheme.single_element(n),
+                schedule=ConstantSchedule(alpha=1.0), iterations=iterations, seed=seed)
 
 
 def first_seed_stopping_at(cfg, stop):
     """The smallest seed whose one-point run of cfg diverges at iteration
     ``stop``."""
     for seed in range(5000):
-        dist_sq = reference_run(dataclasses.replace(cfg, seed=seed))[0]
+        dist_sq = reference_run(**{**cfg, "seed": seed})[0]
         if len(dist_sq) == stop + 1 and dist_sq[-1] > DIVERGENCE_FACTOR * dist_sq[0]:
             return seed
     raise AssertionError(f"no seed below 5000 stops at iteration {stop}")
 
 
 def assert_batch_matches_reference(cfg, seeds):
-    """run_batch(cfg, seeds) with the first seed's iterates, against the
+    """batch_of(cfg, seeds) with the first seed's iterates, against the
     one-point loop bit for bit; returns the traces."""
-    batch = run_batch(cfg, seeds, record_iterates=True)
+    batch = batch_of(cfg, seeds, record_iterates=True)
     assert_guard_matches_reference(batch, cfg)
-    assert batch[0].iterates.tobytes() == reference_run(cfg)[1].tobytes()
+    assert batch[0].iterates.tobytes() == reference_run(**cfg)[1].tobytes()
     return batch
 
 
@@ -750,9 +739,9 @@ def test_guard_at_block_boundaries(iterations, stop):
     # the first seed of each batch stops at ``stop``, the others wherever
     # their draws take them: every trace ends at its first offending iterate
     cfg = fuse_run(4, iterations)
-    cfg = dataclasses.replace(cfg, seed=first_seed_stopping_at(cfg, stop))
+    cfg = {**cfg, "seed": first_seed_stopping_at(cfg, stop)}
     batch = assert_batch_matches_reference(cfg, 5)
-    assert batch[0].diverged and len(batch[0].alphas) == stop
+    assert batch[0].diverged and len(batch[0].dist_sq) - 1 == stop
 
 
 def test_guard_with_no_iterations():
@@ -765,14 +754,14 @@ def test_guard_stops_every_seed_in_one_block():
     # and a full-batch run that grows every seed by the same factor stops
     # them all at iteration BLOCK + 3 of a run of four blocks
     batch = assert_batch_matches_reference(fuse_run(2, 4 * BLOCK), 6)
-    stops = [len(t.alphas) for t in batch]
+    stops = [len(t.dist_sq) - 1 for t in batch]
     assert all(t.diverged for t in batch) and max(stops) <= BLOCK and len(set(stops)) > 1
     g = 10.0 ** (6.0 / (BLOCK + 2.5))  # g^(2k) passes 1e12 at k = BLOCK + 3
     grow = QuadraticGame([[[1.0 - g]]], [[[0.0]]], [[[1.0 - g]]], [[0.0]], [[0.0]])
-    cfg = RunConfig(method="gda", operator=grow, scheme=SamplingScheme.full_batch(1),
-                    schedule=ConstantSchedule(alpha=1.0), iterations=4 * BLOCK, seed=0)
+    cfg = dict(method="gda", operator=grow, scheme=SamplingScheme.full_batch(1),
+               schedule=ConstantSchedule(alpha=1.0), iterations=4 * BLOCK, seed=0)
     batch = assert_batch_matches_reference(cfg, 4)
-    assert all(t.diverged and len(t.alphas) == BLOCK + 3 for t in batch)
+    assert all(t.diverged and len(t.dist_sq) - 1 == BLOCK + 3 for t in batch)
 
 
 class Bounce(FiniteSumOperator):
@@ -802,26 +791,26 @@ class Bounce(FiniteSumOperator):
 def test_guard_stops_a_seed_that_comes_back_within_its_block():
     # from distance 1, iteration 5 is beyond the limit and iteration 6 back
     # within it, as is the last of the block: each seed still stops at 5
-    cfg = RunConfig(method="gda", operator=Bounce(), scheme=SamplingScheme.full_batch(1),
-                    schedule=ConstantSchedule(alpha=1.0), iterations=3 * BLOCK, seed=0)
+    cfg = dict(method="gda", operator=Bounce(), scheme=SamplingScheme.full_batch(1),
+               schedule=ConstantSchedule(alpha=1.0), iterations=3 * BLOCK, seed=0)
     batch = assert_batch_matches_reference(cfg, 3)
-    assert all(t.diverged and len(t.alphas) == 5 for t in batch)
+    assert all(t.diverged and len(t.dist_sq) - 1 == 5 for t in batch)
 
 
 def test_guard_stops_the_recorded_seed_mid_block():
     # seed 0 of the batch, whose iterates are kept, stops mid-block; its
     # iterates end at the offending one while the others run on
     cfg = fuse_run(16, 3 * BLOCK)
-    cfg = dataclasses.replace(cfg, seed=first_seed_stopping_at(cfg, BLOCK + BLOCK // 2))
+    cfg = {**cfg, "seed": first_seed_stopping_at(cfg, BLOCK + BLOCK // 2)}
     batch = assert_batch_matches_reference(cfg, 6)
     assert len(batch[0].iterates) == BLOCK + BLOCK // 2 + 1
-    assert any(len(t.alphas) > BLOCK + BLOCK // 2 for t in batch[1:])
+    assert any(len(t.dist_sq) - 1 > BLOCK + BLOCK // 2 for t in batch[1:])
 
 
 @st.composite
 def drawn_runs(pick):
-    """(RunConfig, seed count) over a drawn operator, scheme, method and
-    schedule.  n runs past the 8 terms from which numpy sums one-element
+    """(reference_run keywords, seed count) over a drawn operator, scheme,
+    method and schedule.  n runs past the 8 terms from which numpy sums one-element
     terms pairwise, tiny inclusion probabilities leave some draws empty,
     zero steps skip a term, the large steps diverge and the largest
     overflows, also from a start at the equilibrium."""
@@ -854,9 +843,8 @@ def drawn_runs(pick):
     else:
         schedule = SgdaSwitchingSchedule(ell_xi=pick(constants), mu=pick(constants))
     x0 = op.equilibrium() if pick(st.integers(0, 3)) == 0 else None
-    cfg = RunConfig(method=method, operator=op, scheme=scheme, schedule=schedule,
-                    iterations=pick(st.integers(0, 30)), seed=pick(st.integers(0, 1000)),
-                    x0=x0)
+    cfg = dict(method=method, operator=op, scheme=scheme, schedule=schedule,
+               iterations=pick(st.integers(0, 30)), seed=pick(st.integers(0, 1000)), x0=x0)
     return cfg, pick(st.integers(1, 6))
 
 
@@ -867,11 +855,11 @@ def test_run_batch_equals_the_one_point_reference(drawn):
     # bitwise the one-point loop's, divergence and stop iteration included
     cfg, seeds = drawn
     with np.errstate(over="ignore", invalid="ignore"):
-        batch = run_batch(cfg, seeds, record_iterates=True)
+        batch = batch_of(cfg, seeds, record_iterates=True)
         assert_guard_matches_reference(batch, cfg)
         for trace in batch:
-            one = dataclasses.replace(cfg, seed=trace.seed)
-            xs = reference_run(one)[1]
-            assert run_batch(one, 1, record_iterates=True)[0].iterates.tobytes() == xs.tobytes()
-            if trace.seed == cfg.seed:
+            one = {**cfg, "seed": trace.seed}
+            xs = reference_run(**one)[1]
+            assert batch_of(one, 1, record_iterates=True)[0].iterates.tobytes() == xs.tobytes()
+            if trace.seed == cfg["seed"]:
                 assert trace.iterates.tobytes() == xs.tobytes()

@@ -10,7 +10,7 @@ from stochvi import verify as V
 from stochvi.errors import ConfigError, NumericalError
 from stochvi.operators import CosineOperator, FiniteSumOperator, QuadraticGame
 from stochvi.sampling import SamplingScheme, enumerate_support
-from stochvi.solvers import ConstantSchedule, RunConfig, run, run_batch
+from stochvi.solvers import ConstantSchedule, run_batch
 
 import reference
 from reference import stochastic_hamiltonian_gradient
@@ -231,15 +231,8 @@ def test_hamiltonian_pair_sum_factors(scheme):
 
 def sgda_traces(game, scheme, alpha, iterations, seeds):
     schedule = ConstantSchedule(alpha=alpha)
-    return [
-        run(
-            RunConfig(
-                method="sgda", operator=game, scheme=scheme,
-                schedule=schedule, iterations=iterations, seed=s,
-            )
-        )
-        for s in range(seeds)
-    ]
+    return [run_batch(game, scheme, "sgda", iterations, 1, schedule, s)[0]
+            for s in range(seeds)]
 
 
 def test_envelope_sgda_constant_passes():
@@ -330,15 +323,7 @@ def test_envelope_switching_schedule_long_range():
     ec = C.ec_constants(gc, scheme, game)
     sched = SgdaSwitchingSchedule(ell_xi=ec.ell_xi, mu=gc.mu)
     horizon = 50 * sched.switch_point
-    traces = [
-        run(
-            RunConfig(
-                method="sgda", operator=game, scheme=scheme,
-                schedule=sched, iterations=horizon, seed=s,
-            )
-        )
-        for s in range(100)
-    ]
+    traces = [run_batch(game, scheme, "sgda", horizon, 1, sched, s)[0] for s in range(100)]
     params = dict(mu=gc.mu, ell_xi=ec.ell_xi, sigma_sq=ec.sigma_sq)
     report = V.check_bound_envelope(traces, C.SGDA_SWITCHING, params, slack=1.1)
     assert report.passed
@@ -350,10 +335,8 @@ def test_envelope_fails_on_staggered_divergence():
     # check neither drops the diverged seeds nor cuts the survivors short
     game = random_game(4, 2, 2, seed=3)
     scheme = SamplingScheme.single_element(4)
-    traces = run_batch(RunConfig(method="sgda", operator=game, scheme=scheme,
-                                 schedule=ConstantSchedule(alpha=0.75), iterations=300,
-                                 seed=0), 40)
-    stops = [(t.seed, len(t.alphas)) for t in traces if t.diverged]
+    traces = run_batch(game, scheme, "sgda", 300, 40, ConstantSchedule(alpha=0.75))
+    stops = [(t.seed, len(t.dist_sq) - 1) for t in traces if t.diverged]
     assert len({k for _, k in stops}) >= 3 and len(stops) < len(traces)
     gc = C.game_constants(game)
     ec = C.ec_constants(gc, scheme, game)
@@ -372,9 +355,7 @@ def test_envelope_rejects_unequal_lengths_without_divergence():
     gc = C.game_constants(game)
     ec = C.ec_constants(gc, scheme, game)
     alpha = 1.0 / (2.0 * ec.ell_xi)
-    traces = run_batch(RunConfig(method="sgda", operator=game, scheme=scheme,
-                                 schedule=ConstantSchedule(alpha=alpha), iterations=40,
-                                 seed=0), 30)
+    traces = run_batch(game, scheme, "sgda", 40, 30, ConstantSchedule(alpha=alpha))
     traces[7] = dataclasses.replace(traces[7], dist_sq=traces[7].dist_sq[:-5])
     params = dict(alpha=alpha, mu=gc.mu, ell_xi=ec.ell_xi, sigma_sq=ec.sigma_sq)
     with pytest.raises(ConfigError):

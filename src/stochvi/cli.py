@@ -73,17 +73,22 @@ def _resolve(args, path_str: str) -> Path:
 
 
 def _check_paths(args) -> None:
-    """Reject an output that names the file of an input (read as given) or of
-    another output (written under --out-dir when relative)."""
+    """Reject a path that holds a NUL character, and an output that names the
+    file of an input (read as given) or of another output (written under
+    --out-dir when relative)."""
     seen = {}
-    for name in ("game", "csv", "out", "svg", "dump_iterates"):
+    for name in ("out_dir", "game", "csv", "out", "svg", "dump_iterates"):
         given = getattr(args, name, None)
         if given is None:
             continue
+        positional = name == "game" and args.command in ("constants", "verify")
+        flag = "game" if positional else f"--{name}".replace("_", "-")
+        if "\0" in given:
+            raise ConfigError(f"{flag} holds a NUL character")
+        if name == "out_dir":
+            continue
         out_dir = args.out_dir if name in ("out", "svg", "dump_iterates") else None
         path = os.path.realpath(os.path.join(out_dir or "", given))
-        flag = "game" if (args.command, name) == ("verify", "game") else f"--{name}"
-        flag = flag.replace("_", "-")
         if path in seen:
             raise ConfigError(f"{seen[path]} and {flag} name the same file {path!r}")
         seen[path] = flag

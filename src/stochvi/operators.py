@@ -71,11 +71,6 @@ class FiniteSumOperator(ABC):
 
         return read(self.component_value), read(self.component_jacobian) if jacobian else None
 
-    @property
-    def has_equilibrium(self) -> bool:
-        """Whether an analytic equilibrium solve is available."""
-        return False
-
     def equilibrium(self) -> np.ndarray:
         """Point x* with full_value(x*) = 0, when analytically available."""
         raise ConfigError(f"{type(self).__name__} has no analytic equilibrium")
@@ -188,10 +183,6 @@ class QuadraticGame(FiniteSumOperator):
         """Mean affine offset (a_mean; c_mean)."""
         return self._r_mean
 
-    @property
-    def has_equilibrium(self) -> bool:
-        return True
-
     def equilibrium(self) -> np.ndarray:
         """Unique solution of J x = -r; raises NumericalError if J is singular."""
         return numerics.solve_linear(self.mean_jacobian(), -self.mean_offset())
@@ -237,10 +228,6 @@ class CosineOperator(FiniteSumOperator):
             # d/dx [s(|x|) x] = s I + s'(r)/r * x x^T, with s'(r) = -((L-mu)/2) sin r.
             jac += (-0.5 * (self.big_l - self.mu) * np.sin(r) / r) * np.outer(x, x)
         return jac
-
-    @property
-    def has_equilibrium(self) -> bool:
-        return True
 
     def equilibrium(self) -> np.ndarray:
         return np.zeros(self.dim)

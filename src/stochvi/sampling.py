@@ -5,9 +5,10 @@ positive weight per selected index; unselected weights are zero.  The
 estimator it induces is value_v(x) = (1/n) * sum_{i in S} w_i * value_i(x),
 which is unbiased for the full operator value by construction.
 
-Four schemes are provided: b-minibatch (uniform b-subsets, weight n/b),
-single-element uniform (b = 1), full batch (b = n, no randomness) and
-independent per-index inclusion with probabilities p_i (weight 1/p_i).
+Two families are provided: the b-minibatch (uniform b-subsets, weight n/b),
+whose b = 1 is single-element uniform sampling and whose b = n is the full
+batch (no randomness), and independent per-index inclusion with
+probabilities p_i (weight 1/p_i).
 Exact support enumeration gives the expectations over v that the verify
 checks and the independent scheme's noise constant need; it is capped at
 1e6 support points.
@@ -25,81 +26,67 @@ from .errors import ConfigError
 
 SUPPORT_CAP = 10**6
 
-MINIBATCH = "minibatch"
-SINGLE_ELEMENT = "single_element_uniform"
-FULL_BATCH = "full_batch"
-INDEPENDENT = "independent"
-
 
 @dataclass(frozen=True)
 class SamplingScheme:
-    """A proper distribution over sampling vectors for n components."""
+    """A proper distribution over sampling vectors for n components: a
+    uniform minibatch of ``batch_size`` indices, or independent inclusion of
+    index i with probability probs[i].  Exactly one of the two is given."""
 
-    kind: str
     n: int
-    b: int | None = None
+    batch_size: int | None = None
     probs: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError(f"need n >= 1, got {self.n}")
-        if self.kind == MINIBATCH:
-            if self.b is None or not 1 <= self.b <= self.n:
-                raise ConfigError(f"minibatch size must lie in [1, {self.n}], got {self.b}")
-        elif self.kind in (SINGLE_ELEMENT, FULL_BATCH):
-            if self.b is not None:
-                raise ConfigError(f"{self.kind} takes no batch size")
-        elif self.kind == INDEPENDENT:
-            if self.probs is None or len(self.probs) != self.n:
-                raise ConfigError("independent scheme needs one probability per index")
-            if any(not 0.0 < p <= 1.0 for p in self.probs):
-                # Every p_i must be positive for the scheme to be proper.
-                raise ConfigError("inclusion probabilities must lie in (0, 1]")
-        else:
-            raise ConfigError(f"unknown scheme kind {self.kind!r}")
+        if (self.batch_size is None) == (self.probs is None):
+            raise ConfigError("a scheme takes either a batch size or inclusion probabilities")
+        if self.probs is None:
+            if not 1 <= self.batch_size <= self.n:
+                raise ConfigError(
+                    f"minibatch size must lie in [1, {self.n}], got {self.batch_size}")
+        elif len(self.probs) != self.n:
+            raise ConfigError("independent scheme needs one probability per index")
+        elif any(not 0.0 < p <= 1.0 for p in self.probs):
+            # Every p_i must be positive for the scheme to be proper.
+            raise ConfigError("inclusion probabilities must lie in (0, 1]")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def minibatch(n: int, b: int) -> "SamplingScheme":
-        return SamplingScheme(MINIBATCH, n, b=b)
+        return SamplingScheme(n, batch_size=b)
 
     @staticmethod
     def single_element(n: int) -> "SamplingScheme":
-        return SamplingScheme(SINGLE_ELEMENT, n)
+        return SamplingScheme(n, batch_size=1)
 
     @staticmethod
     def full_batch(n: int) -> "SamplingScheme":
-        return SamplingScheme(FULL_BATCH, n)
+        return SamplingScheme(n, batch_size=n)
 
     @staticmethod
     def independent(probs) -> "SamplingScheme":
         probs = tuple(float(p) for p in probs)
-        return SamplingScheme(INDEPENDENT, len(probs), probs=probs)
+        return SamplingScheme(len(probs), probs=probs)
 
     # -- derived views -----------------------------------------------------
-
-    @property
-    def batch_size(self) -> int | None:
-        """Effective b for the minibatch family, None for independent."""
-        if self.kind == MINIBATCH:
-            return self.b
-        if self.kind == SINGLE_ELEMENT:
-            return 1
-        if self.kind == FULL_BATCH:
-            return self.n
-        return None
 
     @property
     def is_deterministic(self) -> bool:
         return self.batch_size == self.n
 
     def label(self) -> str:
-        if self.kind == MINIBATCH:
-            return f"minibatch(b={self.b})"
-        if self.kind == INDEPENDENT:
+        # The full batch comes first: at n = 1 it is also the b = 1 batch.
+        b = self.batch_size
+        if b is None:
             return "independent"
-        return self.kind
+        if b == self.n:
+            return "full_batch"
+        if b == 1:
+            return "single_element_uniform"
+        return f"minibatch(b={b})"
 
 
 def draw_many(scheme: SamplingScheme, rng: np.random.Generator, count: int):
@@ -116,7 +103,7 @@ def draw_many(scheme: SamplingScheme, rng: np.random.Generator, count: int):
     b = scheme.batch_size
     if b == n:
         return None
-    if scheme.kind == INDEPENDENT:
+    if b is None:
         return rng.random((count, n)) < np.asarray(scheme.probs)
     # A partial Fisher-Yates shuffle (exactly uniform, b generator calls
     # per draw), one row per draw.
@@ -139,7 +126,7 @@ def index_weights(scheme: SamplingScheme):
     (n/b)/n for the minibatch family (one float), (1/p_i)/n for the
     independent scheme (one per index)."""
     n = scheme.n
-    if scheme.kind == INDEPENDENT:
+    if scheme.batch_size is None:
         return (1.0 / np.asarray(scheme.probs)) / n
     return (n / scheme.batch_size) / n
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import numerics
 from .errors import ConfigError
 from .operators import FiniteSumOperator
-from .sampling import INDEPENDENT, SamplingScheme, draw_many, index_weights
+from .sampling import SamplingScheme, draw_many, index_weights
 
 SGDA = "sgda"
 SHGD = "shgd"
@@ -157,7 +157,7 @@ class _BatchEstimator:
 
     def __init__(self, op: FiniteSumOperator, scheme: SamplingScheme):
         self.op = op
-        self.independent = scheme.kind == INDEPENDENT
+        self.independent = scheme.batch_size is None
         self.scale = index_weights(scheme)
         # The full-batch Jacobian of an affine operator is one constant matrix.
         self.full_jacobian = None
@@ -275,13 +275,11 @@ def run_batch(operator: FiniteSumOperator, scheme: SamplingScheme, method: str,
         raise ConfigError(f"scheme is for n={scheme.n}, operator has n={operator.n}")
     if method in DETERMINISTIC_METHODS and not scheme.is_deterministic:
         raise ConfigError(f"{method} requires the full-batch scheme")
-    if not operator.has_equilibrium:
-        raise ConfigError(f"{type(operator).__name__} has no equilibrium to run against")
+    x_star, dim = operator.equilibrium(), operator.dim
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (operator.dim,):
+        if x0.shape != (dim,):
             raise ConfigError("x0 has the wrong dimension")
-    x_star, dim = operator.equilibrium(), operator.dim
     steps = [_applied_steps(method, *schedule.at(k)) for k in range(iterations)]
     # Draw position of each step's v; its u, drawn when gamma_k != 0, follows it.
     counts = 1 + (np.array([g for _, g in steps]) != 0.0)

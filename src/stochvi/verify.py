@@ -49,12 +49,6 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
 
-def _equilibrium(op: FiniteSumOperator) -> np.ndarray:
-    if not op.has_equilibrium:
-        raise ConfigError(f"{type(op).__name__} has no computable equilibrium")
-    return op.equilibrium()
-
-
 def sample_points(
     center: np.ndarray, count: int, radius: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -124,7 +118,7 @@ def check_ec(
     2 ell_xi <value(x), x - x*> + 2 sigma^2 - E |value_v(x)|^2.  Margins are
     normalized by the magnitude of the terms involved.
     """
-    x_star = _equilibrium(op)
+    x_star = op.equilibrium()
     probs, w = enumerate_support(scheme)
     vals_star = op.component_values(x_star)
     est_star = w @ vals_star
@@ -164,7 +158,7 @@ def check_monotonicity_class(
     is reported as informational only (details["monotone_min"]);
     quasi-strongly monotone operators may legitimately fail it.
     """
-    x_star = _equilibrium(op)
+    x_star = op.equilibrium()
     val_star = op.full_value(x_star)
 
     def margin_pair(x):
@@ -214,7 +208,10 @@ def check_unbiasedness(
     of the Hamiltonian-gradient estimator over independent (u, v) pairs must
     match J(x)^T value(x), both to 1e-12 relative.
     """
-    center = op.equilibrium() if op.has_equilibrium else np.zeros(op.dim)
+    try:
+        center = op.equilibrium()
+    except ConfigError:
+        center = np.zeros(op.dim)
     probs, w = enumerate_support(scheme)
     # Targets go through the same weighted-contraction code path as the
     # support estimates (uniform weights 1/n), so the noise-free full-batch

@@ -21,7 +21,7 @@ from stochvi import constants, numerics
 from stochvi.errors import ConfigError, NumericalError
 from stochvi.experiments import GameGenConfig, _spread_diagonal
 from stochvi.operators import FiniteSumOperator, QuadraticGame
-from stochvi.sampling import INDEPENDENT, SamplingScheme
+from stochvi.sampling import SamplingScheme
 from stochvi.solvers import DIVERGENCE_FACTOR, METHODS, TERMS, _applied_steps
 
 # Random unit directions the grid oracle samples before refining.
@@ -79,7 +79,7 @@ def draw(scheme: SamplingScheme, rng: np.random.Generator) -> SamplingVector:
     b = scheme.batch_size
     if b == n:
         return SamplingVector(tuple(range(n)), (1.0,) * n)
-    if scheme.kind == INDEPENDENT:
+    if b is None:
         u = rng.random(n)
         idx = tuple(int(i) for i in np.nonzero(u < np.asarray(scheme.probs))[0])
         return SamplingVector(idx, tuple(1.0 / scheme.probs[i] for i in idx))

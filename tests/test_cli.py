@@ -62,8 +62,10 @@ def test_constants_prints_flat_keys(game_file, capsys):
     (["--scheme", "full"], "full_batch"),
     (["--scheme", "full_batch"], "full_batch"),
     (["--scheme", "minibatch", "--b", "2"], "minibatch(b=2)"),
+    (["--scheme", "minibatch", "--b", "1"], "single_element_uniform"),
+    (["--scheme", "minibatch", "--b", "4"], "full_batch"),
 ], ids=["single", "single_element", "single_element_uniform", "full", "full_batch",
-        "minibatch"])
+        "minibatch", "minibatch_b1", "minibatch_bn"])
 def test_constants_accepts_every_scheme_name(game_file, capsys, flags, label):
     assert main(["constants", str(game_file), *flags]) == 0
     assert f"scheme: {label}" in capsys.readouterr().out.splitlines()
@@ -600,6 +602,12 @@ def _config_error_exit(argv, capsys):
         ["plot", "--csv", "{csv}", "--svg", "{csv}"],
         ["--out-dir", "{out}", "run", "--game", "{game}", "--method", "sgda", "--iters", "5",
          "--out", "../game.json"],
+        ["run", "--game", "{game}", "--method", "sgda", "--iters", "2",
+         "--out", "{out}/a\x00b.csv"],
+        ["constants", "{out}/g\x00.json"],
+        ["plot", "--csv", "{csv}", "--svg", "{out}/x\x00.svg"],
+        ["--out-dir", "{out}/o\x00", "run", "--game", "{game}", "--method", "sgda",
+         "--iters", "2", "--out", "r.csv"],
     ],
     ids=["zero_points", "empty_multipliers", "negative_seed", "nan_kappa", "nan_radius",
          "sweep_without_game", "output_is_directory", "b_with_single", "b_with_full",
@@ -615,7 +623,8 @@ def _config_error_exit(argv, capsys):
          "minibatch_without_b_verify", "minibatch_without_b_sweep",
          "minibatch_without_b_target_kappa", "run_out_is_game", "sweep_out_is_game",
          "verify_out_is_game", "svg_is_out", "dump_iterates_is_out", "sweep_svg_is_out",
-         "plot_svg_is_csv", "out_dir_out_is_game"],
+         "plot_svg_is_csv", "out_dir_out_is_game", "nul_in_out", "nul_in_game",
+         "nul_in_svg", "nul_in_out_dir"],
 )
 def test_bad_argv_is_config_error(game_file, tmp_path, capsys, argv):
     out = tmp_path / "outputs"

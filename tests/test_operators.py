@@ -192,7 +192,6 @@ def test_operator_without_equilibrium_raises():
             return np.asarray([[3.0 * float(x[0]) ** 2]])
 
     op = Anonymous()
-    assert not op.has_equilibrium
     with pytest.raises(ConfigError, match="has no analytic equilibrium"):
         op.equilibrium()
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from stochvi import numerics
 from stochvi.errors import ConfigError
 from stochvi.sampling import (
-    INDEPENDENT,
     SamplingScheme,
     draw_many,
     enumerate_support,
@@ -89,7 +88,7 @@ def test_enumerate_support_equals_the_reference(scheme):
     support = reference.enumerate_support(scheme)
     assert probs.tobytes() == np.array([p for p, _ in support]).tobytes()
     assert w.tobytes() == np.array([vec.dense(scheme.n) / scheme.n for _, vec in support]).tobytes()
-    if scheme.kind == INDEPENDENT:
+    if scheme.batch_size is None:
         ones = sum(p == 1.0 for p in scheme.probs)
         assert len(probs) == 2 ** (scheme.n - ones)
         assert all(w[:, i].all() for i, p in enumerate(scheme.probs) if p == 1.0)
@@ -189,6 +188,17 @@ def test_improper_schemes_rejected():
         SamplingScheme.minibatch(3, 4)
     with pytest.raises(ConfigError):
         SamplingScheme.independent([0.5, 0.0])
+    with pytest.raises(ConfigError, match="either a batch size or inclusion probabilities"):
+        SamplingScheme(3)
+    with pytest.raises(ConfigError, match="either a batch size or inclusion probabilities"):
+        SamplingScheme(2, batch_size=1, probs=(0.5, 0.5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_a_scheme_is_its_batch_size(n):
+    # single element is the b = 1 minibatch and the full batch the b = n one
+    assert SamplingScheme.minibatch(n, 1) == SamplingScheme.single_element(n)
+    assert SamplingScheme.minibatch(n, n) == SamplingScheme.full_batch(n)
 
 
 @given(

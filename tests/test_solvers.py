@@ -6,7 +6,7 @@ from stochvi import constants as C
 from stochvi import numerics
 from stochvi.errors import ConfigError
 from stochvi.operators import FiniteSumOperator, QuadraticGame
-from stochvi.sampling import INDEPENDENT, SamplingScheme, draw_many
+from stochvi.sampling import SamplingScheme, draw_many
 from stochvi.solvers import (
     BLOCK,
     DETERMINISTIC_METHODS,
@@ -344,7 +344,7 @@ class NoStar(FiniteSumOperator):
     ({"scheme": SamplingScheme.single_element(3)}, "gda requires the full-batch scheme"),
     ({"method": "co", "scheme": SamplingScheme.minibatch(3, 2)},
      "co requires the full-batch scheme"),
-    ({"operator": NoStar()}, "NoStar has no equilibrium"),
+    ({"operator": NoStar()}, "NoStar has no analytic equilibrium"),
     ({"x0": np.zeros(3)}, "x0 has the wrong dimension"),
 ], ids=["unknown_method", "negative_iterations", "no_seeds", "scheme_size", "gda_stochastic",
         "co_stochastic", "no_equilibrium", "x0_shape"])
@@ -488,10 +488,6 @@ class Delegating(FiniteSumOperator):
     def component_jacobian(self, i, x):
         return self.game.component_jacobian(i, x)
 
-    @property
-    def has_equilibrium(self):
-        return True
-
     def equilibrium(self):
         return self.game.equilibrium()
 
@@ -514,10 +510,6 @@ class Line(FiniteSumOperator):
 
     def component_jacobian(self, i, x):
         return np.array([[self.scales[i]]])
-
-    @property
-    def has_equilibrium(self):
-        return True
 
     def equilibrium(self):
         return np.array([-self.shifts.sum() / self.scales.sum()])
@@ -576,7 +568,7 @@ def test_batch_estimator_keeps_signed_zeros_and_empty_draws(dim):
             assert jac.tobytes() == sampled_jacobian(op, x, vec).tobytes()
         selected = [bool(vec.indices) for vec in vecs]
         assert np.signbit(vals).all(axis=1).tolist() == selected
-        if scheme.kind == INDEPENDENT:  # some draws select nothing, some do
+        if scheme.batch_size is None:  # some draws select nothing, some do
             assert 0 < sum(selected) < len(selected)
 
 
@@ -627,10 +619,6 @@ class Cliff(FiniteSumOperator):
 
     def component_jacobian(self, i, x):
         return self.scales[i] * np.eye(2)
-
-    @property
-    def has_equilibrium(self):
-        return True
 
     def equilibrium(self):
         return np.zeros(2)
@@ -691,10 +679,6 @@ class Fuse(FiniteSumOperator):
 
     def component_jacobian(self, i, x):
         return (-1e7 if i == 0 else 0.0) * np.eye(2)
-
-    @property
-    def has_equilibrium(self):
-        return True
 
     def equilibrium(self):
         return np.zeros(2)
@@ -779,10 +763,6 @@ class Bounce(FiniteSumOperator):
 
     def component_jacobian(self, i, x):
         return np.eye(2)
-
-    @property
-    def has_equilibrium(self):
-        return True
 
     def equilibrium(self):
         return np.zeros(2)

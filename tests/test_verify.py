@@ -95,7 +95,7 @@ def test_check_ec_needs_equilibrium():
         def component_jacobian(self, i, x):
             return np.eye(1)
 
-    with pytest.raises(ConfigError, match="has no computable equilibrium"):
+    with pytest.raises(ConfigError, match="has no analytic equilibrium"):
         V.check_ec(NoStar(), SamplingScheme.full_batch(1), 1.0, points=1)
 
 

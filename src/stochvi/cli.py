@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -132,11 +133,7 @@ def _write_table(args, rows: list[exps.MethodAggregate]) -> None:
 
 
 def cmd_generate(args) -> int:
-    cfg = exps.GameGenConfig(
-        n=args.n, d1=args.d1, d2=args.d2,
-        mu_a=args.mu_a, l_a=args.l_a, mu_b=args.mu_b, l_b=args.l_b,
-        mu_c=args.mu_c, l_c=args.l_c, seed=args.seed,
-    )
+    cfg = exps.GameGenConfig(**{f.name: getattr(args, f.name) for f in fields(exps.GameGenConfig)})
     game = exps.generate_game(cfg)
     out = _resolve(args, args.out)
     exps.write_game(out, game, cfg)
@@ -148,30 +145,16 @@ def cmd_constants(args) -> int:
     game = exps.read_game(args.game)[0]
     scheme = _scheme(args, game.n)
     prof = exps.profile(game, scheme)
-    gc, ec = prof.game_constants, prof.ec
-    pairs = {
-        "n": gc.n,
-        "mu": gc.mu,
-        "ell": gc.ell,
-        "ell_max": gc.ell_max,
-        "sigma1_sq": gc.sigma1_sq,
-        "scheme": scheme.label(),
-        "ell_xi": ec.ell_xi,
-        "sigma_sq": ec.sigma_sq,
-        "kappa_g": prof.kappa_g,
-    }
-    for i, ell_i in enumerate(gc.ell_i):
-        pairs[f"ell_{i}"] = ell_i
+    pairs = asdict(prof.game_constants)
+    ell_i = pairs.pop("ell_i")
+    pairs.update(scheme=scheme.label(), **asdict(prof.ec), kappa_g=prof.kappa_g)
+    pairs.update((f"ell_{i}", value) for i, value in enumerate(ell_i))
     try:
-        ham = prof.hamiltonian
-        pairs.update(
-            mu_h=ham.mu_h, l_h=ham.l_h, cal_l_h=ham.cal_l_h, sigma_h_sq=ham.sigma_h_sq
-        )
+        pairs.update(asdict(prof.hamiltonian))
     except UnsupportedSchemeError:
         pass
     if args.epsilon is not None:
-        opt = consts.optimal_minibatch(gc, args.epsilon)
-        pairs.update(b_star_real=opt.b_star_real, b_star=opt.b_star)
+        pairs.update(asdict(consts.optimal_minibatch(prof.game_constants, args.epsilon)))
     for key, value in pairs.items():
         print(f"{key}: {value}")
     return EXIT_OK
@@ -223,8 +206,7 @@ def cmd_verify(args) -> int:
     checks = {
         "ec": lambda: verify.check_ec(game, scheme, ec.ell_xi, args.points, args.radius, rng),
         "class": lambda: verify.check_monotonicity_class(
-            game, gc.mu, numerics.singular_values(game.mean_jacobian())[0] ** 2 / gc.mu,
-            args.points, args.radius, rng,
+            game, gc.mu, gc.ell, args.points, args.radius, rng
         ),
         "unbiased": lambda: verify.check_unbiasedness(
             game, scheme, min(args.points, 50), args.radius, rng

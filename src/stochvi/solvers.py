@@ -229,7 +229,6 @@ class RunTrace:
     took len(dist_sq) - 1 steps.
     """
 
-    method: str
     seed: int
     dist_sq: np.ndarray
     final_x: np.ndarray
@@ -368,7 +367,6 @@ def run_batch(operator: FiniteSumOperator, scheme: SamplingScheme, method: str,
     for s in range(seeds):
         end = steps_done[s] + 1
         traces.append(RunTrace(
-            method=method,
             seed=base_seed + s,
             dist_sq=dist[s, :end],
             final_x=final_x[s],

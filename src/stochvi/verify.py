@@ -34,19 +34,21 @@ INEQUALITY_TOL = 1e-9
 class CheckReport:
     """Outcome of one check; self-certifying.
 
-    ``passed`` is always exactly ``worst_margin >= -tolerance``; margins are
-    normalized (dimensionless).  ``witness`` is the probe point (or, for an
-    envelope, the iteration) attaining the worst margin whenever the check
-    fails.
+    Margins are normalized (dimensionless).  ``witness`` is the probe point
+    (or, for an envelope, the iteration) attaining the worst margin whenever
+    the check fails.
     """
 
     name: str
-    passed: bool
     worst_margin: float
     tolerance: float
     points: int
     witness: object | None = None
     details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.worst_margin >= -self.tolerance)
 
 
 def sample_points(
@@ -87,17 +89,10 @@ def _probe(name, center, points, radius, rng, tolerance, margin_pair, details) -
     if np.isnan(margins).any():
         raise NumericalError(f"{name}: a margin is not a number")
     worst = int(np.argmin(margins))
-    worst_margin = float(margins[worst])
-    passed = worst_margin >= -tolerance
-    return CheckReport(
-        name=name,
-        passed=passed,
-        worst_margin=worst_margin,
-        tolerance=tolerance,
-        points=points,
-        witness=None if passed else pts[worst // 2],
-        details=details(rng),
-    )
+    report = CheckReport(name, float(margins[worst]), tolerance, points, details=details(rng))
+    if not report.passed:
+        report.witness = pts[worst // 2]
+    return report
 
 
 def check_ec(
@@ -289,7 +284,6 @@ def check_bound_envelope(
         consts.theoretical_bound(bound, k_lo, r0_sq, **params)
         return CheckReport(
             name=name,
-            passed=False,
             worst_margin=-math.inf,
             tolerance=0.0,
             points=0,
@@ -309,7 +303,6 @@ def check_bound_envelope(
     worst = int(np.argmin(margins))
     return CheckReport(
         name=name,
-        passed=bool(margins[worst] >= 0.0),
         worst_margin=float(margins[worst]),
         tolerance=0.0,
         points=ks.size,

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stochvi
-from stochvi import numerics, solvers
+from stochvi import numerics, solvers, verify
 from stochvi import constants as C
 from stochvi import experiments as E
 from stochvi.cli import main
@@ -129,6 +129,19 @@ def test_verify_passes_and_writes_report(game_file, tmp_path, capsys):
     assert all(entry["passed"] for entry in doc)
 
 
+def test_verify_class_check_certifies_the_game_ell(game_file, monkeypatch, capsys):
+    seen = []
+    check = verify.check_monotonicity_class
+    monkeypatch.setattr(verify, "check_monotonicity_class",
+                        lambda op, mu, ell_star, *rest: seen.append((mu, ell_star))
+                        or check(op, mu, ell_star, *rest))
+    assert main(["verify", str(game_file), "--scheme", "single", "--checks", "class",
+                 "--points", "5"]) == 0
+    game = E.read_game(game_file)[0]
+    gc = E.profile(game, stochvi.SamplingScheme.single_element(game.n)).game_constants
+    assert seen == [(gc.mu, gc.ell)]
+
+
 def test_verify_envelope_check(game_file, capsys):
     code = main([
         "verify", str(game_file), "--scheme", "single", "--checks", "envelope",
@@ -212,11 +225,12 @@ _GENERATOR = {"n": 1, "d1": 1, "d2": 1, "mu_a": 1.0, "l_a": 1.0, "mu_b": 0.5, "l
         _game_text(generator={**_GENERATOR, "n": 5, "d1": 7, "d2": 9}),
         b'{"n": \xff}',
         "[" * 200000 + "]" * 200000,
+        _game_text(A=[[10**400]]),
     ],
     ids=["missing_key", "invalid_json", "not_an_object", "non_integer_header",
          "size_mismatch", "nan_entry", "asymmetric", "numeric_string", "boolean",
          "seed_mismatch", "string_seed", "generator_shape_mismatch", "not_utf8",
-         "nested_past_recursion_limit"],
+         "nested_past_recursion_limit", "integer_beyond_float_range"],
 )
 def test_malformed_game_file_is_config_error(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
@@ -608,6 +622,9 @@ def _config_error_exit(argv, capsys):
         ["plot", "--csv", "{csv}", "--svg", "{out}/x\x00.svg"],
         ["--out-dir", "{out}/o\x00", "run", "--game", "{game}", "--method", "sgda",
          "--iters", "2", "--out", "r.csv"],
+        ["plot", "--csv", "{game}", "--svg", "{out}/p.svg"],
+        ["sweep", "--target-kappa", "0.5", "--n", "3", "--d1", "1", "--d2", "1",
+         "--out", "{out}/k.json"],
     ],
     ids=["zero_points", "empty_multipliers", "negative_seed", "nan_kappa", "nan_radius",
          "sweep_without_game", "output_is_directory", "b_with_single", "b_with_full",
@@ -624,7 +641,7 @@ def _config_error_exit(argv, capsys):
          "minibatch_without_b_target_kappa", "run_out_is_game", "sweep_out_is_game",
          "verify_out_is_game", "svg_is_out", "dump_iterates_is_out", "sweep_svg_is_out",
          "plot_svg_is_csv", "out_dir_out_is_game", "nul_in_out", "nul_in_game",
-         "nul_in_svg", "nul_in_out_dir"],
+         "nul_in_svg", "nul_in_out_dir", "plot_of_a_game_file", "target_kappa_below_one"],
 )
 def test_bad_argv_is_config_error(game_file, tmp_path, capsys, argv):
     out = tmp_path / "outputs"

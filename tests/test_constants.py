@@ -95,6 +95,17 @@ def test_stacked_cocoercivity_raises_the_per_matrix_error(bad):
     assert str(stacked.value) == str(one.value)
 
 
+@pytest.mark.parametrize("bad, match", [
+    (np.ones((2, 3)), r"expected a square matrix or a stack of them, got \(2, 3\)"),
+    (np.ones((4, 2, 3)), r"expected a square matrix or a stack of them, got \(4, 2, 3\)"),
+    ([[1.0, 0.0], [0.0, np.inf]], "matrix entries must be finite"),
+    ([[[1.0, np.nan], [0.0, 1.0]]], "matrix entries must be finite"),
+], ids=["not_square", "stack_not_square", "infinite_entry", "nan_in_stack"])
+def test_cocoercivity_rejects_a_matrix_it_cannot_read(bad, match):
+    with pytest.raises(ConfigError, match=match):
+        C.matrix_cocoercivity(bad)
+
+
 def test_cocoercivity_exact_certifies_nonnormal():
     # Non-normal case where 1 / min Re(1/lambda) over the eigenvalues would
     # give 2: the true constant is the worst ratio |Mx|^2 / <x, Mx>,
@@ -236,6 +247,13 @@ def test_ec_constants_single_element_degenerates():
     assert ec.sigma_sq == pytest.approx(gc.sigma1_sq, rel=1e-12)
 
 
+def test_ec_constants_reject_a_scheme_for_another_n():
+    game = random_game(5, 2, 2, seed=42)
+    gc = C.game_constants(game)
+    with pytest.raises(ConfigError, match="scheme is for n=4, constants for n=5"):
+        C.ec_constants(gc, SamplingScheme.single_element(4), game)
+
+
 def test_ec_constants_closed_form_plug():
     assert C.minibatch_ell_xi(4, 2, 2.0, 5.0) == pytest.approx(3.0, rel=1e-15)
     assert C.minibatch_sigma_sq(4, 2, 6.0) == pytest.approx(2.0, rel=1e-15)
@@ -364,6 +382,14 @@ def test_hamiltonian_unsupported_scheme():
     game = random_game(4, 2, 2, seed=63)
     with pytest.raises(UnsupportedSchemeError):
         C.hamiltonian_constants(game, SamplingScheme.minibatch(4, 2))
+
+
+def test_hamiltonian_constants_reject_a_singular_mean_jacobian():
+    # A = C = 0 and B = 0: the mean Jacobian is the zero matrix
+    game = QuadraticGame([[[0.0]]], [[[0.0]]], [[[0.0]]], [[0.0]], [[0.0]])
+    for scheme in (SamplingScheme.single_element(1), SamplingScheme.full_batch(1)):
+        with pytest.raises(NumericalError, match="mean Jacobian is singular"):
+            C.hamiltonian_constants(game, scheme)
 
 
 def test_hamiltonian_es_inequality_single_element():
@@ -555,6 +581,12 @@ def test_optimal_minibatch_needs_two_components():
         C.optimal_minibatch(gc, 0.1)
 
 
+@pytest.mark.parametrize("mu", [0.0, -1.0])
+def test_optimal_minibatch_needs_positive_mu(mu):
+    with pytest.raises(ConfigError, match="optimal minibatch size needs mu > 0"):
+        C.optimal_minibatch(make_constants(4, mu, 1.0, 2.0, 1.0), 0.1)
+
+
 # ---------------------------------------------------------------------------
 # closed-form bounds
 # ---------------------------------------------------------------------------
@@ -639,6 +671,31 @@ def test_bound_sco_constant_mu_zero_branch():
     denom = 0.1 * 1.0
     expect = (1 - denom) ** 2 + 4 * (0.05**2 * 1.0 + 0.1**2 * 2.0) / denom
     assert val == pytest.approx(expect, rel=1e-12)
+
+
+_SGDA = dict(alpha=0.1, mu=1.0, ell_xi=2.0, sigma_sq=1.0)
+_SCO = dict(alpha=0.05, gamma=0.05, mu=1.0, mu_h=1.0, ell_xi=2.0, cal_l_h=2.0,
+            sigma_sq=1.0, sigma_h_sq=1.0)
+_SHGD = dict(gamma=0.1, mu_h=1.0, cal_l_h=2.0, sigma_h_sq=1.0)
+
+
+@pytest.mark.parametrize("bound, k, params, error, match", [
+    (C.SGDA_CONSTANT, -1, _SGDA, ConfigError, "iteration index must be >= 0"),
+    (C.SGDA_CONSTANT, 1, {**_SGDA, "mu": 0.0}, ConfigError, "this rate needs mu > 0"),
+    (C.SGDA_CONSTANT_GENERAL, 1, {**_SGDA, "mu": 0.0}, ConfigError, "this rate needs mu > 0"),
+    (C.SCO_CONSTANT, 1, {**_SCO, "mu": -1.0}, ConfigError,
+     "this rate needs mu >= 0 and mu_h > 0"),
+    (C.SCO_CONSTANT, 1, {**_SCO, "mu_h": 0.0}, ConfigError,
+     "this rate needs mu >= 0 and mu_h > 0"),
+    (C.SHGD_CONSTANT, 1, {**_SHGD, "mu_h": 0.0}, ConfigError, "this rate needs mu_h > 0"),
+    (C.SHGD_CONSTANT, 1, {**_SHGD, "gamma": 0.0}, NumericalError,
+     "step size out of range: gamma must be positive"),
+    ("sgda_constnat", 1, _SGDA, ConfigError, "unknown bound id 'sgda_constnat'"),
+], ids=["negative_k", "sgda_mu_zero", "sgda_general_mu_zero", "sco_mu_negative",
+        "sco_mu_h_zero", "shgd_mu_h_zero", "shgd_gamma_zero", "unknown_bound"])
+def test_bound_rejects_parameters_outside_its_statement(bound, k, params, error, match):
+    with pytest.raises(error, match=match):
+        C.theoretical_bound(bound, k, 1.0, **params)
 
 
 @given(

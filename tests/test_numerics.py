@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stochvi import numerics
-from stochvi.errors import NumericalError
+from stochvi.errors import ConfigError, NumericalError
 
 from reference import random_orthogonal
 
@@ -33,6 +33,24 @@ def test_solve_linear_residual():
 def test_solve_linear_rejects_singular():
     with pytest.raises(NumericalError, match="singular or too ill-conditioned"):
         numerics.solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: numerics.as_matrix([1.0, 2.0]), r"expected a 2-d array, got shape \(2,\)"),
+    (lambda: numerics.as_matrix([[1.0, np.nan]]), "matrix entries must be finite"),
+    (lambda: numerics.solve_linear(np.ones((1, 2, 2)), [1.0, 2.0]),
+     r"expected a 2-d array, got shape \(1, 2, 2\)"),
+    (lambda: numerics.solve_linear(np.ones((2, 3)), [1.0, 2.0]),
+     r"expected a square matrix, got shape \(2, 3\)"),
+    (lambda: numerics.solve_linear(np.eye(2), [1.0, 2.0, 3.0]),
+     "right-hand side length 3 != matrix order 2"),
+    (lambda: numerics.solve_linear([[np.inf, 0.0], [0.0, 1.0]], [1.0, 2.0]),
+     "matrix entries must be finite"),
+], ids=["as_matrix_1d", "as_matrix_nan", "solve_3d", "solve_not_square", "solve_rhs_length",
+        "solve_infinite"])
+def test_matrix_inputs_are_validated(call, match):
+    with pytest.raises(ConfigError, match=match):
+        call()
 
 
 def test_solve_linear_random_well_conditioned():

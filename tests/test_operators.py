@@ -168,6 +168,27 @@ def test_index_and_dimension_errors():
                       [[[1.0]]], [[0.0, 0.0]], [[0.0]])
 
 
+_GAME = dict(a_mats=[[[1.0]]], b_mats=[[[0.5]]], c_mats=[[[1.0]]], a_vecs=[[0.0]],
+             c_vecs=[[0.0]])
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: QuadraticGame(**{**_GAME, "a_mats": [[1.0]]}), "A, B, C must be stacks of matrices"),
+    (lambda: QuadraticGame(**{**_GAME, "c_vecs": [[0.0], [0.0]]}),
+     "all component stacks must share n"),
+    (lambda: QuadraticGame(**{**_GAME, "a_mats": [[[1.0, 0.0], [0.0, 1.0]]]}),
+     "A must be d1 x d1 and C must be d2 x d2"),
+    (lambda: QuadraticGame(**{**_GAME, "a_vecs": [[0.0, 0.0]]}),
+     "offset vectors must match block dimensions"),
+    (lambda: CosineOperator(0, 1.0, 4.0), "dimension must be >= 1, got 0"),
+    (lambda: CosineOperator(2, 4.0, 4.0), "need 0 < mu < big_l, got mu=4.0, big_l=4.0"),
+], ids=["a_not_a_stack", "n_differs", "a_wrong_order", "offset_wrong_length",
+        "cosine_no_dimension", "cosine_mu_at_big_l"])
+def test_operator_rejects_inconsistent_data(make, match):
+    with pytest.raises(ConfigError, match=match):
+        make()
+
+
 def test_first_asymmetric_component_is_named():
     game = random_game(5, 3, 2, seed=21)
     a, c = game.A.copy(), game.C.copy()

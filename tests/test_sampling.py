@@ -194,6 +194,11 @@ def test_improper_schemes_rejected():
         SamplingScheme(2, batch_size=1, probs=(0.5, 0.5))
 
 
+def test_independent_scheme_needs_one_probability_per_index():
+    with pytest.raises(ConfigError, match="independent scheme needs one probability per index"):
+        SamplingScheme(3, probs=(0.5, 0.5))
+
+
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_a_scheme_is_its_batch_size(n):
     # single element is the b = 1 minibatch and the full batch the b = n one

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -82,6 +83,48 @@ def test_probe_distances_beyond_float_range_are_a_config_error():
     for radius in (1e200, 1e308):
         with pytest.raises(ConfigError, match=re.escape(f"radius {radius} ")):
             V.check_ec(game, scheme, 1.0, points=2, radius=radius, rng=numerics.make_rng(2))
+
+
+@pytest.mark.parametrize("radius", [-1.0, -1e-300, float("nan")])
+def test_sample_points_rejects_a_radius_below_zero(radius):
+    with pytest.raises(ConfigError, match="radius must be >= 0"):
+        V.sample_points(np.zeros(2), 3, radius, numerics.make_rng(0))
+
+
+@pytest.mark.parametrize("check", ["ec", "class", "unbiased"])
+def test_probe_checks_default_to_the_seed_0_generator(check):
+    game = random_game(3, 2, 2, seed=72)
+    scheme = SamplingScheme.single_element(3)
+    run = {
+        "ec": lambda **rng: V.check_ec(game, scheme, 0.5, points=20, **rng),
+        "class": lambda **rng: V.check_monotonicity_class(game, 0.5, 4.0, points=20, **rng),
+        "unbiased": lambda **rng: V.check_unbiasedness(game, scheme, points=5, **rng),
+    }[check]
+    default, seeded = run(), run(rng=numerics.make_rng(0))
+    assert default.worst_margin == seeded.worst_margin
+    assert np.array_equal(default.witness, seeded.witness)
+    assert repr(default.details) == repr(seeded.details)
+
+
+def test_unbiasedness_without_an_equilibrium_probes_around_zero(monkeypatch):
+    class Cubic(FiniteSumOperator):
+        n = 2
+        dim = 2
+
+        def component_value(self, i, x):
+            return (i + 1.0) * np.asarray(x, dtype=float) ** 3
+
+        def component_jacobian(self, i, x):
+            return np.diag(3.0 * (i + 1.0) * np.asarray(x, dtype=float) ** 2)
+
+    centres = []
+    sample_points = V.sample_points
+    monkeypatch.setattr(V, "sample_points",
+                        lambda centre, *rest: centres.append(centre) or sample_points(centre, *rest))
+    report = V.check_unbiasedness(Cubic(), SamplingScheme.single_element(2), points=4,
+                                  radius=1.0, rng=numerics.make_rng(5))
+    assert report.passed
+    assert [c.tolist() for c in centres] == [[0.0, 0.0]]
 
 
 def test_check_ec_needs_equilibrium():
@@ -362,6 +405,18 @@ def test_envelope_rejects_unequal_lengths_without_divergence():
         V.check_bound_envelope(traces, C.SGDA_CONSTANT, params, slack=1.05)
 
 
+def test_envelope_needs_traces_that_reach_the_bound():
+    with pytest.raises(ConfigError, match="too few seeds: no traces supplied"):
+        V.check_bound_envelope([], C.SGDA_CONSTANT, {"sigma_sq": 0.0}, slack=1.05)
+    game = random_game(3, 2, 2, seed=86)
+    traces = sgda_traces(game, SamplingScheme.full_batch(3), 0.01, 10, 1)
+    # ell_xi / mu = 10, so the switching bound starts at iteration 40
+    params = dict(mu=1.0, ell_xi=10.0, sigma_sq=0.0)
+    with pytest.raises(ConfigError, match="the traces end at iteration 10, "
+                                          "before the bound starts at 40"):
+        V.check_bound_envelope(traces, C.SGDA_SWITCHING, params, slack=1.1)
+
+
 def test_reports_are_self_certifying():
     game = random_game(3, 2, 2, seed=83)
     scheme = SamplingScheme.single_element(3)
@@ -373,3 +428,15 @@ def test_reports_are_self_certifying():
     ]
     for rep in reports:
         assert rep.passed == (rep.worst_margin >= -rep.tolerance)
+
+
+def test_a_report_passes_exactly_down_to_minus_its_tolerance():
+    tol = V.INEQUALITY_TOL
+    assert V.CheckReport("edge", -tol, tol, 1).passed
+    below = math.nextafter(-tol, -math.inf)
+    assert not V.CheckReport("edge", below, tol, 1).passed
+    assert V.CheckReport("exact", 0.0, 0.0, 1).passed
+    assert not V.CheckReport("exact", -5e-324, 0.0, 1).passed
+    assert not V.CheckReport("nan", math.nan, tol, 1).passed
+    with pytest.raises(TypeError):
+        V.CheckReport("edge", -tol, tol, 1, passed=True)

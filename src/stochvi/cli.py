@@ -63,14 +63,15 @@ def _nonnegative(text: str) -> float:
     return value
 
 
-def _resolve(args, path_str: str) -> Path:
-    """``path_str``, under --out-dir (made if need be) when relative."""
-    p = Path(path_str)
-    if p.is_absolute() or args.out_dir is None:
-        return p
-    base = Path(args.out_dir)
-    base.mkdir(parents=True, exist_ok=True)
-    return base / p
+def _write(args, path_str: str, write, note: str = "") -> None:
+    """Call ``write`` on ``path_str``, placed under --out-dir (made if need
+    be) when relative, and print ``wrote <path><note>``."""
+    path = Path(path_str)
+    if not path.is_absolute() and args.out_dir is not None:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        path = Path(args.out_dir) / path
+    write(path)
+    print(f"wrote {path}{note}")
 
 
 def _check_paths(args) -> None:
@@ -114,13 +115,9 @@ def _scheme(args, n: int) -> SamplingScheme:
 def _write_table(args, rows: list[exps.MethodAggregate]) -> None:
     """The CSV at --out, the SVG at --svg if given, and one stderr line per
     row whose runs the divergence guard cut short."""
-    out = _resolve(args, args.out)
-    exps.emit_csv(rows, out)
-    print(f"wrote {out}")
+    _write(args, args.out, lambda path: exps.emit_csv(rows, path))
     if args.svg:
-        svg = _resolve(args, args.svg)
-        exps.emit_svg(rows, svg)
-        print(f"wrote {svg}")
+        _write(args, args.svg, lambda path: exps.emit_svg(rows, path))
     for row in rows:
         if row.diverged:
             stops = ", ".join(f"seed {seed} at iteration {k}" for seed, k in row.diverged)
@@ -135,9 +132,8 @@ def _write_table(args, rows: list[exps.MethodAggregate]) -> None:
 def cmd_generate(args) -> int:
     cfg = exps.GameGenConfig(**{f.name: getattr(args, f.name) for f in fields(exps.GameGenConfig)})
     game = exps.generate_game(cfg)
-    out = _resolve(args, args.out)
-    exps.write_game(out, game, cfg)
-    print(f"wrote {out} (n={cfg.n}, d1={cfg.d1}, d2={cfg.d2}, seed={cfg.seed})")
+    _write(args, args.out, lambda path: exps.write_game(path, game, cfg),
+           f" (n={cfg.n}, d1={cfg.d1}, d2={cfg.d2}, seed={cfg.seed})")
     return EXIT_OK
 
 
@@ -182,10 +178,9 @@ def cmd_run(args) -> int:
         for method in methods:
             for k, xk in enumerate(traces[method][0].iterates):
                 lines.append(f"{method},{k}," + ",".join(repr(float(v)) for v in xk))
-        dump = _resolve(args, args.dump_iterates)
-        with open(dump, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"wrote {dump}")
+        text = "\n".join(lines) + "\n"
+        _write(args, args.dump_iterates,
+               lambda path: path.write_text(text, encoding="utf-8", newline="\n"))
     return EXIT_OK
 
 
@@ -242,11 +237,8 @@ def cmd_verify(args) -> int:
             }
             for r in reports
         ]
-        out = _resolve(args, args.out)
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        print(f"wrote {out}")
+        text = json.dumps(doc, indent=1) + "\n"
+        _write(args, args.out, lambda path: path.write_text(text, encoding="utf-8", newline="\n"))
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
@@ -283,9 +275,8 @@ def cmd_sweep(args) -> int:
             args.target_kappa, args.n, args.d1, args.d2, _scheme(args, args.n), args.seed,
         )
         game = exps.generate_game(cfg)
-        out = _resolve(args, args.out)
-        exps.write_game(out, game, cfg)
-        print(f"wrote {out} (kappa_g={kappa:.3f}, l_a={cfg.l_a!r})")
+        _write(args, args.out, lambda path: exps.write_game(path, game, cfg),
+               f" (kappa_g={kappa:.3f}, l_a={cfg.l_a!r})")
         return EXIT_OK
     try:
         multipliers = tuple(float(m) for m in args.multipliers.split(","))
@@ -303,9 +294,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_plot(args) -> int:
     rows = exps.read_csv(args.csv)
-    out = _resolve(args, args.svg)
-    exps.emit_svg(rows, out)
-    print(f"wrote {out}")
+    _write(args, args.svg, lambda path: exps.emit_svg(rows, path))
     return EXIT_OK
 
 
@@ -361,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", required=True)
     r.add_argument("--svg", default=None)
     r.add_argument("--dump-iterates", default=None,
-                   help="also write per-iteration coordinates for seed 0")
+                   help="also write per-iteration coordinates for the first seed (--seed)")
     r.set_defaults(func=cmd_run)
 
     v = sub.add_parser("verify", parents=[sampling],

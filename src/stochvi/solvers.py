@@ -259,10 +259,10 @@ def run_batch(operator: FiniteSumOperator, scheme: SamplingScheme, method: str,
     A seed whose iterate is not finite or, from a start off x*, beyond
     DIVERGENCE_FACTOR times its initial squared distance is found at the end
     of its block of BLOCK steps.  Its trace ends at that first offending
-    iterate and it leaves the batch; the others go on.  Until the block ends
-    it is stepped on with the others, with numpy's overflow and invalid-value
-    warnings silenced, and those steps are thrown away.  ``record_iterates``
-    keeps the first seed's iterates.
+    iterate.  It stays in the batch and is stepped on with the others, with
+    numpy's overflow and invalid-value warnings silenced, until the run ends
+    or every seed has stopped, and those steps are thrown away.
+    ``record_iterates`` keeps the first seed's iterates.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; known: {METHODS}")
@@ -303,7 +303,6 @@ def run_batch(operator: FiniteSumOperator, scheme: SamplingScheme, method: str,
     steps_done = np.full(seeds, iterations)
     diverged = np.zeros(seeds, dtype=bool)
     final_x = np.empty((seeds, dim))
-    active = np.arange(seeds)
     # Each step writes its iterates into the next row of the block.
     blocks = np.empty((min(BLOCK, iterations), seeds, dim))
 
@@ -316,7 +315,7 @@ def run_batch(operator: FiniteSumOperator, scheme: SamplingScheme, method: str,
     # The guard reports a run that overflows, so numpy need not warn too.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, iterations, BLOCK):
-            block = blocks[:min(BLOCK, iterations - start), :active.size]
+            block = blocks[:min(BLOCK, iterations - start)]
             for k, row in enumerate(block, start):
                 alpha, gamma = steps[k]
                 if alpha == 0.0 and gamma == 0.0:
@@ -342,26 +341,20 @@ def run_batch(operator: FiniteSumOperator, scheme: SamplingScheme, method: str,
                 x = np.subtract(x, gamma * grad, out=row)
             stop = start + len(block) + 1
             d = _row_dots((block - x_star).reshape(-1, dim)).reshape(len(block), -1)
-            dist[active, start + 1:stop] = d.T
-            if iterates is not None and active[0] == 0:
+            dist[:, start + 1:stop] = d.T
+            if iterates is not None:
                 iterates[start + 1:stop] = block[:, 0]
             if (d <= limit).all():
                 continue
             bad = ~np.isfinite(block).all(axis=2) | (d0 > 0.0) & (d > DIVERGENCE_FACTOR * d0)
-            hit = bad.any(axis=0)
-            if hit.any():
-                first = bad.argmax(axis=0)[hit]
-                stopped = active[hit]
-                steps_done[stopped] = start + 1 + first
-                diverged[stopped] = True
-                final_x[stopped] = block[first, hit]
-                keep = ~hit
-                active, x, d0, limit = active[keep], x[keep], d0[keep], limit[keep]
-                if draws is not None:
-                    draws = draws[:, keep]
-                if active.size == 0:
-                    break
-    final_x[active] = x
+            hit = bad.any(axis=0) & ~diverged
+            first = bad.argmax(axis=0)[hit]
+            steps_done[hit] = start + 1 + first
+            final_x[hit] = block[first, hit]
+            diverged |= hit
+            if diverged.all():
+                break
+    final_x[~diverged] = x[~diverged]
 
     traces = []
     for s in range(seeds):

@@ -116,6 +116,28 @@ def test_run_dump_iterates(game_file, tmp_path):
     assert len(lines) == 1 + 11
 
 
+def test_dump_iterates_holds_the_first_seed(game_file, tmp_path):
+    # the dump is the iterates of the batch's first seed, --seed, not seed 0
+    dump = tmp_path / "iterates.csv"
+    assert main([
+        "--seed", "3", "run", "--game", str(game_file), "--method", "sgda",
+        "--scheme", "single", "--schedule", "constant", "--alpha", "0.05",
+        "--iters", "20", "--seeds", "2", "--out", str(tmp_path / "agg.csv"),
+        "--dump-iterates", str(dump),
+    ]) == 0
+    dumped = np.array([[float(v) for v in line.split(",")[2:]]
+                       for line in dump.read_text().splitlines()[1:]])
+    game = E.read_game(game_file)[0]
+
+    def first_seed(base_seed):
+        return solvers.run_batch(game, stochvi.SamplingScheme.single_element(game.n), "sgda",
+                                 20, 2, solvers.ConstantSchedule(alpha=0.05), base_seed,
+                                 record_iterates=True)[0].iterates
+
+    assert dumped.tobytes() == first_seed(3).tobytes()
+    assert dumped.tobytes() != first_seed(0).tobytes()
+
+
 def test_verify_passes_and_writes_report(game_file, tmp_path, capsys):
     report = tmp_path / "report.json"
     code = main([
@@ -386,15 +408,36 @@ def test_run_and_plot_draw_non_finite_statistics(game_file, tmp_path, seeds):
     assert "nan" not in svg.read_text() and "inf" not in svg.read_text()
 
 
-def test_out_dir_flag(game_file, tmp_path):
+_RUN = ["run", "--game", "{game}", "--method", "sgda", "--scheme", "single",
+        "--iters", "10", "--seeds", "1", "--out", "agg.csv"]
+_SWEEP = ["sweep", "--game", "{game}", "--iters", "5", "--seeds", "1", "--out", "s.csv"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["generate", "--n", "3", "--d1", "1", "--d2", "1", "--out", "g.json"], "g.json"),
+    (_RUN, "agg.csv"),
+    (_RUN + ["--svg", "agg.svg"], "agg.svg"),
+    (_RUN + ["--dump-iterates", "it.csv"], "it.csv"),
+    (["verify", "{game}", "--checks", "ec", "--points", "2", "--out", "v.json"], "v.json"),
+    (_SWEEP, "s.csv"),
+    (_SWEEP + ["--svg", "s.svg"], "s.svg"),
+    (["sweep", "--target-kappa", "5", "--n", "3", "--d1", "1", "--d2", "1",
+      "--out", "k.json"], "k.json"),
+    (["plot", "--csv", "{csv}", "--svg", "p.svg"], "p.svg"),
+], ids=["generate_out", "run_out", "run_svg", "run_dump_iterates", "verify_out",
+        "sweep_game_out", "sweep_game_svg", "sweep_target_kappa_out", "plot_svg"])
+def test_out_dir_flag(game_file, tmp_path, capsys, argv, name):
+    # every file the CLI writes at a relative path lands under --out-dir,
+    # named by one "wrote" line
     out_dir = tmp_path / "results"
-    code = main([
-        "--out-dir", str(out_dir),
-        "run", "--game", str(game_file), "--method", "sgda", "--scheme", "single",
-        "--iters", "10", "--seeds", "1", "--out", "agg.csv",
-    ])
-    assert code == 0
-    assert (out_dir / "agg.csv").exists()
+    csv = tmp_path / "agg.csv"
+    csv.write_text(f"{E.CSV_HEADER}\nsgda,0,1.0,1.0,1.0,1\n", encoding="utf-8")
+    argv = [a.replace("{game}", str(game_file)).replace("{csv}", str(csv)) for a in argv]
+    assert main(["--out-dir", str(out_dir), *argv]) == 0
+    assert (out_dir / name).is_file()
+    wrote = [line for line in capsys.readouterr().out.splitlines()
+             if line.split(" (")[0] == f"wrote {out_dir / name}"]
+    assert len(wrote) == 1
 
 
 def test_well_formed_game_text_is_accepted(tmp_path):

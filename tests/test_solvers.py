@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stochvi import constants as C
+from stochvi import experiments as E
 from stochvi import numerics
 from stochvi.errors import ConfigError
 from stochvi.operators import FiniteSumOperator, QuadraticGame
@@ -764,6 +765,21 @@ def test_guard_stops_every_seed_in_one_block():
                schedule=ConstantSchedule(alpha=1.0), iterations=4 * BLOCK, seed=0)
     batch = assert_batch_matches_reference(cfg, 4)
     assert all(t.diverged and len(t.dist_sq) - 1 == BLOCK + 3 for t in batch)
+
+
+def test_run_ends_at_the_block_where_the_last_seed_stops(monkeypatch):
+    # at alpha 1e200 both seeds overflow at iteration 1, so a 50-step sgda
+    # run on the n=20 figure game takes the one evaluation per step of its
+    # first block and no more
+    game = E.generate_game(E.GameGenConfig(n=20, d1=20, d2=20, mu_a=1.0, l_a=1.6, mu_b=1.2,
+                                           l_b=2.4, mu_c=1.0, l_c=1.6, seed=0))
+    monkeypatch.setattr(_BatchEstimator, "evaluate", _BatchEstimator.evaluate)  # restored after
+    calls = {"evaluate": 0}
+    count_calls(_BatchEstimator, "evaluate", calls)
+    batch = run_batch(game, SamplingScheme.single_element(20), "sgda", 50, 2,
+                      ConstantSchedule(alpha=1e200))
+    assert all(t.diverged and len(t.dist_sq) == 2 for t in batch)
+    assert calls == {"evaluate": BLOCK}
 
 
 class Bounce(FiniteSumOperator):

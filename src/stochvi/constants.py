@@ -18,7 +18,7 @@ import numpy as np
 from . import numerics
 from .errors import ConfigError, NumericalError, UnsupportedSchemeError
 from .operators import QuadraticGame
-from .sampling import SamplingScheme, enumerate_support
+from .sampling import SamplingScheme, moments, second_moment
 from .solvers import ScoSwitchingSchedule, SgdaSwitchingSchedule
 
 # Eigenvalues below this fraction of the spectral scale count as zero.
@@ -166,7 +166,7 @@ def ec_constants(
     Minibatch-family schemes use the closed forms.  The independent scheme
     uses the general formula z ell + max_i ell_i (1 - p_i z) / (n p_i) with
     the pairwise constant z of Prob(i, j in S) = z p_i p_j, which is 1 by
-    independence, and its noise comes from exact support enumeration.
+    independence, and its noise from the scheme's ``moments``.
     """
     if gc.n != scheme.n:
         raise ConfigError(f"scheme is for n={scheme.n}, constants for n={gc.n}")
@@ -178,9 +178,8 @@ def ec_constants(
         )
     extra = max(ell_i / (gc.n * p) * (1.0 - p) for ell_i, p in zip(gc.ell_i, scheme.probs))
     ell_xi = gc.ell + extra
-    probs, w = enumerate_support(scheme)
-    est = w @ game.component_values(game.equilibrium())
-    sigma_sq = float(probs @ np.einsum("kj,kj->k", est, est))
+    _, e, c = moments(scheme)
+    sigma_sq = second_moment(e, c, game.component_values(game.equilibrium()))
     return ECConstants(ell_xi=ell_xi, sigma_sq=sigma_sq)
 
 

@@ -5,8 +5,8 @@ nothing by hand:
 
 * ConfigError (a ValueError): the input is wrong, exit 2.  A malformed
   matrix, game file or option value, an unknown method or scheme, or a
-  request the code cannot serve (an operator without an equilibrium, a
-  support over the enumeration cap, too few traces).
+  request the code cannot serve (an operator without an equilibrium, too
+  few traces).
 * NumericalError (an ArithmeticError): the input is well formed but the
   game cannot be certified or computed, exit 3.  A singular or not
   strongly monotone mean Jacobian, a matrix that is not co-coercive, a

@@ -9,22 +9,19 @@ Two families are provided: the b-minibatch (uniform b-subsets, weight n/b),
 whose b = 1 is single-element uniform sampling and whose b = n is the full
 batch (no randomness), and independent per-index inclusion with
 probabilities p_i (weight 1/p_i).
-Exact support enumeration gives the expectations over v that the verify
-checks and the independent scheme's noise constant need; it is capped at
-1e6 support points.
+Every expectation over v that the verify checks and the independent
+scheme's noise constant take is a first or second moment of the weights.
+Their second moments are a diagonal plus one constant, so ``moments`` gives
+them all in closed form and no support is enumerated.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-
-SUPPORT_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -131,35 +128,31 @@ def index_weights(scheme: SamplingScheme):
     return (n / scheme.batch_size) / n
 
 
-def enumerate_support(scheme: SamplingScheme):
-    """Exhaustive support as (probs, W): probs[k] is the probability of the
-    k-th support point and row k of W maps stacked component values straight
-    to its estimate, estimate_k = W[k] @ values.
+def moments(scheme: SamplingScheme):
+    """The moments (q, e, c) of the weights W_i = 1[i in S] * w_i / n,
+    which fix every expectation over v:
 
-    Rows follow ``itertools.combinations`` order for the minibatch family
-    and ``itertools.product`` order over inclusion masks (first index most
-    significant) for the independent scheme, whose zero-probability masks
-    are dropped.  Probabilities sum to 1 within 1e-12.  Raises ConfigError
-    before allocating when the support exceeds the cap.  W is rows x n
-    float64: minibatch n = 40, b = 5 gives 658,008 rows and 210 MB.
+        E[W_i] = q_i = Pr(i in S) * w_i / n,
+        E|sum_i W_i y_i|^2 = sum_i e_i |y_i|^2 + c |sum_i y_i|^2,
+
+    since E[W_i W_j] is c off the diagonal and e_i + c on it.  The
+    b-minibatch has c = (b-1)/(n(n-1)b), 0 at n = 1, and e_i = 1/(nb) - c;
+    the independent scheme c = 1/n^2 and e_i = 1/(n^2 p_i) - c.
     """
     n = scheme.n
     b = scheme.batch_size
-    if b is not None:
-        size = math.comb(n, b)
-        if size > SUPPORT_CAP:
-            raise ConfigError(f"support size {size} exceeds cap {SUPPORT_CAP}")
-        combos = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(n), b)),
-            dtype=np.intp, count=size * b,
-        ).reshape(size, b)
-        w = np.zeros((size, n))
-        w[np.arange(size)[:, None], combos] = index_weights(scheme)
-        return np.full(size, 1.0 / size), w
-    if 2**n > SUPPORT_CAP:
-        raise ConfigError(f"support size 2^{n} exceeds cap {SUPPORT_CAP}")
-    mask = ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
-    p = np.asarray(scheme.probs)
-    probs = np.prod(np.where(mask, p, 1.0 - p), axis=1)
-    keep = probs > 0.0
-    return probs[keep], np.where(mask[keep], index_weights(scheme), 0.0)
+    if b is None:
+        incl = np.asarray(scheme.probs)
+        c = 1.0 / n**2
+        diag = 1.0 / (n**2 * incl)
+    else:
+        incl = np.full(n, b / n)
+        c = (b - 1) / (n * (n - 1) * b) if n > 1 else 0.0
+        diag = np.full(n, 1.0 / (n * b))
+    return incl * index_weights(scheme), diag - c, c
+
+
+def second_moment(e, c: float, y: np.ndarray) -> float:
+    """E|sum_i W_i y_i|^2 for the rows y_i of ``y``, from ``moments``' (e, c)."""
+    total = y.sum(axis=0)
+    return float(e @ np.einsum("ij,ij->i", y, y) + c * (total @ total))

@@ -1,10 +1,10 @@
 """Assumption and rate-envelope verification oracles.
 
-All expectation checks enumerate the sampling support exactly, never by
-Monte-Carlo, so a failing check is deterministic and reproducible.  Margins
-are normalized per probe point; a check passes exactly when its worst
-normalized margin is >= -tolerance, and every failing report carries a
-witness point.
+All expectation checks take their expectations over v in closed form from
+the scheme's moments, never by Monte-Carlo, so a failing check is
+deterministic and reproducible.  Margins are normalized per probe point; a
+check passes exactly when its worst normalized margin is >= -tolerance, and
+every failing report carries a witness point.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from . import constants as consts
 from . import numerics
 from .errors import ConfigError, NumericalError
 from .operators import FiniteSumOperator
-from .sampling import SamplingScheme, enumerate_support
+from .sampling import SamplingScheme, moments, second_moment
 from .solvers import RunTrace
 
 DEFAULT_RADIUS = 10.0
@@ -103,7 +103,7 @@ def check_ec(
     radius: float = DEFAULT_RADIUS,
     rng: np.random.Generator | None = None,
 ) -> CheckReport:
-    """Expected co-coercivity with constant ell_xi, by exact enumeration.
+    """Expected co-coercivity with constant ell_xi, exact in v.
 
     At each probe x the primary margin is
 
@@ -114,18 +114,15 @@ def check_ec(
     normalized by the magnitude of the terms involved.
     """
     x_star = op.equilibrium()
-    probs, w = enumerate_support(scheme)
+    _, e, c = moments(scheme)
     vals_star = op.component_values(x_star)
-    est_star = w @ vals_star
-    sigma_sq = float(probs @ np.einsum("kj,kj->k", est_star, est_star))
+    sigma_sq = second_moment(e, c, vals_star)
 
     def margin_pair(x):
         vals = op.component_values(x)
         inner = float(vals.mean(axis=0) @ (x - x_star))
-        est_diff = w @ (vals - vals_star)
-        second_diff = float(probs @ np.einsum("kj,kj->k", est_diff, est_diff))
-        est = w @ vals
-        second = float(probs @ np.einsum("kj,kj->k", est, est))
+        second_diff = second_moment(e, c, vals - vals_star)
+        second = second_moment(e, c, vals)
         scale1 = 1.0 + abs(ell_xi * inner) + second_diff
         scale2 = 1.0 + abs(2.0 * ell_xi * inner) + 2.0 * sigma_sq + second
         return ((ell_xi * inner - second_diff) / scale1,
@@ -197,7 +194,7 @@ def check_unbiasedness(
     radius: float = DEFAULT_RADIUS,
     rng: np.random.Generator | None = None,
 ) -> CheckReport:
-    """Exact-enumeration means of the two estimators against their targets.
+    """Exact means of the two estimators against their targets.
 
     At each probe x, E[value_v(x)] must match value(x) and the expectation
     of the Hamiltonian-gradient estimator over independent (u, v) pairs must
@@ -207,24 +204,23 @@ def check_unbiasedness(
         center = op.equilibrium()
     except ConfigError:
         center = np.zeros(op.dim)
-    probs, w = enumerate_support(scheme)
-    # Targets go through the same weighted-contraction code path as the
-    # support estimates (uniform weights 1/n), so the noise-free full-batch
-    # scheme reproduces them exactly, not merely to rounding.
-    w_uniform = np.full((1, scheme.n), 1.0 / scheme.n)
+    q, _, _ = moments(scheme)
+    # Targets go through the same contraction as the means (uniform weights
+    # 1/n), so the noise-free full-batch scheme reproduces them exactly,
+    # not merely to rounding.
+    uniform = np.full(scheme.n, 1.0 / scheme.n)
 
     def margin_pair(x):
         (vals,), (jacs,) = op.batch_terms(x[None], jacobian=True)
-        target = (w_uniform @ vals)[0]
-        mean_est = probs @ (w @ vals)
+        target = uniform @ vals
+        mean_est = q @ vals
         res_val = float(np.linalg.norm(mean_est - target))
         scale_val = 1.0 + float(np.linalg.norm(target))
 
         # u and v are independent, so the mean of (J_u^T val_v + J_v^T val_u) / 2
-        # over all support pairs factors into (sum_k p_k J_k)^T (sum_l p_l val_l).
-        mean_jac = np.einsum("n,nij->ij", probs @ w, jacs)
-        cross = mean_jac.T @ mean_est
-        target_h = np.einsum("kn,nij->kij", w_uniform, jacs)[0].T @ target
+        # factors into (sum_i q_i J_i)^T (sum_i q_i val_i).
+        cross = np.einsum("n,nij->ij", q, jacs).T @ mean_est
+        target_h = np.einsum("n,nij->ij", uniform, jacs).T @ target
         res_h = float(np.linalg.norm(cross - target_h))
         scale_h = 1.0 + float(np.linalg.norm(target_h))
         return EXACT_TOL - res_val / scale_val, EXACT_TOL - res_h / scale_h

@@ -3,8 +3,9 @@ held to.
 
 Nothing in the package calls these.  They are the literal definitions: one
 support vector, one draw, one estimator term and one update at a time, so a
-test can compare the array support (``sampling.enumerate_support``) and the
-seed-batched engine (``solvers.run_batch``) with them bit for bit; one
+test can hold the closed-form moments of a scheme (``sampling.moments``) to
+the enumerated support and the seed-batched engine (``solvers.run_batch``)
+to the one-point run bit for bit; one
 orthogonal factor and one co-coercivity constant at a time, so a test can
 compare the stacked game generation and ``game_constants`` with them bit for
 bit; and the grid oracle gives the closed-form co-coercivity constant an
@@ -48,8 +49,7 @@ class SamplingVector:
 
 def enumerate_support(scheme: SamplingScheme) -> list:
     """The support one vector at a time, as a list of (probability,
-    SamplingVector) in the row order of ``sampling.enumerate_support``:
-    ``itertools.combinations`` for the minibatch family, and
+    SamplingVector): ``itertools.combinations`` for the minibatch family, and
     ``itertools.product`` over inclusion masks, zero-probability masks
     dropped, for the independent scheme."""
     n = scheme.n

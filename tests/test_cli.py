@@ -190,19 +190,26 @@ def test_verify_exit_code_on_failure(tmp_path, capsys):
     assert code == 2
 
 
-def test_verify_support_over_the_cap_is_config_error(tmp_path, capsys):
-    # C(24, 12) = 2,704,156 support rows: refused before W (519 MB) exists
+@pytest.mark.parametrize("shape, argv", [
+    (("24", "1", "1"), ["--b", "12", "--checks", "unbiased"]),
+    (("40", "5", "5"), ["--b", "10", "--checks", "ec,unbiased"]),
+], ids=["n24-b12", "n40-b10"])
+def test_verify_reads_moments_not_the_support(tmp_path, capsys, shape, argv):
+    # C(24, 12) = 2,704,156 and C(40, 10) = 847,660,528 subsets: the checks
+    # take their expectations from the scheme's moments, never its support
+    n, d1, d2 = shape
     path = tmp_path / "game.json"
-    assert main(["generate", "--n", "24", "--d1", "1", "--d2", "1", "--out", str(path)]) == 0
+    assert main(["generate", "--n", n, "--d1", d1, "--d2", d2, "--out", str(path)]) == 0
     capsys.readouterr()
     tracemalloc.start()
     try:
-        err = _config_error_exit(["verify", str(path), "--scheme", "minibatch", "--b", "12",
-                                  "--checks", "unbiased"], capsys)
+        code = main(["verify", str(path), "--scheme", "minibatch", *argv])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert err.strip() == "configuration error: support size 2704156 exceeds cap 1000000"
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out.count("[PASS]") == len(argv[-1].split(","))
     assert peak < 20 * 2**20
 
 

@@ -281,6 +281,21 @@ def test_sigma_sq_matches_enumeration_all_batch_sizes():
             assert ec.sigma_sq == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
 
+def test_independent_sigma_sq_matches_enumeration_at_any_n():
+    # the noise of independent inclusion comes from its moments, so it needs
+    # no support: 2^20 and 2^40 masks cost what 2^2 does
+    rng = numerics.make_rng(56)
+    for n in range(2, 9):
+        game = random_game(n, 2, 2, seed=int(rng.integers(0, 10**6)))
+        scheme = SamplingScheme.independent(rng.uniform(0.05, 1.0, n))
+        ec = C.ec_constants(C.game_constants(game), scheme, game)
+        assert ec.sigma_sq == pytest.approx(enumerated_sigma_sq(game, scheme), rel=1e-14)
+    for n in (20, 40):
+        game = random_game(n, 2, 2, seed=n)
+        ec = C.ec_constants(C.game_constants(game), SamplingScheme.independent([0.25] * n), game)
+        assert math.isfinite(ec.ell_xi) and math.isfinite(ec.sigma_sq) and ec.sigma_sq > 0.0
+
+
 def test_ec_inequality_holds_with_certified_constant():
     # enumerated E|value_v(x) - value_v(x*)|^2 <= ell_xi <value(x), x - x*>
     game = random_game(6, 2, 2, seed=77)

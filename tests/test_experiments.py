@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -417,6 +418,17 @@ def test_emission_deterministic(tmp_path):
     assert svg.startswith("<svg")
     assert "sgda" in svg and "shgd" in svg
     assert "polyline" in svg and "polygon" in svg
+
+
+def test_svg_axis_starts_at_the_smallest_positive_mean(tmp_path):
+    # a run that lands exactly on x* has mean 0.0, which no log axis holds:
+    # the lowest decade is that of the smallest positive mean, 3e-4
+    mean = np.array([1.0, 3e-2, 3e-4, 0.0])
+    row = E.MethodAggregate("sgda", mean, mean, mean, np.full(4, 2))
+    path = tmp_path / "zero.svg"
+    E.emit_svg([row], path)
+    labels = re.findall(r">1e(-?\d+)</text>", path.read_text())
+    assert labels == ["-4", "-3", "-2", "-1", "0"]
 
 
 @pytest.mark.parametrize("xs, ys", [

@@ -11,7 +11,8 @@ from stochvi.errors import ConfigError
 from stochvi.sampling import (
     SamplingScheme,
     draw_many,
-    enumerate_support,
+    moments,
+    second_moment,
 )
 
 import reference
@@ -53,17 +54,33 @@ def test_minibatch_weights_are_n_over_b():
     assert all(w == 6 / 4 for w in vec.weights)
 
 
+def _support_arrays(scheme):
+    """The reference support as (probs, W), row k of W the k-th vector's
+    weights with the 1/n folded in."""
+    support = reference.enumerate_support(scheme)
+    probs = np.array([p for p, _ in support])
+    return probs, np.array([vec.dense(scheme.n) / scheme.n for _, vec in support])
+
+
 def test_enumerate_support_minibatch():
-    probs, w = enumerate_support(SamplingScheme.minibatch(3, 2))
+    # three equally likely pairs with weight 1/2 each: E[W_i^2] = (2/3)/4 and
+    # E[W_i W_j] = (1/3)/4, so c = 1/12 and e_i = 1/6 - 1/12
+    probs, w = _support_arrays(SamplingScheme.minibatch(3, 2))
     assert probs.shape == (3,) and w.shape == (3, 3)
     assert all(abs(p - 1 / 3) < 1e-15 for p in probs)
+    q, e, c = moments(SamplingScheme.minibatch(3, 2))
+    assert q.tolist() == [2 / 3 * 0.5] * 3
+    assert c == 1 / 12
+    assert e.tolist() == [1 / 6 - 1 / 12] * 3
 
 
 def test_enumerate_support_single_element_two():
-    # weight n/b = 2 with the 1/n folded in
-    probs, w = enumerate_support(SamplingScheme.single_element(2))
+    # weight n/b = 2 with the 1/n folded in; one index at a time, so c = 0
+    probs, w = _support_arrays(SamplingScheme.single_element(2))
     assert probs.tolist() == [0.5, 0.5]
     assert w.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    q, e, c = moments(SamplingScheme.single_element(2))
+    assert (q.tolist(), e.tolist(), c) == ([0.5, 0.5], [0.5, 0.5], 0.0)
 
 
 _ORACLE_SCHEMES = [
@@ -82,12 +99,13 @@ _ORACLE_SCHEMES = [
 
 @pytest.mark.parametrize("scheme", _ORACLE_SCHEMES, ids=lambda s: f"{s.label()}-n{s.n}")
 def test_enumerate_support_equals_the_reference(scheme):
-    # row k is the k-th vector of the one-vector-at-a-time enumeration,
-    # bit for bit, with the zero-probability masks dropped
-    probs, w = enumerate_support(scheme)
-    support = reference.enumerate_support(scheme)
-    assert probs.tobytes() == np.array([p for p, _ in support]).tobytes()
-    assert w.tobytes() == np.array([vec.dense(scheme.n) / scheme.n for _, vec in support]).tobytes()
+    # the moments are the ones the enumerated reference support gives:
+    # q = sum_k p_k W_k and the pair matrix sum_k p_k W_k W_k^T = diag(e) + c;
+    # the reference drops the zero-probability masks
+    probs, w = _support_arrays(scheme)
+    q, e, c = moments(scheme)
+    np.testing.assert_allclose(q, probs @ w, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(np.diag(e) + c, (probs[:, None] * w).T @ w, rtol=1e-13, atol=0.0)
     if scheme.batch_size is None:
         ones = sum(p == 1.0 for p in scheme.probs)
         assert len(probs) == 2 ** (scheme.n - ones)
@@ -101,32 +119,37 @@ def test_enumerate_support_probabilities_sum_to_one():
         SamplingScheme.full_batch(4),
         SamplingScheme.independent([0.2, 0.9, 0.5, 1.0]),
     ):
-        probs, _ = enumerate_support(scheme)
+        probs, _ = _support_arrays(scheme)
         assert abs(probs.sum() - 1.0) <= 1e-12
+        assert abs(moments(scheme)[0].sum() - 1.0) <= 1e-12
 
 
 def test_enumerate_support_unbiased_weights():
-    # sum over support of prob * v_i / n == 1/n for every index
+    # sum over support of prob * v_i / n == 1/n for every index, and so q_i
     for scheme in (
         SamplingScheme.minibatch(6, 2),
         SamplingScheme.single_element(6),
         SamplingScheme.independent([0.25, 0.5, 0.75, 1.0, 0.1, 0.9]),
     ):
-        probs, w = enumerate_support(scheme)
+        probs, w = _support_arrays(scheme)
         assert np.abs(probs @ w * scheme.n - 1.0).max() <= 1e-12
+        assert np.abs(moments(scheme)[0] * scheme.n - 1.0).max() <= 1e-12
 
 
-def test_support_cap():
-    with pytest.raises(ConfigError, match=r"support size \d+ exceeds cap"):
-        enumerate_support(SamplingScheme.minibatch(60, 30))
-    with pytest.raises(ConfigError, match=r"support size 2\^25 exceeds cap"):
-        enumerate_support(SamplingScheme.independent([0.5] * 25))
+def test_moments_of_supports_past_any_enumeration():
+    # C(60, 30) ~ 1.2e17 subsets and 2^40 masks cost what a small scheme does
+    for scheme in (SamplingScheme.minibatch(60, 30), SamplingScheme.independent([0.5] * 40)):
+        q, e, c = moments(scheme)
+        assert np.abs(q * scheme.n - 1.0).max() <= 1e-15
+        assert (e > 0.0).all() and c > 0.0
+    assert moments(SamplingScheme.minibatch(60, 30))[2] == 29 / (60 * 59 * 30)
+    assert moments(SamplingScheme.independent([0.5] * 40))[1].tolist() == [1 / 1600] * 40
 
 
 def test_double_counting_identity():
     # Prob(i, j in S) = (b/n) (b-1)/(n-1) for i != j, via enumeration
     for n, b in ((4, 2), (6, 3), (5, 5)):
-        probs, w = enumerate_support(SamplingScheme.minibatch(n, b))
+        probs, w = _support_arrays(SamplingScheme.minibatch(n, b))
         expect = (b / n) * (b - 1) / (n - 1)
         for i, j in itertools.combinations(range(n), 2):
             p_ij = probs @ ((w[:, i] != 0.0) & (w[:, j] != 0.0))
@@ -143,12 +166,12 @@ def test_estimator_unbiased_on_operator():
         SamplingScheme.independent([0.3, 0.8, 0.5, 1.0, 0.6]),
     )
     for scheme in schemes:
-        probs, w = enumerate_support(scheme)
+        q, _, _ = moments(scheme)
         for _ in range(25):
             x = rng.standard_normal(game.dim) * 3.0
             vals = game.component_values(x)
             target = vals.mean(axis=0)
-            mean = probs @ (w @ vals)
+            mean = q @ vals
             scale = max(np.linalg.norm(target), 1.0)
             assert np.linalg.norm(mean - target) <= 1e-12 * scale
 
@@ -213,8 +236,42 @@ def test_a_scheme_is_its_batch_size(n):
 @settings(max_examples=60, deadline=None)
 def test_unbiasedness_identity_property(n, data):
     b = data.draw(st.integers(min_value=1, max_value=n))
-    probs, w = enumerate_support(SamplingScheme.minibatch(n, b))
-    assert np.abs(probs @ w * n - 1.0).max() <= 1e-12
+    q, _, _ = moments(SamplingScheme.minibatch(n, b))
+    assert np.abs(q * n - 1.0).max() <= 1e-12
+
+
+def _small_schemes():
+    """Every b-minibatch with n <= 7, and independent schemes with
+    p_i in [2^-30, 1], 1.0 included.  Far below that, a weight 1/p_i or
+    its square leaves float range."""
+    minibatch = st.integers(1, 7).flatmap(
+        lambda n: st.builds(SamplingScheme.minibatch, st.just(n), st.integers(1, n)))
+    prob = st.one_of(st.just(1.0), st.floats(2.0**-30, 1.0))
+    independent = st.lists(prob, min_size=1, max_size=7).map(SamplingScheme.independent)
+    return st.one_of(minibatch, independent)
+
+
+@given(scheme=_small_schemes(), seed=st.integers(0, 2**32 - 1), centered=st.booleans())
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_moments_equal_the_enumerated_support(scheme, seed, centered):
+    # q and E|sum_i W_i y_i|^2 one support vector at a time; centered rows
+    # sum to zero, as the components do at an equilibrium, so the rounding
+    # of sum_i y_i counts against the scale of the rows
+    n = scheme.n
+    y = numerics.make_rng(seed).standard_normal((n, 3))
+    if centered:
+        y -= y.mean(axis=0)
+    q_ref, second_ref = np.zeros(n), 0.0
+    for p, vec in reference.enumerate_support(scheme):
+        w = vec.dense(n) / n
+        q_ref += p * w
+        est = w @ y
+        second_ref += p * float(est @ est)
+    q, e, c = moments(scheme)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(q - q_ref) <= 1e-15 * q_ref + eps / n)
+    scale = float((e + n * c) @ np.einsum("ij,ij->i", y, y))
+    assert abs(second_moment(e, c, y) - second_ref) <= 1e-15 * second_ref + 4 * eps * scale
 
 
 @given(

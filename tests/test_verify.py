@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from stochvi import constants as C
+from stochvi import experiments as E
 from stochvi import numerics
 from stochvi import verify as V
 from stochvi.errors import ConfigError, NumericalError
 from stochvi.operators import CosineOperator, FiniteSumOperator, QuadraticGame
-from stochvi.sampling import SamplingScheme, enumerate_support
+from stochvi.sampling import SamplingScheme, moments
 from stochvi.solvers import ConstantSchedule, run_batch
 
 import reference
@@ -155,6 +156,35 @@ def test_check_ec_never_fails_on_generated_games():
             assert report.passed
 
 
+@pytest.mark.parametrize("radius, loose", [(3.0, False), (0.01, True)],
+                         ids=["primary-sets-the-margin", "secondary-sets-the-margin"])
+def test_check_ec_margins_at_one_probe(radius, loose):
+    # Both normalized margins against their definitions, with expectations
+    # over the enumerated reference support.  Far out, ell_xi puts the
+    # secondary numerator at -0.9; next to x*, where sigma^2 outweighs the
+    # distance, a loose ell_xi makes the secondary margin the worse one.
+    game = random_game(4, 2, 2, seed=70)
+    scheme = SamplingScheme.minibatch(4, 2)
+    support = reference.enumerate_support(scheme)
+
+    def mean_sq(y):
+        return sum(p * float(np.sum((vec.dense(4) / 4 @ y) ** 2)) for p, vec in support)
+
+    x_star = game.equilibrium()
+    (x,) = V.sample_points(x_star, 1, radius, numerics.make_rng(5))
+    vals, vals_star = game.component_values(x), game.component_values(x_star)
+    inner = float(vals.mean(axis=0) @ (x - x_star))
+    sigma_sq, second, second_diff = mean_sq(vals_star), mean_sq(vals), mean_sq(vals - vals_star)
+    ell_xi = 1e6 if loose else (second - 2.0 * sigma_sq - 0.9) / (2.0 * inner)
+    primary = (ell_xi * inner - second_diff) / (1.0 + abs(ell_xi * inner) + second_diff)
+    secondary = ((2.0 * ell_xi * inner + 2.0 * sigma_sq - second)
+                 / (1.0 + abs(2.0 * ell_xi * inner) + 2.0 * sigma_sq + second))
+    assert (secondary < primary) == loose
+    report = V.check_ec(game, scheme, ell_xi, points=1, radius=radius, rng=numerics.make_rng(5))
+    assert report.worst_margin == pytest.approx(min(primary, secondary), rel=1e-12)
+    assert report.details["sigma_sq"] == pytest.approx(sigma_sq, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # monotonicity-class check
 # ---------------------------------------------------------------------------
@@ -202,6 +232,43 @@ def test_class_check_fails_with_inflated_mu():
     assert report.witness is not None
 
 
+@pytest.fixture(scope="module")
+def desk_game():
+    """The n=20, d1=d2=20 reference game and its constants."""
+    game = E.generate_game(E.GameGenConfig(
+        n=20, d1=20, d2=20, mu_a=1.0, l_a=1.6, mu_b=1.2, l_b=2.4,
+        mu_c=1.0, l_c=1.6, seed=20240601))
+    return game, C.game_constants(game)
+
+
+def test_class_check_fails_with_a_tenth_of_the_cocoercivity_constant(desk_game):
+    # mu itself passes sub-check (a), so only sub-check (b),
+    # |dv|^2 <= ell* <dv, dx>, can fail here
+    game, gc = desk_game
+    assert V.check_monotonicity_class(game, gc.mu, gc.ell, points=200).passed
+    report = V.check_monotonicity_class(game, gc.mu, 0.1 * gc.ell, points=200)
+    assert not report.passed
+    assert report.worst_margin < -0.5
+    assert report.witness is not None and report.witness.shape == (game.dim,)
+
+
+def test_class_check_margin_b_at_one_probe(desk_game):
+    # one probe, an ell* small enough that sub-check (b) sets the margin
+    game, gc = desk_game
+    ell_star = 0.1 * gc.ell
+    x_star = game.equilibrium()
+    (x,) = V.sample_points(x_star, 1, 3.0, numerics.make_rng(5))
+    dv = game.full_value(x) - game.full_value(x_star)
+    inner = ell_star * float(dv @ (x - x_star))
+    norm_sq = float(dv @ dv)
+    expect = (inner - norm_sq) / (1.0 + norm_sq + abs(inner))
+    report = V.check_monotonicity_class(game, gc.mu, ell_star, points=1, radius=3.0,
+                                        rng=numerics.make_rng(5))
+    assert expect < 0.0
+    assert report.worst_margin == pytest.approx(expect, rel=1e-12)
+    assert np.array_equal(report.witness, x)
+
+
 # ---------------------------------------------------------------------------
 # unbiasedness check
 # ---------------------------------------------------------------------------
@@ -231,13 +298,41 @@ def test_unbiasedness_catches_corrupted_weights(monkeypatch):
     from stochvi import verify as verify_mod
 
     def corrupted(s):
-        probs, w = enumerate_support(s)
-        w[0, w[0] != 0.0] += 1e-3 / s.n
-        return probs, w
+        q, e, c = moments(s)
+        q[0] += 1e-3 / s.n
+        return q, e, c
 
-    monkeypatch.setattr(verify_mod, "enumerate_support", corrupted)
+    monkeypatch.setattr(verify_mod, "moments", corrupted)
     report = V.check_unbiasedness(game, scheme, points=20, rng=numerics.make_rng(9))
     assert not report.passed
+
+
+@pytest.mark.parametrize("exact", ["value", "hamiltonian"])
+def test_unbiasedness_margins_at_one_probe(monkeypatch, exact):
+    # q corrupted along a direction that keeps one of the two means exact,
+    # to first order, so that each margin in turn is the worst; both equal
+    # their definitions
+    game = random_game(6, 1, 1, seed=80)
+    (x,) = V.sample_points(game.equilibrium(), 1, 10.0, numerics.make_rng(5))
+    vals = game.component_values(x)
+    jacs = np.stack([game.component_jacobian(i, x) for i in range(game.n)])
+    target, jbar = vals.mean(axis=0), game.mean_jacobian()
+    # the change of each mean per unit of q_i, at q_i = 1/n
+    d_value = vals.T
+    d_ham = jbar.T @ vals.T + np.einsum("nij,i->jn", jacs, target)
+    q = np.full(game.n, 1.0 / game.n)
+    q += 1e-3 * np.linalg.svd(d_value if exact == "value" else d_ham)[2][-1]
+    monkeypatch.setattr(V, "moments", lambda s: (q, None, None))
+
+    mean_est = q @ vals
+    res_val = np.linalg.norm(mean_est - target) / (1.0 + np.linalg.norm(target))
+    target_h = jbar.T @ target
+    cross = np.einsum("n,nij->ij", q, jacs).T @ mean_est
+    res_h = np.linalg.norm(cross - target_h) / (1.0 + np.linalg.norm(target_h))
+    assert (res_val < res_h) == (exact == "value")
+    report = V.check_unbiasedness(game, SamplingScheme.single_element(game.n), points=1,
+                                  radius=10.0, rng=numerics.make_rng(5))
+    assert report.worst_margin == pytest.approx(V.EXACT_TOL - max(res_val, res_h), rel=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -248,7 +343,7 @@ def test_unbiasedness_catches_corrupted_weights(monkeypatch):
 )
 def test_hamiltonian_pair_sum_factors(scheme):
     # the literal mean over independent (u, v) support pairs, which the
-    # unbiasedness check replaces by (sum_k p_k J_k)^T (sum_l p_l val_l)
+    # unbiasedness check replaces by (sum_i q_i J_i)^T (sum_i q_i val_i)
     game = random_game(scheme.n, 2, 2, seed=79)
     x = numerics.make_rng(3).standard_normal(game.dim) * 5.0
     support = reference.enumerate_support(scheme)
@@ -257,10 +352,9 @@ def test_hamiltonian_pair_sum_factors(scheme):
         for pu, u in support
         for pv, v in support
     )
-    probs, w = enumerate_support(scheme)
+    q, _, _ = moments(scheme)
     jacs = np.stack([game.component_jacobian(i, x) for i in range(game.n)])
-    mean_jac = np.einsum("n,nij->ij", probs @ w, jacs)
-    factored = mean_jac.T @ (probs @ (w @ game.component_values(x)))
+    factored = np.einsum("n,nij->ij", q, jacs).T @ (q @ game.component_values(x))
     target = game.mean_jacobian().T @ game.full_value(x)
     scale = np.linalg.norm(target)
     assert np.linalg.norm(literal - factored) <= 1e-12 * scale

@@ -189,19 +189,19 @@ def cmd_verify(args) -> int:
     scheme = _scheme(args, game.n)
     rng = numerics.make_rng(args.seed)
     prof = exps.profile(game, scheme)
-    gc, ec = prof.game_constants, prof.ec
 
     def envelope():
         own, schedule = exps.method_plan(prof, ("sgda",))["sgda"]
         traces = run_batch(game, own, "sgda", args.envelope_iters, args.envelope_seeds,
                            schedule, args.seed)
+        gc, ec = prof.game_constants, prof.ec
         params = dict(alpha=schedule.alpha, mu=gc.mu, ell_xi=ec.ell_xi, sigma_sq=ec.sigma_sq)
         return verify.check_bound_envelope(traces, consts.SGDA_CONSTANT, params, 1.05)
 
     checks = {
-        "ec": lambda: verify.check_ec(game, scheme, ec.ell_xi, args.points, args.radius, rng),
+        "ec": lambda: verify.check_ec(game, scheme, prof.ec.ell_xi, args.points, args.radius, rng),
         "class": lambda: verify.check_monotonicity_class(
-            game, gc.mu, gc.ell, args.points, args.radius, rng
+            game, prof.game_constants.mu, prof.game_constants.ell, args.points, args.radius, rng
         ),
         "unbiased": lambda: verify.check_unbiasedness(
             game, scheme, min(args.points, 50), args.radius, rng

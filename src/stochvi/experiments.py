@@ -238,18 +238,23 @@ def _generator_config(spec) -> GameGenConfig | None:
 
 @dataclass(frozen=True)
 class GameProfile:
-    """The constants of ``game`` under ``scheme``.
-
-    The game and expected co-coercivity constants are computed when the
-    profile is built.  The Hamiltonian constants are computed on the first
-    read of ``hamiltonian`` and kept; on a scheme without them that read
-    raises UnsupportedSchemeError.
+    """The constants of ``game`` under ``scheme``, each record computed on its
+    first read and kept, and the game constants read from ``base``, a profile
+    of the same game, when given.  On a scheme without Hamiltonian constants
+    the read of ``hamiltonian`` raises UnsupportedSchemeError.
     """
 
     game: QuadraticGame
     scheme: SamplingScheme
-    game_constants: consts.GameConstants
-    ec: consts.ECConstants
+    base: GameProfile | None = None
+
+    @cached_property
+    def game_constants(self) -> consts.GameConstants:
+        return self.base.game_constants if self.base else consts.game_constants(self.game)
+
+    @cached_property
+    def ec(self) -> consts.ECConstants:
+        return consts.ec_constants(self.game_constants, self.scheme, self.game)
 
     @property
     def kappa_g(self) -> float:
@@ -261,10 +266,8 @@ class GameProfile:
 
 
 def profile(game: QuadraticGame, scheme: SamplingScheme) -> GameProfile:
-    """Profile of (game, scheme): its game and expected co-coercivity
-    constants, with the Hamiltonian constants left to their first read."""
-    gc = consts.game_constants(game)
-    return GameProfile(game, scheme, gc, consts.ec_constants(gc, scheme, game))
+    """Profile of (game, scheme), with every constant left to its first read."""
+    return GameProfile(game, scheme)
 
 
 def theory_schedule(method: str, prof: GameProfile) -> ConstantSchedule:
@@ -288,12 +291,8 @@ def method_plan(prof: GameProfile, methods, schedule="theory"):
     constants of ``prof``).  Every schedule is resolved before the caller's
     first run.
     """
-    full = prof
-    if not prof.scheme.is_deterministic and any(m in DETERMINISTIC_METHODS for m in methods):
-        full_scheme = SamplingScheme.full_batch(prof.game.n)
-        gc = prof.game_constants
-        full = GameProfile(prof.game, full_scheme, gc,
-                           consts.ec_constants(gc, full_scheme, prof.game))
+    full = prof if prof.scheme.is_deterministic else GameProfile(
+        prof.game, SamplingScheme.full_batch(prof.game.n), prof)
     plan = {}
     for m in methods:
         own = full if m in DETERMINISTIC_METHODS else prof

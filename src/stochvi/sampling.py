@@ -17,6 +17,7 @@ them all in closed form and no support is enumerated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +46,9 @@ class SamplingScheme:
                     f"minibatch size must lie in [1, {self.n}], got {self.batch_size}")
         elif len(self.probs) != self.n:
             raise ConfigError("independent scheme needs one probability per index")
-        elif any(not 0.0 < p <= 1.0 for p in self.probs):
-            # Every p_i must be positive for the scheme to be proper.
-            raise ConfigError("inclusion probabilities must lie in (0, 1]")
+        elif any(not 0.0 < p <= 1.0 or not math.isfinite(1.0 / p) for p in self.probs):
+            # p_i > 0 makes the scheme proper; a finite 1/p_i bounds 1/(n^2 p_i).
+            raise ConfigError("inclusion probabilities must lie in (0, 1] with finite 1/p_i")
 
     # -- constructors ------------------------------------------------------
 

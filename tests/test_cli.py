@@ -472,6 +472,49 @@ def test_game_constants_computed_once_per_run(game_file, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_constant_step_run_computes_no_game_constants(game_file, tmp_path, monkeypatch):
+    # the same two profiles, but a constant step reads no constant
+    calls = []
+    original = C.game_constants
+
+    def counted(game):
+        calls.append(game)
+        return original(game)
+
+    monkeypatch.setattr(C, "game_constants", counted)
+    assert main([
+        "run", "--game", str(game_file), "--method", "gda,sgda", "--scheme", "single",
+        "--schedule", "constant", "--alpha", "0.1",
+        "--iters", "5", "--seeds", "1", "--out", str(tmp_path / "agg.csv"),
+    ]) == 0
+    assert len(calls) == 0
+
+
+# Two components with d1 = d2 = 1: A_0 = -1 makes component 0 non-monotone,
+# while the mean's symmetric part is the identity and expected co-coercivity
+# holds.  The paper's rates allow such components.
+NONMONOTONE_GAME = Path(__file__).with_name("nonmonotone_game.json")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["run", "--game", "{game}", "--method", "sgda", "--schedule", "constant", "--alpha", "0.1",
+      "--iters", "20", "--seeds", "2", "--out", "{out}"], 0),
+    (["verify", "{game}", "--checks", "unbiased"], 0),
+    (["run", "--game", "{game}", "--method", "sgda", "--iters", "20", "--out", "{out}"], 3),
+], ids=["constant_step_run", "verify_unbiased", "theory_steps"])
+def test_nonmonotone_component_is_certified_only_where_read(tmp_path, capsys, argv, code):
+    # theory steps read every component's ell_i; the other two read no constant
+    out = tmp_path / "agg.csv"
+    argv = [a.replace("{game}", str(NONMONOTONE_GAME)).replace("{out}", str(out)) for a in argv]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("numerical error: not co-coercive: ") and err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert err == ""
+
+
 @pytest.mark.parametrize("methods, flags, calls", [
     ("sgda", ["--scheme", "minibatch", "--b", "3"], 0),
     ("sgda,sco,shgd", ["--scheme", "single"], 1),

@@ -211,10 +211,22 @@ def test_improper_schemes_rejected():
         SamplingScheme.minibatch(3, 4)
     with pytest.raises(ConfigError):
         SamplingScheme.independent([0.5, 0.0])
+    # weights 1/p_i beyond float range: the smallest subnormal, and one
+    # subnormal among many indices
+    with pytest.raises(ConfigError, match="finite 1/p_i"):
+        SamplingScheme.independent([5e-324])
+    with pytest.raises(ConfigError, match="finite 1/p_i"):
+        SamplingScheme.independent([1.0] * 9999 + [1e-310])
     with pytest.raises(ConfigError, match="either a batch size or inclusion probabilities"):
         SamplingScheme(3)
     with pytest.raises(ConfigError, match="either a batch size or inclusion probabilities"):
         SamplingScheme(2, batch_size=1, probs=(0.5, 0.5))
+
+
+def test_subnormal_probability_with_a_float_weight_is_accepted():
+    # 1/6e-309 is still a float, and every 1/(n^2 p_i) is smaller
+    q, e, c = moments(SamplingScheme.independent([1.0] * 9999 + [6e-309]))
+    assert np.isfinite(q).all() and np.isfinite(e).all() and e[-1] > 1e300
 
 
 def test_independent_scheme_needs_one_probability_per_index():

@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +129,7 @@ def _write_table(args, rows: list[exps.MethodAggregate]) -> None:
 
 
 def cmd_generate(args) -> int:
-    cfg = exps.GameGenConfig(**{f.name: getattr(args, f.name) for f in fields(exps.GameGenConfig)})
+    cfg = exps.GameGenConfig(**{name: getattr(args, name) for name in exps.GameGenConfig._fields})
     game = exps.generate_game(cfg)
     _write(args, args.out, lambda path: exps.write_game(path, game, cfg),
            f" (n={cfg.n}, d1={cfg.d1}, d2={cfg.d2}, seed={cfg.seed})")
@@ -141,16 +140,16 @@ def cmd_constants(args) -> int:
     game = exps.read_game(args.game)[0]
     scheme = _scheme(args, game.n)
     prof = exps.profile(game, scheme)
-    pairs = asdict(prof.game_constants)
+    pairs = prof.game_constants._asdict()
     ell_i = pairs.pop("ell_i")
-    pairs.update(scheme=scheme.label(), **asdict(prof.ec), kappa_g=prof.kappa_g)
+    pairs.update(scheme=scheme.label(), **prof.ec._asdict(), kappa_g=prof.kappa_g)
     pairs.update((f"ell_{i}", value) for i, value in enumerate(ell_i))
     try:
-        pairs.update(asdict(prof.hamiltonian))
+        pairs.update(prof.hamiltonian._asdict())
     except UnsupportedSchemeError:
         pass
     if args.epsilon is not None:
-        pairs.update(asdict(consts.optimal_minibatch(prof.game_constants, args.epsilon)))
+        pairs.update(consts.optimal_minibatch(prof.game_constants, args.epsilon)._asdict())
     for key, value in pairs.items():
         print(f"{key}: {value}")
     return EXIT_OK

@@ -11,13 +11,13 @@ genuine certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import numerics
 from .errors import ConfigError, NumericalError, UnsupportedSchemeError
 from .operators import QuadraticGame
+from .records import Record
 from .sampling import SamplingScheme, moments, second_moment
 from .solvers import ScoSwitchingSchedule, SgdaSwitchingSchedule
 
@@ -75,16 +75,15 @@ def matrix_cocoercivity(m):
 # ---------------------------------------------------------------------------
 
 
-class _Finite:
+class _Finite(Record):
     """Base of the constants records: a constant that overflowed to inf or
     nan certifies nothing, so building such a record is a NumericalError."""
 
     def __post_init__(self):
-        if not np.isfinite(np.hstack(astuple(self))).all():
+        if not np.isfinite(np.hstack(list(self._asdict().values()))).all():
             raise NumericalError(f"{type(self).__name__} are not finite: {self}")
 
 
-@dataclass(frozen=True)
 class GameConstants(_Finite):
     """Structural constants of one quadratic game.
 
@@ -103,7 +102,6 @@ class GameConstants(_Finite):
     sigma1_sq: float
 
 
-@dataclass(frozen=True)
 class ECConstants(_Finite):
     """Expected co-coercivity constant and operator noise for one scheme."""
 
@@ -111,7 +109,6 @@ class ECConstants(_Finite):
     sigma_sq: float
 
 
-@dataclass(frozen=True)
 class HamiltonianConstants(_Finite):
     """Constants of H(x) = |mean value|^2 / 2 for one quadratic game."""
 
@@ -243,8 +240,7 @@ def hamiltonian_constants(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OptimalMinibatch:
+class OptimalMinibatch(Record):
     b_star_real: float
     b_star: int
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -22,6 +21,7 @@ from . import constants as consts
 from . import numerics
 from .errors import ConfigError
 from .operators import QuadraticGame
+from .records import Record
 from .sampling import SamplingScheme
 from .solvers import (
     DETERMINISTIC_METHODS,
@@ -53,8 +53,7 @@ CI_QUANTILE = 1.96
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GameGenConfig:
+class GameGenConfig(Record):
     """Seeded generator parameters for one random quadratic game.
 
     Eigenvalues of every A_i (resp. C_i) are drawn uniformly in
@@ -144,7 +143,7 @@ def write_game(path, game: QuadraticGame, gen: GameGenConfig | None = None) -> N
         "d1": game.d1,
         "d2": game.d2,
         "seed": gen.seed if gen is not None else None,
-        "generator": asdict(gen) if gen is not None else None,
+        "generator": gen._asdict() if gen is not None else None,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(head, indent=1)[:-2])  # without the closing "\n}"
@@ -218,7 +217,7 @@ def _generator_config(spec) -> GameGenConfig | None:
     """The game file's generator entry as a config; ValueError if invalid."""
     if spec is None:
         return None
-    names = [f.name for f in fields(GameGenConfig)]
+    names = GameGenConfig._fields
     if not isinstance(spec, dict) or sorted(spec) != sorted(names):
         raise ValueError(f"generator must be null or an object with keys {', '.join(names)}")
     for name, value in spec.items():
@@ -236,8 +235,7 @@ def _generator_config(spec) -> GameGenConfig | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GameProfile:
+class GameProfile(Record):
     """The constants of ``game`` under ``scheme``, each record computed on its
     first read and kept, and the game constants read from ``base``, a profile
     of the same game, when given.  On a scheme without Hamiltonian constants
@@ -342,8 +340,7 @@ def _check_methods(methods) -> None:
     _reject_repeats("method", methods)
 
 
-@dataclass
-class MethodAggregate:
+class MethodAggregate(Record):
     """One method's mean relative squared distance per iteration with a 95%
     normal-approximation confidence band (mean +- 1.96 * sd / sqrt(seeds)),
     over the seeds still running at that iteration.  ``running[k]`` is the

@@ -18,15 +18,14 @@ them all in closed form and no support is enumerated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
+from .records import Record
 
 
-@dataclass(frozen=True)
-class SamplingScheme:
+class SamplingScheme(Record):
     """A proper distribution over sampling vectors for n components: a
     uniform minibatch of ``batch_size`` indices, or independent inclusion of
     index i with probability probs[i].  Exactly one of the two is given."""

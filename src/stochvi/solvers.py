@@ -13,13 +13,13 @@ iterates, and likewise for alpha = 0 versus pure Hamiltonian descent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
 from .errors import ConfigError
 from .operators import FiniteSumOperator
+from .records import Record
 from .sampling import SamplingScheme, draw_many, index_weights
 
 SGDA = "sgda"
@@ -48,8 +48,7 @@ BLOCK = 8
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantSchedule:
+class ConstantSchedule(Record):
     """Fixed (alpha, gamma) for every iteration."""
 
     alpha: float
@@ -66,8 +65,7 @@ class ConstantSchedule:
         return self.alpha, self.gamma
 
 
-@dataclass(frozen=True)
-class SgdaSwitchingSchedule:
+class SgdaSwitchingSchedule(Record):
     """Constant 1/(2 ell_xi) until 4*ceil(ell_xi/mu), then (2k+1)/((k+1)^2 mu).
 
     The decreasing tail is monotone nonincreasing and stays below the
@@ -92,8 +90,7 @@ class SgdaSwitchingSchedule:
         return (2.0 * k + 1.0) / ((k + 1.0) ** 2 * self.mu), 0.0
 
 
-@dataclass(frozen=True)
-class ScoSwitchingSchedule:
+class ScoSwitchingSchedule(Record):
     """alpha_k = gamma_k = 1/(4 psi) until ceil(8 psi / (mu_h + mu)), then
     (2k+1)/((k+1)^2 (mu_h + mu)), with psi = max(ell_xi, cal_l_h).
 
@@ -219,8 +216,7 @@ def _row_dots(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunTrace:
+class RunTrace(Record):
     """Per-iteration record of one run.
 
     dist_sq, the squared distance to the equilibrium, has length

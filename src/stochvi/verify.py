@@ -10,7 +10,6 @@ every failing report carries a witness point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,6 +17,7 @@ from . import constants as consts
 from . import numerics
 from .errors import ConfigError, NumericalError
 from .operators import FiniteSumOperator
+from .records import Record
 from .sampling import SamplingScheme, moments, second_moment
 from .solvers import RunTrace
 
@@ -30,8 +30,7 @@ EXACT_TOL = 1e-12
 INEQUALITY_TOL = 1e-9
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """Outcome of one check; self-certifying.
 
     Margins are normalized (dimensionless).  ``witness`` is the probe point
@@ -44,7 +43,11 @@ class CheckReport:
     tolerance: float
     points: int
     witness: object | None = None
-    details: dict = field(default_factory=dict)
+    details: dict | None = None
+
+    def __post_init__(self):
+        if self.details is None:
+            object.__setattr__(self, "details", {})
 
     @property
     def passed(self) -> bool:
@@ -81,8 +84,11 @@ def _probe(name, center, points, radius, rng, tolerance, margins_at, details) ->
     point x, each witnessed by x.  ``details(rng)`` gives the report's
     details once every probe point is drawn from ``rng`` (by default
     ``make_rng(0)``).  A margin that is not a number certifies nothing:
-    NumericalError.
+    NumericalError.  Fewer than one point is a ConfigError, raised before
+    any point is drawn.
     """
+    if points < 1:
+        raise ConfigError(f"{name}: need at least 1 probe point, got {points}")
     if rng is None:
         rng = numerics.make_rng(0)
     pts = sample_points(center, points, radius, rng)
@@ -92,9 +98,7 @@ def _probe(name, center, points, radius, rng, tolerance, margins_at, details) ->
         raise NumericalError(f"{name}: a margin is not a number")
     worst = int(np.argmin(margins))
     report = CheckReport(name, float(margins[worst]), tolerance, points, details=details(rng))
-    if not report.passed:
-        report.witness = pts[worst]
-    return report
+    return report if report.passed else report._replace(witness=pts[worst])
 
 
 def check_ec(

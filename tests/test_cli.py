@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import dataclasses
 import io
 import json
 import math
@@ -971,7 +970,7 @@ def _nest_shape(value):
 
 
 def _generator_ok(gen):
-    names = [f.name for f in dataclasses.fields(E.GameGenConfig)]
+    names = list(E.GameGenConfig._fields)
     if not isinstance(gen, dict) or sorted(gen) != sorted(names):
         return False
     for name, value in gen.items():

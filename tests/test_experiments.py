@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 
@@ -145,7 +144,7 @@ def _game_doc(game, gen):
     return {
         "format_version": 1, "n": game.n, "d1": game.d1, "d2": game.d2,
         "seed": None if gen is None else gen.seed,
-        "generator": None if gen is None else dataclasses.asdict(gen),
+        "generator": None if gen is None else gen._asdict(),
         "A": [m.reshape(-1).tolist() for m in game.A],
         "B": [m.reshape(-1).tolist() for m in game.B],
         "C": [m.reshape(-1).tolist() for m in game.C],

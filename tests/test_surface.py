@@ -5,14 +5,16 @@ by some other module of the package.  A name that only tests use, such as a
 test oracle, belongs in tests/.  A further guard holds QuadraticGame to the
 method names the benchmark's tracer looks up in its class body, another
 holds the benchmark's per-layer function names to the package, another
-keeps command-line flag names in cli.py, and a last one fails on an import
-that its module never uses."""
+keeps command-line flag names in cli.py, another fails on an import that
+its module never uses, and the last two keep dataclasses out of the package
+and hold every record to the fields its class body annotates."""
 
 import ast
 import inspect
 import re
 from pathlib import Path
 
+import stochvi
 from stochvi import experiments, verify
 from stochvi.operators import QuadraticGame
 
@@ -160,3 +162,61 @@ def test_traced_layer_functions_exist():
                for name in maps[key].values()
                if not inspect.isfunction(getattr(module, name, None))]
     assert not missing, "traced functions the package lacks: " + ", ".join(missing)
+
+
+def _trees():
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src" / "stochvi").glob("*.py"))}
+
+
+def test_no_module_uses_dataclasses():
+    # dataclasses compiles each record's methods with exec at import, on
+    # every CLI start; records derive from records.Record instead
+    used = [f"{path.name}:{node.lineno}"
+            for path, tree in _trees().items() for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+            or isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            and any(_name(d) == "dataclass" for d in node.decorator_list)]
+    assert not used, "dataclasses imported or applied at: " + ", ".join(used)
+
+
+def _record_fields(trees):
+    """{record class name: the names its class body, or a record base's,
+    annotates}, for every class of ``trees`` that derives from Record."""
+    classes = {node.name: node for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    fields = {"Record": []}
+    while True:
+        found = {name: node for name, node in classes.items() if name not in fields
+                 and any(_name(base) in fields for base in node.bases)}
+        if not found:
+            break
+        for name, node in found.items():
+            inherited = [f for base in node.bases for f in fields.get(_name(base), [])]
+            fields[name] = inherited + [stmt.target.id for stmt in node.body
+                                        if isinstance(stmt, ast.AnnAssign)]
+    del fields["Record"]
+    return classes, fields
+
+
+def test_records_name_only_annotated_fields():
+    # a default whose annotation was dropped is a class constant, not a
+    # field, and a keyword that no annotation names is a TypeError at run
+    # time only
+    trees = _trees()
+    classes, fields = _record_fields(trees)
+    assert len(fields) >= 13
+    wrong = [f"{name}.{target.id}" for name in fields for stmt in classes[name].body
+             if isinstance(stmt, ast.Assign) for target in stmt.targets
+             if isinstance(target, ast.Name)]
+    wrong += [f"{path.name}:{node.lineno} {_name(node)}({kw.arg}=...)"
+              for path, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and _name(node) in fields
+              for kw in node.keywords if kw.arg is not None and kw.arg not in fields[_name(node)]]
+    modules = [module for module in vars(stochvi).values() if inspect.ismodule(module)]
+    runtime = {name: list(getattr(module, name)._fields) for module in modules
+               for name in fields if inspect.isclass(getattr(module, name, None))}
+    wrong += [f"{name}._fields" for name in fields if runtime.get(name) != fields[name]]
+    assert not wrong, "record fields that no class body annotates: " + ", ".join(wrong)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -105,6 +104,26 @@ def test_probe_checks_default_to_the_seed_0_generator(check):
     assert default.worst_margin == seeded.worst_margin
     assert np.array_equal(default.witness, seeded.witness)
     assert repr(default.details) == repr(seeded.details)
+
+
+@pytest.mark.parametrize("check", ["ec", "class", "unbiased"])
+def test_probe_checks_reject_fewer_than_one_point(check):
+    # numpy would fail on the empty probe array with its own ValueError
+    game = random_game(3, 2, 2, seed=72)
+    scheme = SamplingScheme.single_element(3)
+    run = {
+        "ec": lambda points, rng: V.check_ec(game, scheme, 0.5, points=points, rng=rng),
+        "class": lambda points, rng: V.check_monotonicity_class(game, 0.5, 4.0, points=points,
+                                                                rng=rng),
+        "unbiased": lambda points, rng: V.check_unbiasedness(game, scheme, points=points,
+                                                             rng=rng),
+    }[check]
+    for points in (0, -2):
+        rng = numerics.make_rng(3)
+        with pytest.raises(ConfigError, match=f"need at least 1 probe point, got {points}$"):
+            run(points, rng)
+        assert rng.bit_generator.state == numerics.make_rng(3).bit_generator.state
+    assert run(1, numerics.make_rng(3)).points == 1
 
 
 def test_unbiasedness_without_an_equilibrium_probes_around_zero(monkeypatch):
@@ -406,7 +425,7 @@ def _full_batch_envelope(game, stall_at=None):
     if stall_at is not None:
         dist_sq = traces[0].dist_sq.copy()
         dist_sq[100:] = stall_at
-        traces[0] = dataclasses.replace(traces[0], dist_sq=dist_sq)
+        traces[0] = traces[0]._replace(dist_sq=dist_sq)
     params = dict(alpha=alpha, mu=gc.mu, ell_xi=gc.ell, sigma_sq=0.0)
     return traces[0], V.check_bound_envelope(traces, C.SGDA_CONSTANT, params, slack=1.05)
 
@@ -495,7 +514,7 @@ def test_envelope_rejects_unequal_lengths_without_divergence():
     ec = C.ec_constants(gc, scheme, game)
     alpha = 1.0 / (2.0 * ec.ell_xi)
     traces = run_batch(game, scheme, "sgda", 40, 30, ConstantSchedule(alpha=alpha))
-    traces[7] = dataclasses.replace(traces[7], dist_sq=traces[7].dist_sq[:-5])
+    traces[7] = traces[7]._replace(dist_sq=traces[7].dist_sq[:-5])
     params = dict(alpha=alpha, mu=gc.mu, ell_xi=ec.ell_xi, sigma_sq=ec.sigma_sq)
     with pytest.raises(ConfigError):
         V.check_bound_envelope(traces, C.SGDA_CONSTANT, params, slack=1.05)

@@ -202,9 +202,7 @@ def cmd_verify(args) -> int:
         "class": lambda: verify.check_monotonicity_class(
             game, prof.game_constants.mu, prof.game_constants.ell, args.points, args.radius, rng
         ),
-        "unbiased": lambda: verify.check_unbiasedness(
-            game, scheme, min(args.points, 50), args.radius, rng
-        ),
+        "unbiased": lambda: verify.check_unbiasedness(game, scheme),
         "envelope": envelope,
     }
     names = args.checks.split(",")
@@ -213,7 +211,7 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"unknown check {name!r}; known: {', '.join(checks)}")
     exps._reject_repeats("check", names)
     _fill_flags(args, "--checks", _VERIFY_FLAGS, names)
-    # In argv order: the checks share one generator.
+    # In argv order: the probe checks share one generator.
     reports = [checks[name]() for name in names]
     failed = [r for r in reports if not r.passed]
     for r in reports:
@@ -245,7 +243,7 @@ def cmd_verify(args) -> int:
 # defaults, by the checks or mode that read them.  The parser leaves them
 # None, so a flag that nothing given reads is seen and rejected.
 _VERIFY_FLAGS = {
-    ("ec", "class", "unbiased"): {"points": 200, "radius": verify.DEFAULT_RADIUS},
+    ("ec", "class"): {"points": 200, "radius": verify.DEFAULT_RADIUS},
     ("envelope",): {"envelope_seeds": 30, "envelope_iters": 500},
 }
 _SWEEP_FLAGS = {
@@ -390,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand.  A NumericalError or a LAPACK failure exits 3 and
-    a ConfigError or an unusable path exits 2, each with one stderr line.
+    a ConfigError, an unusable path or an allocation that fails exits 2,
+    each with one stderr line.
     numpy's floating-point warnings are silenced: a non-finite result is
     reported instead (a diverged seed, an overflowing game or constant, a
     NaN margin) or drawn as written."""
@@ -403,8 +402,9 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, OSError) as exc:  # OSError: a missing input, a directory as output
-        print(f"configuration error: {exc}", file=sys.stderr)
+    # OSError: a missing input, a directory as output; MemoryError: sizes too large
+    except (ConfigError, OSError, MemoryError) as exc:
+        print(f"configuration error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -666,20 +666,17 @@ def find_generator_for_kappa(
         kappa, cfg = kappa_of(hi)
     if kappa < target:
         raise ConfigError(f"could not reach kappa {target}")
-    best_cfg, best_kappa = cfg, kappa
+    # A candidate within tolerance is closer than every earlier one outside
+    # it, so the first such candidate is the closest seen.
     for _ in range(KAPPA_BISECTIONS):
-        if abs(best_kappa - target) / target <= KAPPA_REL_TOL:
+        if abs(kappa - target) / target <= KAPPA_REL_TOL:
             break
         mid = 0.5 * (lo + hi)
         kappa, cfg = kappa_of(mid)
-        if abs(kappa - target) < abs(best_kappa - target):
-            best_cfg, best_kappa = cfg, kappa
         if kappa < target:
             lo = mid
         else:
             hi = mid
-    if abs(best_kappa - target) / target > KAPPA_REL_TOL:
-        raise ConfigError(
-            f"kappa search stalled at {best_kappa:.3f} for target {target}"
-        )
-    return best_cfg, best_kappa
+    if abs(kappa - target) / target > KAPPA_REL_TOL:
+        raise ConfigError(f"kappa search stalled at {kappa:.3f} for target {target}")
+    return cfg, kappa

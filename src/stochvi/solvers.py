@@ -270,6 +270,8 @@ def run_batch(operator: FiniteSumOperator, scheme: SamplingScheme, method: str,
         raise ConfigError(f"scheme is for n={scheme.n}, operator has n={operator.n}")
     if method in DETERMINISTIC_METHODS and not scheme.is_deterministic:
         raise ConfigError(f"{method} requires the full-batch scheme")
+    if not callable(getattr(schedule, "at", None)):
+        raise ConfigError(f"schedule must be a schedule object, got {schedule!r}")
     x_star, dim = operator.equilibrium(), operator.dim
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)

@@ -2,9 +2,11 @@
 
 All expectation checks take their expectations over v in closed form from
 the scheme's moments, never by Monte-Carlo, so a failing check is
-deterministic and reproducible.  Margins are normalized per probe point; a
-check passes exactly when its worst normalized margin is >= -tolerance, and
-every failing report carries a witness point.
+deterministic and reproducible.  The unbiasedness check certifies the first
+moments themselves and probes no point; the ec and class checks probe
+points around the equilibrium.  Margins are normalized; a check passes
+exactly when its worst margin is >= -tolerance, and every failing report
+carries a witness.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .solvers import RunTrace
 
 DEFAULT_RADIUS = 10.0
 
-# Exact-enumeration identities: slack for accumulated rounding only.
+# Exact identities (E[v_i] = 1 from the moments): slack for rounding only.
 EXACT_TOL = 1e-12
 
 # Inequality checks: inequalities hold exactly, margins carry rounding noise.
@@ -33,9 +35,9 @@ INEQUALITY_TOL = 1e-9
 class CheckReport(Record):
     """Outcome of one check; self-certifying.
 
-    Margins are normalized (dimensionless).  ``witness`` is the probe point
-    (or, for an envelope, the iteration) attaining the worst margin whenever
-    the check fails.
+    Margins are normalized (dimensionless).  ``witness`` is what attains the
+    worst margin whenever the check fails: the probe point, the component
+    index (unbiasedness) or, for an envelope, the iteration.
     """
 
     name: str
@@ -190,46 +192,25 @@ def monotonicity_gap(op: FiniteSumOperator, x, y) -> float:
     return float((op.full_value(x) - op.full_value(y)) @ (x - y))
 
 
-def check_unbiasedness(
-    op: FiniteSumOperator,
-    scheme: SamplingScheme,
-    points: int = 50,
-    radius: float = DEFAULT_RADIUS,
-    rng: np.random.Generator | None = None,
-) -> CheckReport:
-    """Exact means of the two estimators against their targets.
+def check_unbiasedness(op: FiniteSumOperator, scheme: SamplingScheme) -> CheckReport:
+    """E[v_i] = 1 for every component i, exactly, from the scheme's moments.
 
-    At each probe x, E[value_v(x)] must match value(x) and the expectation
-    of the Hamiltonian-gradient estimator over independent (u, v) pairs must
-    match J(x)^T value(x), both to 1e-12 relative.
+    Both estimators' means are linear in q_i = E[v_i] / n: E[value_v(x)] =
+    sum_i q_i value_i(x), and over independent (u, v) the Hamiltonian-gradient
+    estimator's mean is (sum_i q_i J_i(x))^T (sum_i q_i value_i(x)).  So
+    q_i = 1/n makes both unbiased at every x for every operator, and the
+    check reads no operator value and draws nothing.  Its margin is
+    EXACT_TOL - n max_i |q_i - 1/n| over the n components, witnessed by the
+    worst index.
     """
-    try:
-        center = op.equilibrium()
-    except ConfigError:
-        center = np.zeros(op.dim)
+    if op.n != scheme.n:
+        raise ConfigError(f"scheme is for n={scheme.n}, operator has n={op.n}")
+    n = scheme.n
     q, _, _ = moments(scheme)
-    # Targets go through the same contraction as the means (uniform weights
-    # 1/n), so the noise-free full-batch scheme reproduces them exactly,
-    # not merely to rounding.
-    uniform = np.full(scheme.n, 1.0 / scheme.n)
-
-    def margin_pair(x):
-        (vals,), (jacs,) = op.batch_terms(x[None], jacobian=True)
-        target = uniform @ vals
-        mean_est = q @ vals
-        res_val = float(np.linalg.norm(mean_est - target))
-        scale_val = 1.0 + float(np.linalg.norm(target))
-
-        # u and v are independent, so the mean of (J_u^T val_v + J_v^T val_u) / 2
-        # factors into (sum_i q_i J_i)^T (sum_i q_i val_i).
-        cross = np.einsum("n,nij->ij", q, jacs).T @ mean_est
-        target_h = np.einsum("n,nij->ij", uniform, jacs).T @ target
-        res_h = float(np.linalg.norm(cross - target_h))
-        scale_h = 1.0 + float(np.linalg.norm(target_h))
-        return EXACT_TOL - res_val / scale_val, EXACT_TOL - res_h / scale_h
-
-    return _probe("unbiasedness", center, points, radius, rng, 0.0, margin_pair,
-                  lambda rng: {})
+    dev = np.abs(q - 1.0 / n)
+    worst = int(np.argmax(dev))
+    report = CheckReport("unbiasedness", EXACT_TOL - n * float(dev[worst]), 0.0, n)
+    return report if report.passed else report._replace(witness=worst)
 
 
 def check_bound_envelope(

@@ -149,14 +149,12 @@ def test_criterion_3_unbiasedness(battery):
     with criterion(3, "estimator enumeration means match targets to 1e-12"):
         small = [g for g in battery if g.n <= 5][:3]
         assert small, "battery has no games with n <= 5"
-        for idx, game in enumerate(small):
+        for game in small:
             for scheme in (
                 SamplingScheme.single_element(game.n),
                 SamplingScheme.minibatch(game.n, 2),
             ):
-                report = V.check_unbiasedness(
-                    game, scheme, points=50, rng=numerics.make_rng(idx)
-                )
+                report = V.check_unbiasedness(game, scheme)
                 assert report.passed
 
 

@@ -717,6 +717,8 @@ def _config_error_exit(argv, capsys):
         ["plot", "--csv", "{game}", "--svg", "{out}/p.svg"],
         ["sweep", "--target-kappa", "0.5", "--n", "3", "--d1", "1", "--d2", "1",
          "--out", "{out}/k.json"],
+        ["verify", "{game}", "--checks", "unbiased", "--points", "5"],
+        ["verify", "{game}", "--checks", "unbiased", "--radius", "1"],
     ],
     ids=["zero_points", "empty_multipliers", "negative_seed", "nan_kappa", "nan_radius",
          "sweep_without_game", "output_is_directory", "b_with_single", "b_with_full",
@@ -733,7 +735,8 @@ def _config_error_exit(argv, capsys):
          "minibatch_without_b_target_kappa", "run_out_is_game", "sweep_out_is_game",
          "verify_out_is_game", "svg_is_out", "dump_iterates_is_out", "sweep_svg_is_out",
          "plot_svg_is_csv", "out_dir_out_is_game", "nul_in_out", "nul_in_game",
-         "nul_in_svg", "nul_in_out_dir", "plot_of_a_game_file", "target_kappa_below_one"],
+         "nul_in_svg", "nul_in_out_dir", "plot_of_a_game_file", "target_kappa_below_one",
+         "points_with_unbiased_only", "radius_with_unbiased_only"],
 )
 def test_bad_argv_is_config_error(game_file, tmp_path, capsys, argv):
     out = tmp_path / "outputs"
@@ -780,6 +783,24 @@ def test_overflowing_generator_writes_no_game(tmp_path, capsys, flags, code, lin
     out = tmp_path / "game.json"
     assert _one_line_exit(["generate", "--n", "2", *flags, "--out", str(out)], capsys) == (
         code, line)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 1.46 TiB"),
+     "configuration error: Unable to allocate 1.46 TiB"),
+    (MemoryError(), "configuration error: MemoryError"),
+], ids=["numpy_message", "bare"])
+def test_an_allocation_that_fails_is_config_error(tmp_path, capsys, monkeypatch, exc, line):
+    # stands in for numpy's failure at --d1 100000: a real allocation that
+    # size may be granted and then faulted in
+    def generate_game(cfg):
+        raise exc
+
+    monkeypatch.setattr("stochvi.cli.exps.generate_game", generate_game)
+    out = tmp_path / "game.json"
+    assert _one_line_exit(["generate", "--n", "20", "--d1", "100000", "--d2", "1",
+                           "--out", str(out)], capsys) == (2, line)
     assert not out.exists()
 
 

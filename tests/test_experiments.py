@@ -530,6 +530,14 @@ def test_run_and_sweep_reject_an_empty_method_list():
         E.sweep_step_sizes(game, scheme, (), (1.0,), iterations=5, seeds=1)
 
 
+@pytest.mark.parametrize("schedule", ["bogus", None, 0.1])
+def test_run_experiment_rejects_a_schedule_it_cannot_read(schedule):
+    game = E.generate_game(small_cfg(seed=16))
+    with pytest.raises(ConfigError, match=f"^schedule must be a schedule object, got "
+                                          f"{re.escape(repr(schedule))}$"):
+        E.run_experiment(game, SamplingScheme.single_element(game.n), ("sgda",), 5, 1, schedule)
+
+
 def test_find_generator_hits_target_kappa():
     cfg, kappa = E.find_generator_for_kappa(25.0, n=6, d1=4, d2=4,
                                          scheme=SamplingScheme.single_element(6), seed=2)

@@ -1,5 +1,5 @@
 """The README's "Command line" section stays in step with the CLI parser, and
-its "Library example" runs as written."""
+its examples and its "Library example" run as written."""
 
 import argparse
 import re
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from stochvi.cli import build_parser
+from stochvi.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -61,6 +61,17 @@ def test_readme_example_parses(argv):
         build_parser().parse_args(argv)
     except SystemExit:
         pytest.fail(f"README example does not parse: stochvi {' '.join(argv)}")
+
+
+def test_readme_examples_run_in_order(tmp_path, monkeypatch, capsys):
+    # each later example reads the files the earlier ones write
+    monkeypatch.chdir(tmp_path)
+    examples = _examples()
+    assert len(examples) == 8
+    for argv in examples:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert (code, err) == (0, ""), f"stochvi {' '.join(argv)}"
 
 
 def test_readme_library_example_runs(capsys):

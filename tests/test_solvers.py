@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -365,8 +367,14 @@ class NoStar(FiniteSumOperator):
      "co requires the full-batch scheme"),
     ({"operator": NoStar()}, "NoStar has no analytic equilibrium"),
     ({"x0": np.zeros(3)}, "x0 has the wrong dimension"),
+    ({"schedule": "bogus"}, "^schedule must be a schedule object, got 'bogus'$"),
+    ({"schedule": None}, "^schedule must be a schedule object, got None$"),
+    ({"schedule": 0.1}, r"^schedule must be a schedule object, got 0\.1$"),
+    ({"schedule": SimpleNamespace(at=0.1)},
+     r"^schedule must be a schedule object, got namespace\(at=0\.1\)$"),
 ], ids=["unknown_method", "negative_iterations", "no_seeds", "scheme_size", "gda_stochastic",
-        "co_stochastic", "no_equilibrium", "x0_shape"])
+        "co_stochastic", "no_equilibrium", "x0_shape", "schedule_name", "schedule_none",
+        "schedule_number", "schedule_at_not_callable"])
 def test_run_batch_rejects_bad_input_before_it_draws(monkeypatch, change, message):
     good = dict(operator=random_game(3, 1, 1, seed=15), scheme=SamplingScheme.full_batch(3),
                 method="gda", iterations=5, seeds=2, schedule=ConstantSchedule(alpha=0.1))

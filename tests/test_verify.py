@@ -91,14 +91,13 @@ def test_sample_points_rejects_a_radius_below_zero(radius):
         V.sample_points(np.zeros(2), 3, radius, numerics.make_rng(0))
 
 
-@pytest.mark.parametrize("check", ["ec", "class", "unbiased"])
+@pytest.mark.parametrize("check", ["ec", "class"])
 def test_probe_checks_default_to_the_seed_0_generator(check):
     game = random_game(3, 2, 2, seed=72)
     scheme = SamplingScheme.single_element(3)
     run = {
         "ec": lambda **rng: V.check_ec(game, scheme, 0.5, points=20, **rng),
         "class": lambda **rng: V.check_monotonicity_class(game, 0.5, 4.0, points=20, **rng),
-        "unbiased": lambda **rng: V.check_unbiasedness(game, scheme, points=5, **rng),
     }[check]
     default, seeded = run(), run(rng=numerics.make_rng(0))
     assert default.worst_margin == seeded.worst_margin
@@ -106,7 +105,7 @@ def test_probe_checks_default_to_the_seed_0_generator(check):
     assert repr(default.details) == repr(seeded.details)
 
 
-@pytest.mark.parametrize("check", ["ec", "class", "unbiased"])
+@pytest.mark.parametrize("check", ["ec", "class"])
 def test_probe_checks_reject_fewer_than_one_point(check):
     # numpy would fail on the empty probe array with its own ValueError
     game = random_game(3, 2, 2, seed=72)
@@ -115,8 +114,6 @@ def test_probe_checks_reject_fewer_than_one_point(check):
         "ec": lambda points, rng: V.check_ec(game, scheme, 0.5, points=points, rng=rng),
         "class": lambda points, rng: V.check_monotonicity_class(game, 0.5, 4.0, points=points,
                                                                 rng=rng),
-        "unbiased": lambda points, rng: V.check_unbiasedness(game, scheme, points=points,
-                                                             rng=rng),
     }[check]
     for points in (0, -2):
         rng = numerics.make_rng(3)
@@ -124,27 +121,6 @@ def test_probe_checks_reject_fewer_than_one_point(check):
             run(points, rng)
         assert rng.bit_generator.state == numerics.make_rng(3).bit_generator.state
     assert run(1, numerics.make_rng(3)).points == 1
-
-
-def test_unbiasedness_without_an_equilibrium_probes_around_zero(monkeypatch):
-    class Cubic(FiniteSumOperator):
-        n = 2
-        dim = 2
-
-        def component_value(self, i, x):
-            return (i + 1.0) * np.asarray(x, dtype=float) ** 3
-
-        def component_jacobian(self, i, x):
-            return np.diag(3.0 * (i + 1.0) * np.asarray(x, dtype=float) ** 2)
-
-    centres = []
-    sample_points = V.sample_points
-    monkeypatch.setattr(V, "sample_points",
-                        lambda centre, *rest: centres.append(centre) or sample_points(centre, *rest))
-    report = V.check_unbiasedness(Cubic(), SamplingScheme.single_element(2), points=4,
-                                  radius=1.0, rng=numerics.make_rng(5))
-    assert report.passed
-    assert [c.tolist() for c in centres] == [[0.0, 0.0]]
 
 
 def test_check_ec_needs_equilibrium():
@@ -297,9 +273,7 @@ def test_class_check_margin_b_at_one_probe(desk_game):
 
 def test_unbiasedness_full_batch_exact_zero():
     game = random_game(3, 2, 2, seed=75)
-    report = V.check_unbiasedness(
-        game, SamplingScheme.full_batch(3), points=20, rng=numerics.make_rng(7)
-    )
+    report = V.check_unbiasedness(game, SamplingScheme.full_batch(3))
     assert report.passed
     # no randomness: residuals are exactly zero, margins exactly the slack
     assert report.worst_margin == pytest.approx(V.EXACT_TOL, abs=0.0)
@@ -307,9 +281,7 @@ def test_unbiasedness_full_batch_exact_zero():
 
 def test_unbiasedness_single_element():
     game = random_game(3, 2, 2, seed=76)
-    report = V.check_unbiasedness(
-        game, SamplingScheme.single_element(3), points=50, rng=numerics.make_rng(8)
-    )
+    report = V.check_unbiasedness(game, SamplingScheme.single_element(3))
     assert report.passed
 
 
@@ -324,36 +296,68 @@ def test_unbiasedness_catches_corrupted_weights(monkeypatch):
         return q, e, c
 
     monkeypatch.setattr(verify_mod, "moments", corrupted)
-    report = V.check_unbiasedness(game, scheme, points=20, rng=numerics.make_rng(9))
+    report = V.check_unbiasedness(game, scheme)
     assert not report.passed
 
 
-@pytest.mark.parametrize("exact", ["value", "hamiltonian"])
-def test_unbiasedness_margins_at_one_probe(monkeypatch, exact):
-    # q corrupted along a direction that keeps one of the two means exact,
-    # to first order, so that each margin in turn is the worst; both equal
-    # their definitions
-    game = random_game(6, 1, 1, seed=80)
-    (x,) = V.sample_points(game.equilibrium(), 1, 10.0, numerics.make_rng(5))
-    vals = game.component_values(x)
-    jacs = np.stack([game.component_jacobian(i, x) for i in range(game.n)])
-    target, jbar = vals.mean(axis=0), game.mean_jacobian()
-    # the change of each mean per unit of q_i, at q_i = 1/n
-    d_value = vals.T
-    d_ham = jbar.T @ vals.T + np.einsum("nij,i->jn", jacs, target)
-    q = np.full(game.n, 1.0 / game.n)
-    q += 1e-3 * np.linalg.svd(d_value if exact == "value" else d_ham)[2][-1]
-    monkeypatch.setattr(V, "moments", lambda s: (q, None, None))
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_unbiasedness_margin_is_the_slack_on_single_and_full_batches(n):
+    game = random_game(n, 1, 1, seed=n)
+    for scheme in (SamplingScheme.single_element(n), SamplingScheme.full_batch(n)):
+        report = V.check_unbiasedness(game, scheme)
+        assert report.worst_margin == V.EXACT_TOL
+        assert (report.name, report.tolerance, report.points) == ("unbiasedness", 0.0, n)
+        assert report.witness is None and report.details == {}
 
-    mean_est = q @ vals
-    res_val = np.linalg.norm(mean_est - target) / (1.0 + np.linalg.norm(target))
-    target_h = jbar.T @ target
-    cross = np.einsum("n,nij->ij", q, jacs).T @ mean_est
-    res_h = np.linalg.norm(cross - target_h) / (1.0 + np.linalg.norm(target_h))
-    assert (res_val < res_h) == (exact == "value")
-    report = V.check_unbiasedness(game, SamplingScheme.single_element(game.n), points=1,
-                                  radius=10.0, rng=numerics.make_rng(5))
-    assert report.worst_margin == pytest.approx(V.EXACT_TOL - max(res_val, res_h), rel=1e-9)
+
+def test_unbiasedness_margin_within_rounding_of_the_slack_on_every_small_scheme():
+    rng = numerics.make_rng(81)
+    for n in range(1, 8):
+        game = random_game(n, 1, 1, seed=n)
+        schemes = [SamplingScheme.minibatch(n, b) for b in range(1, n + 1)]
+        schemes += [SamplingScheme.independent(rng.uniform(0.05, 1.0, n)) for _ in range(5)]
+        for scheme in schemes:
+            report = V.check_unbiasedness(game, scheme)
+            assert report.passed and report.points == n
+            assert abs(report.worst_margin - V.EXACT_TOL) <= 1e-15, scheme
+
+
+class _Unreadable(FiniteSumOperator):
+    """One component in dimension 2 with no equilibrium; any read fails."""
+
+    n, dim = 1, 2
+
+    def component_value(self, i, x):
+        raise AssertionError("the unbiasedness check read a component value")
+
+    def component_jacobian(self, i, x):
+        raise AssertionError("the unbiasedness check read a component Jacobian")
+
+
+@pytest.mark.parametrize("scheme", [SamplingScheme.single_element(1),
+                                    SamplingScheme.independent([0.3])],
+                         ids=["single", "independent"])
+def test_unbiasedness_reports_depend_on_the_scheme_alone(scheme):
+    ops = [random_game(1, 2, 2, seed=84), CosineOperator(3, 1.0, 4.0), _Unreadable()]
+    reports = [V.check_unbiasedness(op, scheme) for op in ops]
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("dq, worst", [
+    ([0.0, -3e-13, 7e-13, -5e-13], 2),
+    ([0.0, -3e-13, 5e-13, -7e-13], 3),
+], ids=["above", "below"])
+def test_unbiasedness_margin_and_witness_from_the_moments(monkeypatch, dq, worst):
+    q = 0.25 + np.array(dq)
+    monkeypatch.setattr(V, "moments", lambda s: (q.copy(), None, None))
+    report = V.check_unbiasedness(random_game(4, 1, 1, seed=85), SamplingScheme.single_element(4))
+    assert report.worst_margin == V.EXACT_TOL - 4 * np.max(np.abs(q - 0.25))
+    assert not report.passed and report.witness == worst
+
+
+def test_unbiasedness_rejects_a_scheme_of_another_size():
+    with pytest.raises(ConfigError, match="^scheme is for n=3, operator has n=2$"):
+        V.check_unbiasedness(random_game(2, 1, 1, seed=86), SamplingScheme.single_element(3))
 
 
 @pytest.mark.parametrize(
@@ -539,7 +543,7 @@ def test_reports_are_self_certifying():
     reports = [
         V.check_ec(game, scheme, ell_xi, points=50, rng=numerics.make_rng(10)),
         V.check_ec(game, scheme, ell_xi / 4, points=50, rng=numerics.make_rng(10)),
-        V.check_unbiasedness(game, scheme, points=10, rng=numerics.make_rng(11)),
+        V.check_unbiasedness(game, scheme),
     ]
     for rep in reports:
         assert rep.passed == (rep.worst_margin >= -rep.tolerance)

@@ -7,8 +7,7 @@ from .sampling import SamplingScheme
 from .solvers import (
     ConstantSchedule,
     RunTrace,
-    ScoSwitchingSchedule,
-    SgdaSwitchingSchedule,
+    SwitchingSchedule,
     run_batch,
 )
 
@@ -20,8 +19,7 @@ __all__ = [
     "QuadraticGame",
     "SamplingScheme",
     "ConstantSchedule",
-    "SgdaSwitchingSchedule",
-    "ScoSwitchingSchedule",
+    "SwitchingSchedule",
     "RunTrace",
     "run_batch",
     "constants",

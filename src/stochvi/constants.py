@@ -6,6 +6,9 @@ closed form as the largest generalized eigenvalue of (M^T M, sym(M)) on the
 positive subspace of sym(M), in any dimension.  Every downstream inequality
 (expected co-coercivity, step-size ranges, bound envelopes) needs such a
 genuine certificate.
+
+Both switching bounds are noise / (m^2 k) + k*^2 r0^2 / (e k)^2, with m and
+k* read from the ``solvers.SwitchingSchedule`` their runs step by.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import ConfigError, NumericalError, UnsupportedSchemeError
 from .operators import QuadraticGame
 from .records import Record
 from .sampling import SamplingScheme, moments, second_moment
-from .solvers import ScoSwitchingSchedule, SgdaSwitchingSchedule
+from .solvers import SwitchingSchedule
 
 # Eigenvalues below this fraction of the spectral scale count as zero.
 _ZERO_RTOL = 1e-12
@@ -301,15 +304,17 @@ BOUND_IDS = (
 )
 
 
+# The schedule whose rate each switching bound states, built from its parameters.
+_SWITCHING = {
+    SGDA_SWITCHING: lambda p: SwitchingSchedule.sgda(p["ell_xi"], p["mu"]),
+    SCO_SWITCHING: lambda p: SwitchingSchedule.sco(p["ell_xi"], p["cal_l_h"], p["mu"], p["mu_h"]),
+}
+
+
 def bound_start(bound: str, params: dict) -> int:
     """First iteration at which ``bound`` holds: a switching rule's switch
-    point, which the matching schedule class defines, else 0."""
-    if bound == SGDA_SWITCHING:
-        return SgdaSwitchingSchedule(ell_xi=params["ell_xi"], mu=params["mu"]).switch_point
-    if bound == SCO_SWITCHING:
-        return ScoSwitchingSchedule(ell_xi=params["ell_xi"], cal_l_h=params["cal_l_h"],
-                                    mu=params["mu"], mu_h=params["mu_h"]).switch_point
-    return 0
+    point, else 0."""
+    return _SWITCHING[bound](params).switch_point if bound in _SWITCHING else 0
 
 
 def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
@@ -356,11 +361,6 @@ def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
         rate = 1.0 - 2.0 * alpha * mu * (1.0 - alpha * ell_xi)
         return rate**k * r0_sq + alpha * sigma_sq / (mu * (1.0 - alpha * ell_xi))
 
-    if bound == SGDA_SWITCHING:
-        mu, sigma_sq = p["mu"], p["sigma_sq"]
-        # The statement's 16 ceil(ell_xi / mu)^2 is the switch point squared.
-        return 8.0 * sigma_sq / (mu**2 * k) + start**2 * r0_sq / (math.e**2 * k**2)
-
     if bound == SCO_CONSTANT:
         alpha, gamma = p["alpha"], p["gamma"]
         mu, mu_h = p["mu"], p["mu_h"]
@@ -384,12 +384,11 @@ def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
             raise NumericalError("step size out of range: gamma must be positive")
         return (1.0 - gamma * mu_h) ** k * r0_sq + 2.0 * gamma * sigma_h_sq / mu_h
 
-    if bound == SCO_SWITCHING:
-        mu, mu_h = p["mu"], p["mu_h"]
-        sigma_sq, sigma_h_sq = p["sigma_sq"], p["sigma_h_sq"]
-        k_star = ScoSwitchingSchedule(
-            ell_xi=p["ell_xi"], cal_l_h=p["cal_l_h"], mu=mu, mu_h=mu_h).k_star
-        first = 16.0 * (sigma_h_sq + sigma_sq) / ((mu + mu_h) ** 2 * k)
-        return first + k_star**2 * r0_sq / (math.e**2 * k**2)
+    if bound in _SWITCHING:
+        # SGDA's 16 ceil(ell_xi / mu)^2 is its k* squared
+        rule = _SWITCHING[bound](p)
+        noise = (8.0 * p["sigma_sq"] if bound == SGDA_SWITCHING
+                 else 16.0 * (p["sigma_sq"] + p["sigma_h_sq"]))
+        return noise / (rule.modulus**2 * k) + rule.k_star**2 * r0_sq / (math.e**2 * k**2)
 
     raise ConfigError(f"unknown bound id {bound!r}; known: {BOUND_IDS}")

@@ -31,8 +31,7 @@ from .solvers import (
     TERMS,
     ConstantSchedule,
     RunTrace,
-    ScoSwitchingSchedule,
-    SgdaSwitchingSchedule,
+    SwitchingSchedule,
     run_batch,
 )
 
@@ -306,12 +305,10 @@ def method_plan(prof: GameProfile, methods, schedule="theory"):
 def switching_schedule(method: str, prof: GameProfile):
     gc = prof.game_constants
     if method == SGDA:
-        return SgdaSwitchingSchedule(ell_xi=prof.ec.ell_xi, mu=gc.mu)
+        return SwitchingSchedule.sgda(prof.ec.ell_xi, gc.mu)
     if method == SCO:
         ham = prof.hamiltonian
-        return ScoSwitchingSchedule(
-            ell_xi=prof.ec.ell_xi, cal_l_h=ham.cal_l_h, mu=gc.mu, mu_h=ham.mu_h
-        )
+        return SwitchingSchedule.sco(prof.ec.ell_xi, ham.cal_l_h, gc.mu, ham.mu_h)
     raise ConfigError(f"no switching rule for method {method!r}")
 
 

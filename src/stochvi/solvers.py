@@ -1,6 +1,8 @@
 """Iteration engines: gradient descent-ascent, Hamiltonian descent and their
 consensus combination, stochastic or deterministic, plus the step-size rules
-the rate statements prescribe.
+the rate statements prescribe: constant steps, and one constant-then-decreasing
+SwitchingSchedule whose ``sgda`` and ``sco`` constructors build the two
+switching rules (the bounds in ``constants`` read their k* from it too).
 
 Randomness bookkeeping is part of the contract: each iteration draws the
 value-estimator vector v first and the second vector u only when the update
@@ -17,7 +19,7 @@ import math
 import numpy as np
 
 from . import numerics
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .operators import FiniteSumOperator
 from .records import Record
 from .sampling import SamplingScheme, draw_many, index_weights
@@ -65,58 +67,46 @@ class ConstantSchedule(Record):
         return self.alpha, self.gamma
 
 
-class SgdaSwitchingSchedule(Record):
-    """Constant 1/(2 ell_xi) until 4*ceil(ell_xi/mu), then (2k+1)/((k+1)^2 mu).
-
-    The decreasing tail is monotone nonincreasing and stays below the
-    constant phase's value, so the rate statement's range condition holds at
-    every iteration.  gamma is identically zero.
+class SwitchingSchedule(Record):
+    """Constant (alpha, gamma) through iteration ceil(k_star), then the step
+    (2k+1)/((k+1)^2 modulus) on each term the constant phase steps: the
+    constant-then-decreasing rule of Gower et al. for SGD.  The tail is
+    nonincreasing and below the constant step, so the rate statement's range
+    condition holds at every iteration.
     """
 
-    ell_xi: float
-    mu: float
+    alpha: float
+    gamma: float
+    modulus: float
+    k_star: float
 
     def __post_init__(self):
-        if self.ell_xi <= 0.0 or self.mu <= 0.0:
-            raise ConfigError("switching schedule needs ell_xi > 0 and mu > 0")
+        if not all(map(math.isfinite, self._asdict().values())):
+            raise NumericalError(f"switching schedule overflows float range: {self!r}")
 
-    @property
-    def switch_point(self) -> int:
-        return 4 * math.ceil(self.ell_xi / self.mu)
+    @classmethod
+    def sgda(cls, ell_xi: float, mu: float) -> SwitchingSchedule:
+        """alpha = 1/(2 ell_xi) until k* = 4 ceil(ell_xi/mu), modulus mu, no gamma."""
+        if not (0.0 < ell_xi < math.inf and 0.0 < mu < math.inf):
+            raise ConfigError(f"switching schedule needs ell_xi > 0 and mu > 0, both finite, "
+                              f"got ell_xi={ell_xi!r}, mu={mu!r}")
+        if ell_xi / mu == math.inf:
+            raise NumericalError("switching schedule overflows float range: ell_xi / mu = inf")
+        return cls(1.0 / (2.0 * ell_xi), 0.0, mu, 4 * math.ceil(ell_xi / mu))
 
-    def at(self, k: int) -> tuple[float, float]:
-        if k <= self.switch_point:
-            return 1.0 / (2.0 * self.ell_xi), 0.0
-        return (2.0 * k + 1.0) / ((k + 1.0) ** 2 * self.mu), 0.0
-
-
-class ScoSwitchingSchedule(Record):
-    """alpha_k = gamma_k = 1/(4 psi) until ceil(8 psi / (mu_h + mu)), then
-    (2k+1)/((k+1)^2 (mu_h + mu)), with psi = max(ell_xi, cal_l_h).
-
-    mu = 0 (variational stability only) is allowed; the moduli then reduce
-    to mu_h alone.
-    """
-
-    ell_xi: float
-    cal_l_h: float
-    mu: float
-    mu_h: float
-
-    def __post_init__(self):
-        if self.ell_xi <= 0.0 or self.cal_l_h <= 0.0:
-            raise ConfigError("switching schedule needs positive smoothness constants")
-        if self.mu < 0.0 or self.mu_h <= 0.0:
-            raise ConfigError("switching schedule needs mu >= 0 and mu_h > 0")
-
-    @property
-    def psi(self) -> float:
-        return max(self.ell_xi, self.cal_l_h)
-
-    @property
-    def k_star(self) -> float:
-        """Real-valued switch point 8 psi / (mu_h + mu), as the bound uses it."""
-        return 8.0 * self.psi / (self.mu_h + self.mu)
+    @classmethod
+    def sco(cls, ell_xi: float, cal_l_h: float, mu: float, mu_h: float) -> SwitchingSchedule:
+        """alpha = gamma = 1/(4 psi) until k* = 8 psi / (mu_h + mu), with
+        psi = max(ell_xi, cal_l_h), modulus mu_h + mu; mu = 0 (variational
+        stability only) is allowed."""
+        if not (0.0 < ell_xi < math.inf and 0.0 < cal_l_h < math.inf):
+            raise ConfigError(f"switching schedule needs positive smoothness constants, both "
+                              f"finite, got ell_xi={ell_xi!r}, cal_l_h={cal_l_h!r}")
+        if not (0.0 <= mu < math.inf and 0.0 < mu_h < math.inf):
+            raise ConfigError(f"switching schedule needs mu >= 0 and mu_h > 0, both finite, "
+                              f"got mu={mu!r}, mu_h={mu_h!r}")
+        psi = max(ell_xi, cal_l_h)
+        return cls(1.0 / (4.0 * psi), 1.0 / (4.0 * psi), mu_h + mu, 8.0 * psi / (mu_h + mu))
 
     @property
     def switch_point(self) -> int:
@@ -124,10 +114,9 @@ class ScoSwitchingSchedule(Record):
 
     def at(self, k: int) -> tuple[float, float]:
         if k <= self.switch_point:
-            step = 1.0 / (4.0 * self.psi)
-        else:
-            step = (2.0 * k + 1.0) / ((k + 1.0) ** 2 * (self.mu_h + self.mu))
-        return step, step
+            return self.alpha, self.gamma
+        step = (2.0 * k + 1.0) / ((k + 1.0) ** 2 * self.modulus)
+        return step, (step if self.gamma else 0.0)
 
 
 def _applied_steps(method: str, alpha: float, gamma: float) -> tuple[float, float]:

@@ -19,8 +19,7 @@ from stochvi.operators import CosineOperator
 from stochvi.sampling import SamplingScheme
 from stochvi.solvers import (
     ConstantSchedule,
-    ScoSwitchingSchedule,
-    SgdaSwitchingSchedule,
+    SwitchingSchedule,
     run_batch,
 )
 
@@ -88,10 +87,10 @@ def envelope_traces(desk_game):
     sgda = run_batch(game, scheme, "sgda", 5000, 100, ConstantSchedule(alpha=alpha))
     a2, g2 = 1.0 / (4.0 * ec.ell_xi), 1.0 / (4.0 * ham.cal_l_h)
     sco = run_batch(game, scheme, "sco", 5000, 100, ConstantSchedule(alpha=a2, gamma=g2))
-    sw = SgdaSwitchingSchedule(ell_xi=ec.ell_xi, mu=gc.mu)
+    sw = SwitchingSchedule.sgda(ell_xi=ec.ell_xi, mu=gc.mu)
     sgda_sw = run_batch(game, scheme, "sgda", 20 * sw.switch_point, 100, sw)
-    sw2 = ScoSwitchingSchedule(ell_xi=ec.ell_xi, cal_l_h=ham.cal_l_h,
-                               mu=gc.mu, mu_h=ham.mu_h)
+    sw2 = SwitchingSchedule.sco(ell_xi=ec.ell_xi, cal_l_h=ham.cal_l_h,
+                                mu=gc.mu, mu_h=ham.mu_h)
     sco_sw = run_batch(game, scheme, "sco", 20 * sw2.switch_point, 100, sw2)
     elapsed = time.monotonic() - t0
     return dict(sgda=sgda, sco=sco, sgda_sw=sgda_sw, sco_sw=sco_sw,

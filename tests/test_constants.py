@@ -706,8 +706,18 @@ _SHGD = dict(gamma=0.1, mu_h=1.0, cal_l_h=2.0, sigma_h_sq=1.0)
     (C.SHGD_CONSTANT, 1, {**_SHGD, "gamma": 0.0}, NumericalError,
      "step size out of range: gamma must be positive"),
     ("sgda_constnat", 1, _SGDA, ConfigError, "unknown bound id 'sgda_constnat'"),
+    (C.SGDA_SWITCHING, 5, {**_SGDA, "mu": 1e-308, "ell_xi": 1e308}, NumericalError,
+     "switching schedule overflows float range"),
+    (C.SCO_SWITCHING, 5, {**_SCO, "mu_h": 1e-308, "ell_xi": 1e308}, NumericalError,
+     "switching schedule overflows float range"),
+    (C.SGDA_SWITCHING, 5, {**_SGDA, "ell_xi": math.nan}, ConfigError,
+     "switching schedule needs .*both finite"),
+    (C.SCO_SWITCHING, 5, {**_SCO, "mu_h": math.inf}, ConfigError,
+     "switching schedule needs .*both finite"),
 ], ids=["negative_k", "sgda_mu_zero", "sgda_general_mu_zero", "sco_mu_negative",
-        "sco_mu_h_zero", "shgd_mu_h_zero", "shgd_gamma_zero", "unknown_bound"])
+        "sco_mu_h_zero", "shgd_mu_h_zero", "shgd_gamma_zero", "unknown_bound",
+        "sgda_switching_overflow", "sco_switching_overflow", "sgda_switching_nan",
+        "sco_switching_inf"])
 def test_bound_rejects_parameters_outside_its_statement(bound, k, params, error, match):
     with pytest.raises(error, match=match):
         C.theoretical_bound(bound, k, 1.0, **params)

@@ -10,7 +10,7 @@ from stochvi import numerics
 from stochvi.cli import main
 from stochvi.errors import ConfigError, UnsupportedSchemeError
 from stochvi.sampling import SamplingScheme
-from stochvi.solvers import ConstantSchedule, ScoSwitchingSchedule, run_batch
+from stochvi.solvers import ConstantSchedule, SwitchingSchedule, run_batch
 
 from reference import generate_game as reference_generate_game
 from test_operators import random_game
@@ -499,8 +499,8 @@ def test_sco_switching_experiment_runs_the_hand_built_schedule():
     scheme = SamplingScheme.single_element(game.n)
     gc = C.game_constants(game)
     ham = C.hamiltonian_constants(game, scheme)
-    sched = ScoSwitchingSchedule(ell_xi=C.ec_constants(gc, scheme, game).ell_xi,
-                                 cal_l_h=ham.cal_l_h, mu=gc.mu, mu_h=ham.mu_h)
+    sched = SwitchingSchedule.sco(ell_xi=C.ec_constants(gc, scheme, game).ell_xi,
+                                  cal_l_h=ham.cal_l_h, mu=gc.mu, mu_h=ham.mu_h)
     iterations = 3 * sched.switch_point
     _, traces = E.run_experiment(game, scheme, ("sco",), iterations=iterations, seeds=3,
                                  schedule="switching", record_traces=True)

@@ -26,8 +26,7 @@ GAME = random_game(2, 1, 1, seed=3)
 EXAMPLES = {
     "SamplingScheme": dict(n=3, batch_size=2, probs=None),
     "ConstantSchedule": dict(alpha=0.1, gamma=0.0),
-    "SgdaSwitchingSchedule": dict(ell_xi=2.0, mu=0.5),
-    "ScoSwitchingSchedule": dict(ell_xi=2.0, cal_l_h=3.0, mu=0.5, mu_h=0.25),
+    "SwitchingSchedule": dict(alpha=0.125, gamma=0.125, modulus=0.75, k_star=16.0),
     "RunTrace": dict(seed=4, dist_sq=(1.0, 0.25), final_x=(0.5, -0.5), diverged=False,
                      iterates=None),
     "GameConstants": dict(n=2, mu=0.5, ell_i=(1.0, 2.0), ell=1.5, ell_max=2.0, sigma1_sq=0.75),
@@ -68,7 +67,7 @@ def _twin(cls):
 
 def test_every_record_has_an_example():
     assert sorted(RECORDS) == sorted(EXAMPLES)
-    assert len(RECORDS) == 13
+    assert len(RECORDS) == 12
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
@@ -109,7 +108,7 @@ def test_equality_and_hash_read_the_fields(name):
 
 
 def test_equality_tells_one_field_apart():
-    base = RECORDS["ScoSwitchingSchedule"](**EXAMPLES["ScoSwitchingSchedule"])
+    base = RECORDS["SwitchingSchedule"](**EXAMPLES["SwitchingSchedule"])
     for name in base._fields:
         other = base._replace(**{name: getattr(base, name) + 1})
         assert other != base and not other == base

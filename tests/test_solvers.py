@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from stochvi import constants as C
 from stochvi import experiments as E
 from stochvi import numerics
-from stochvi.errors import ConfigError
+from stochvi.errors import ConfigError, NumericalError
 from stochvi.operators import FiniteSumOperator, QuadraticGame
 from stochvi.sampling import SamplingScheme, draw_many
 from stochvi.solvers import (
@@ -17,8 +17,7 @@ from stochvi.solvers import (
     METHODS,
     TERMS,
     ConstantSchedule,
-    ScoSwitchingSchedule,
-    SgdaSwitchingSchedule,
+    SwitchingSchedule,
     _applied_steps,
     _BatchEstimator,
     run_batch,
@@ -47,41 +46,50 @@ def identity_game():
 
 
 def test_sgda_switching_constant_branch():
-    sched = SgdaSwitchingSchedule(ell_xi=10.0, mu=1.0)
+    sched = SwitchingSchedule.sgda(ell_xi=10.0, mu=1.0)
     assert sched.switch_point == 40
     assert sched.at(40) == (0.05, 0.0)
 
 
 def test_sgda_switching_decreasing_branch():
-    sched = SgdaSwitchingSchedule(ell_xi=10.0, mu=1.0)
+    sched = SwitchingSchedule.sgda(ell_xi=10.0, mu=1.0)
     alpha, gamma = sched.at(41)
     assert alpha == pytest.approx(83 / 1764, rel=1e-15)
     assert gamma == 0.0
 
 
 def test_sco_switching_constant_branch():
-    sched = ScoSwitchingSchedule(ell_xi=4.0, cal_l_h=16.0, mu=1.0, mu_h=1.0)
+    sched = SwitchingSchedule.sco(ell_xi=4.0, cal_l_h=16.0, mu=1.0, mu_h=1.0)
     assert sched.switch_point == 64
     assert sched.at(64) == (1 / 64, 1 / 64)
 
 
 def test_switching_continuity_and_monotone_tail():
-    sched = SgdaSwitchingSchedule(ell_xi=7.3, mu=0.9)
-    s = sched.switch_point
-    alpha_next, _ = sched.at(s + 1)
-    assert alpha_next == pytest.approx(
-        (2 * (s + 1) + 1) / ((s + 2) ** 2 * 0.9), rel=1e-15
-    )
-    prev = alpha_next
-    for k in range(s + 2, s + 200):
-        alpha, _ = sched.at(k)
-        assert alpha <= prev + 1e-18
-        assert alpha <= 1 / (2 * 7.3) + 1e-15
-        prev = alpha
+    # both rules, sco also with mu = 0: (schedule, modulus, constant step,
+    # whether gamma steps alike); sco's constant step is 1/(4 psi)
+    for sched, modulus, ceiling, shared in [
+        (SwitchingSchedule.sgda(ell_xi=7.3, mu=0.9), 0.9, 1 / (2 * 7.3), False),
+        (SwitchingSchedule.sco(ell_xi=7.3, cal_l_h=2.0, mu=0.9, mu_h=0.4), 1.3, 1 / (4 * 7.3),
+         True),
+        (SwitchingSchedule.sco(ell_xi=2.0, cal_l_h=5.5, mu=0.0, mu_h=0.7), 0.7, 1 / (4 * 5.5),
+         True),
+    ]:
+        s = sched.switch_point
+        alpha_next, _ = sched.at(s + 1)
+        assert alpha_next == pytest.approx(
+            (2 * (s + 1) + 1) / ((s + 2) ** 2 * modulus), rel=1e-15
+        )
+        prev = alpha_next
+        for k in range(s + 2, s + 200):
+            alpha, gamma = sched.at(k)
+            assert alpha <= prev + 1e-18
+            assert alpha <= ceiling + 1e-15
+            assert gamma == (alpha if shared else 0.0)
+            prev = alpha
 
 
 def test_sco_switching_mu_zero_branch():
-    sched = ScoSwitchingSchedule(ell_xi=2.0, cal_l_h=8.0, mu=0.0, mu_h=0.5)
+    sched = SwitchingSchedule.sco(ell_xi=2.0, cal_l_h=8.0, mu=0.0, mu_h=0.5)
     assert sched.switch_point == int(np.ceil(8 * 8.0 / 0.5))
     alpha, gamma = sched.at(sched.switch_point + 1)
     assert alpha == gamma
@@ -92,21 +100,43 @@ def test_constant_schedule_validation():
         ConstantSchedule(alpha=-0.1)
 
 
-@pytest.mark.parametrize("make, match", [
-    (lambda: SgdaSwitchingSchedule(ell_xi=0.0, mu=1.0), "needs ell_xi > 0 and mu > 0"),
-    (lambda: SgdaSwitchingSchedule(ell_xi=1.0, mu=0.0), "needs ell_xi > 0 and mu > 0"),
-    (lambda: ScoSwitchingSchedule(ell_xi=0.0, cal_l_h=1.0, mu=1.0, mu_h=1.0),
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: SwitchingSchedule.sgda(ell_xi=0.0, mu=1.0), ConfigError,
+     "needs ell_xi > 0 and mu > 0"),
+    (lambda: SwitchingSchedule.sgda(ell_xi=1.0, mu=0.0), ConfigError,
+     "needs ell_xi > 0 and mu > 0"),
+    (lambda: SwitchingSchedule.sco(ell_xi=0.0, cal_l_h=1.0, mu=1.0, mu_h=1.0), ConfigError,
      "needs positive smoothness constants"),
-    (lambda: ScoSwitchingSchedule(ell_xi=1.0, cal_l_h=0.0, mu=1.0, mu_h=1.0),
+    (lambda: SwitchingSchedule.sco(ell_xi=1.0, cal_l_h=0.0, mu=1.0, mu_h=1.0), ConfigError,
      "needs positive smoothness constants"),
-    (lambda: ScoSwitchingSchedule(ell_xi=1.0, cal_l_h=1.0, mu=-1.0, mu_h=1.0),
+    (lambda: SwitchingSchedule.sco(ell_xi=1.0, cal_l_h=1.0, mu=-1.0, mu_h=1.0), ConfigError,
      "needs mu >= 0 and mu_h > 0"),
-    (lambda: ScoSwitchingSchedule(ell_xi=1.0, cal_l_h=1.0, mu=1.0, mu_h=0.0),
+    (lambda: SwitchingSchedule.sco(ell_xi=1.0, cal_l_h=1.0, mu=1.0, mu_h=0.0), ConfigError,
      "needs mu >= 0 and mu_h > 0"),
+    (lambda: SwitchingSchedule.sgda(ell_xi=float("nan"), mu=1.0), ConfigError,
+     "both finite"),
+    (lambda: SwitchingSchedule.sgda(ell_xi=1.0, mu=float("inf")), ConfigError,
+     "both finite"),
+    (lambda: SwitchingSchedule.sgda(ell_xi=float("inf"), mu=1.0), ConfigError,
+     "both finite"),
+    (lambda: SwitchingSchedule.sco(ell_xi=float("inf"), cal_l_h=1.0, mu=1.0, mu_h=1.0),
+     ConfigError, "both finite"),
+    (lambda: SwitchingSchedule.sco(ell_xi=1.0, cal_l_h=float("inf"), mu=1.0, mu_h=1.0),
+     ConfigError, "both finite"),
+    (lambda: SwitchingSchedule.sco(ell_xi=1.0, cal_l_h=float("nan"), mu=1.0, mu_h=1.0),
+     ConfigError, "both finite"),
+    (lambda: SwitchingSchedule.sco(ell_xi=1.0, cal_l_h=1.0, mu=float("inf"), mu_h=1.0),
+     ConfigError, "both finite"),
+    # ell_xi / mu and 8 psi / (mu_h + mu) overflow to inf
+    (lambda: SwitchingSchedule.sgda(ell_xi=1e308, mu=1e-308), NumericalError, "overflow"),
+    (lambda: SwitchingSchedule.sco(ell_xi=1e308, cal_l_h=1.0, mu=0.0, mu_h=1e-308),
+     NumericalError, "overflow"),
 ], ids=["sgda_ell_xi_zero", "sgda_mu_zero", "sco_ell_xi_zero",
-        "sco_cal_l_h_zero", "sco_mu_negative", "sco_mu_h_zero"])
-def test_switching_schedules_reject_constants_outside_their_range(make, match):
-    with pytest.raises(ConfigError, match=match):
+        "sco_cal_l_h_zero", "sco_mu_negative", "sco_mu_h_zero", "sgda_ell_xi_nan",
+        "sgda_mu_inf", "sgda_ell_xi_inf", "sco_ell_xi_inf", "sco_cal_l_h_inf",
+        "sco_cal_l_h_nan", "sco_mu_inf", "sgda_k_star_overflow", "sco_k_star_overflow"])
+def test_switching_schedules_reject_constants_outside_their_range(make, error, match):
+    with pytest.raises(error, match=match):
         make()
 
 
@@ -334,7 +364,7 @@ def test_run_applies_step_sizes_and_x0_override():
     # on value(x) = x a step of alpha scales |x|^2 by (1 - alpha)^2
     game = identity_game()
     x0 = np.array([3.0, 4.0])
-    sched = SgdaSwitchingSchedule(ell_xi=2.0, mu=1.0)
+    sched = SwitchingSchedule.sgda(ell_xi=2.0, mu=1.0)
     trace = run_batch(game, SamplingScheme.full_batch(1), "sgda", 12, 1, sched, x0=x0)[0]
     assert trace.dist_sq[0] == pytest.approx(25.0, rel=1e-12)
     assert len(trace.dist_sq) - 1 == 12
@@ -432,9 +462,9 @@ BATCH_CASES = {
     "sco-independent": ("sco", lambda n: SamplingScheme.independent(
         [0.2 + 0.1 * i for i in range(n)]), ConstantSchedule(alpha=0.03, gamma=0.004)),
     "sgda-switching": ("sgda", lambda n: SamplingScheme.single_element(n),
-                       SgdaSwitchingSchedule(ell_xi=8.0, mu=1.0)),
+                       SwitchingSchedule.sgda(ell_xi=8.0, mu=1.0)),
     "sco-switching": ("sco", lambda n: SamplingScheme.single_element(n),
-                      ScoSwitchingSchedule(ell_xi=8.0, cal_l_h=30.0, mu=1.0, mu_h=0.5)),
+                      SwitchingSchedule.sco(ell_xi=8.0, cal_l_h=30.0, mu=1.0, mu_h=0.5)),
 }
 
 # Twelve components pass the 8 terms from which numpy sums one-element terms
@@ -859,11 +889,11 @@ def drawn_runs(pick):
         steps = st.sampled_from((0.0, 0.004, 0.05, 0.3, 40.0, 1e200))
         schedule = ConstantSchedule(alpha=pick(steps), gamma=pick(steps))
     elif TERMS[method][1]:  # the update has a Hamiltonian term
-        schedule = ScoSwitchingSchedule(ell_xi=pick(constants), cal_l_h=pick(constants),
-                                        mu=pick(st.sampled_from((0.0, 1.0))),
-                                        mu_h=pick(constants))
+        schedule = SwitchingSchedule.sco(ell_xi=pick(constants), cal_l_h=pick(constants),
+                                         mu=pick(st.sampled_from((0.0, 1.0))),
+                                         mu_h=pick(constants))
     else:
-        schedule = SgdaSwitchingSchedule(ell_xi=pick(constants), mu=pick(constants))
+        schedule = SwitchingSchedule.sgda(ell_xi=pick(constants), mu=pick(constants))
     x0 = op.equilibrium() if pick(st.integers(0, 3)) == 0 else None
     cfg = dict(method=method, operator=op, scheme=scheme, schedule=schedule,
                iterations=pick(st.integers(0, 30)), seed=pick(st.integers(0, 1000)), x0=x0)

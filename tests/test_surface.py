@@ -6,8 +6,9 @@ test oracle, belongs in tests/.  A further guard holds QuadraticGame to the
 method names the benchmark's tracer looks up in its class body, another
 holds the benchmark's per-layer function names to the package, another
 keeps command-line flag names in cli.py, another fails on an import that
-its module never uses, and the last two keep dataclasses out of the package
-and hold every record to the fields its class body annotates."""
+its module never uses, another on an ``__all__`` entry the package lacks,
+and the last two keep dataclasses out of the package and hold every record
+to the fields its class body annotates."""
 
 import ast
 import inspect
@@ -130,6 +131,14 @@ def test_every_import_is_used():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, "imported names the module never uses: " + ", ".join(unused)
+
+
+def test_every_export_is_an_attribute_of_the_package():
+    # test_every_import_is_used counts an __all__ entry as read, so a name
+    # left listed after its definition is gone would pass there and make
+    # ``from stochvi import *`` raise AttributeError
+    stale = [name for name in stochvi.__all__ if not hasattr(stochvi, name)]
+    assert not stale, "__all__ names the package lacks: " + ", ".join(stale)
 
 
 def test_traced_game_methods_are_in_the_class_body():

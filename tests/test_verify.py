@@ -477,13 +477,13 @@ def test_envelope_step_size_gate_propagates():
 
 
 def test_envelope_switching_schedule_long_range():
-    from stochvi.solvers import SgdaSwitchingSchedule
+    from stochvi.solvers import SwitchingSchedule
 
     game = random_game(5, 2, 2, seed=82)
     scheme = SamplingScheme.single_element(5)
     gc = C.game_constants(game)
     ec = C.ec_constants(gc, scheme, game)
-    sched = SgdaSwitchingSchedule(ell_xi=ec.ell_xi, mu=gc.mu)
+    sched = SwitchingSchedule.sgda(ell_xi=ec.ell_xi, mu=gc.mu)
     horizon = 50 * sched.switch_point
     traces = [run_batch(game, scheme, "sgda", horizon, 1, sched, s)[0] for s in range(100)]
     params = dict(mu=gc.mu, ell_xi=ec.ell_xi, sigma_sq=ec.sigma_sq)

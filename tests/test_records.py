@@ -16,17 +16,22 @@ from stochvi import experiments as E
 from stochvi.errors import ConfigError, NumericalError
 from stochvi.records import Record
 from stochvi.sampling import SamplingScheme
+from stochvi.solvers import SwitchingSchedule
 from stochvi.verify import CheckReport
 
 from test_operators import random_game
 
 GAME = random_game(2, 1, 1, seed=3)
 
-# One valid instance per record class, its fields in declaration order.
+# One valid instance per record class, its fields in declaration order; a
+# record that serves more than one rate statement has one instance for each,
+# named in CASE_CLASS.
 EXAMPLES = {
     "SamplingScheme": dict(n=3, batch_size=2, probs=None),
     "ConstantSchedule": dict(alpha=0.1, gamma=0.0),
-    "SwitchingSchedule": dict(alpha=0.125, gamma=0.125, modulus=0.75, k_star=16.0),
+    "SgdaSwitchingSchedule": SwitchingSchedule.sgda(ell_xi=2.0, mu=0.5)._asdict(),
+    "ScoSwitchingSchedule": SwitchingSchedule.sco(ell_xi=2.0, cal_l_h=3.0, mu=0.5,
+                                                  mu_h=0.25)._asdict(),
     "RunTrace": dict(seed=4, dist_sq=(1.0, 0.25), final_x=(0.5, -0.5), diverged=False,
                      iterates=None),
     "GameConstants": dict(n=2, mu=0.5, ell_i=(1.0, 2.0), ell=1.5, ell_max=2.0, sigma1_sq=0.75),
@@ -57,6 +62,15 @@ def _record_classes():
 
 RECORDS = _record_classes()
 
+# {example name: record class name} where the two differ.
+CASE_CLASS = {"SgdaSwitchingSchedule": "SwitchingSchedule",
+              "ScoSwitchingSchedule": "SwitchingSchedule"}
+
+
+def _case(name):
+    """(record class, field values) of the example ``name``."""
+    return RECORDS[CASE_CLASS.get(name, name)], EXAMPLES[name]
+
 
 def _twin(cls):
     """The frozen dataclass of ``cls``'s fields, named as ``cls`` is."""
@@ -66,13 +80,13 @@ def _twin(cls):
 
 
 def test_every_record_has_an_example():
-    assert sorted(RECORDS) == sorted(EXAMPLES)
+    assert sorted(RECORDS) == sorted({CASE_CLASS.get(n, n) for n in EXAMPLES})
     assert len(RECORDS) == 12
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
 def test_constructor_fields_and_asdict_share_one_order(name):
-    cls, kwargs = RECORDS[name], EXAMPLES[name]
+    cls, kwargs = _case(name)
     annotated = [f for klass in reversed(cls.__mro__)
                  for f in vars(klass).get("__annotations__", {}) if klass is not Record]
     assert list(cls._fields) == annotated == list(kwargs)
@@ -84,14 +98,14 @@ def test_constructor_fields_and_asdict_share_one_order(name):
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
 def test_repr_is_the_dataclass_repr(name):
-    cls, kwargs = RECORDS[name], EXAMPLES[name]
+    cls, kwargs = _case(name)
     assert repr(cls(**kwargs)) == repr(_twin(cls)(**kwargs))
     assert str(cls(**kwargs)) == repr(cls(**kwargs))
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
 def test_equality_and_hash_read_the_fields(name):
-    cls, kwargs = RECORDS[name], EXAMPLES[name]
+    cls, kwargs = _case(name)
     a, b = cls(**kwargs), cls(*kwargs.values())
     assert a == b and not a != b
     twin = _twin(cls)(**kwargs)
@@ -108,7 +122,8 @@ def test_equality_and_hash_read_the_fields(name):
 
 
 def test_equality_tells_one_field_apart():
-    base = RECORDS["SwitchingSchedule"](**EXAMPLES["SwitchingSchedule"])
+    cls, kwargs = _case("ScoSwitchingSchedule")
+    base = cls(**kwargs)
     for name in base._fields:
         other = base._replace(**{name: getattr(base, name) + 1})
         assert other != base and not other == base
@@ -120,7 +135,7 @@ def test_equality_tells_one_field_apart():
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
 def test_records_are_immutable(name):
-    cls, kwargs = RECORDS[name], EXAMPLES[name]
+    cls, kwargs = _case(name)
     rec = cls(**kwargs)
     for field in (*cls._fields, "not_a_field"):
         with pytest.raises(AttributeError, match="immutable"):
@@ -132,7 +147,7 @@ def test_records_are_immutable(name):
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
 def test_bad_arguments_are_a_type_error(name):
-    cls, kwargs = RECORDS[name], EXAMPLES[name]
+    cls, kwargs = _case(name)
     first = cls._fields[0]
     rest = {f: v for f, v in kwargs.items() if f != first}
     with pytest.raises(TypeError, match=f"missing field {first!r}"):

@@ -190,12 +190,10 @@ def cmd_verify(args) -> int:
     prof = exps.profile(game, scheme)
 
     def envelope():
-        own, schedule = exps.method_plan(prof, ("sgda",))["sgda"]
-        traces = run_batch(game, own, "sgda", args.envelope_iters, args.envelope_seeds,
+        method, own, schedule, params, slack = exps.bound_plan(consts.SGDA_CONSTANT, prof)
+        traces = run_batch(game, own, method, args.envelope_iters, args.envelope_seeds,
                            schedule, args.seed)
-        gc, ec = prof.game_constants, prof.ec
-        params = dict(alpha=schedule.alpha, mu=gc.mu, ell_xi=ec.ell_xi, sigma_sq=ec.sigma_sq)
-        return verify.check_bound_envelope(traces, consts.SGDA_CONSTANT, params, 1.05)
+        return verify.check_bound_envelope(traces, consts.SGDA_CONSTANT, params, slack)
 
     checks = {
         "ec": lambda: verify.check_ec(game, scheme, prof.ec.ell_xi, args.points, args.radius, rng),

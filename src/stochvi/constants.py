@@ -22,7 +22,7 @@ from .errors import ConfigError, NumericalError, UnsupportedSchemeError
 from .operators import QuadraticGame
 from .records import Record
 from .sampling import SamplingScheme, moments, second_moment
-from .solvers import SwitchingSchedule
+from .solvers import SCO, SGDA, SHGD, SwitchingSchedule
 
 # Eigenvalues below this fraction of the spectral scale count as zero.
 _ZERO_RTOL = 1e-12
@@ -294,45 +294,50 @@ SCO_CONSTANT = "sco_constant"
 SHGD_CONSTANT = "shgd_constant"
 SCO_SWITCHING = "sco_switching"
 
-BOUND_IDS = (
-    SGDA_CONSTANT,
-    SGDA_CONSTANT_GENERAL,
-    SGDA_SWITCHING,
-    SCO_CONSTANT,
-    SHGD_CONSTANT,
-    SCO_SWITCHING,
-)
+# Each rate statement's method, step rule (as experiments.method_plan names it), envelope
+# slack and closed-form parameters.  The theory steps lie in each constant one's range.
+BOUNDS = {SGDA_CONSTANT: (SGDA, "theory", 1.05, ("alpha", "mu", "ell_xi", "sigma_sq")),
+          SGDA_CONSTANT_GENERAL: (SGDA, "theory", 1.05, ("alpha", "mu", "ell_xi", "sigma_sq")),
+          SGDA_SWITCHING: (SGDA, "switching", 1.1, ("mu", "ell_xi", "sigma_sq")),
+          SCO_CONSTANT: (SCO, "theory", 1.05, ("alpha", "gamma", "mu", "mu_h", "ell_xi",
+                                               "cal_l_h", "sigma_sq", "sigma_h_sq")),
+          SHGD_CONSTANT: (SHGD, "theory", 1.05, ("gamma", "mu_h", "cal_l_h", "sigma_h_sq")),
+          SCO_SWITCHING: (SCO, "switching", 1.1, ("mu", "mu_h", "ell_xi", "cal_l_h", "sigma_sq",
+                                                  "sigma_h_sq"))}
+
+# Each method's switching rule, built from c(key), the value of each constant it reads.
+SWITCHING = {SGDA: lambda c: SwitchingSchedule.sgda(*map(c, ("ell_xi", "mu"))),
+             SCO: lambda c: SwitchingSchedule.sco(*map(c, ("ell_xi", "cal_l_h", "mu", "mu_h")))}
 
 
-# The schedule whose rate each switching bound states, built from its parameters.
-_SWITCHING = {
-    SGDA_SWITCHING: lambda p: SwitchingSchedule.sgda(p["ell_xi"], p["mu"]),
-    SCO_SWITCHING: lambda p: SwitchingSchedule.sco(p["ell_xi"], p["cal_l_h"], p["mu"], p["mu_h"]),
-}
+def bound_row(bound: str, params=None) -> tuple:
+    """``bound``'s row of BOUNDS.  ConfigError for an id the table lacks, or
+    for a key of the row that ``params``, when given, lacks."""
+    if bound not in BOUNDS:
+        raise ConfigError(f"unknown bound id {bound!r}; known: {tuple(BOUNDS)}")
+    missing = [key for key in BOUNDS[bound][3] if params is not None and key not in params]
+    if missing:
+        raise ConfigError(f"{bound} needs {', '.join(missing)}")
+    return BOUNDS[bound]
 
 
 def bound_start(bound: str, params: dict) -> int:
     """First iteration at which ``bound`` holds: a switching rule's switch
-    point, else 0."""
-    return _SWITCHING[bound](params).switch_point if bound in _SWITCHING else 0
+    point, else 0, which reads no parameter."""
+    method, steps, _, _ = bound_row(bound)
+    if steps != "switching":
+        return 0
+    bound_row(bound, params)
+    return SWITCHING[method](params.__getitem__).switch_point
 
 
 def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
-    """Closed-form distance bound at iteration k for the given rate statement.
-
-    Required keyword parameters per bound id:
-
-    * sgda_constant:          alpha, mu, ell_xi, sigma_sq
-    * sgda_constant_general:  alpha, mu, ell_xi, sigma_sq
-    * sgda_switching:         mu, ell_xi, sigma_sq
-    * sco_constant:           alpha, gamma, mu, mu_h, ell_xi, cal_l_h,
-                              sigma_sq, sigma_h_sq
-    * shgd_constant:          gamma, mu_h, cal_l_h, sigma_h_sq
-    * sco_switching:          mu, mu_h, ell_xi, cal_l_h, sigma_sq, sigma_h_sq
-
-    Raises NumericalError when a step size violates the statement's range
-    and ConfigError when k lies before ``bound_start``.
-    """
+    """Closed-form distance bound at iteration k for the given rate statement,
+    from the parameters its row of BOUNDS names; other keywords are ignored.
+    Raises ConfigError for an unknown bound, a missing parameter or a k before
+    ``bound_start``, and NumericalError when a step size violates the
+    statement's range or the closed form leaves float range."""
+    method = bound_row(bound, p)[0]
     if k < 0:
         raise ConfigError("iteration index must be >= 0")
     start = bound_start(bound, p)
@@ -346,49 +351,46 @@ def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
                 f"step size out of range: {what} must satisfy {what} {op} {ceiling:.6g}"
             )
 
-    if bound == SGDA_CONSTANT:
-        alpha, mu, ell_xi, sigma_sq = p["alpha"], p["mu"], p["ell_xi"], p["sigma_sq"]
-        if mu <= 0.0:
-            raise ConfigError("this rate needs mu > 0")
-        limit(alpha, 1.0 / (2.0 * ell_xi), "alpha")
-        return (1.0 - alpha * mu) ** k * r0_sq + 2.0 * alpha * sigma_sq / mu
+    try:
+        if bound in (SGDA_CONSTANT, SGDA_CONSTANT_GENERAL):
+            alpha, mu, ell_xi, sigma_sq = p["alpha"], p["mu"], p["ell_xi"], p["sigma_sq"]
+            if mu <= 0.0:
+                raise ConfigError("this rate needs mu > 0")
+            if bound == SGDA_CONSTANT:
+                limit(alpha, 1.0 / (2.0 * ell_xi), "alpha")
+                return (1.0 - alpha * mu) ** k * r0_sq + 2.0 * alpha * sigma_sq / mu
+            limit(alpha, 1.0 / ell_xi, "alpha", strict=True)
+            rate = 1.0 - 2.0 * alpha * mu * (1.0 - alpha * ell_xi)
+            return rate**k * r0_sq + alpha * sigma_sq / (mu * (1.0 - alpha * ell_xi))
 
-    if bound == SGDA_CONSTANT_GENERAL:
-        alpha, mu, ell_xi, sigma_sq = p["alpha"], p["mu"], p["ell_xi"], p["sigma_sq"]
-        if mu <= 0.0:
-            raise ConfigError("this rate needs mu > 0")
-        limit(alpha, 1.0 / ell_xi, "alpha", strict=True)
-        rate = 1.0 - 2.0 * alpha * mu * (1.0 - alpha * ell_xi)
-        return rate**k * r0_sq + alpha * sigma_sq / (mu * (1.0 - alpha * ell_xi))
+        if bound == SCO_CONSTANT:
+            alpha, gamma = p["alpha"], p["gamma"]
+            mu, mu_h = p["mu"], p["mu_h"]
+            sigma_sq, sigma_h_sq = p["sigma_sq"], p["sigma_h_sq"]
+            if mu < 0.0 or mu_h <= 0.0:
+                raise ConfigError("this rate needs mu >= 0 and mu_h > 0")
+            limit(alpha, 1.0 / (4.0 * p["ell_xi"]), "alpha")
+            limit(gamma, 1.0 / (4.0 * p["cal_l_h"]), "gamma")
+            denom = gamma * mu_h + alpha * mu
+            if denom <= 0.0:
+                raise NumericalError("step size out of range: alpha and gamma may not both vanish")
+            rate = 1.0 - denom
+            return rate**k * r0_sq + 4.0 * (alpha**2 * sigma_sq + gamma**2 * sigma_h_sq) / denom
 
-    if bound == SCO_CONSTANT:
-        alpha, gamma = p["alpha"], p["gamma"]
-        mu, mu_h = p["mu"], p["mu_h"]
-        sigma_sq, sigma_h_sq = p["sigma_sq"], p["sigma_h_sq"]
-        if mu < 0.0 or mu_h <= 0.0:
-            raise ConfigError("this rate needs mu >= 0 and mu_h > 0")
-        limit(alpha, 1.0 / (4.0 * p["ell_xi"]), "alpha")
-        limit(gamma, 1.0 / (4.0 * p["cal_l_h"]), "gamma")
-        denom = gamma * mu_h + alpha * mu
-        if denom <= 0.0:
-            raise NumericalError("step size out of range: alpha and gamma may not both vanish")
-        rate = 1.0 - denom
-        return rate**k * r0_sq + 4.0 * (alpha**2 * sigma_sq + gamma**2 * sigma_h_sq) / denom
+        if bound == SHGD_CONSTANT:
+            gamma, mu_h, sigma_h_sq = p["gamma"], p["mu_h"], p["sigma_h_sq"]
+            if mu_h <= 0.0:
+                raise ConfigError("this rate needs mu_h > 0")
+            limit(gamma, 1.0 / (2.0 * p["cal_l_h"]), "gamma")
+            if gamma <= 0.0:
+                raise NumericalError("step size out of range: gamma must be positive")
+            return (1.0 - gamma * mu_h) ** k * r0_sq + 2.0 * gamma * sigma_h_sq / mu_h
 
-    if bound == SHGD_CONSTANT:
-        gamma, mu_h, sigma_h_sq = p["gamma"], p["mu_h"], p["sigma_h_sq"]
-        if mu_h <= 0.0:
-            raise ConfigError("this rate needs mu_h > 0")
-        limit(gamma, 1.0 / (2.0 * p["cal_l_h"]), "gamma")
-        if gamma <= 0.0:
-            raise NumericalError("step size out of range: gamma must be positive")
-        return (1.0 - gamma * mu_h) ** k * r0_sq + 2.0 * gamma * sigma_h_sq / mu_h
-
-    if bound in _SWITCHING:
-        # SGDA's 16 ceil(ell_xi / mu)^2 is its k* squared
-        rule = _SWITCHING[bound](p)
+        # a switching bound; SGDA's 16 ceil(ell_xi / mu)^2 is its k* squared
+        rule = SWITCHING[method](p.__getitem__)
         noise = (8.0 * p["sigma_sq"] if bound == SGDA_SWITCHING
                  else 16.0 * (p["sigma_sq"] + p["sigma_h_sq"]))
         return noise / (rule.modulus**2 * k) + rule.k_star**2 * r0_sq / (math.e**2 * k**2)
-
-    raise ConfigError(f"unknown bound id {bound!r}; known: {BOUND_IDS}")
+    except (ZeroDivisionError, OverflowError) as exc:
+        # a divisor that underflowed to 0, or a power or an int past float range
+        raise NumericalError(f"{bound} leaves float range: {exc}") from None

@@ -26,12 +26,9 @@ from .sampling import SamplingScheme
 from .solvers import (
     DETERMINISTIC_METHODS,
     METHODS,
-    SCO,
-    SGDA,
     TERMS,
     ConstantSchedule,
     RunTrace,
-    SwitchingSchedule,
     run_batch,
 )
 
@@ -261,6 +258,12 @@ class GameProfile(Record):
     def hamiltonian(self) -> consts.HamiltonianConstants:
         return consts.hamiltonian_constants(self.game, self.scheme)
 
+    def constant(self, name: str) -> float:
+        """The rate-statement constant ``name``, read from the one record that holds it."""
+        holder = {"mu": "game_constants", "ell_xi": "ec", "sigma_sq": "ec", "mu_h": "hamiltonian",
+                  "cal_l_h": "hamiltonian", "sigma_h_sq": "hamiltonian"}[name]
+        return getattr(getattr(self, holder), name)
+
 
 def profile(game: QuadraticGame, scheme: SamplingScheme) -> GameProfile:
     """Profile of (game, scheme), with every constant left to its first read."""
@@ -303,13 +306,19 @@ def method_plan(prof: GameProfile, methods, schedule="theory"):
 
 
 def switching_schedule(method: str, prof: GameProfile):
-    gc = prof.game_constants
-    if method == SGDA:
-        return SwitchingSchedule.sgda(prof.ec.ell_xi, gc.mu)
-    if method == SCO:
-        ham = prof.hamiltonian
-        return SwitchingSchedule.sco(prof.ec.ell_xi, ham.cal_l_h, gc.mu, ham.mu_h)
-    raise ConfigError(f"no switching rule for method {method!r}")
+    if method not in consts.SWITCHING:
+        raise ConfigError(f"no switching rule for method {method!r}")
+    return consts.SWITCHING[method](prof.constant)
+
+
+def bound_plan(bound: str, prof: GameProfile):
+    """(method, scheme, schedule, params, slack) of rate statement ``bound`` on ``prof``,
+    with params from the schedule's steps and the constants its BOUNDS row names alone."""
+    method, steps, slack, keys = consts.bound_row(bound)
+    scheme, schedule = method_plan(prof, (method,), steps)[method]
+    own = {"alpha": schedule.alpha, "gamma": schedule.gamma}
+    params = {key: own[key] if key in own else prof.constant(key) for key in keys}
+    return method, scheme, schedule, params, slack
 
 
 # ---------------------------------------------------------------------------

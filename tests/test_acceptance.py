@@ -84,9 +84,11 @@ def envelope_traces(desk_game):
     t0 = time.monotonic()
 
     alpha = 1.0 / (2.0 * ec.ell_xi)
-    sgda = run_batch(game, scheme, "sgda", 5000, 100, ConstantSchedule(alpha=alpha))
+    const = ConstantSchedule(alpha=alpha)
+    sgda = run_batch(game, scheme, "sgda", 5000, 100, const)
     a2, g2 = 1.0 / (4.0 * ec.ell_xi), 1.0 / (4.0 * ham.cal_l_h)
-    sco = run_batch(game, scheme, "sco", 5000, 100, ConstantSchedule(alpha=a2, gamma=g2))
+    const2 = ConstantSchedule(alpha=a2, gamma=g2)
+    sco = run_batch(game, scheme, "sco", 5000, 100, const2)
     sw = SwitchingSchedule.sgda(ell_xi=ec.ell_xi, mu=gc.mu)
     sgda_sw = run_batch(game, scheme, "sgda", 20 * sw.switch_point, 100, sw)
     sw2 = SwitchingSchedule.sco(ell_xi=ec.ell_xi, cal_l_h=ham.cal_l_h,
@@ -94,7 +96,7 @@ def envelope_traces(desk_game):
     sco_sw = run_batch(game, scheme, "sco", 20 * sw2.switch_point, 100, sw2)
     elapsed = time.monotonic() - t0
     return dict(sgda=sgda, sco=sco, sgda_sw=sgda_sw, sco_sw=sco_sw,
-                sw=sw, sw2=sw2, elapsed=elapsed)
+                const=const, const2=const2, sw=sw, sw2=sw2, elapsed=elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +235,27 @@ def test_criterion_5_stochastic_bound_envelopes(desk_game, envelope_traces):
         assert rep.details["k_range"] == (sw2.switch_point, 20 * sw2.switch_point)
 
         assert envelope_traces["elapsed"] < 120.0
+
+
+def test_bound_plan_gives_criterion_5_runs_and_parameters(desk_game, envelope_traces):
+    # criterion 5's hand-built parameters and slacks, restated, with the
+    # fixture's schedules: the one table must reproduce each of them
+    game, scheme, prof = desk_game
+    gc, ec, ham = prof.game_constants, prof.ec, prof.hamiltonian
+    a2, g2 = 1.0 / (4.0 * ec.ell_xi), 1.0 / (4.0 * ham.cal_l_h)
+    both = dict(mu=gc.mu, mu_h=ham.mu_h, ell_xi=ec.ell_xi, cal_l_h=ham.cal_l_h,
+                sigma_sq=ec.sigma_sq, sigma_h_sq=ham.sigma_h_sq)
+    expected = {
+        C.SGDA_CONSTANT: ("sgda", "const", 1.05, dict(
+            alpha=1.0 / (2.0 * ec.ell_xi), mu=gc.mu, ell_xi=ec.ell_xi, sigma_sq=ec.sigma_sq)),
+        C.SCO_CONSTANT: ("sco", "const2", 1.05, dict(alpha=a2, gamma=g2, **both)),
+        C.SGDA_SWITCHING: ("sgda", "sw", 1.1, dict(mu=gc.mu, ell_xi=ec.ell_xi,
+                                                   sigma_sq=ec.sigma_sq)),
+        C.SCO_SWITCHING: ("sco", "sw2", 1.1, both),
+    }
+    for bound, (method, schedule, slack, params) in expected.items():
+        plan = E.bound_plan(bound, prof)
+        assert plan == (method, scheme, envelope_traces[schedule], params, slack), bound
 
 
 def test_criterion_6_switching_beats_plateau(desk_game, envelope_traces):

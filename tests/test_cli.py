@@ -172,6 +172,13 @@ def test_verify_envelope_check(game_file, capsys):
     assert "[PASS]" in capsys.readouterr().out
 
 
+def test_verify_minibatch_envelope_reads_no_hamiltonian_constant(game_file, capsys):
+    # a minibatch of 3 has no Hamiltonian constants; sgda_constant needs none
+    assert main(["verify", str(game_file), "--scheme", "minibatch", "--b", "3",
+                 "--checks", "envelope"]) == 0
+    assert capsys.readouterr().out.count("[PASS]") == 1
+
+
 def test_verify_full_batch_envelope_at_the_default_iterations(game_file, capsys):
     # the 500-iteration run reaches the rounding floor long before its end
     assert main(["verify", str(game_file), "--scheme", "full", "--checks", "envelope"]) == 0

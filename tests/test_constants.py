@@ -669,6 +669,9 @@ def test_bound_switch_gate():
                                 rel=1e-12)
     for bound in (C.SGDA_CONSTANT, C.SGDA_CONSTANT_GENERAL, C.SCO_CONSTANT, C.SHGD_CONSTANT):
         assert C.bound_start(bound, {}) == 0
+    # a switching bound's start reads its parameters, so they must all be there
+    with pytest.raises(ConfigError, match="^sco_switching needs mu_h, cal_l_h, sigma_h_sq$"):
+        C.bound_start(C.SCO_SWITCHING, _SGDA)
 
 
 def test_bound_shgd_constant():
@@ -692,6 +695,8 @@ _SGDA = dict(alpha=0.1, mu=1.0, ell_xi=2.0, sigma_sq=1.0)
 _SCO = dict(alpha=0.05, gamma=0.05, mu=1.0, mu_h=1.0, ell_xi=2.0, cal_l_h=2.0,
             sigma_sq=1.0, sigma_h_sq=1.0)
 _SHGD = dict(gamma=0.1, mu_h=1.0, cal_l_h=2.0, sigma_h_sq=1.0)
+# k* = 4 ceil(ell_xi / mu) = 4e160, whose square is past float range
+_TINY_MU = {**_SGDA, "mu": 1e-150, "ell_xi": 1e10}
 
 
 @pytest.mark.parametrize("bound, k, params, error, match", [
@@ -714,10 +719,25 @@ _SHGD = dict(gamma=0.1, mu_h=1.0, cal_l_h=2.0, sigma_h_sq=1.0)
      "switching schedule needs .*both finite"),
     (C.SCO_SWITCHING, 5, {**_SCO, "mu_h": math.inf}, ConfigError,
      "switching schedule needs .*both finite"),
+    (C.SCO_SWITCHING, 5, {**_SCO, "ell_xi": math.nan}, ConfigError,
+     "got ell_xi=nan, cal_l_h=2.0$"),
+    # finite inputs whose closed form underflows a divisor to 0 or passes float range
+    (C.SCO_SWITCHING, 10**201, {**_SCO, "mu": 0.0, "mu_h": 1e-200, "ell_xi": 1.0,
+                                "cal_l_h": 1.0}, NumericalError,
+     "sco_switching leaves float range"),
+    (C.SGDA_SWITCHING, C.bound_start(C.SGDA_SWITCHING, _TINY_MU), _TINY_MU, NumericalError,
+     "sgda_switching leaves float range"),
+    (C.SGDA_CONSTANT_GENERAL, 1, {**_SGDA, "alpha": 0.5, "mu": 5e-324, "ell_xi": 1.0},
+     NumericalError, "sgda_constant_general leaves float range"),
+    (C.SCO_CONSTANT, 1, {k: v for k, v in _SCO.items() if k not in ("gamma", "sigma_h_sq")},
+     ConfigError, "^sco_constant needs gamma, sigma_h_sq$"),
+    (C.SHGD_CONSTANT, 1, {}, ConfigError,
+     "^shgd_constant needs gamma, mu_h, cal_l_h, sigma_h_sq$"),
 ], ids=["negative_k", "sgda_mu_zero", "sgda_general_mu_zero", "sco_mu_negative",
         "sco_mu_h_zero", "shgd_mu_h_zero", "shgd_gamma_zero", "unknown_bound",
         "sgda_switching_overflow", "sco_switching_overflow", "sgda_switching_nan",
-        "sco_switching_inf"])
+        "sco_switching_inf", "sco_switching_nan", "sco_switching_zero_divisor",
+        "sgda_switching_int_overflow", "sgda_general_zero_divisor", "missing_key", "no_keys"])
 def test_bound_rejects_parameters_outside_its_statement(bound, k, params, error, match):
     with pytest.raises(error, match=match):
         C.theoretical_bound(bound, k, 1.0, **params)

@@ -1,5 +1,7 @@
 import json
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from stochvi import constants as C
 from stochvi import experiments as E
 from stochvi import numerics
 from stochvi.cli import main
-from stochvi.errors import ConfigError, UnsupportedSchemeError
+from stochvi.errors import ConfigError, NumericalError, UnsupportedSchemeError
 from stochvi.sampling import SamplingScheme
 from stochvi.solvers import ConstantSchedule, SwitchingSchedule, run_batch
 
@@ -509,6 +511,52 @@ def test_sco_switching_experiment_runs_the_hand_built_schedule():
     for got, want in zip(traces["sco"], expected, strict=True):
         assert got.dist_sq.tobytes() == want.dist_sq.tobytes()
         assert got.final_x.tobytes() == want.final_x.tobytes()
+
+
+@pytest.mark.parametrize("bound", list(C.BOUNDS))
+def test_bound_plan_params_are_the_keys_its_bound_reads(bound):
+    # each id names its method, and a switching bound's envelope has the
+    # wider slack; the plan's params evaluate the bound, each is read (None
+    # in its place is a TypeError) and each is needed (without it, a ConfigError)
+    game = E.generate_game(small_cfg(seed=17))
+    prof = E.profile(game, SamplingScheme.single_element(game.n))
+    method, _, _, params, slack = E.bound_plan(bound, prof)
+    assert method == bound.split("_")[0]
+    assert slack == (1.1 if bound.endswith("_switching") else 1.05)
+    assert tuple(params) == C.BOUNDS[bound][3]
+    k = C.bound_start(bound, params) + 3
+    assert math.isfinite(C.theoretical_bound(bound, k, 1.0, **params))
+    for key in params:
+        with pytest.raises(TypeError):
+            C.theoretical_bound(bound, k, 1.0, **{**params, key: None})
+        rest = {other: value for other, value in params.items() if other != key}
+        with pytest.raises(ConfigError, match=f"^{bound} needs {key}$"):
+            C.theoretical_bound(bound, k, 1.0, **rest)
+
+
+def test_bound_plan_reads_only_the_records_its_bound_names():
+    # shgd_constant names no game constant, and this game's game constants
+    # raise NumericalError: one component is not co-coercive
+    game = E.read_game(Path(__file__).with_name("nonmonotone_game.json"))[0]
+    prof = E.profile(game, SamplingScheme.single_element(game.n))
+    E.bound_plan(C.SHGD_CONSTANT, prof)
+    assert "game_constants" not in prof.__dict__
+    with pytest.raises(NumericalError, match="not co-coercive"):
+        prof.game_constants
+    # the sgda bounds name no Hamiltonian constant, which a minibatch lacks
+    game = E.generate_game(small_cfg())
+    prof = E.profile(game, SamplingScheme.minibatch(game.n, 3))
+    for bound in (C.SGDA_CONSTANT, C.SGDA_CONSTANT_GENERAL, C.SGDA_SWITCHING):
+        assert E.bound_plan(bound, prof)[1] == prof.scheme
+    with pytest.raises(UnsupportedSchemeError):
+        prof.hamiltonian
+
+
+@pytest.mark.parametrize("bound", ["sgda_constnat", "sgda"])
+def test_bound_plan_rejects_an_unknown_bound(bound):
+    prof = E.profile(E.generate_game(small_cfg()), SamplingScheme.single_element(4))
+    with pytest.raises(ConfigError, match=f"unknown bound id '{bound}'"):
+        E.bound_plan(bound, prof)
 
 
 def test_sweep_step_sizes_labels_and_shape():

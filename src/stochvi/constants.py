@@ -7,8 +7,9 @@ positive subspace of sym(M), in any dimension.  Every downstream inequality
 (expected co-coercivity, step-size ranges, bound envelopes) needs such a
 genuine certificate.
 
-Both switching bounds are noise / (m^2 k) + k*^2 r0^2 / (e k)^2, with m and
-k* read from the ``solvers.SwitchingSchedule`` their runs step by.
+A bound reads its step ceilings, or its switching rule's m, k* and start,
+from the schedule its STEP_RULES rule builds; both switching bounds are
+noise / (m^2 k) + k*^2 r0^2 / (e k)^2.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import ConfigError, NumericalError, UnsupportedSchemeError
 from .operators import QuadraticGame
 from .records import Record
 from .sampling import SamplingScheme, moments, second_moment
-from .solvers import SCO, SGDA, SHGD, SwitchingSchedule
+from .solvers import SCO, SGDA, SHGD, TERMS, ConstantSchedule, SwitchingSchedule
 
 # Eigenvalues below this fraction of the spectral scale count as zero.
 _ZERO_RTOL = 1e-12
@@ -205,10 +206,10 @@ def hamiltonian_constants(
     batched eigvalsh.  The noise adds the n^2 squared pair-gradient norms
     in (i, j) order, one row of pairs at a time.
     """
-    b = scheme.batch_size
-    single = b == 1
-    full = b == scheme.n
-    if scheme.n != game.n or not (single or full):
+    if scheme.n != game.n:
+        raise ConfigError(f"scheme is for n={scheme.n}, game has n={game.n}")
+    full = scheme.is_deterministic
+    if not (full or scheme.batch_size == 1):
         raise UnsupportedSchemeError(
             "hamiltonian constants support single-element or full-batch sampling"
         )
@@ -294,8 +295,24 @@ SCO_CONSTANT = "sco_constant"
 SHGD_CONSTANT = "shgd_constant"
 SCO_SWITCHING = "sco_switching"
 
-# Each rate statement's method, step rule (as experiments.method_plan names it), envelope
-# slack and closed-form parameters.  The theory steps lie in each constant one's range.
+
+def _theory_rule(terms):
+    """Constant steps 1/(2 ell_xi) and 1/(2 cal_l_h) on the terms a solvers.TERMS row
+    applies, halved when it applies both; 0, reading nothing, on a term it does not."""
+    factor = 2.0 * sum(terms)
+    return lambda c: ConstantSchedule(*(1.0 / (factor * c(key)) if applies else 0.0
+                                        for key, applies in zip(("ell_xi", "cal_l_h"), terms)))
+
+
+# Each named step rule's schedule for each method it covers, built from c(key), the
+# value of each constant it reads.  The theory steps are the constant statements' ceilings.
+STEP_RULES = {"theory": {method: _theory_rule(terms) for method, terms in TERMS.items()},
+              "switching": {SGDA: lambda c: SwitchingSchedule.sgda(*map(c, ("ell_xi", "mu"))),
+                            SCO: lambda c: SwitchingSchedule.sco(
+                                *map(c, ("ell_xi", "cal_l_h", "mu", "mu_h")))}}
+
+# Each rate statement's method, step rule (a key of STEP_RULES), envelope slack and
+# closed-form parameters.
 BOUNDS = {SGDA_CONSTANT: (SGDA, "theory", 1.05, ("alpha", "mu", "ell_xi", "sigma_sq")),
           SGDA_CONSTANT_GENERAL: (SGDA, "theory", 1.05, ("alpha", "mu", "ell_xi", "sigma_sq")),
           SGDA_SWITCHING: (SGDA, "switching", 1.1, ("mu", "ell_xi", "sigma_sq")),
@@ -304,10 +321,6 @@ BOUNDS = {SGDA_CONSTANT: (SGDA, "theory", 1.05, ("alpha", "mu", "ell_xi", "sigma
           SHGD_CONSTANT: (SHGD, "theory", 1.05, ("gamma", "mu_h", "cal_l_h", "sigma_h_sq")),
           SCO_SWITCHING: (SCO, "switching", 1.1, ("mu", "mu_h", "ell_xi", "cal_l_h", "sigma_sq",
                                                   "sigma_h_sq"))}
-
-# Each method's switching rule, built from c(key), the value of each constant it reads.
-SWITCHING = {SGDA: lambda c: SwitchingSchedule.sgda(*map(c, ("ell_xi", "mu"))),
-             SCO: lambda c: SwitchingSchedule.sco(*map(c, ("ell_xi", "cal_l_h", "mu", "mu_h")))}
 
 
 def bound_row(bound: str, params=None) -> tuple:
@@ -328,36 +341,42 @@ def bound_start(bound: str, params: dict) -> int:
     if steps != "switching":
         return 0
     bound_row(bound, params)
-    return SWITCHING[method](params.__getitem__).switch_point
+    return STEP_RULES[steps][method](params.__getitem__).switch_point
 
 
 def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
     """Closed-form distance bound at iteration k for the given rate statement,
     from the parameters its row of BOUNDS names; other keywords are ignored.
-    Raises ConfigError for an unknown bound, a missing parameter or a k before
-    ``bound_start``, and NumericalError when a step size violates the
-    statement's range or the closed form leaves float range."""
-    method = bound_row(bound, p)[0]
+    Its step rule's schedule, built once from them, gives a constant statement's
+    step ceilings and a switching one's k*, modulus and start.  Raises
+    ConfigError for an unknown bound, a missing parameter, a constant outside
+    its range or a k before ``bound_start``, and NumericalError when a step size
+    violates the statement's range or the closed form leaves float range."""
+    method, steps, _, keys = bound_row(bound, p)
     if k < 0:
         raise ConfigError("iteration index must be >= 0")
-    start = bound_start(bound, p)
-    if k < start:
-        raise ConfigError(f"switch not reached: bound valid from iteration {start}, got {k}")
+    for key in keys:
+        if key.startswith("sigma") and not p[key] >= 0.0:
+            raise ConfigError(f"this rate needs {key} >= 0, got {p[key]!r}")
 
     def limit(value, ceiling, what, strict=False):
-        if value < 0.0 or (value >= ceiling if strict else value > ceiling * (1.0 + _STEP_SLOP)):
+        if not (0.0 <= value < ceiling if strict else 0.0 <= value <= ceiling * (1.0 + _STEP_SLOP)):
             op = "<" if strict else "<="
             raise NumericalError(
                 f"step size out of range: {what} must satisfy {what} {op} {ceiling:.6g}"
             )
 
     try:
+        rule = STEP_RULES[steps][method](p.__getitem__)
+        if steps == "switching" and k < rule.switch_point:
+            raise ConfigError(f"switch not reached: bound valid from iteration "
+                              f"{rule.switch_point}, got {k}")
         if bound in (SGDA_CONSTANT, SGDA_CONSTANT_GENERAL):
             alpha, mu, ell_xi, sigma_sq = p["alpha"], p["mu"], p["ell_xi"], p["sigma_sq"]
-            if mu <= 0.0:
+            if not mu > 0.0:
                 raise ConfigError("this rate needs mu > 0")
             if bound == SGDA_CONSTANT:
-                limit(alpha, 1.0 / (2.0 * ell_xi), "alpha")
+                limit(alpha, rule.alpha, "alpha")
                 return (1.0 - alpha * mu) ** k * r0_sq + 2.0 * alpha * sigma_sq / mu
             limit(alpha, 1.0 / ell_xi, "alpha", strict=True)
             rate = 1.0 - 2.0 * alpha * mu * (1.0 - alpha * ell_xi)
@@ -367,10 +386,10 @@ def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
             alpha, gamma = p["alpha"], p["gamma"]
             mu, mu_h = p["mu"], p["mu_h"]
             sigma_sq, sigma_h_sq = p["sigma_sq"], p["sigma_h_sq"]
-            if mu < 0.0 or mu_h <= 0.0:
+            if not (mu >= 0.0 and mu_h > 0.0):
                 raise ConfigError("this rate needs mu >= 0 and mu_h > 0")
-            limit(alpha, 1.0 / (4.0 * p["ell_xi"]), "alpha")
-            limit(gamma, 1.0 / (4.0 * p["cal_l_h"]), "gamma")
+            limit(alpha, rule.alpha, "alpha")
+            limit(gamma, rule.gamma, "gamma")
             denom = gamma * mu_h + alpha * mu
             if denom <= 0.0:
                 raise NumericalError("step size out of range: alpha and gamma may not both vanish")
@@ -379,15 +398,14 @@ def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
 
         if bound == SHGD_CONSTANT:
             gamma, mu_h, sigma_h_sq = p["gamma"], p["mu_h"], p["sigma_h_sq"]
-            if mu_h <= 0.0:
+            if not mu_h > 0.0:
                 raise ConfigError("this rate needs mu_h > 0")
-            limit(gamma, 1.0 / (2.0 * p["cal_l_h"]), "gamma")
+            limit(gamma, rule.gamma, "gamma")
             if gamma <= 0.0:
                 raise NumericalError("step size out of range: gamma must be positive")
             return (1.0 - gamma * mu_h) ** k * r0_sq + 2.0 * gamma * sigma_h_sq / mu_h
 
         # a switching bound; SGDA's 16 ceil(ell_xi / mu)^2 is its k* squared
-        rule = SWITCHING[method](p.__getitem__)
         noise = (8.0 * p["sigma_sq"] if bound == SGDA_SWITCHING
                  else 16.0 * (p["sigma_sq"] + p["sigma_h_sq"]))
         return noise / (rule.modulus**2 * k) + rule.k_star**2 * r0_sq / (math.e**2 * k**2)

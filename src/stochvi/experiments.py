@@ -1,6 +1,7 @@
 """Desk-scale experiment protocol: seeded quadratic-game generation,
-multi-method multi-seed comparison runs, aggregation with confidence bands,
-and deterministic CSV/SVG emission.
+multi-method multi-seed comparison runs, whose named step rules resolve
+through constants.STEP_RULES, aggregation with confidence bands, and
+deterministic CSV/SVG emission.
 
 Game files are a single self-describing JSON document (format_version 1)
 with integer header fields, the generator parameters when the game came from
@@ -26,7 +27,6 @@ from .sampling import SamplingScheme
 from .solvers import (
     DETERMINISTIC_METHODS,
     METHODS,
-    TERMS,
     ConstantSchedule,
     RunTrace,
     run_batch,
@@ -227,7 +227,7 @@ def _generator_config(spec) -> GameGenConfig | None:
 
 
 # ---------------------------------------------------------------------------
-# schedules from constants ("theory" step sizes)
+# constants and run plans
 # ---------------------------------------------------------------------------
 
 
@@ -270,45 +270,24 @@ def profile(game: QuadraticGame, scheme: SamplingScheme) -> GameProfile:
     return GameProfile(game, scheme)
 
 
-def theory_schedule(method: str, prof: GameProfile) -> ConstantSchedule:
-    """Constant step sizes at the largest values the rate statements allow:
-    1/(2 ell_xi) for the descent-ascent term and 1/(2 cal_l_h) for the
-    Hamiltonian term, each halved when the method applies both (solvers.TERMS).
-    Deterministic variants use the same forms through the full-batch
-    constants."""
-    descent_ascent, hamiltonian = TERMS[method]
-    factor = 4.0 if descent_ascent and hamiltonian else 2.0
-    return ConstantSchedule(
-        alpha=1.0 / (factor * prof.ec.ell_xi) if descent_ascent else 0.0,
-        gamma=1.0 / (factor * prof.hamiltonian.cal_l_h) if hamiltonian else 0.0,
-    )
-
-
 def method_plan(prof: GameProfile, methods, schedule="theory"):
     """{method: (scheme, schedule)}: gda and co sample from the full batch
-    and the rest from ``prof.scheme``, and "theory" and "switching" resolve
-    from the constants of that scheme (a full-batch profile shares the game
-    constants of ``prof``).  Every schedule is resolved before the caller's
-    first run.
+    and the rest from ``prof.scheme``.  A name of constants.STEP_RULES
+    ("theory", "switching") builds each method's schedule from the constants
+    of its scheme (a full-batch profile shares the game constants of
+    ``prof``); any other schedule is every method's.  Every schedule is
+    resolved before the caller's first run.
     """
     full = prof if prof.scheme.is_deterministic else GameProfile(
-        prof.game, SamplingScheme.full_batch(prof.game.n), prof)
+        prof.game, SamplingScheme.full_batch(prof.scheme.n), prof)
+    rules = consts.STEP_RULES.get(schedule) if isinstance(schedule, str) else None
     plan = {}
     for m in methods:
         own = full if m in DETERMINISTIC_METHODS else prof
-        if schedule == "theory":
-            plan[m] = own.scheme, theory_schedule(m, own)
-        elif schedule == "switching":
-            plan[m] = own.scheme, switching_schedule(m, own)
-        else:
-            plan[m] = own.scheme, schedule
+        if rules is not None and m not in rules:
+            raise ConfigError(f"no {schedule} rule for method {m!r}")
+        plan[m] = own.scheme, (schedule if rules is None else rules[m](own.constant))
     return plan
-
-
-def switching_schedule(method: str, prof: GameProfile):
-    if method not in consts.SWITCHING:
-        raise ConfigError(f"no switching rule for method {method!r}")
-    return consts.SWITCHING[method](prof.constant)
 
 
 def bound_plan(bound: str, prof: GameProfile):
@@ -420,8 +399,8 @@ def run_experiment(game: QuadraticGame, scheme: SamplingScheme, methods, iterati
                    record_traces: bool = False):
     """Run every (method, seed) pair and aggregate.
 
-    ``schedule`` is "theory", "switching", or a schedule object, and every
-    method runs with it.  Run i of every method uses seed base_seed + i.
+    ``schedule`` is a rule name of constants.STEP_RULES or a schedule object,
+    resolved by ``method_plan``.  Run i of every method uses seed base_seed + i.
     Returns (aggregate rows, traces) where traces maps method -> list of
     RunTrace, the first seed's with its iterates (empty mapping unless
     ``record_traces``).

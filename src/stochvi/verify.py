@@ -122,6 +122,8 @@ def check_ec(
     probed: E |value_v(x)|^2 <= 2 E |value_v(x) - value_v(x*)|^2 + 2 sigma^2,
     so it holds wherever the margin is >= 0.  sigma^2 is in the details.
     """
+    if op.n != scheme.n:
+        raise ConfigError(f"scheme is for n={scheme.n}, operator has n={op.n}")
     x_star = op.equilibrium()
     _, e, c = moments(scheme)
     vals_star = op.component_values(x_star)

@@ -399,6 +399,17 @@ def test_hamiltonian_unsupported_scheme():
         C.hamiltonian_constants(game, SamplingScheme.minibatch(4, 2))
 
 
+@pytest.mark.parametrize("scheme", [SamplingScheme.single_element(5),
+                                    SamplingScheme.full_batch(3),
+                                    SamplingScheme.minibatch(5, 2)])
+def test_hamiltonian_constants_reject_a_scheme_for_another_n(scheme):
+    # a size mismatch is no unsupported scheme, whatever the scheme's kind
+    game = random_game(4, 2, 2, seed=63)
+    with pytest.raises(ConfigError, match=f"^scheme is for n={scheme.n}, game has n=4$") as err:
+        C.hamiltonian_constants(game, scheme)
+    assert type(err.value) is ConfigError
+
+
 def test_hamiltonian_constants_reject_a_singular_mean_jacobian():
     # A = C = 0 and B = 0: the mean Jacobian is the zero matrix
     game = QuadraticGame([[[0.0]]], [[[0.0]]], [[[0.0]]], [[0.0]], [[0.0]])
@@ -648,6 +659,12 @@ def test_bound_step_size_gate():
             C.SCO_CONSTANT, 1, 1.0, alpha=0.0, gamma=0.0, mu=1.0, mu_h=1.0,
             ell_xi=1.0, cal_l_h=1.0, sigma_sq=0.0, sigma_h_sq=0.0,
         )
+    # the general statement's range is 0 <= alpha < 1/ell_xi, its upper end excluded
+    general = dict(mu=1.0, ell_xi=5.0, sigma_sq=1.0)
+    assert C.theoretical_bound(C.SGDA_CONSTANT_GENERAL, 3, 2.0, alpha=0.0, **general) == 2.0
+    for alpha in (1.0 / 5.0, 1.5 / 5.0):
+        with pytest.raises(NumericalError, match="alpha must satisfy alpha < 0.2$"):
+            C.theoretical_bound(C.SGDA_CONSTANT_GENERAL, 1, 1.0, alpha=alpha, **general)
 
 
 def test_bound_switch_gate():
@@ -697,6 +714,20 @@ _SCO = dict(alpha=0.05, gamma=0.05, mu=1.0, mu_h=1.0, ell_xi=2.0, cal_l_h=2.0,
 _SHGD = dict(gamma=0.1, mu_h=1.0, cal_l_h=2.0, sigma_h_sq=1.0)
 # k* = 4 ceil(ell_xi / mu) = 4e160, whose square is past float range
 _TINY_MU = {**_SGDA, "mu": 1e-150, "ell_xi": 1e10}
+# NaN lies outside every parameter's range, so each key of each bound rejects it:
+# a step as out of range, a constant as a ConfigError
+_NAN = {"alpha": (NumericalError, "^step size out of range: alpha must satisfy"),
+        "gamma": (NumericalError, "^step size out of range: gamma must satisfy"),
+        "mu": (ConfigError, "^this rate needs mu|^switching schedule needs"),
+        "mu_h": (ConfigError, "^this rate needs .*mu_h > 0$|^switching schedule needs"),
+        "ell_xi": (ConfigError, "^step sizes must be finite|^switching schedule needs"),
+        "cal_l_h": (ConfigError, "^step sizes must be finite|^switching schedule needs"),
+        "sigma_sq": (ConfigError, "^this rate needs sigma_sq >= 0, got nan$"),
+        "sigma_h_sq": (ConfigError, "^this rate needs sigma_h_sq >= 0, got nan$")}
+_NAN_BOUNDS = [(bound, key) for bound in C.BOUNDS for key in C.BOUNDS[bound][3]]
+_NAN_CASES = [(bound, 10**4, {**_SGDA, **_SCO, key: math.nan}, *_NAN[key])
+              for bound, key in _NAN_BOUNDS]
+_NAN_IDS = [f"{bound}_nan_{key}" for bound, key in _NAN_BOUNDS]
 
 
 @pytest.mark.parametrize("bound, k, params, error, match", [
@@ -733,11 +764,13 @@ _TINY_MU = {**_SGDA, "mu": 1e-150, "ell_xi": 1e10}
      ConfigError, "^sco_constant needs gamma, sigma_h_sq$"),
     (C.SHGD_CONSTANT, 1, {}, ConfigError,
      "^shgd_constant needs gamma, mu_h, cal_l_h, sigma_h_sq$"),
+    *_NAN_CASES,
 ], ids=["negative_k", "sgda_mu_zero", "sgda_general_mu_zero", "sco_mu_negative",
         "sco_mu_h_zero", "shgd_mu_h_zero", "shgd_gamma_zero", "unknown_bound",
         "sgda_switching_overflow", "sco_switching_overflow", "sgda_switching_nan",
         "sco_switching_inf", "sco_switching_nan", "sco_switching_zero_divisor",
-        "sgda_switching_int_overflow", "sgda_general_zero_divisor", "missing_key", "no_keys"])
+        "sgda_switching_int_overflow", "sgda_general_zero_divisor", "missing_key", "no_keys",
+        *_NAN_IDS])
 def test_bound_rejects_parameters_outside_its_statement(bound, k, params, error, match):
     with pytest.raises(error, match=match):
         C.theoretical_bound(bound, k, 1.0, **params)

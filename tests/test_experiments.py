@@ -203,7 +203,8 @@ def test_single_method_single_seed_equals_trace():
                                schedule="theory", base_seed=3)
     prof = E.profile(game, scheme)
     row = rows[0]
-    trace = run_batch(game, scheme, "sgda", 50, 1, E.theory_schedule("sgda", prof), 3)[0]
+    schedule = E.method_plan(prof, ("sgda",))["sgda"][1]
+    trace = run_batch(game, scheme, "sgda", 50, 1, schedule, 3)[0]
     rel = trace.dist_sq / trace.dist_sq[0]
     assert row.mean.tobytes() == rel.tobytes()
     assert np.array_equal(row.ci_low, row.mean)
@@ -235,23 +236,44 @@ def test_iteration_zero_mean_is_one():
 
 
 def test_deterministic_methods_use_full_batch_constants():
-    # theory step for the full-batch method is 1/(2 ell), not 1/(2 ell_xi)
-    # of the stochastic scheme the other methods run on
+    # theory step for a full-batch method is 1/(2 ell), not 1/(2 ell_xi) of the
+    # stochastic scheme the other methods run on: each method's theory step,
+    # written out by hand, from the constants of its own scheme
     game = E.generate_game(small_cfg(seed=17))
     gc = C.game_constants(game)
     scheme = SamplingScheme.single_element(game.n)
     _, traces = E.run_experiment(game, scheme, ("gda", "sgda"), iterations=10, seeds=1,
                                  schedule="theory", base_seed=0, record_traces=True)
     prof = E.profile(game, scheme)
+    ell_xi, cal_l_h = prof.ec.ell_xi, prof.hamiltonian.cal_l_h
+    l_h = C.hamiltonian_constants(game, SamplingScheme.full_batch(game.n)).l_h
+    steps = {"sgda": ConstantSchedule(1.0 / (2.0 * ell_xi)),
+             "shgd": ConstantSchedule(0.0, 1.0 / (2.0 * cal_l_h)),
+             "sco": ConstantSchedule(1.0 / (4.0 * ell_xi), 1.0 / (4.0 * cal_l_h)),
+             "gda": ConstantSchedule(1.0 / (2.0 * gc.ell)),
+             "co": ConstantSchedule(1.0 / (4.0 * gc.ell), 1.0 / (4.0 * l_h))}
+    for method, schedule in steps.items():
+        assert E.method_plan(prof, (method,))[method][1] == schedule
     plan = E.method_plan(prof, ("gda", "sgda"))
-    assert plan["gda"][1].at(0)[0] == pytest.approx(1.0 / (2.0 * gc.ell), rel=1e-12)
-    assert plan["sgda"][1].at(0)[0] == pytest.approx(
-        1.0 / (2.0 * prof.ec.ell_xi), rel=1e-12
-    )
     for method, (own, schedule) in plan.items():  # the runs took these steps
         want = run_batch(game, own, method, 10, 1, schedule)[0]
         assert traces[method][0].dist_sq.tobytes() == want.dist_sq.tobytes()
     assert prof.ec.ell_xi != pytest.approx(gc.ell, rel=1e-6)
+
+
+@pytest.mark.parametrize("bound", [C.SGDA_CONSTANT, C.SCO_CONSTANT, C.SHGD_CONSTANT])
+def test_theory_steps_are_the_constant_bounds_ceilings(bound):
+    # each bound takes its theory steps, and steps up to a relative 1e-12 above
+    # them (the slop's edge included), but no step a relative 1e-11 above them
+    game = E.generate_game(small_cfg(seed=17))
+    params = E.bound_plan(bound, E.profile(game, SamplingScheme.single_element(game.n)))[3]
+    assert math.isfinite(C.theoretical_bound(bound, 5, 1.0, **params))
+    for step in ("alpha", "gamma"):
+        if step in params:
+            edge = {**params, step: params[step] * (1 + 1e-12)}
+            assert math.isfinite(C.theoretical_bound(bound, 5, 1.0, **edge))
+            with pytest.raises(NumericalError, match=f"^step size out of range: {step} "):
+                C.theoretical_bound(bound, 5, 1.0, **{**params, step: params[step] * (1 + 1e-11)})
 
 
 def test_sweep_deterministic_methods_match_run_experiment_theory_rows():
@@ -487,7 +509,7 @@ def test_switching_beats_constant_plateau():
     game = E.generate_game(cfg_gen)
     scheme = SamplingScheme.single_element(game.n)
     prof = E.profile(game, scheme)
-    sched = E.switching_schedule("sgda", prof)
+    sched = E.method_plan(prof, ("sgda",), "switching")["sgda"][1]
     horizon = 20 * sched.switch_point
     rows, _ = E.run_experiment(game, scheme, ("sgda",), iterations=horizon, seeds=20,
                                schedule="switching", base_seed=0)
@@ -578,7 +600,16 @@ def test_run_and_sweep_reject_an_empty_method_list():
         E.sweep_step_sizes(game, scheme, (), (1.0,), iterations=5, seeds=1)
 
 
-@pytest.mark.parametrize("schedule", ["bogus", None, 0.1])
+@pytest.mark.parametrize("method", ["gda", "sgda"])
+@pytest.mark.parametrize("schedule", ["theory", ConstantSchedule(0.01)])
+def test_run_experiment_rejects_a_scheme_for_another_n(method, schedule):
+    # gda's full batch is the scheme's size, so the mismatch reaches it too
+    game = E.generate_game(small_cfg(seed=16))
+    with pytest.raises(ConfigError, match="^scheme is for n=5, (constants for|operator has) n=4$"):
+        E.run_experiment(game, SamplingScheme.single_element(5), (method,), 3, 1, schedule)
+
+
+@pytest.mark.parametrize("schedule", ["bogus", None, 0.1, []])
 def test_run_experiment_rejects_a_schedule_it_cannot_read(schedule):
     game = E.generate_game(small_cfg(seed=16))
     with pytest.raises(ConfigError, match=f"^schedule must be a schedule object, got "

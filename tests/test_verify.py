@@ -360,6 +360,11 @@ def test_unbiasedness_rejects_a_scheme_of_another_size():
         V.check_unbiasedness(random_game(2, 1, 1, seed=86), SamplingScheme.single_element(3))
 
 
+def test_check_ec_rejects_a_scheme_of_another_size():
+    with pytest.raises(ConfigError, match="^scheme is for n=5, operator has n=4$"):
+        V.check_ec(random_game(4, 1, 1, seed=86), SamplingScheme.single_element(5), 1.0, 3)
+
+
 @pytest.mark.parametrize(
     "scheme",
     [SamplingScheme.single_element(3), SamplingScheme.minibatch(4, 2),

@@ -1,12 +1,14 @@
 """One-token mutation survey of a line range, outside the test suite.
 
-Each mutant swaps one operator token of FILE between lines START and END
-(inclusive): ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``+``
-and ``-``, unary signs included.  Every mutant runs the given pytest
-selection in one temporary copy of the repository, with ``-x``; a mutant is
-killed when the selection fails or runs past TIMEOUT_S and survives when it
-passes.  Whether a survivor is equivalent (no input can tell it apart) is for the
-reader to decide: the survey lists each survivor's line to look at.
+Each mutant changes one token of FILE between lines START and END
+(inclusive): it swaps an operator, ``<`` and ``<=``, ``>`` and ``>=``, ``==``
+and ``!=``, ``+`` and ``-``, unary signs included, or rewrites a number
+literal ``t`` to ``(t + 1)``, so a wrong constant or factor gets a mutant
+too.  Every mutant runs the given pytest selection in one temporary copy of
+the repository, with ``-x``; a mutant is killed when the selection fails or
+runs past TIMEOUT_S and survives when it passes.  Whether a survivor is
+equivalent (no input can tell it apart) is for the reader to decide: the
+survey lists each survivor's line to look at.
 
     python tools/mutants.py src/stochvi/verify.py 100 140 -- tests/test_verify.py
 
@@ -36,13 +38,20 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypoth
                                 ".perfbench_work")
 
 
+def replacement(tok) -> str | None:
+    """The mutant of one token: its operator swap, ``(t + 1)`` for a number
+    literal t, else None."""
+    if tok.type == tokenize.NUMBER:
+        return f"({tok.string} + 1)"
+    return SWAPS.get(tok.string) if tok.type == tokenize.OP else None
+
+
 def sites(source: str, start: int, end: int):
-    """(line, column, token, replacement) for each swappable operator token."""
+    """(line, column, token, replacement) for each token that has a mutant."""
     tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-    return [(tok.start[0], tok.start[1], tok.string, SWAPS[tok.string])
+    return [(tok.start[0], tok.start[1], tok.string, new)
             for tok in tokens
-            if tok.type == tokenize.OP and tok.string in SWAPS
-            and start <= tok.start[0] <= end]
+            if start <= tok.start[0] <= end and (new := replacement(tok)) is not None]
 
 
 def mutate(source: str, line: int, col: int, old: str, new: str) -> str:

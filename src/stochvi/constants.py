@@ -204,7 +204,9 @@ def hamiltonian_constants(
 
     So cal_l_h is the largest eigenvalue over the n Gram matrices, one
     batched eigvalsh.  The noise adds the n^2 squared pair-gradient norms
-    in (i, j) order, one row of pairs at a time.
+    in (i, j) order.  Pair (j, i)'s gradient is bitwise pair (i, j)'s, since
+    float addition commutes, so row i computes only the pairs j >= i, one
+    row at a time, and mirrors each square into column i.
     """
     if scheme.n != game.n:
         raise ConfigError(f"scheme is for n={scheme.n}, game has n={game.n}")
@@ -225,13 +227,13 @@ def hamiltonian_constants(
     grams = np.transpose(jacs, (0, 2, 1)) @ jacs
     cal_l_h = float(np.abs(np.linalg.eigvalsh(grams)).max())
     vals = game.component_values(game.equilibrium())
-    # Row i holds |(J_i^T val_j + J_j^T val_i) / 2|^2 for every j; the row
-    # products are bitwise the one-pair matrix-vector products and dots.
+    # Row i holds |(J_i^T val_j + J_j^T val_i) / 2|^2 for each j >= i, mirrored
+    # into column i; the row products are bitwise the one-pair products and dots.
     sq = np.empty((game.n, game.n))
     for i in range(game.n):
-        grad = 0.5 * ((vals[:, None, :] @ jacs[i])[:, 0, :]
-                      + (vals[i][None, None, :] @ jacs)[:, 0, :])
-        sq[i] = (grad[:, None, :] @ grad[:, :, None])[:, 0, 0]
+        grad = 0.5 * ((vals[i:, None, :] @ jacs[i])[:, 0, :]
+                      + (vals[i][None, None, :] @ jacs[i:])[:, 0, :])
+        sq[i, i:] = sq[i:, i] = (grad[:, None, :] @ grad[:, :, None])[:, 0, 0]
     # A cumulative sum adds in (i, j) order, as one running total would.
     sigma_h_sq = float(np.cumsum(sq.reshape(-1))[-1])
     return HamiltonianConstants(
@@ -298,9 +300,22 @@ SCO_SWITCHING = "sco_switching"
 
 def _theory_rule(terms):
     """Constant steps 1/(2 ell_xi) and 1/(2 cal_l_h) on the terms a solvers.TERMS row
-    applies, halved when it applies both; 0, reading nothing, on a term it does not."""
+    applies, halved when it applies both; 0, reading nothing, on a term it does not.
+    ConfigError for a constant that is not > 0, NumericalError for a step that
+    overflows."""
     factor = 2.0 * sum(terms)
-    return lambda c: ConstantSchedule(*(1.0 / (factor * c(key)) if applies else 0.0
+
+    def step(c, key):
+        value = c(key)
+        if not value > 0.0:
+            raise ConfigError(f"the theory step needs {key} > 0, got {value!r}")
+        size = 1.0 / (factor * value)
+        if size == math.inf:
+            raise NumericalError(f"the theory step 1/({factor:g} {key}) overflows float "
+                                 f"range at {key}={value!r}")
+        return size
+
+    return lambda c: ConstantSchedule(*(step(c, key) if applies else 0.0
                                         for key, applies in zip(("ell_xi", "cal_l_h"), terms)))
 
 
@@ -355,6 +370,8 @@ def theoretical_bound(bound: str, k: int, r0_sq: float, **p) -> float:
     method, steps, _, keys = bound_row(bound, p)
     if k < 0:
         raise ConfigError("iteration index must be >= 0")
+    if not 0.0 <= r0_sq < math.inf:
+        raise ConfigError(f"r0_sq must be finite and >= 0, got {r0_sq!r}")
     for key in keys:
         if key.startswith("sigma") and not p[key] >= 0.0:
             raise ConfigError(f"this rate needs {key} >= 0, got {p[key]!r}")

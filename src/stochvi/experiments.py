@@ -129,10 +129,25 @@ def generate_game(cfg: GameGenConfig) -> QuadraticGame:
 # ---------------------------------------------------------------------------
 
 
+def _mirrored_texts(m) -> list:
+    """float.__repr__ of each entry of the square matrix m, row by row.  An
+    entry below the diagonal whose float64 bits equal its mirror's reuses the
+    mirror's text; one whose bits differ (0.0 and -0.0, a one-ulp asymmetry)
+    is formatted itself."""
+    bits = m.view(np.uint64)
+    own = np.triu(np.ones(m.shape, bool)) | (bits != bits.T)
+    texts = np.empty(m.shape, dtype=object)
+    texts[own] = list(map(float.__repr__, m[own].tolist()))
+    texts[~own] = texts.T[~own]
+    return texts.reshape(-1).tolist()
+
+
 def write_game(path, game: QuadraticGame, gen: GameGenConfig | None = None) -> None:
     """Serialize a game (and the generator config that produced it, if any)
     as json.dump(doc, indent=1) plus a newline would, but one component row
-    at a time: json's indenting encoder is pure Python."""
+    at a time: json's indenting encoder is pure Python.  An entry of A_i or
+    C_i below the diagonal reuses its mirror's text when the two have the
+    same bits (_mirrored_texts), so each mirrored pair is formatted once."""
     head = {
         "format_version": GAME_FORMAT_VERSION,
         "n": game.n,
@@ -145,8 +160,10 @@ def write_game(path, game: QuadraticGame, gen: GameGenConfig | None = None) -> N
         fh.write(json.dumps(head, indent=1)[:-2])  # without the closing "\n}"
         for key in ("A", "B", "C", "a", "c"):
             sep = f',\n "{key}": [\n  [\n   '
-            for row in getattr(game, key).reshape(game.n, -1):
-                fh.write(sep + ",\n   ".join(map(float.__repr__, row.tolist())))
+            for part in getattr(game, key):
+                texts = (_mirrored_texts(part) if key in ("A", "C")
+                         else map(float.__repr__, part.reshape(-1).tolist()))
+                fh.write(sep + ",\n   ".join(texts))
                 sep = "\n  ],\n  [\n   "
             fh.write("\n  ]\n ]")
         fh.write("\n}\n")

@@ -623,6 +623,11 @@ def test_bound_constant_at_zero_iterations():
         C.SGDA_CONSTANT, 0, 2.0, alpha=0.1, mu=1.0, ell_xi=5.0, sigma_sq=3.0
     )
     assert val == pytest.approx(2.0 + 2 * 0.1 * 3.0 / 1.0, rel=1e-15)
+    # a start at the solution, r0_sq = 0, leaves the noise term alone
+    val = C.theoretical_bound(
+        C.SGDA_CONSTANT, 0, 0.0, alpha=0.1, mu=1.0, ell_xi=5.0, sigma_sq=3.0
+    )
+    assert val == pytest.approx(2 * 0.1 * 3.0 / 1.0, rel=1e-15)
 
 
 def test_bound_constant_deterministic_plug():
@@ -720,8 +725,10 @@ _NAN = {"alpha": (NumericalError, "^step size out of range: alpha must satisfy")
         "gamma": (NumericalError, "^step size out of range: gamma must satisfy"),
         "mu": (ConfigError, "^this rate needs mu|^switching schedule needs"),
         "mu_h": (ConfigError, "^this rate needs .*mu_h > 0$|^switching schedule needs"),
-        "ell_xi": (ConfigError, "^step sizes must be finite|^switching schedule needs"),
-        "cal_l_h": (ConfigError, "^step sizes must be finite|^switching schedule needs"),
+        "ell_xi": (ConfigError, "^the theory step needs ell_xi > 0, got nan$"
+                                "|^switching schedule needs"),
+        "cal_l_h": (ConfigError, "^the theory step needs cal_l_h > 0, got nan$"
+                                 "|^switching schedule needs"),
         "sigma_sq": (ConfigError, "^this rate needs sigma_sq >= 0, got nan$"),
         "sigma_h_sq": (ConfigError, "^this rate needs sigma_h_sq >= 0, got nan$")}
 _NAN_BOUNDS = [(bound, key) for bound in C.BOUNDS for key in C.BOUNDS[bound][3]]
@@ -764,16 +771,37 @@ _NAN_IDS = [f"{bound}_nan_{key}" for bound, key in _NAN_BOUNDS]
      ConfigError, "^sco_constant needs gamma, sigma_h_sq$"),
     (C.SHGD_CONSTANT, 1, {}, ConfigError,
      "^shgd_constant needs gamma, mu_h, cal_l_h, sigma_h_sq$"),
+    (C.SGDA_CONSTANT, 3, {**_SGDA, "r0_sq": math.nan}, ConfigError,
+     "^r0_sq must be finite and >= 0, got nan$"),
+    (C.SGDA_CONSTANT, 3, {**_SGDA, "r0_sq": -5.0}, ConfigError,
+     "^r0_sq must be finite and >= 0, got -5.0$"),
+    (C.SGDA_CONSTANT, 3, {**_SGDA, "r0_sq": math.inf}, ConfigError,
+     "^r0_sq must be finite and >= 0, got inf$"),
+    (C.SGDA_CONSTANT, 1, {**_SGDA, "ell_xi": -1.0}, ConfigError,
+     "^the theory step needs ell_xi > 0, got -1.0$"),
+    (C.SGDA_CONSTANT, 1, {**_SGDA, "ell_xi": 0.0}, ConfigError,
+     "^the theory step needs ell_xi > 0, got 0.0$"),
+    (C.SHGD_CONSTANT, 1, {**_SHGD, "cal_l_h": -1.0}, ConfigError,
+     "^the theory step needs cal_l_h > 0, got -1.0$"),
+    (C.SGDA_CONSTANT, 1, {**_SGDA, "ell_xi": 1e-309}, NumericalError,
+     r"^the theory step 1/\(2 ell_xi\) overflows float range at ell_xi=1e-309$"),
+    (C.SCO_CONSTANT, 1, {**_SCO, "cal_l_h": 1e-309}, NumericalError,
+     r"^the theory step 1/\(4 cal_l_h\) overflows float range at cal_l_h=1e-309$"),
     *_NAN_CASES,
 ], ids=["negative_k", "sgda_mu_zero", "sgda_general_mu_zero", "sco_mu_negative",
         "sco_mu_h_zero", "shgd_mu_h_zero", "shgd_gamma_zero", "unknown_bound",
         "sgda_switching_overflow", "sco_switching_overflow", "sgda_switching_nan",
         "sco_switching_inf", "sco_switching_nan", "sco_switching_zero_divisor",
         "sgda_switching_int_overflow", "sgda_general_zero_divisor", "missing_key", "no_keys",
-        *_NAN_IDS])
+        "r0_nan", "r0_negative", "r0_inf", "sgda_ell_xi_negative", "sgda_ell_xi_zero",
+        "shgd_cal_l_h_negative",
+        "sgda_theory_step_overflow", "sco_theory_step_overflow", *_NAN_IDS])
 def test_bound_rejects_parameters_outside_its_statement(bound, k, params, error, match):
+    # r0_sq, the third positional argument, is 1.0 unless the case's params hold it
+    params = dict(params)
+    r0_sq = params.pop("r0_sq", 1.0)
     with pytest.raises(error, match=match):
-        C.theoretical_bound(bound, k, 1.0, **params)
+        C.theoretical_bound(bound, k, r0_sq, **params)
 
 
 @given(

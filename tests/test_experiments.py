@@ -161,7 +161,7 @@ def _one_entry_game(value, sym=1.0):
 
 
 @pytest.mark.parametrize("case", ["n1_d1", "no_generator", "negative_zero", "subnormal",
-                                  "huge_and_tiny"])
+                                  "huge_and_tiny", "mirrored_signed_zero", "one_ulp_asymmetry"])
 def test_write_game_bytes_are_json_dump_indent_1(tmp_path, case):
     gen = small_cfg(seed=3)
     game = E.generate_game(gen)
@@ -178,10 +178,22 @@ def test_write_game_bytes_are_json_dump_indent_1(tmp_path, case):
         game = E.QuadraticGame(
             [[[1e300, -1e-300], [-1e-300, 1e-300]]], [[[1e300], [-1e300]]], [[[-1e-300]]],
             [[1e-300, -1e300]], [[1e300]])
+    elif case == "mirrored_signed_zero":
+        # equal values, different bits: each entry keeps its own text
+        game = E.QuadraticGame([[[1.0, 0.0], [-0.0, 1.0]]], [[[1.0], [2.0]]], [[[1.0]]],
+                               [[0.5, -0.5]], [[0.25]])
+    elif case == "one_ulp_asymmetry":
+        a_mats = game.A.copy()
+        a_mats[0, 1, 0] = np.nextafter(a_mats[0, 0, 1], np.inf)
+        game, gen = E.QuadraticGame(a_mats, game.B, game.C, game.a, game.c), None
     path = tmp_path / "game.json"
     E.write_game(path, game, gen)
     want = json.dumps(_game_doc(game, gen), indent=1) + "\n"
     assert path.read_bytes() == want.encode()
+    if case == "mirrored_signed_zero":
+        assert '\n   0.0,\n   -0.0,\n' in want
+    elif case == "one_ulp_asymmetry":
+        assert repr(game.A[0, 1, 0]) != repr(game.A[0, 0, 1])
 
 
 def test_game_file_version_gate(tmp_path):

@@ -301,14 +301,16 @@ SCO_SWITCHING = "sco_switching"
 def _theory_rule(terms):
     """Constant steps 1/(2 ell_xi) and 1/(2 cal_l_h) on the terms a solvers.TERMS row
     applies, halved when it applies both; 0, reading nothing, on a term it does not.
-    ConfigError for a constant that is not > 0, NumericalError for a step that
-    overflows."""
+    ConfigError for a constant that is not > 0 or not finite, NumericalError for
+    a step that overflows."""
     factor = 2.0 * sum(terms)
 
     def step(c, key):
         value = c(key)
         if not value > 0.0:
             raise ConfigError(f"the theory step needs {key} > 0, got {value!r}")
+        if value == math.inf:
+            raise ConfigError(f"the theory step needs a finite {key}, got {value!r}")
         size = 1.0 / (factor * value)
         if size == math.inf:
             raise NumericalError(f"the theory step 1/({factor:g} {key}) overflows float "

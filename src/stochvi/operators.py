@@ -54,16 +54,27 @@ class FiniteSumOperator(ABC):
         return self.component_values(x).mean(axis=0)
 
     # batch_terms is the one batched read, for solvers that advance S points
-    # together.  Entry [s, j] is component idx[s, j] (component j when idx is
-    # None) at xs[s]; every entry is bitwise the single-point evaluation.
+    # together.  Entry [..., s, j] is component idx[..., s, j] (component j
+    # when idx is None) at xs[s]: idx may carry leading axes, such as a
+    # (2, S, m) block of two draws per point.  Every entry is bitwise the
+    # single-point evaluation.
 
     # Whether every component is affine, so that its Jacobian does not
     # depend on x.
     affine = False
 
     def batch_terms(self, xs: np.ndarray, idx=None, jacobian: bool = False):
-        """(component values, shape (S, m, dim), and with ``jacobian`` the
-        component Jacobians, shape (S, m, dim, dim), else None)."""
+        """(component values, shape idx.shape + (dim,) or (S, n, dim), and
+        with ``jacobian`` the component Jacobians, shape idx.shape + (dim, dim)
+        or (S, n, dim, dim), else None).
+
+        The values, and the Jacobians read at an ``idx``, are fresh arrays
+        that the caller may overwrite.  The Jacobians read with idx None may
+        be a view of the operator's own data and must not be written."""
+        if idx is not None and idx.ndim > 2:
+            blocks = [self.batch_terms(xs, rows, jacobian) for rows in idx]
+            return (np.array([vals for vals, _ in blocks]),
+                    np.array([jacs for _, jacs in blocks]) if jacobian else None)
         rows = [range(self.n)] * len(xs) if idx is None else idx
 
         def read(component):
@@ -158,7 +169,8 @@ class QuadraticGame(FiniteSumOperator):
     affine = True
 
     def batch_terms(self, xs: np.ndarray, idx=None, jacobian: bool = False):
-        """One gather of the Jacobians, one product and one add."""
+        """One gather of the Jacobians, one product and one add; with idx
+        None the Jacobians are a read-only view of the stacked ones."""
         jacs, offsets = ((self._jacs, self._offsets) if idx is None
                          else (self._jacs[idx], self._offsets[idx]))
         vals = (jacs @ xs[:, None, :, None])[..., 0] + offsets

@@ -134,11 +134,13 @@ def _applied_steps(method: str, alpha: float, gamma: float) -> tuple[float, floa
 class _BatchEstimator:
     """Estimator value_v(x) and Jacobian J_v(x) for S points at once.
 
-    ``sel`` holds one row of draw_many per point (None for the full batch).
-    Terms come from ``batch_terms``, the operator's one batched read.  They
-    are scaled and summed in index order, as the one-point reference
-    estimator in tests/reference.py (_weighted_sum) accumulates them, so row
-    s is bitwise the one-point estimate at xs[s].
+    ``sel`` holds one row of draw_many per point, or a (2, S, ...) block of
+    two such draws per point (None for the full batch).  Terms come from
+    ``batch_terms``, the operator's one batched read, which under
+    independent sampling reads the n components once for every draw of the
+    block.  They are scaled and summed in index order, as the one-point
+    reference estimator in tests/reference.py (_weighted_sum) accumulates
+    them, so row s of each draw is bitwise the one-point estimate at xs[s].
     """
 
     def __init__(self, op: FiniteSumOperator, scheme: SamplingScheme):
@@ -149,50 +151,57 @@ class _BatchEstimator:
         self.full_jacobian = None
         if scheme.is_deterministic and op.affine:
             jacs = op.batch_terms(np.zeros((1, op.dim)), jacobian=True)[1]
-            self.full_jacobian = self._reduce(None, jacs)[0]
+            self.full_jacobian = self._reduce(None, jacs, fresh=False)[0]
 
-    def _reduce(self, sel, terms: np.ndarray) -> np.ndarray:
-        """Row s sums the scaled terms[s, i] over axis 1 in index order, for
-        independent sampling over the i with sel[s, i] (none gives +0).
+    def _reduce(self, sel, terms: np.ndarray, fresh: bool = True) -> np.ndarray:
+        """Entry [..., s] sums the scaled terms[..., s, i] over the component
+        axis (sel's last) in index order, for independent sampling over the
+        i with sel[..., s, i] (none gives +0); terms that are ``fresh`` are
+        scaled in place.
 
         Scaling by 1.0 is exact, so it stands for the unit-scale skip.  Over
         multi-element terms add.reduce adds index by index (an undocumented
         order the seed-batch tests hold), and initial=-0.0 keeps a sum of
         -0.0 terms at -0.0.  It adds one-element terms pairwise, so those
         take a cumulative sum; its -0.0 fill changes no partial sum."""
+        axis = 1 if sel is None else sel.ndim - 1
+        into = terms if fresh else None
         if not self.independent:
             if self.scale != 1.0:
-                terms = terms * self.scale
-            if terms.shape[1] == 1:
-                return terms[:, 0]
+                terms = np.multiply(terms, self.scale, out=into)
+            if terms.shape[axis] == 1:
+                return terms.squeeze(axis)
             where = True
         else:
             tail = (1,) * (terms.ndim - 2)
-            terms = terms * self.scale.reshape((-1,) + tail)
+            terms = np.multiply(terms, self.scale.reshape((-1,) + tail), out=into)
+            terms = np.broadcast_to(terms, sel.shape + terms.shape[2:])
             where = sel.reshape(sel.shape + tail)
-        if terms[0, 0].size == 1:
-            out = np.cumsum(np.where(where, terms, -0.0), axis=1)[:, -1]
+        if terms.shape[-1] == 1:
+            out = np.cumsum(np.where(where, terms, -0.0), axis=axis).take(-1, axis)
         else:
-            out = np.add.reduce(terms, axis=1, initial=-0.0, where=where)
+            out = np.add.reduce(terms, axis=axis, initial=-0.0, where=where)
         if self.independent:
-            out[~sel.any(axis=1)] = 0.0
+            out[~sel.any(axis=-1)] = 0.0
         return out
 
     def evaluate(self, sel, xs: np.ndarray, jacobian: bool = False):
-        """(value_{sel[s]}(xs[s]) per row, and with ``jacobian`` the
-        estimator Jacobians J_{sel[s]}(xs[s]), else None), from one
+        """(value_{sel[..., s]}(xs[s]) per row, and with ``jacobian`` the
+        estimator Jacobians J_{sel[..., s]}(xs[s]), else None), from one
         batch_terms read; a constant full-batch Jacobian is not read again."""
         read = jacobian and self.full_jacobian is None
-        vals, jacs = self.op.batch_terms(xs, None if self.independent else sel, read)
+        idx = None if self.independent else sel
+        vals, jacs = self.op.batch_terms(xs, idx, read)
         val = self._reduce(sel, vals)
         if read:
-            return val, self._reduce(sel, jacs)
+            return val, self._reduce(sel, jacs, fresh=idx is not None)
         return val, self.full_jacobian if jacobian else None
 
 
 def _jac_t(jac: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row s is jac[s]^T w[s] (jac may be one matrix for every row)."""
-    return (w[:, None, :] @ jac)[:, 0]
+    """Entry [..., s] is jac[..., s]^T w[..., s] (jac may be one matrix for
+    every row)."""
+    return (w[..., None, :] @ jac)[..., 0, :]
 
 
 def _row_dots(a: np.ndarray) -> np.ndarray:
@@ -238,7 +247,10 @@ def run_batch(operator: FiniteSumOperator, scheme: SamplingScheme, method: str,
     Each seed's draws come from its own generator, drawn up front in the
     order the steps consume them, and every batched product is bitwise its
     one-point counterpart, so a seed's trace does not depend on which seeds
-    share its batch.  The iterates of BLOCK steps are kept, and after each
+    share its batch.  A u draw is the row after its v draw, so a Hamiltonian
+    step evaluates the two as one (2, seeds, ...) block: one batched read,
+    one reduction of its values and one of its Jacobians, and one stacked
+    product for J_v^T value_u and J_u^T value_v.  The iterates of BLOCK steps are kept, and after each
     block |x - x*|^2 is recorded for all of them in one pass.
 
     A seed whose iterate is not finite or, from a start off x*, beyond
@@ -309,20 +321,22 @@ def run_batch(operator: FiniteSumOperator, scheme: SamplingScheme, method: str,
                     row[...] = x
                     x = row
                     continue
-                v = None if draws is None else draws[v_at[k]]
-                val_v, jac_v = estimator.evaluate(v, x, jacobian=gamma != 0.0)
                 if gamma == 0.0:
-                    x = np.subtract(x, alpha * val_v, out=row)
+                    v = None if draws is None else draws[v_at[k]]
+                    x = np.subtract(x, alpha * estimator.evaluate(v, x)[0], out=row)
                     continue
                 # (J_v^T value_u + J_u^T value_v) / 2, the pairing of the
                 # one-point reference in tests/reference.py,
                 # stochastic_hamiltonian_gradient(op, x, v, u, val_u=value_v)
                 if draws is None:  # no draws: u's estimate is v's
+                    val_v, jac_v = estimator.evaluate(None, x, jacobian=True)
                     term = _jac_t(jac_v, val_v)
                     grad = 0.5 * (term + term)
-                else:
-                    val_u, jac_u = estimator.evaluate(draws[v_at[k] + 1], x, jacobian=True)
-                    grad = 0.5 * (_jac_t(jac_v, val_u) + _jac_t(jac_u, val_v))
+                else:  # u's draw follows v's: both are one (2, S, ...) block
+                    vals, jacs = estimator.evaluate(draws[v_at[k]:v_at[k] + 2], x, jacobian=True)
+                    terms = _jac_t(jacs, vals[::-1])
+                    del jacs  # free the gather before the next step takes its own
+                    val_v, grad = vals[0], 0.5 * (terms[0] + terms[1])
                 if alpha != 0.0:
                     x = x - alpha * val_v
                 x = np.subtract(x, gamma * grad, out=row)

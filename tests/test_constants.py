@@ -804,6 +804,22 @@ def test_bound_rejects_parameters_outside_its_statement(bound, k, params, error,
         C.theoretical_bound(bound, k, r0_sq, **params)
 
 
+# Each theory bound and each smoothness constant whose step it reads.
+_INF_CASES = [(C.SGDA_CONSTANT, "ell_xi"), (C.SGDA_CONSTANT_GENERAL, "ell_xi"),
+              (C.SCO_CONSTANT, "ell_xi"), (C.SCO_CONSTANT, "cal_l_h"),
+              (C.SHGD_CONSTANT, "cal_l_h")]
+
+
+@pytest.mark.parametrize("bound, key", _INF_CASES,
+                         ids=[f"{bound}_inf_{key}" for bound, key in _INF_CASES])
+def test_theory_bound_rejects_an_infinite_constant(bound, key):
+    # an infinite constant would build a 0 step, which the bound would then
+    # blame; the error names the constant, as the switching rules' does
+    assert {b for b, _ in _INF_CASES} == {b for b, row in C.BOUNDS.items() if row[1] == "theory"}
+    with pytest.raises(ConfigError, match=f"^the theory step needs a finite {key}, got inf$"):
+        C.theoretical_bound(bound, 10, 1.0, **{**_SGDA, **_SCO, key: math.inf})
+
+
 @given(
     n=st.integers(min_value=2, max_value=50),
     ell=st.floats(min_value=0.1, max_value=10.0),

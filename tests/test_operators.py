@@ -314,3 +314,20 @@ def test_component_values_is_the_stack_of_components(name):
     for x in 3.0 * numerics.make_rng(2).standard_normal((4, op.dim)):
         stack = np.stack([op.component_value(i, x) for i in range(op.n)])
         assert op.component_values(x).tobytes() == stack.tobytes()
+
+
+@pytest.mark.parametrize("jacobian", [False, True])
+@pytest.mark.parametrize("name", sorted(READ_OPERATORS))
+def test_batch_terms_reads_a_leading_block_axis_block_by_block(name, jacobian):
+    # a (2, S, m) block of indices is read as its two (S, m) rows, byte for byte
+    op = READ_OPERATORS[name]
+    xs = 3.0 * numerics.make_rng(1).standard_normal((5, op.dim))
+    idx = (np.arange(5)[None, :, None] + np.array([[[0, 1, 0]], [[2, 0, 3]]])) % op.n
+    vals, jacs = op.batch_terms(xs, idx, jacobian=jacobian)
+    assert vals.shape == (2, 5, 3, op.dim)
+    for r, rows in enumerate(idx):
+        one_vals, one_jacs = op.batch_terms(xs, rows, jacobian=jacobian)
+        assert vals[r].tobytes() == one_vals.tobytes()
+        assert (jacs is None) == (one_jacs is None) == (not jacobian)
+        if jacobian:
+            assert jacs[r].tobytes() == one_jacs.tobytes()

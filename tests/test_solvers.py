@@ -658,6 +658,73 @@ def test_full_batch_co_evaluates_the_batch_once_per_step():
                      "component_jacobian": 120}
 
 
+PAIR_SCHEMES = {
+    "single": SamplingScheme.single_element,
+    "minibatch3": lambda n: SamplingScheme.minibatch(n, 3),
+    "independent": lambda n: SamplingScheme.independent([0.1] * n),
+}
+
+
+@pytest.mark.parametrize("scheme_id", sorted(PAIR_SCHEMES))
+@pytest.mark.parametrize("make_op", [
+    pytest.param(lambda: random_game(6, 3, 2, seed=21), id="game"),
+    pytest.param(lambda: Delegating(random_game(6, 3, 2, seed=21)), id="per_entry"),
+    pytest.param(lambda: Line(12, seed=21), id="line"),
+])
+def test_a_pair_block_is_bitwise_two_one_draw_evaluations(make_op, scheme_id):
+    # a Hamiltonian step evaluates its v and u draws as one (2, S, ...)
+    # block; each row of the result is that draw's own evaluation
+    op = make_op()
+    scheme = PAIR_SCHEMES[scheme_id](op.n)
+    pair = np.stack([draw_many(scheme, numerics.make_rng(s), 2) for s in range(8)], axis=1)
+    xs = numerics.make_rng(9).standard_normal((8, op.dim))
+    estimator = _BatchEstimator(op, scheme)
+    vals, jacs = estimator.evaluate(pair, xs, jacobian=True)
+    assert vals.shape == (2, 8, op.dim) and jacs.shape == (2, 8, op.dim, op.dim)
+    for draws, val, jac in zip(pair, vals, jacs):
+        one_val, one_jac = estimator.evaluate(draws, xs, jacobian=True)
+        assert val.tobytes() == one_val.tobytes()
+        assert jac.tobytes() == one_jac.tobytes()
+    if scheme_id == "independent":  # some draws select nothing, some do
+        assert 0 < pair.any(axis=2).sum() < pair.shape[0] * pair.shape[1]
+
+
+class CountingGame(QuadraticGame):
+    """A quadratic game that counts its batched reads."""
+
+    reads = 0
+
+    def batch_terms(self, xs, idx=None, jacobian=False):
+        self.reads += 1
+        return super().batch_terms(xs, idx, jacobian)
+
+
+@pytest.mark.parametrize("scheme_id", sorted(PAIR_SCHEMES))
+@pytest.mark.parametrize("method", ["sco", "shgd"])
+def test_a_hamiltonian_step_reads_the_operator_once(method, scheme_id):
+    # under independent sampling too, where each read holds all n components
+    game = random_game(6, 3, 2, seed=10)
+    op = CountingGame(game.A, game.B, game.C, game.a, game.c)
+    run_batch(op, PAIR_SCHEMES[scheme_id](op.n), method, 12, 3,
+              ConstantSchedule(alpha=0.03, gamma=0.004))
+    assert op.reads == 12
+
+
+@pytest.mark.parametrize("scheme", ["single", "minibatch3", "full", "independent"])
+@pytest.mark.parametrize("method", ["sco", "shgd", "sgda"])
+def test_runs_leave_the_game_data_unchanged(method, scheme):
+    # the estimator scales the terms it reads in place only when the read
+    # returned them fresh, never the game's own Jacobians or offsets
+    game = random_game(6, 3, 2, seed=10)
+    make = {**PAIR_SCHEMES, "full": SamplingScheme.full_batch}[scheme]
+    data = (game.component_jacobians, game._offsets, game.mean_jacobian(), game.mean_offset(),
+            game.A, game.B, game.C, game.a, game.c)
+    before = [arr.tobytes() for arr in data]
+    for m in (method, "co", "gda") if scheme == "full" else (method,):
+        run_batch(game, make(game.n), m, 20, 3, ConstantSchedule(alpha=0.03, gamma=0.004))
+    assert [arr.tobytes() for arr in data] == before
+
+
 class Cliff(FiniteSumOperator):
     """Component i is scales[i] * x, which contracts toward x* = 0, until
     |x|^2 < 1e-4; below that its first entry is ``edge`` (nan or inf), so

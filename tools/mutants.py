@@ -4,8 +4,10 @@ Each mutant changes one token of FILE between lines START and END
 (inclusive): it swaps an operator, ``<`` and ``<=``, ``>`` and ``>=``, ``==``
 and ``!=``, ``+`` and ``-``, unary signs included, or rewrites a number
 literal ``t`` to ``(t + 1)``, so a wrong constant or factor gets a mutant
-too.  Every mutant runs the given pytest selection in one temporary copy of
-the repository, with ``-x``; a mutant is killed when the selection fails or
+too.  A negated literal ``-t`` becomes ``(-t + 1)``: ``-(t + 1)`` would turn
+``reshape(-1)`` into ``reshape(-2)``, which numpy reads the same way.  Every
+mutant runs the given pytest selection in one temporary copy of the
+repository, with ``-x``; a mutant is killed when the selection fails or
 runs past TIMEOUT_S and survives when it passes.  Whether a survivor is
 equivalent (no input can tell it apart) is for the reader to decide: the
 survey lists each survivor's line to look at.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import keyword
 import os
 import shutil
 import subprocess
@@ -46,12 +49,30 @@ def replacement(tok) -> str | None:
     return SWAPS.get(tok.string) if tok.type == tokenize.OP else None
 
 
+def _ends_operand(tok) -> bool:
+    """Whether a ``-`` after ``tok`` subtracts rather than negates."""
+    return (tok.type in (tokenize.NUMBER, tokenize.STRING)
+            or tok.type == tokenize.NAME and not keyword.iskeyword(tok.string)
+            or tok.string in (")", "]", "}"))
+
+
 def sites(source: str, start: int, end: int):
-    """(line, column, token, replacement) for each token that has a mutant."""
-    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-    return [(tok.start[0], tok.start[1], tok.string, new)
-            for tok in tokens
-            if start <= tok.start[0] <= end and (new := replacement(tok)) is not None]
+    """(line, column, text, replacement) for each token that has a mutant; a
+    number literal after a unary minus on its line is mutated with its sign."""
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    lines = source.splitlines()
+    found = []
+    for k, tok in enumerate(tokens):
+        if not start <= tok.start[0] <= end or (new := replacement(tok)) is None:
+            continue
+        sign = tokens[k - 1] if k else tok
+        if (tok.type == tokenize.NUMBER and sign.string == "-" and sign.start[0] == tok.start[0]
+                and not (k > 1 and _ends_operand(tokens[k - 2]))):
+            text = lines[tok.start[0] - 1][sign.start[1]:tok.end[1]]
+            found.append((tok.start[0], sign.start[1], text, f"(-{tok.string} + 1)"))
+        else:
+            found.append((tok.start[0], tok.start[1], tok.string, new))
+    return found
 
 
 def mutate(source: str, line: int, col: int, old: str, new: str) -> str:
